@@ -9,7 +9,7 @@ namespace grfusion {
 
 /// Shared cancellation/deadline state for one statement execution.
 ///
-/// One token is owned by the statement driver (Database::RunPlan) and shared
+/// One token is owned by the executing Session and shared
 /// — by raw pointer — with the query's QueryContext and every worker context
 /// a parallel fan-out creates, so an interrupt or a deadline trip observed by
 /// any thread stops all of them cooperatively.
@@ -37,6 +37,13 @@ class CancellationToken {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+  }
+
+  /// Disarms and unfires the token so the next statement can reuse it. Only
+  /// while no other thread can reach it (no registry entry, no worker).
+  void Reset() {
+    state_.store(0);
+    deadline_ns_.store(0);
   }
 
   /// Requests cooperative cancellation (client interrupt).

@@ -259,17 +259,12 @@ void Database::RegisterSystemTables() {
           for (const std::string& name : catalog_.GraphViewNames()) {
             const GraphView* gv = catalog_.FindGraphView(name);
             if (gv == nullptr) continue;
-            // TOPOLOGY: "list" when the view never built a CSR snapshot,
-            // "csr" when readers resolve the snapshot alone, "delta-overlay"
-            // while unfolded deltas (or base edits since the last fold)
-            // overlay it.
-            const char* topology = "csr";
-            if (gv->csr() == nullptr) {
-              topology = "list";
-            } else if (!gv->PureCsr() || gv->HasOpenDelta() ||
-                       gv->PendingDeltaOps() > 0) {
-              topology = "delta-overlay";
-            }
+            // TOPOLOGY: "csr" when readers resolve the snapshot alone,
+            // "delta-overlay" while unfolded deltas (or base edits since the
+            // last fold) overlay it.
+            const bool overlaid = !gv->PureCsr() || gv->HasOpenDelta() ||
+                                  gv->PendingDeltaOps() > 0;
+            const char* topology = overlaid ? "delta-overlay" : "csr";
             rows.push_back(
                 {Value::Varchar(name), Value::Boolean(gv->directed()),
                  Value::BigInt(static_cast<int64_t>(gv->NumVertexes())),

@@ -94,6 +94,30 @@ const char* StatementKindName(const Statement& stmt) {
       stmt);
 }
 
+/// Opens the record of one statement execution.
+QueryProfile OpenRecord(std::string sql, std::string kind,
+                        uint64_t session_id, size_t num_params = 0) {
+  QueryProfile rec;
+  rec.sql = std::move(sql);
+  rec.kind = std::move(kind);
+  rec.session_id = session_id;
+  rec.num_params = num_params;
+  return rec;
+}
+
+bool IsDml(const Statement& stmt) {
+  return std::holds_alternative<InsertStmt>(stmt) ||
+         std::holds_alternative<UpdateStmt>(stmt) ||
+         std::holds_alternative<DeleteStmt>(stmt);
+}
+
+uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 /// Arms the session's statement trace from the process-wide sampling sink
 /// (GRF_TRACE_DIR) for one top-level statement, and writes the file on exit.
 /// A no-op when the sink is disabled, the statement was not sampled, or a
@@ -112,7 +136,7 @@ class SampledTraceScope {
   ~SampledTraceScope() {
     if (trace_ == nullptr) return;
     *slot_ = nullptr;
-    // `query_id` is read at exit, after RunPlan assigned it.
+    // `query_id` is read at exit, after Finish recorded it.
     if (trace_->NumEvents() > 0) {
       TraceSink::Global().Write(*query_id_, *trace_);
     }
@@ -225,62 +249,44 @@ std::string Session::CacheKey(const std::string& normalized_sql) const {
 }
 
 StatusOr<ResultSet> Session::Execute(std::string_view sql) {
-  profile_published_ = false;
-  StatusOr<ResultSet> result = ExecuteImpl(sql);
-  if (!result.ok() && !profile_published_) {
-    // The statement failed before RunPlan could profile it (parse or bind
-    // error, DML/DDL failure). Publish a plan-less profile so
-    // SYS.LAST_QUERY surfaces the stable error code for every statement the
-    // wire protocol can report one for.
-    QueryProfile profile;
-    profile.sql = NormalizeSqlWhitespace(sql);
-    profile.kind = current_kind_.empty() ? "ERROR" : current_kind_;
-    profile.session_id = id_;
-    profile.error_code = StatusCodeToWire(result.status().code());
-    profile.error = result.status().message();
-    last_profile_ = profile;
-    std::lock_guard<std::mutex> lock(db_.profile_mu_);
-    db_.published_profile_ = last_profile_;
-  }
+  SampledTraceScope sampled(&active_trace_, &last_query_id_);
+  // The kind stays "ERROR" for text that does not parse.
+  QueryProfile rec = OpenRecord(NormalizeSqlWhitespace(sql), "ERROR", id_);
+  StatusOr<ResultSet> result = ExecuteAdHoc(sql, rec);
+  Finish(std::move(rec), result.status());
   return result;
 }
 
-StatusOr<ResultSet> Session::ExecuteImpl(std::string_view sql) {
-  current_kind_.clear();  // Re-set by ExecuteParsed once the kind is known.
-  SampledTraceScope sampled(&active_trace_, &last_query_id_);
-  std::string norm = NormalizeSqlWhitespace(sql);
-  std::string key = CacheKey(norm);
-
-  // Fast path: a cached plan means the statement is a known SELECT — skip
-  // parse, bind, and plan entirely.
+StatusOr<ResultSet> Session::ExecuteAdHoc(std::string_view sql,
+                                          QueryProfile& rec) {
+  Statement stmt;
   {
     std::shared_lock<std::shared_mutex> lock(db_.statement_mutex_);
-    TraceSpan lookup_span(active_trace_, "session", "plan_cache.lookup");
-    std::unique_ptr<CachedPlanInstance> inst =
-        db_.plan_cache_.Acquire(key, db_.catalog_.version());
-    lookup_span.AddArg("hit", inst != nullptr ? "true" : "false");
-    lookup_span.End();
+    // Pin the snapshot before PLANNING, not just execution: the planner
+    // reads graph-view statistics (NumVertexes/NumEdges), and a scope-less
+    // read would touch a concurrent writer's open delta.
+    GraphReadScope plan_scope(
+        txn_epoch_ != 0 ? txn_epoch_ : db_.epochs_.committed(),
+        /*include_open=*/txn_epoch_ != 0);
+    // A cached plan means the statement is a known SELECT: parse, bind, and
+    // plan are skipped entirely. Only a miss parses.
+    auto parse = [&]() -> StatusOr<const SelectStmt*> {
+      TraceSpan parse_span(active_trace_, "session", "parse");
+      GRF_ASSIGN_OR_RETURN(stmt, Parser::ParseSingle(sql));
+      rec.kind = StatementKindName(stmt);
+      return std::get_if<SelectStmt>(&stmt);
+    };
+    GRF_ASSIGN_OR_RETURN(std::unique_ptr<CachedPlanInstance> inst,
+                         AcquirePlan(CacheKey(rec.sql), rec, parse));
     if (inst != nullptr) {
-      if (inst->num_params == 0) {
-        EngineMetrics::Get().plan_cache_hits->Increment();
-        current_sql_ = norm;
-        current_kind_ = "SELECT";
-        current_num_params_ = 0;
-        current_cache_hit_ = true;
-        StatusOr<ResultSet> result = RunPlan(inst->planned,
-                                             /*force_timing=*/false);
-        db_.plan_cache_.Release(std::move(inst));
-        return result;
-      }
-      // Parameterized plan prepared elsewhere; unusable without values.
+      rec.kind = "SELECT";
+      StatusOr<ResultSet> result =
+          RunPlan(inst->planned, rec, /*force_timing=*/false);
       db_.plan_cache_.Release(std::move(inst));
+      return result;
     }
   }
-
-  TraceSpan parse_span(active_trace_, "session", "parse");
-  GRF_ASSIGN_OR_RETURN(Statement stmt, Parser::ParseSingle(sql));
-  parse_span.End();
-  return ExecuteParsed(stmt, norm, &key);
+  return Dispatch(stmt, rec, /*params=*/nullptr);
 }
 
 Status Session::ExecuteScript(std::string_view sql) {
@@ -291,13 +297,13 @@ Status Session::ExecuteScript(std::string_view sql) {
     // multi-statement script is attributed to per-kind buckets — keying
     // SYS.STATEMENTS (and SYS.ACTIVE_QUERIES) on the full script blob would
     // merge unrelated statements under one giant SQL text.
-    const std::string label =
-        statements.size() == 1
-            ? text
-            : std::string("<script> ") + StatementKindName(stmt);
-    GRF_ASSIGN_OR_RETURN(ResultSet ignored,
-                         ExecuteParsed(stmt, label, /*cache_key=*/nullptr));
-    (void)ignored;
+    const char* kind = StatementKindName(stmt);
+    QueryProfile rec = OpenRecord(
+        statements.size() == 1 ? text : std::string("<script> ") + kind, kind,
+        id_);
+    StatusOr<ResultSet> result = Dispatch(stmt, rec, /*params=*/nullptr);
+    Finish(std::move(rec), result.status());
+    GRF_RETURN_IF_ERROR(result.status());
   }
   return Status::OK();
 }
@@ -312,10 +318,7 @@ StatusOr<PreparedStatement> Session::Prepare(std::string_view sql) {
   prep.key_ = CacheKey(prep.sql_);
   prep.num_params_ = num_params;
   prep.is_select_ = std::holds_alternative<SelectStmt>(stmt);
-  const bool is_dml = std::holds_alternative<InsertStmt>(stmt) ||
-                      std::holds_alternative<UpdateStmt>(stmt) ||
-                      std::holds_alternative<DeleteStmt>(stmt);
-  if (num_params > 0 && !prep.is_select_ && !is_dml) {
+  if (num_params > 0 && !prep.is_select_ && !IsDml(stmt)) {
     return Status::InvalidArgument(
         "parameter placeholders are only supported in SELECT and DML "
         "statements");
@@ -324,96 +327,87 @@ StatusOr<PreparedStatement> Session::Prepare(std::string_view sql) {
 
   if (prep.is_select_) {
     // Compile (or adopt a cached instance) now so Execute() can run the
-    // plan immediately and Prepare surfaces planning errors early.
+    // plan immediately and Prepare surfaces planning errors early. Preparing
+    // executes nothing, so this record reaches no sink.
     std::shared_lock<std::shared_mutex> lock(db_.statement_mutex_);
     GraphReadScope plan_scope(
         txn_epoch_ != 0 ? txn_epoch_ : db_.epochs_.committed(),
         /*include_open=*/txn_epoch_ != 0);
-    GRF_RETURN_IF_ERROR(EnsurePreparedPlanLocked(prep));
+    QueryProfile compile = OpenRecord(prep.sql_, "SELECT", id_, num_params);
+    GRF_RETURN_IF_ERROR(EnsurePreparedPlanLocked(prep, compile));
   }
   return prep;
 }
 
-StatusOr<ResultSet> Session::ExecuteParsed(const Statement& stmt,
-                                           const std::string& sql_text,
-                                           const std::string* cache_key) {
-  current_sql_ = sql_text;
-  current_kind_ = StatementKindName(stmt);
-  current_num_params_ = 0;
-  current_cache_hit_ = false;
+StatusOr<ResultSet> Session::Dispatch(const Statement& stmt,
+                                      QueryProfile& rec, ParamSet* params) {
   // KILL is dispatched before the statement lock on purpose: the registry
   // has its own mutex, so a KILL aimed at a long reader is never queued
   // behind an exclusive writer (or the very statement it is cancelling).
-  if (std::holds_alternative<KillStmt>(stmt)) {
-    return ExecuteKill(std::get<KillStmt>(stmt));
+  if (const auto* kill = std::get_if<KillStmt>(&stmt)) {
+    return ExecuteKill(*kill);
   }
   // Transaction control manipulates this session's writer slot and must not
   // queue behind the statement lock (COMMIT takes it in the right order
   // itself).
-  if (std::holds_alternative<TxnStmt>(stmt)) {
-    return ExecuteTxn(std::get<TxnStmt>(stmt));
+  if (const auto* txn = std::get_if<TxnStmt>(&stmt)) {
+    return ExecuteTxn(*txn);
   }
-  if (const SelectStmt* select = std::get_if<SelectStmt>(&stmt)) {
-    std::shared_lock<std::shared_mutex> lock(db_.statement_mutex_);
-    // Pin the snapshot before PLANNING, not just execution: the planner
-    // reads graph-view statistics (NumVertexes/NumEdges), and a scope-less
-    // read would touch a concurrent writer's open delta.
-    GraphReadScope plan_scope(
-        txn_epoch_ != 0 ? txn_epoch_ : db_.epochs_.committed(),
-        /*include_open=*/txn_epoch_ != 0);
-    if (cache_key != nullptr) {
-      return ExecuteSelectCached(*select, sql_text, *cache_key);
-    }
-    return ExecuteSelect(*select);
-  }
-  if (std::holds_alternative<ExplainStmt>(stmt)) {
+  const auto* select = std::get_if<SelectStmt>(&stmt);
+  const auto* explain = std::get_if<ExplainStmt>(&stmt);
+  if (select != nullptr || explain != nullptr) {
     std::shared_lock<std::shared_mutex> lock(db_.statement_mutex_);
     GraphReadScope plan_scope(
         txn_epoch_ != 0 ? txn_epoch_ : db_.epochs_.committed(),
         /*include_open=*/txn_epoch_ != 0);
-    return ExecuteStatement(stmt);
+    return select != nullptr ? ExecuteSelect(*select, rec, params)
+                             : ExecuteExplain(*explain, rec);
   }
   // DML and DDL are not cooperatively interruptible, so they register
   // without a token (KILL reports InvalidArgument) but still show in
   // SYS.ACTIVE_QUERIES and feed the cumulative statement stats.
-  const uint64_t query_id = db_.active_queries_.Register(
-      id_, current_sql_, current_kind_, /*token=*/nullptr, /*rows=*/nullptr);
-  last_query_id_ = query_id;
-  auto t0 = std::chrono::steady_clock::now();
-  StatusOr<ResultSet> result = [&]() -> StatusOr<ResultSet> {
-    if (std::holds_alternative<InsertStmt>(stmt) ||
-        std::holds_alternative<UpdateStmt>(stmt) ||
-        std::holds_alternative<DeleteStmt>(stmt)) {
-      // DML: write transaction at a private epoch, under the SHARED
-      // statement lock — snapshot readers keep running.
-      return ExecuteDml(stmt, /*params=*/nullptr);
-    }
-    // DDL (and CHECKPOINT) still excludes everything: writer slot first (no
-    // write transaction in flight, so no graph view has an open delta), then
-    // the statement lock exclusively (no reader mid-statement).
-    if (in_txn_) {
-      return Status::InvalidArgument(
-          std::holds_alternative<CheckpointStmt>(stmt)
-              ? "CHECKPOINT is not allowed inside a transaction"
-              : "DDL is not allowed inside a transaction");
-    }
-    GRF_RETURN_IF_ERROR(db_.durability_status());
-    std::lock_guard<std::mutex> writer(db_.writer_mutex_);
-    std::unique_lock<std::shared_mutex> lock(db_.statement_mutex_);
-    return ExecuteStatement(stmt);
-  }();
-  uint64_t latency_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  db_.active_queries_.Unregister(query_id);
-  StatementStats::Execution ex;
-  ex.kind = current_kind_;
-  ex.latency_us = latency_us;
-  ex.rows = result.ok() ? result->rows_affected : 0;
-  ex.code = result.status().code();
-  db_.statement_stats_.Record(current_sql_, ex);
+  rec.query_id = db_.active_queries_.Register(
+      id_, rec.sql, rec.kind, /*token=*/nullptr, /*rows=*/nullptr);
+  const auto t0 = std::chrono::steady_clock::now();
+  // DML: write transaction at a private epoch, under the SHARED statement
+  // lock — snapshot readers keep running.
+  StatusOr<ResultSet> result =
+      IsDml(stmt) ? ExecuteDml(stmt, params, rec) : ExecuteDdl(stmt, rec);
+  rec.latency_us = MicrosSince(t0);
+  rec.rows = result.ok() ? result->rows_affected : 0;
   return result;
+}
+
+StatusOr<ResultSet> Session::ExecuteDdl(const Statement& stmt,
+                                        QueryProfile& rec) {
+  // DDL (and CHECKPOINT) still excludes everything: writer slot first (no
+  // write transaction in flight, so no graph view has an open delta), then
+  // the statement lock exclusively (no reader mid-statement).
+  if (in_txn_) {
+    return Status::InvalidArgument(
+        std::holds_alternative<CheckpointStmt>(stmt)
+            ? "CHECKPOINT is not allowed inside a transaction"
+            : "DDL is not allowed inside a transaction");
+  }
+  GRF_RETURN_IF_ERROR(db_.durability_status());
+  std::lock_guard<std::mutex> writer(db_.writer_mutex_);
+  std::unique_lock<std::shared_mutex> lock(db_.statement_mutex_);
+  if (const auto* s = std::get_if<CreateTableStmt>(&stmt)) {
+    return ExecuteCreateTable(*s);
+  }
+  if (const auto* s = std::get_if<CreateIndexStmt>(&stmt)) {
+    return ExecuteCreateIndex(*s);
+  }
+  if (const auto* s = std::get_if<CreateGraphViewStmt>(&stmt)) {
+    return ExecuteCreateGraphView(*s);
+  }
+  if (const auto* s = std::get_if<CreateMaterializedViewStmt>(&stmt)) {
+    return ExecuteCreateMaterializedView(*s, rec);
+  }
+  if (const auto* s = std::get_if<DropStmt>(&stmt)) {
+    return ExecuteDrop(*s);
+  }
+  return ExecuteCheckpoint();
 }
 
 StatusOr<ResultSet> Session::ExecuteKill(const KillStmt& stmt) {
@@ -458,10 +452,10 @@ StatusOr<ResultSet> Session::ExecuteTxn(const TxnStmt& stmt) {
 }
 
 StatusOr<ResultSet> Session::ExecuteDml(const Statement& stmt,
-                                        ParamSet* params) {
+                                        ParamSet* params, QueryProfile& rec) {
   auto dispatch = [&]() -> StatusOr<ResultSet> {
     if (const auto* insert = std::get_if<InsertStmt>(&stmt)) {
-      return ExecuteInsert(*insert, params);
+      return ExecuteInsert(*insert, params, rec);
     }
     if (const auto* update = std::get_if<UpdateStmt>(&stmt)) {
       return ExecuteUpdate(*update, params);
@@ -678,129 +672,92 @@ Status Session::LogAppliedUpdate(Table* table, TupleSlot slot, Tuple before) {
   return Status::OK();
 }
 
-StatusOr<ResultSet> Session::ExecuteSelectCached(const SelectStmt& stmt,
-                                                 const std::string& norm,
-                                                 const std::string& key) {
+StatusOr<ResultSet> Session::ExecutePrepared(PreparedStatement& prep,
+                                             std::vector<Value> values) {
+  SampledTraceScope sampled(&active_trace_, &last_query_id_);
+  QueryProfile rec = OpenRecord(prep.sql_, StatementKindName(*prep.ast_), id_,
+                                prep.num_params_);
+  StatusOr<ResultSet> result = [&]() -> StatusOr<ResultSet> {
+    if (!prep.is_select_) {
+      // Prepared DML re-binds against the current schema each run (only the
+      // parse is skipped); placeholder values land in a per-execution
+      // ParamSet that the binder wires ParameterExpr nodes into.
+      ParamSet pset;
+      if (prep.num_params_ > 0) pset.EnsureSlot(prep.num_params_ - 1);
+      pset.values = std::move(values);
+      return Dispatch(*prep.ast_, rec, &pset);
+    }
+    std::shared_lock<std::shared_mutex> lock(db_.statement_mutex_);
+    GraphReadScope plan_scope(
+        txn_epoch_ != 0 ? txn_epoch_ : db_.epochs_.committed(),
+        /*include_open=*/txn_epoch_ != 0);
+    GRF_RETURN_IF_ERROR(EnsurePreparedPlanLocked(prep, rec));
+    GRF_RETURN_IF_ERROR(
+        BindParamValues(prep.plan_->params, std::move(values)));
+    return RunPlan(prep.plan_->planned, rec, /*force_timing=*/false);
+  }();
+  Finish(std::move(rec), result.status());
+  return result;
+}
+
+StatusOr<std::unique_ptr<CachedPlanInstance>> Session::AcquirePlan(
+    const std::string& key, QueryProfile& rec,
+    const std::function<StatusOr<const SelectStmt*>()>& parse) {
   EngineMetrics& metrics = EngineMetrics::Get();
   const uint64_t version = db_.catalog_.version();
   TraceSpan lookup_span(active_trace_, "session", "plan_cache.lookup");
   std::unique_ptr<CachedPlanInstance> inst =
       db_.plan_cache_.Acquire(key, version);
+  lookup_span.AddArg("hit", inst != nullptr ? "true" : "false");
   lookup_span.End();
-  if (inst != nullptr && inst->num_params == 0) {
+  if (inst != nullptr && inst->num_params == rec.num_params) {
     metrics.plan_cache_hits->Increment();
-    current_cache_hit_ = true;
-  } else {
-    if (inst != nullptr) db_.plan_cache_.Release(std::move(inst));
-    TraceSpan plan_span(active_trace_, "session", "plan");
-    inst = std::make_unique<CachedPlanInstance>();
-    Planner planner(&db_.catalog_, options_);
-    StatusOr<PlannedQuery> planned = planner.PlanSelect(stmt);
-    GRF_RETURN_IF_ERROR(planned.status());
-    inst->planned = std::move(planned).value();
-    inst->catalog_version = version;
-    inst->key = key;
-    inst->sql = norm;
-    metrics.plan_cache_misses->Increment();
-    db_.plan_cache_.NoteMiss(key);
+    rec.plan_cache_hit = true;
+    return inst;
   }
-  StatusOr<ResultSet> result = RunPlan(inst->planned, /*force_timing=*/false);
-  db_.plan_cache_.Release(std::move(inst));
-  return result;
+  // An instance compiled for another placeholder count (this text prepared
+  // elsewhere) is unusable here.
+  if (inst != nullptr) db_.plan_cache_.Release(std::move(inst));
+
+  GRF_ASSIGN_OR_RETURN(const SelectStmt* select, parse());
+  if (select == nullptr) return std::unique_ptr<CachedPlanInstance>();
+  TraceSpan plan_span(active_trace_, "session", "plan");
+  inst = std::make_unique<CachedPlanInstance>();
+  Planner planner(&db_.catalog_, options_);
+  // Without a parameter set the binder rejects placeholders, which only
+  // prepared statements may carry.
+  GRF_ASSIGN_OR_RETURN(
+      inst->planned,
+      planner.PlanSelect(*select,
+                         rec.num_params > 0 ? &inst->params : nullptr));
+  if (rec.num_params > 0) inst->params.EnsureSlot(rec.num_params - 1);
+  inst->num_params = rec.num_params;
+  inst->catalog_version = version;
+  inst->key = key;
+  inst->sql = rec.sql;
+  metrics.plan_cache_misses->Increment();
+  db_.plan_cache_.NoteMiss(key);
+  return inst;
 }
 
-StatusOr<ResultSet> Session::ExecutePrepared(PreparedStatement& prep,
-                                             std::vector<Value> values) {
-  SampledTraceScope sampled(&active_trace_, &last_query_id_);
-  current_sql_ = prep.sql_;
-  current_kind_ = StatementKindName(*prep.ast_);
-  current_num_params_ = prep.num_params_;
-  current_cache_hit_ = false;
-  if (prep.is_select_) {
-    std::shared_lock<std::shared_mutex> lock(db_.statement_mutex_);
-    GraphReadScope plan_scope(
-        txn_epoch_ != 0 ? txn_epoch_ : db_.epochs_.committed(),
-        /*include_open=*/txn_epoch_ != 0);
-    GRF_RETURN_IF_ERROR(EnsurePreparedPlanLocked(prep));
-    GRF_RETURN_IF_ERROR(
-        BindParamValues(prep.plan_->params, std::move(values)));
-    return RunPlan(prep.plan_->planned, /*force_timing=*/false);
-  }
-
-  // Prepared DML re-binds against the current schema each run (only the
-  // parse is skipped); placeholder values land in a per-execution ParamSet
-  // that the binder wires ParameterExpr nodes into.
-  if (std::holds_alternative<InsertStmt>(*prep.ast_) ||
-      std::holds_alternative<UpdateStmt>(*prep.ast_) ||
-      std::holds_alternative<DeleteStmt>(*prep.ast_)) {
-    const uint64_t query_id = db_.active_queries_.Register(
-        id_, current_sql_, current_kind_, /*token=*/nullptr, /*rows=*/nullptr);
-    last_query_id_ = query_id;
-    auto t0 = std::chrono::steady_clock::now();
-    ParamSet pset;
-    if (prep.num_params_ > 0) pset.EnsureSlot(prep.num_params_ - 1);
-    pset.values = std::move(values);
-    StatusOr<ResultSet> result = ExecuteDml(*prep.ast_, &pset);
-    uint64_t latency_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    db_.active_queries_.Unregister(query_id);
-    StatementStats::Execution ex;
-    ex.kind = current_kind_;
-    ex.latency_us = latency_us;
-    ex.rows = result.ok() ? result->rows_affected : 0;
-    ex.code = result.status().code();
-    db_.statement_stats_.Record(current_sql_, ex);
-    return result;
-  }
-
-  // Parameterless DDL / EXPLAIN: dispatch like Execute() would.
-  return ExecuteParsed(*prep.ast_, prep.sql_, /*cache_key=*/nullptr);
-}
-
-Status Session::EnsurePreparedPlanLocked(PreparedStatement& prep) {
-  EngineMetrics& metrics = EngineMetrics::Get();
-  const uint64_t version = db_.catalog_.version();
+Status Session::EnsurePreparedPlanLocked(PreparedStatement& prep,
+                                         QueryProfile& rec) {
   if (prep.plan_ != nullptr) {
-    if (prep.plan_->catalog_version == version) {
-      metrics.plan_cache_hits->Increment();
-      current_cache_hit_ = true;
+    if (prep.plan_->catalog_version == db_.catalog_.version()) {
+      EngineMetrics::Get().plan_cache_hits->Increment();
+      rec.plan_cache_hit = true;
       return Status::OK();
     }
     // Schema changed since this plan compiled; it may point at dropped
     // tables or graph views.
-    metrics.plan_cache_evictions->Increment();
+    EngineMetrics::Get().plan_cache_evictions->Increment();
     prep.plan_.reset();
   }
-
-  TraceSpan lookup_span(active_trace_, "session", "plan_cache.lookup");
-  std::unique_ptr<CachedPlanInstance> inst =
-      db_.plan_cache_.Acquire(prep.key_, version);
-  lookup_span.End();
-  if (inst != nullptr && inst->num_params == prep.num_params_) {
-    metrics.plan_cache_hits->Increment();
-    current_cache_hit_ = true;
-    prep.plan_ = std::move(inst);
-    return Status::OK();
-  }
-  if (inst != nullptr) db_.plan_cache_.Release(std::move(inst));
-
-  TraceSpan plan_span(active_trace_, "session", "plan");
-  inst = std::make_unique<CachedPlanInstance>();
-  Planner planner(&db_.catalog_, options_);
-  const SelectStmt& select = std::get<SelectStmt>(*prep.ast_);
-  StatusOr<PlannedQuery> planned = planner.PlanSelect(select, &inst->params);
-  GRF_RETURN_IF_ERROR(planned.status());
-  inst->planned = std::move(planned).value();
-  if (prep.num_params_ > 0) inst->params.EnsureSlot(prep.num_params_ - 1);
-  inst->num_params = prep.num_params_;
-  inst->catalog_version = version;
-  inst->key = prep.key_;
-  inst->sql = prep.sql_;
-  metrics.plan_cache_misses->Increment();
-  db_.plan_cache_.NoteMiss(prep.key_);
-  prep.plan_ = std::move(inst);
+  GRF_ASSIGN_OR_RETURN(
+      prep.plan_,
+      AcquirePlan(prep.key_, rec, [&]() -> StatusOr<const SelectStmt*> {
+        return &std::get<SelectStmt>(*prep.ast_);
+      }));
   return Status::OK();
 }
 
@@ -830,43 +787,6 @@ Status Session::BindParamValues(ParamSet& params,
 
 void Session::ReleasePlan(std::unique_ptr<CachedPlanInstance> plan) {
   db_.plan_cache_.Release(std::move(plan));
-}
-
-// --- Statement dispatch ------------------------------------------------------------
-
-StatusOr<ResultSet> Session::ExecuteStatement(const Statement& stmt) {
-  return std::visit(
-      [this](const auto& s) -> StatusOr<ResultSet> {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, CreateTableStmt>) {
-          return ExecuteCreateTable(s);
-        } else if constexpr (std::is_same_v<T, CreateIndexStmt>) {
-          return ExecuteCreateIndex(s);
-        } else if constexpr (std::is_same_v<T, CreateGraphViewStmt>) {
-          return ExecuteCreateGraphView(s);
-        } else if constexpr (std::is_same_v<T, CreateMaterializedViewStmt>) {
-          return ExecuteCreateMaterializedView(s);
-        } else if constexpr (std::is_same_v<T, DropStmt>) {
-          return ExecuteDrop(s);
-        } else if constexpr (std::is_same_v<T, InsertStmt>) {
-          return ExecuteInsert(s);
-        } else if constexpr (std::is_same_v<T, UpdateStmt>) {
-          return ExecuteUpdate(s);
-        } else if constexpr (std::is_same_v<T, DeleteStmt>) {
-          return ExecuteDelete(s);
-        } else if constexpr (std::is_same_v<T, ExplainStmt>) {
-          return ExecuteExplain(s);
-        } else if constexpr (std::is_same_v<T, KillStmt>) {
-          return ExecuteKill(s);
-        } else if constexpr (std::is_same_v<T, TxnStmt>) {
-          return ExecuteTxn(s);
-        } else if constexpr (std::is_same_v<T, CheckpointStmt>) {
-          return ExecuteCheckpoint();
-        } else {
-          return ExecuteSelect(s);
-        }
-      },
-      stmt);
 }
 
 // --- DDL ---------------------------------------------------------------------------
@@ -951,7 +871,6 @@ StatusOr<ResultSet> Session::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
 StatusOr<ResultSet> Session::ExecuteCreateGraphView(
     const CreateGraphViewStmt& stmt) {
   GraphBuildOptions build;
-  build.build_csr = options_.build_csr_topology;
   const size_t parallelism = options_.effective_parallelism();
   if (parallelism > 1) {
     build.pool = &TaskPool::Shared();
@@ -977,7 +896,7 @@ StatusOr<ResultSet> Session::ExecuteCreateGraphView(
 }
 
 StatusOr<ResultSet> Session::ExecuteCreateMaterializedView(
-    const CreateMaterializedViewStmt& stmt) {
+    const CreateMaterializedViewStmt& stmt, QueryProfile& rec) {
   // Materialize the query result as an ordinary table: downstream DDL
   // (indexes, graph views over it) then works unchanged. The view is a
   // snapshot — it does not track its base tables (the paper only requires
@@ -989,7 +908,8 @@ StatusOr<ResultSet> Session::ExecuteCreateMaterializedView(
     schema.AddColumn(Column(planned.output_names[i],
                             planned.root->schema().column(i).type));
   }
-  GRF_ASSIGN_OR_RETURN(ResultSet rows, ExecuteSelect(*stmt.select));
+  GRF_ASSIGN_OR_RETURN(ResultSet rows,
+                       RunPlan(planned, rec, /*force_timing=*/false));
   GRF_ASSIGN_OR_RETURN(Table * table,
                        db_.catalog_.CreateTable(stmt.name, std::move(schema)));
   std::vector<WalRecord> unit;
@@ -1131,7 +1051,8 @@ Status Session::AppendDdlUnit(const std::vector<WalRecord>& records) {
 // --- DML ---------------------------------------------------------------------------
 
 StatusOr<ResultSet> Session::ExecuteInsert(const InsertStmt& stmt,
-                                           ParamSet* params) {
+                                           ParamSet* params,
+                                           QueryProfile& rec) {
   Table* table = db_.catalog_.FindTable(stmt.table);
   if (table == nullptr) {
     return Status::NotFound("table '" + stmt.table + "' does not exist");
@@ -1154,7 +1075,7 @@ StatusOr<ResultSet> Session::ExecuteInsert(const InsertStmt& stmt,
   // the caller's undo-log mark (ExecuteDml rolls back on any error).
   if (stmt.select != nullptr) {
     GRF_ASSIGN_OR_RETURN(ResultSet selected,
-                         ExecuteSelect(*stmt.select, params));
+                         ExecuteSelect(*stmt.select, rec, params));
     size_t inserted = 0;
     for (auto& row : selected.rows) {
       if (row.size() != targets.size()) {
@@ -1399,17 +1320,15 @@ StatusOr<ResultSet> Session::ExecuteDelete(const DeleteStmt& stmt,
 // --- SELECT -------------------------------------------------------------------------
 
 StatusOr<ResultSet> Session::ExecuteSelect(const SelectStmt& stmt,
+                                           QueryProfile& rec,
                                            ParamSet* params) {
   Planner planner(&db_.catalog_, options_);
   GRF_ASSIGN_OR_RETURN(PlannedQuery planned, planner.PlanSelect(stmt, params));
-  return RunPlan(planned, /*force_timing=*/false);
+  return RunPlan(planned, rec, /*force_timing=*/false);
 }
 
 StatusOr<ResultSet> Session::RunPlan(const PlannedQuery& planned,
-                                     bool force_timing) {
-  EngineMetrics& metrics = EngineMetrics::Get();
-  const bool slow_log_armed = options_.slow_query_threshold_us >= 0;
-
+                                     QueryProfile& rec, bool force_timing) {
   QueryContext ctx(options_.memory_cap);
   // MVCC snapshot. A statement inside a write transaction reads at the
   // transaction's own epoch (its earlier statements are visible, including
@@ -1423,7 +1342,7 @@ StatusOr<ResultSet> Session::RunPlan(const PlannedQuery& planned,
   ctx.set_snapshot_epoch(snapshot);
   ctx.set_include_open(include_open);
   GraphReadScope graph_scope(snapshot, include_open);
-  ctx.set_profile_timing(force_timing || slow_log_armed);
+  ctx.set_profile_timing(force_timing || options_.slow_query_threshold_us >= 0);
   ctx.set_trace(active_trace_);
   const size_t parallelism = options_.effective_parallelism();
   if (parallelism > 1) {
@@ -1433,34 +1352,29 @@ StatusOr<ResultSet> Session::RunPlan(const PlannedQuery& planned,
     ctx.set_parallel_min_starts(options_.parallel_min_starts);
   }
 
-  // Statement-lifetime cancellation token. Left null (bench baseline) only
-  // when both interrupts and the timeout are off; a null token reduces every
-  // cooperative check to one pointer test.
-  CancellationToken token;
+  // Statement cancellation token. Left off the context (bench baseline)
+  // only when both interrupts and the timeout are off; a null token reduces
+  // every cooperative check to one pointer test.
+  token_.Reset();
+  live_rows_.store(0, std::memory_order_relaxed);
   const bool arm_token =
       options_.enable_interrupts || options_.statement_timeout_us >= 0;
   if (options_.statement_timeout_us >= 0) {
-    token.SetTimeoutUs(options_.statement_timeout_us);
+    token_.SetTimeoutUs(options_.statement_timeout_us);
   }
-  if (arm_token) ctx.set_cancellation(&token);
+  if (arm_token) ctx.set_cancellation(&token_);
   if (options_.enable_interrupts) {
     std::lock_guard<std::mutex> lock(interrupt_state_->mu);
-    interrupt_state_->active = &token;
+    interrupt_state_->active = &token_;
   }
 
-  // Publish to SYS.ACTIVE_QUERIES for the duration of the Volcano loop.
-  // Nested RunPlans (the SELECT half of INSERT ... SELECT or CREATE
-  // MATERIALIZED VIEW) skip this: the enclosing DML already registered, and
-  // one statement should appear (and be counted) once.
-  const bool top_level =
-      current_kind_ == "SELECT" || current_kind_ == "EXPLAIN";
-  std::atomic<uint64_t> live_rows{0};
-  uint64_t query_id = 0;
-  if (top_level) {
-    query_id = db_.active_queries_.Register(
-        id_, current_sql_, current_kind_,
-        arm_token ? &token : nullptr, &live_rows);
-    last_query_id_ = query_id;
+  // Publish to SYS.ACTIVE_QUERIES until Finish. A nested run (the SELECT
+  // half of INSERT ... SELECT or CREATE MATERIALIZED VIEW) is already
+  // covered by the enclosing statement's registration: one statement
+  // appears (and is counted) once.
+  if (rec.query_id == 0) {
+    rec.query_id = db_.active_queries_.Register(
+        id_, rec.sql, rec.kind, arm_token ? &token_ : nullptr, &live_rows_);
   }
 
   ResultSet result;
@@ -1470,7 +1384,7 @@ StatusOr<ResultSet> Session::RunPlan(const PlannedQuery& planned,
     result.column_types.push_back(planned.root->schema().column(i).type);
   }
 
-  auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   TraceSpan exec_span(active_trace_, "session", "execute");
   Status status = planned.root->Open(&ctx);
   if (status.ok()) {
@@ -1483,97 +1397,98 @@ StatusOr<ResultSet> Session::RunPlan(const PlannedQuery& planned,
       }
       if (!*has) break;
       result.rows.push_back(std::move(row.columns));
-      live_rows.store(result.rows.size(), std::memory_order_relaxed);
+      live_rows_.store(result.rows.size(), std::memory_order_relaxed);
     }
   }
   planned.root->Close();
   exec_span.AddArg("rows", std::to_string(result.rows.size()));
   exec_span.AddArg("status", StatusCodeToString(status.code()));
   exec_span.End();
-  // Unregister only after Close: the token must outlive any worker that
-  // might still observe it while the operator tree unwinds. The registry
-  // entry likewise drops before the token and row counter leave scope.
+  // Disarm only after Close: the token must stay reachable for any worker
+  // that might still observe it while the operator tree unwinds.
   if (options_.enable_interrupts) {
     std::lock_guard<std::mutex> lock(interrupt_state_->mu);
     interrupt_state_->active = nullptr;
   }
-  if (top_level) db_.active_queries_.Unregister(query_id);
-  uint64_t latency_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
 
-  // Fold this query's work into the engine-wide registry.
-  metrics.queries_total->Increment();
-  if (!status.ok()) metrics.query_errors_total->Increment();
-  if (status.code() == StatusCode::kCancelled) {
-    metrics.queries_cancelled->Increment();
-  } else if (status.code() == StatusCode::kDeadlineExceeded) {
-    metrics.queries_deadline_exceeded->Increment();
+  rec.latency_us = MicrosSince(t0);
+  rec.rows = result.rows.size();
+  rec.peak_bytes = ctx.peak_bytes();
+  rec.stats = ctx.stats();
+  rec.reads_system_tables = planned.reads_system_tables;
+  CollectOperatorRows(planned.root.get(), 0, &rec.operators);
+  if (!status.ok()) {
+    rec.error_code = StatusCodeToWire(status.code());
+    rec.error = status.message();
   }
-  metrics.query_latency_us->Observe(latency_us);
-  metrics.rows_returned_total->Increment(result.rows.size());
-  const ExecStats& stats = ctx.stats();
-  metrics.rows_scanned_total->Increment(stats.rows_scanned);
-  metrics.rows_joined_total->Increment(stats.rows_joined);
-  metrics.vertexes_expanded_total->Increment(stats.vertexes_expanded);
-  metrics.edges_examined_total->Increment(stats.edges_examined);
-  metrics.paths_emitted_total->Increment(stats.paths_emitted);
-  metrics.paths_pruned_total->Increment(stats.paths_pruned);
-  metrics.peak_query_bytes->SetMax(static_cast<int64_t>(ctx.peak_bytes()));
-
-  last_stats_ = stats;
-  last_peak_bytes_ = ctx.peak_bytes();
-
-  // Fold into the cumulative per-statement store (SYS.STATEMENTS). Keyed on
-  // the normalized text, so every session running the same statement lands
-  // in one row.
-  if (top_level) {
-    StatementStats::Execution ex;
-    ex.kind = current_kind_;
-    ex.latency_us = latency_us;
-    ex.rows = result.rows.size();
-    ex.peak_bytes = ctx.peak_bytes();
-    ex.plan_cache_hit = current_cache_hit_;
-    ex.code = status.code();
-    db_.statement_stats_.Record(current_sql_, ex);
-  }
-
-  // RunPlan owns profile policy from here; Execute()'s plan-less error
-  // fallback must not second-guess it (in particular it must not clobber
-  // the previous profile after a failed SYS.* read).
-  profile_published_ = true;
-  // Queries over SYS.* inspect the previous profile; don't clobber it.
-  if (!planned.reads_system_tables) {
-    QueryProfile profile;
-    profile.sql = current_sql_;
-    profile.kind = current_kind_;
-    profile.session_id = id_;
-    profile.query_id = query_id;
-    profile.num_params = current_num_params_;
-    profile.latency_us = latency_us;
-    profile.peak_bytes = ctx.peak_bytes();
-    profile.error_code = StatusCodeToWire(status.code());
-    profile.error = status.message();
-    profile.stats = stats;
-    CollectOperatorRows(planned.root.get(), 0, &profile.operators);
-    if (slow_log_armed &&
-        latency_us >=
-            static_cast<uint64_t>(options_.slow_query_threshold_us)) {
-      metrics.slow_queries_total->Increment();
-      EmitSlowQueryTrace(profile);
-    }
-    last_profile_ = std::move(profile);
-    // Publish for SYS.LAST_QUERY, which any session may read.
-    std::lock_guard<std::mutex> lock(db_.profile_mu_);
-    db_.published_profile_ = last_profile_;
-  }
-
   GRF_RETURN_IF_ERROR(status);
   return result;
 }
 
-StatusOr<ResultSet> Session::ExecuteExplain(const ExplainStmt& stmt) {
+void Session::Finish(QueryProfile rec, const Status& status) {
+  if (rec.error_code == 0 && !status.ok()) {
+    rec.error_code = StatusCodeToWire(status.code());
+    rec.error = status.message();
+  }
+  const StatusCode code =
+      StatusCodeFromWire(static_cast<int32_t>(rec.error_code));
+  EngineMetrics& metrics = EngineMetrics::Get();
+
+  if (rec.query_id != 0) {
+    db_.active_queries_.Unregister(rec.query_id);
+    last_query_id_ = rec.query_id;
+    // Fold into the cumulative per-statement store (SYS.STATEMENTS). Keyed
+    // on the normalized text, so every session running the same statement
+    // lands in one row.
+    StatementStats::Execution ex;
+    ex.kind = rec.kind;
+    ex.latency_us = rec.latency_us;
+    ex.rows = rec.rows;
+    ex.peak_bytes = rec.peak_bytes;
+    ex.plan_cache_hit = rec.plan_cache_hit;
+    ex.code = code;
+    db_.statement_stats_.Record(rec.sql, ex);
+  }
+
+  // Fold a plan's work into the engine-wide registry.
+  if (rec.valid()) {
+    metrics.queries_total->Increment();
+    if (code != StatusCode::kOk) metrics.query_errors_total->Increment();
+    if (code == StatusCode::kCancelled) {
+      metrics.queries_cancelled->Increment();
+    } else if (code == StatusCode::kDeadlineExceeded) {
+      metrics.queries_deadline_exceeded->Increment();
+    }
+    metrics.query_latency_us->Observe(rec.latency_us);
+    metrics.rows_returned_total->Increment(rec.rows);
+    metrics.rows_scanned_total->Increment(rec.stats.rows_scanned);
+    metrics.rows_joined_total->Increment(rec.stats.rows_joined);
+    metrics.vertexes_expanded_total->Increment(rec.stats.vertexes_expanded);
+    metrics.edges_examined_total->Increment(rec.stats.edges_examined);
+    metrics.paths_emitted_total->Increment(rec.stats.paths_emitted);
+    metrics.paths_pruned_total->Increment(rec.stats.paths_pruned);
+    metrics.peak_query_bytes->SetMax(static_cast<int64_t>(rec.peak_bytes));
+  }
+
+  // SYS.LAST_QUERY shows every plan and every failure, except statements
+  // over SYS.* tables, which inspect the previous profile and must not
+  // clobber it.
+  if (!rec.reads_system_tables &&
+      (rec.valid() || code != StatusCode::kOk)) {
+    if (rec.valid() && options_.slow_query_threshold_us >= 0 &&
+        rec.latency_us >=
+            static_cast<uint64_t>(options_.slow_query_threshold_us)) {
+      metrics.slow_queries_total->Increment();
+      EmitSlowQueryTrace(rec);
+    }
+    std::lock_guard<std::mutex> lock(db_.profile_mu_);
+    db_.published_profile_ = rec;
+  }
+  last_profile_ = std::move(rec);
+}
+
+StatusOr<ResultSet> Session::ExecuteExplain(const ExplainStmt& stmt,
+                                            QueryProfile& rec) {
   if (stmt.trace) {
     // EXPLAIN TRACE: arm a statement-local span trace, execute, and return
     // the Chrome trace-event JSON document (one result row per line).
@@ -1591,7 +1506,8 @@ StatusOr<ResultSet> Session::ExecuteExplain(const ExplainStmt& stmt) {
       }
       planned = std::move(planned_or).value();
     }
-    StatusOr<ResultSet> executed = RunPlan(planned, /*force_timing=*/false);
+    StatusOr<ResultSet> executed =
+        RunPlan(planned, rec, /*force_timing=*/false);
     active_trace_ = saved;
     // Like ANALYZE, a cancelled or timed-out statement still renders: its
     // spans show how far execution got before the interrupt fired.
@@ -1607,7 +1523,7 @@ StatusOr<ResultSet> Session::ExecuteExplain(const ExplainStmt& stmt) {
   if (!stmt.analyze) {
     return PlanTextToResult(planned.root->ToString(0));
   }
-  StatusOr<ResultSet> executed = RunPlan(planned, /*force_timing=*/true);
+  StatusOr<ResultSet> executed = RunPlan(planned, rec, /*force_timing=*/true);
   if (!executed.ok() &&
       executed.status().code() != StatusCode::kCancelled &&
       executed.status().code() != StatusCode::kDeadlineExceeded) {
@@ -1619,14 +1535,13 @@ StatusOr<ResultSet> Session::ExecuteExplain(const ExplainStmt& stmt) {
   if (executed.ok()) {
     text += StrFormat("Execution: rows=%zu latency_ms=%.3f peak_bytes=%zu\n",
                       executed->rows.size(),
-                      static_cast<double>(last_profile_.latency_us) / 1e3,
-                      last_peak_bytes_);
+                      static_cast<double>(rec.latency_us) / 1e3,
+                      rec.peak_bytes);
   } else {
     text += StrFormat(
         "Execution: PARTIAL (%s) latency_ms=%.3f peak_bytes=%zu\n",
         StatusCodeToString(executed.status().code()),
-        static_cast<double>(last_profile_.latency_us) / 1e3,
-        last_peak_bytes_);
+        static_cast<double>(rec.latency_us) / 1e3, rec.peak_bytes);
   }
   return PlanTextToResult(text);
 }

@@ -1,7 +1,9 @@
 #ifndef GRFUSION_ENGINE_SESSION_H_
 #define GRFUSION_ENGINE_SESSION_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,9 +25,12 @@ namespace grfusion {
 class Database;
 class Session;
 
-/// Post-mortem record of the most recent (non-introspection) SELECT: what
-/// ran, how long it took, and what each operator did. Backs the
-/// SYS.LAST_QUERY virtual table and the slow-query trace log.
+/// The per-statement record. Every execution entry point (Session::Execute,
+/// PreparedStatement::Execute, Session::ExecuteScript) opens one, dispatch
+/// and the executor fill it in, and Session::Finish feeds it to every sink:
+/// the metrics registry, SYS.STATEMENTS, the session's last_* accessors,
+/// SYS.LAST_QUERY, the slow-query log, and the SYS.ACTIVE_QUERIES
+/// unregister.
 struct QueryProfile {
   struct OperatorRow {
     int depth = 0;
@@ -38,10 +43,16 @@ struct QueryProfile {
   std::string sql;
   std::string kind;          ///< Statement kind, e.g. "SELECT".
   uint64_t session_id = 0;   ///< Session that executed the statement.
-  uint64_t query_id = 0;     ///< Database-unique id (SYS.ACTIVE_QUERIES/KILL).
+  /// Database-unique id (SYS.ACTIVE_QUERIES/KILL); 0 while unregistered.
+  uint64_t query_id = 0;
   size_t num_params = 0;     ///< Bound parameter count (prepared statements).
-  uint64_t latency_us = 0;
+  uint64_t latency_us = 0;   ///< Execute phase (executor loop or DML/DDL).
+  uint64_t rows = 0;         ///< Rows returned (SELECT) or affected (DML).
   size_t peak_bytes = 0;
+  bool plan_cache_hit = false;  ///< The plan was reused, not compiled.
+  /// The plan read SYS.* tables; such statements leave SYS.LAST_QUERY on the
+  /// profile they are inspecting.
+  bool reads_system_tables = false;
   /// Terminal status of the execution, as the stable numeric wire code
   /// (StatusCodeToWire; 0 = OK) plus the message. SYS.LAST_QUERY exposes
   /// both so clients can branch on the same codes the wire protocol carries.
@@ -50,6 +61,7 @@ struct QueryProfile {
   ExecStats stats;
   std::vector<OperatorRow> operators;
 
+  /// True once a physical plan ran (the operator rows are filled).
   bool valid() const { return !operators.empty(); }
 };
 
@@ -176,12 +188,13 @@ class Session {
   /// the id SYS.ACTIVE_QUERIES showed (and KILL targets) while it ran.
   uint64_t last_query_id() const { return last_query_id_; }
 
-  /// Statistics of this session's most recent SELECT.
-  const ExecStats& last_stats() const { return last_stats_; }
-  /// Peak intermediate-result memory of this session's most recent SELECT.
-  size_t last_peak_bytes() const { return last_peak_bytes_; }
-  /// Full profile of this session's most recent SELECT that did not itself
-  /// read a SYS.* table.
+  /// Statistics of this session's most recent statement (zeros when it ran
+  /// no plan).
+  const ExecStats& last_stats() const { return last_profile_.stats; }
+  /// Peak intermediate-result memory of this session's most recent
+  /// statement (0 when it ran no plan).
+  size_t last_peak_bytes() const { return last_profile_.peak_bytes; }
+  /// Full record of this session's most recent statement.
   const QueryProfile& last_profile() const { return last_profile_; }
 
   Database& database() { return db_; }
@@ -192,31 +205,32 @@ class Session {
   /// Builds this session's plan-cache key for a normalized statement.
   std::string CacheKey(const std::string& normalized_sql) const;
 
-  /// Execute() body; the public wrapper adds error-profile publication for
-  /// failures that never reach RunPlan (parse, bind, DML/DDL errors).
-  StatusOr<ResultSet> ExecuteImpl(std::string_view sql);
+  /// Execute() body: the plan-cache fast path, else parse and dispatch.
+  StatusOr<ResultSet> ExecuteAdHoc(std::string_view sql, QueryProfile& rec);
 
-  /// Dispatches one parsed statement under the appropriate lock mode.
-  /// `cache_key` is non-null for top-level single SELECTs (enables the plan
-  /// cache); script statements pass null.
-  StatusOr<ResultSet> ExecuteParsed(const Statement& stmt,
-                                    const std::string& sql_text,
-                                    const std::string* cache_key);
-
-  /// Top-level SELECT with plan-cache integration. Caller holds the shared
-  /// statement lock.
-  StatusOr<ResultSet> ExecuteSelectCached(const SelectStmt& stmt,
-                                          const std::string& norm,
-                                          const std::string& key);
+  /// Runs one parsed statement under the appropriate lock mode. SELECTs
+  /// reaching here (script statements) plan without the plan cache.
+  StatusOr<ResultSet> Dispatch(const Statement& stmt, QueryProfile& rec,
+                               ParamSet* params);
 
   /// Runs a prepared statement (arity already checked).
   StatusOr<ResultSet> ExecutePrepared(PreparedStatement& prep,
                                       std::vector<Value> values);
 
+  /// The one plan lookup of a SELECT execution: checks `key` out of the
+  /// shared plan cache (counting plan_cache_hits and setting
+  /// rec.plan_cache_hit), or on a miss calls `parse` and compiles the SELECT
+  /// it returns (counting plan_cache_misses). Returns null when `parse`
+  /// yields no SELECT. Plans for rec.num_params placeholders. Caller holds
+  /// the shared statement lock.
+  StatusOr<std::unique_ptr<CachedPlanInstance>> AcquirePlan(
+      const std::string& key, QueryProfile& rec,
+      const std::function<StatusOr<const SelectStmt*>()>& parse);
+
   /// Ensures `prep` holds a plan instance compiled at the current catalog
-  /// version, replanning when stale. Caller holds the (shared) statement
-  /// lock. Counts plan_cache_hits on the skip path and misses on replans.
-  Status EnsurePreparedPlanLocked(PreparedStatement& prep);
+  /// version: reuses its own (a hit), else goes through AcquirePlan. Caller
+  /// holds the (shared) statement lock.
+  Status EnsurePreparedPlanLocked(PreparedStatement& prep, QueryProfile& rec);
 
   /// Type-checks and installs execute-time parameter values into `params`.
   Status BindParamValues(ParamSet& params, std::vector<Value> values) const;
@@ -228,22 +242,21 @@ class Session {
   // ExecuteScript / PreparedStatement::Execute) holds the database's
   // statement lock in the right mode. Internal nesting (INSERT ... SELECT,
   // CREATE MATERIALIZED VIEW) therefore cannot self-deadlock.
-  StatusOr<ResultSet> ExecuteStatement(const Statement& stmt);
+  StatusOr<ResultSet> ExecuteDdl(const Statement& stmt, QueryProfile& rec);
   StatusOr<ResultSet> ExecuteCreateTable(const CreateTableStmt& stmt);
   StatusOr<ResultSet> ExecuteCreateIndex(const CreateIndexStmt& stmt);
   StatusOr<ResultSet> ExecuteCreateGraphView(const CreateGraphViewStmt& stmt);
   StatusOr<ResultSet> ExecuteCreateMaterializedView(
-      const CreateMaterializedViewStmt& stmt);
+      const CreateMaterializedViewStmt& stmt, QueryProfile& rec);
   StatusOr<ResultSet> ExecuteDrop(const DropStmt& stmt);
-  StatusOr<ResultSet> ExecuteInsert(const InsertStmt& stmt,
-                                    ParamSet* params = nullptr);
-  StatusOr<ResultSet> ExecuteUpdate(const UpdateStmt& stmt,
-                                    ParamSet* params = nullptr);
-  StatusOr<ResultSet> ExecuteDelete(const DeleteStmt& stmt,
-                                    ParamSet* params = nullptr);
-  StatusOr<ResultSet> ExecuteSelect(const SelectStmt& stmt,
-                                    ParamSet* params = nullptr);
-  StatusOr<ResultSet> ExecuteExplain(const ExplainStmt& stmt);
+  StatusOr<ResultSet> ExecuteInsert(const InsertStmt& stmt, ParamSet* params,
+                                    QueryProfile& rec);
+  StatusOr<ResultSet> ExecuteUpdate(const UpdateStmt& stmt, ParamSet* params);
+  StatusOr<ResultSet> ExecuteDelete(const DeleteStmt& stmt, ParamSet* params);
+  StatusOr<ResultSet> ExecuteSelect(const SelectStmt& stmt, QueryProfile& rec,
+                                    ParamSet* params);
+  StatusOr<ResultSet> ExecuteExplain(const ExplainStmt& stmt,
+                                     QueryProfile& rec);
   StatusOr<ResultSet> ExecuteKill(const KillStmt& stmt);
   StatusOr<ResultSet> ExecuteTxn(const TxnStmt& stmt);
   StatusOr<ResultSet> ExecuteCheckpoint();
@@ -267,7 +280,8 @@ class Session {
 
   /// Runs one DML statement in the appropriate transaction scope: inside an
   /// open explicit transaction, or as an implicit single-statement one.
-  StatusOr<ResultSet> ExecuteDml(const Statement& stmt, ParamSet* params);
+  StatusOr<ResultSet> ExecuteDml(const Statement& stmt, ParamSet* params,
+                                 QueryProfile& rec);
 
   /// Publishes this transaction's effects at its epoch; on a commit-site
   /// failpoint injection, aborts instead and returns the injected error.
@@ -298,10 +312,20 @@ class Session {
   /// No-op on a memory-only database.
   Status AppendDdlUnit(const std::vector<WalRecord>& records);
 
-  /// Executes a planned SELECT: Volcano loop, engine-metrics fold, profile
-  /// capture, slow-query tracing. `force_timing` arms per-operator clocks
-  /// regardless of the slow-query threshold (EXPLAIN ANALYZE).
-  StatusOr<ResultSet> RunPlan(const PlannedQuery& planned, bool force_timing);
+  /// Executes a planned SELECT: the Volcano loop, filling `rec` with the
+  /// run's latency, rows, stats, operator rows and (on failure) status. A
+  /// top-level run registers in SYS.ACTIVE_QUERIES; a nested one (the SELECT
+  /// half of INSERT ... SELECT) runs inside the enclosing registration.
+  /// `force_timing` arms per-operator clocks regardless of the slow-query
+  /// threshold (EXPLAIN ANALYZE).
+  StatusOr<ResultSet> RunPlan(const PlannedQuery& planned, QueryProfile& rec,
+                              bool force_timing);
+
+  /// Closes a statement: the only code that feeds its record to the sinks
+  /// (see QueryProfile). `status` is the statement's outcome; an error the
+  /// executor already recorded (a cancelled EXPLAIN ANALYZE still renders)
+  /// takes precedence.
+  void Finish(QueryProfile rec, const Status& status);
 
   void EmitSlowQueryTrace(const QueryProfile& profile) const;
 
@@ -310,20 +334,17 @@ class Session {
   const uint64_t id_;       ///< Process-unique session id.
   std::shared_ptr<InterruptHandle::State> interrupt_state_ =
       std::make_shared<InterruptHandle::State>();
-  ExecStats last_stats_;
-  size_t last_peak_bytes_ = 0;
+  /// Record of the most recent finished statement.
   QueryProfile last_profile_;
-  /// True once the current top-level statement published a profile (RunPlan
-  /// did it); Execute()'s error fallback then leaves it alone.
-  bool profile_published_ = false;
-  std::string current_sql_;   ///< Statement text being executed (for traces).
-  std::string current_kind_;  ///< Statement kind ("SELECT", "INSERT", ...).
-  size_t current_num_params_ = 0;   ///< Bound parameters of this execution.
-  bool current_cache_hit_ = false;  ///< Plan came from the cache this run.
   /// Span trace armed for the current statement (EXPLAIN TRACE or the
   /// sampling sink); null — one pointer test per span site — otherwise.
   QueryTrace* active_trace_ = nullptr;
   uint64_t last_query_id_ = 0;
+  /// Cancellation token and live row counter of the running plan, reset by
+  /// each RunPlan. Session-owned so they outlive the SYS.ACTIVE_QUERIES
+  /// entry that Finish removes after the plan has unwound.
+  CancellationToken token_;
+  std::atomic<uint64_t> live_rows_{0};
 
   // --- Transaction state (one open transaction per session, max) ------------
   bool in_txn_ = false;   ///< An explicit BEGIN is open.

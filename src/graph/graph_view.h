@@ -36,10 +36,6 @@ struct GraphBuildOptions {
   /// consistent topology while a writer mutates. Standalone views (tests,
   /// rebuild verification) leave this false and mutate the base directly.
   bool managed = false;
-  /// Materialize an immutable CSR snapshot of the topology at build time
-  /// (re-produced by every FoldDeltas). Off = adjacency-list-only layout,
-  /// kept for A/B ablation benches.
-  bool build_csr = true;
 };
 
 /// Sentinel for VertexEntry::csr_pos: the vertex is not in the CSR snapshot.
@@ -289,9 +285,9 @@ class GraphView {
 
   // --- CSR snapshot (read-path layout) --------------------------------------
 
-  /// The immutable CSR snapshot, or nullptr for a view built with
-  /// build_csr = false. Valid between folds; per-vertex edit vectors layer
-  /// post-snapshot changes on top.
+  /// The immutable CSR snapshot (materialized by Create and re-produced by
+  /// every fold; nullptr only during the initial build). Valid between
+  /// folds; per-vertex edit vectors layer post-snapshot changes on top.
   const CsrTopology* csr() const { return csr_.get(); }
 
   /// Base vertex entry at CSR position `i` (valid while the snapshot is —
@@ -310,7 +306,7 @@ class GraphView {
     return csr_ != nullptr && !csr_dirty_ && VisibleDelta() == nullptr;
   }
 
-  /// Bytes held by the CSR snapshot's arrays (0 without one).
+  /// Bytes held by the CSR snapshot's arrays.
   size_t CsrBytes() const { return csr_ != nullptr ? csr_->Bytes() : 0; }
 
   /// Number of FoldDeltas applications that rebuilt the base (SYS column).
@@ -407,7 +403,7 @@ class GraphView {
 
   /// Re-materializes the CSR snapshot from the current base (old snapshot +
   /// edit vectors), then clears every base vertex's edits. Called at the end
-  /// of Create() and FoldDeltas() when build_csr is on.
+  /// of Create() and FoldDeltas().
   void RebuildCsr();
 
   /// Length of a vertex's CSR slice on one side (0 when not in the CSR).
@@ -550,7 +546,6 @@ class GraphView {
   /// rebuild (standalone views mutating directly): the snapshot stays valid
   /// as the substrate for edit-vector resolution, but PureCsr() — the gate
   /// for index-addressed kernels — turns off until the next rebuild.
-  bool build_csr_ = true;
   std::unique_ptr<CsrTopology> csr_;
   bool csr_dirty_ = false;
   size_t folds_ = 0;

@@ -26,10 +26,12 @@ namespace grfusion {
 /// pull-based Next() stream of PathProbeJoinOp.
 ///
 /// Two merge protocols, chosen by the physical operator:
-///  - DFS/BFS: a bounded MPSC queue; workers stream paths as they are found
-///    and the consumer pulls. Arrival order is interleave-dependent, so the
+///  - DFS: a bounded MPSC queue; workers stream paths as they are found and
+///    the consumer pulls. Arrival order is interleave-dependent, so the
 ///    planner only allows this for order-insensitive queries (see
 ///    TraversalSpec::parallel_safe); the emitted *multiset* equals serial.
+///    BFS never fans out here: it runs serially or in the frontier kernel,
+///    whose level expansion keeps the serial order.
 ///  - SPScan: workers buffer each morsel's output (already emitted in
 ///    ComparePathOrder order), then the consumer k-way-merges the runs with
 ///    the same comparator. Because that order is a strict total order, the
@@ -55,13 +57,14 @@ class ParallelPathProbe {
   ~ParallelPathProbe();
 
   /// True when this probe should fan out: parallelism is enabled on the
-  /// context, the planner marked the spec order-safe, and there are enough
+  /// context, the traversal is DFS or SPScan (never BFS), the planner marked
+  /// the spec order-safe, and there are enough
   /// starts to be worth splitting (>= max(2, parallel_min_starts)).
   static bool Eligible(const TraversalSpec& spec, const QueryContext& ctx,
                        size_t num_starts);
 
   /// Launches the workers for one probe. For SPScan this blocks until the
-  /// workers finish (buffered-merge protocol); for DFS/BFS it returns once
+  /// workers finish (buffered-merge protocol); for DFS it returns once
   /// tasks are queued and paths stream through Next(). `outer_row` is
   /// borrowed and must outlive the pulls.
   Status Start(std::vector<VertexId> starts, std::optional<VertexId> target,
@@ -81,7 +84,7 @@ class ParallelPathProbe {
   size_t workers() const { return reports_.size(); }
 
  private:
-  /// Bounded MPSC channel for the streaming (DFS/BFS) protocol. Producers
+  /// Bounded MPSC channel for the streaming (DFS) protocol. Producers
   /// hand over whole batches of paths so the mutex/condvar cost is amortized
   /// over many results instead of paid per path.
   class Channel {

@@ -77,9 +77,10 @@ struct TraversalSpec {
   bool global_visited = false;
 
   /// Whether this probe may fan out across workers when it has multiple
-  /// start vertexes. The planner clears it when the query's *result* depends
-  /// on the serial emission order:
-  ///  - DFS/BFS feeding a bare LIMIT/TOP k (no ORDER BY): which k paths
+  /// start vertexes (DFS and SPScan only: BFS never fans out per start,
+  /// see ParallelPathProbe). The planner clears it when the query's
+  /// *result* depends on the serial emission order:
+  ///  - DFS feeding a bare LIMIT/TOP k (no ORDER BY): which k paths
   ///    survive depends on interleaving, so those stay serial;
   ///  - global_visited: the shared visited set makes each start's witness
   ///    path depend on what earlier starts visited.

@@ -764,11 +764,12 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       }
     }
 
-    // Parallel-safety (morsel-driven multi-source fan-out): DFS/BFS stream
-    // results in interleave-dependent order, so any LIMIT/TOP — where
-    // *which* rows survive can depend on emission order (directly, through
-    // first-seen DISTINCT/group order, or through ORDER BY ties) — pins the
-    // probe to serial execution. Queries that consume the full stream are
+    // Parallel-safety (morsel-driven multi-source fan-out, DFS and SPScan
+    // only — BFS never fans out per start): DFS streams results in
+    // interleave-dependent order, so any LIMIT/TOP — where *which* rows
+    // survive can depend on emission order (directly, through first-seen
+    // DISTINCT/group order, or through ORDER BY ties) — pins the probe to
+    // serial execution. Queries that consume the full stream are
     // order-insensitive: the emitted multiset is identical for any
     // interleaving. SPScan stays eligible even under TOP k: its parallel
     // merge reproduces the serial (cost, path) total order exactly. The

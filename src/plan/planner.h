@@ -46,12 +46,6 @@ struct PlannerOptions {
   /// the per-path engine: batching tiny frontiers only adds overhead.
   size_t frontier_min_batch = 32;
 
-  /// Build the immutable CSR snapshot for graph views (at CREATE and on
-  /// every delta fold). Disabling keeps views on the pure adjacency-list
-  /// representation — the bench baseline for the CSR ablation. Not part of
-  /// the plan shape: it changes the storage layout, not the plan.
-  bool build_csr_topology = true;
-
   /// Physical traversal when no hint is given and the §6.3 rule does not
   /// apply: kAuto applies the F-vs-L rule when a length is inferred and
   /// falls back to DFS; kDfs / kBfs force one operator.

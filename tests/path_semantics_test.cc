@@ -414,7 +414,7 @@ TEST_P(PathSemanticsTest, ExplainAnalyzeReportsParallelFanOut) {
   session_.options().parallel_min_starts = 1;
   auto result = session_.Execute(
       "EXPLAIN ANALYZE SELECT P.StartVertex.Id, P.PathString "
-      "FROM g.Paths P WHERE P.Length <= 2");
+      "FROM g.Paths P HINT(DFS) WHERE P.Length <= 2");
   session_.options().max_parallelism = 0;
   session_.options().parallel_min_rows = 2048;
   session_.options().parallel_min_starts = 8;
@@ -437,7 +437,7 @@ TEST_P(PathSemanticsTest, ParallelMinStartsKnobDisablesProbeFanOut) {
     session_.options().parallel_min_rows = 1;
     session_.options().parallel_min_starts = min_starts;
     auto result = session_.Execute(
-        "EXPLAIN ANALYZE SELECT P.PathString FROM g.Paths P "
+        "EXPLAIN ANALYZE SELECT P.PathString FROM g.Paths P HINT(DFS) "
         "WHERE P.Length <= 2");
     session_.options().max_parallelism = 0;
     session_.options().parallel_min_rows = 2048;
@@ -515,11 +515,15 @@ TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
   // The level-synchronous frontier kernel must reproduce the per-path BFS
   // engine's emission order exactly (not just the multiset): both process
   // whole depth levels in FIFO order. Compare ordered row sequences with the
-  // kernel forced on (frontier_min_batch = 1) vs forced off.
+  // kernel forced on (frontier_min_batch = 1) vs forced off. The per-path
+  // side runs with probe fan-out enabled, so every host exercises the same
+  // code: multi-source BFS must stay serial there.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
   auto run = [&](bool frontier, const std::string& sql) {
     session_.options().enable_frontier_bfs = frontier;
     session_.options().frontier_min_batch = 1;
+    session_.options().max_parallelism = frontier ? 0 : 4;
+    session_.options().parallel_min_starts = frontier ? 8 : 1;
     auto result = session_.Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> out;
@@ -549,6 +553,8 @@ TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
   session_.options().enable_frontier_bfs = true;
   session_.options().frontier_min_batch = 32;
+  session_.options().max_parallelism = 0;
+  session_.options().parallel_min_starts = 8;
 }
 
 TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {

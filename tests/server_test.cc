@@ -258,6 +258,27 @@ TEST_F(ServerTest, HandshakeQueryAndPing) {
   EXPECT_GT(client.last_stats().latency_us, 0u);
 }
 
+TEST_F(ServerTest, DoneTrailerDescribesTheStatementJustRun) {
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+  auto paths = client.Query(
+      "SELECT COUNT(*) FROM g.Paths P WHERE P.Length <= 2");
+  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  EXPECT_GT(client.last_stats().paths_emitted, 0u);
+  EXPECT_GT(client.last_stats().edges_examined, 0u);
+
+  StatusOr<uint64_t> insert = client.Prepare("INSERT INTO t VALUES (?, ?, ?)");
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  auto inserted = client.Execute(
+      *insert, {Value::BigInt(5001), Value::Varchar("x"), Value::BigInt(1)});
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_EQ(client.last_stats().rows_affected, 1u);
+  // The INSERT ran no plan: none of the SELECT's work may leak into it.
+  EXPECT_EQ(client.last_stats().paths_emitted, 0u);
+  EXPECT_EQ(client.last_stats().edges_examined, 0u);
+  EXPECT_EQ(client.last_stats().peak_bytes, 0u);
+}
+
 TEST_F(ServerTest, VersionMismatchRejected) {
   int fd = RawDial(port_);
   ASSERT_GE(fd, 0);

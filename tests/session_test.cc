@@ -1,7 +1,8 @@
 // Tests of the session front-end: prepared statements (placeholder binding,
 // arity/type errors), the shared plan cache (hit/miss metrics, LRU and
-// version invalidation, SYS.PLAN_CACHE), per-session options isolation, and
-// the ResultSet accessors.
+// version invalidation, SYS.PLAN_CACHE), the per-statement sinks
+// (SYS.STATEMENTS, SYS.LAST_QUERY, engine counters), per-session options
+// isolation, and the ResultSet accessors.
 
 #include <gtest/gtest.h>
 
@@ -312,6 +313,182 @@ TEST(PlanCacheTest, MismatchedVersionDropsEntry) {
 }
 
 // --- Session isolation -------------------------------------------------------------
+
+// --- Statement sinks ---------------------------------------------------------------
+
+/// What one statement left behind in every per-statement sink.
+struct SinkState {
+  bool has_row = false;  ///< SYS.STATEMENTS has a row for the statement.
+  int64_t calls = 0;
+  int64_t errors = 0;
+  int64_t plan_cache_hits = 0;
+  std::string last_sql;  ///< SYS.LAST_QUERY.SQL
+  int64_t last_code = 0;  ///< SYS.LAST_QUERY.ERROR_CODE
+  uint64_t queries = 0;   ///< queries_total delta over the statement.
+  uint64_t hits = 0;      ///< plan_cache_hits delta.
+  uint64_t misses = 0;    ///< plan_cache_misses delta.
+};
+
+/// Runs `run` and captures the sinks it fed. Counter deltas are taken
+/// before the sinks are read back, so the reads do not count.
+template <typename Fn>
+SinkState RunAndCapture(Database& db, const std::string& sql, Fn&& run) {
+  EngineMetrics& m = EngineMetrics::Get();
+  const uint64_t q0 = m.queries_total->value();
+  const uint64_t h0 = Hits(), m0 = Misses();
+  run();
+  SinkState s;
+  s.queries = m.queries_total->value() - q0;
+  s.hits = Hits() - h0;
+  s.misses = Misses() - m0;
+  for (const StatementStats::Row& row : db.statement_stats().Snapshot()) {
+    if (row.sql != sql) continue;
+    s.has_row = true;
+    s.calls = static_cast<int64_t>(row.calls);
+    s.errors = static_cast<int64_t>(row.errors);
+    s.plan_cache_hits = static_cast<int64_t>(row.plan_cache_hits);
+  }
+  Session reader(db);
+  auto last = reader.Execute("SELECT SQL, ERROR_CODE FROM SYS.LAST_QUERY");
+  EXPECT_TRUE(last.ok()) << last.status().ToString();
+  if (last.ok() && last->NumRows() > 0) {
+    s.last_sql = last->rows[0][0].AsVarchar();
+    s.last_code = last->rows[0][1].AsBigInt();
+  }
+  return s;
+}
+
+void ExpectSinks(const SinkState& got, bool has_row, int64_t calls,
+                 int64_t errors, int64_t plan_cache_hits,
+                 const std::string& last_sql, StatusCode last_code,
+                 uint64_t queries, uint64_t hits, uint64_t misses) {
+  EXPECT_EQ(got.has_row, has_row);
+  EXPECT_EQ(got.calls, calls);
+  EXPECT_EQ(got.errors, errors);
+  EXPECT_EQ(got.plan_cache_hits, plan_cache_hits);
+  EXPECT_EQ(got.last_sql, last_sql);
+  EXPECT_EQ(got.last_code, StatusCodeToWire(last_code));
+  EXPECT_EQ(got.queries, queries);
+  EXPECT_EQ(got.hits, hits);
+  EXPECT_EQ(got.misses, misses);
+}
+
+TEST_F(SessionTest, StatementSinksArePinned) {
+  Session s(db_);
+  auto exec = [&](const std::string& sql, bool ok) {
+    return RunAndCapture(db_, sql, [&] {
+      auto r = s.Execute(sql);
+      EXPECT_EQ(r.ok(), ok) << sql << " -> " << r.status().ToString();
+    });
+  };
+  constexpr StatusCode kOk = StatusCode::kOk;
+
+  // Ad-hoc SELECT: a miss, then a hit.
+  const std::string select = "SELECT name FROM emp WHERE id = 2";
+  {
+    SCOPED_TRACE("ad-hoc SELECT miss");
+    ExpectSinks(exec(select, true), true, 1, 0, 0, select, kOk, 1, 0, 1);
+  }
+  {
+    SCOPED_TRACE("ad-hoc SELECT hit");
+    ExpectSinks(exec(select, true), true, 2, 0, 1, select, kOk, 1, 1, 0);
+  }
+
+  // Prepared SELECT: Prepare compiles (a miss), Execute reuses it (a hit).
+  const std::string prep_select = "SELECT name FROM emp WHERE id = ?";
+  {
+    SCOPED_TRACE("prepared SELECT");
+    SinkState got = RunAndCapture(db_, prep_select, [&] {
+      auto prep = s.Prepare(prep_select);
+      ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+      auto r = prep->Execute({Value::BigInt(3)});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    });
+    ExpectSinks(got, true, 1, 0, 1, prep_select, kOk, 1, 1, 1);
+  }
+
+  // Prepared INSERT: recorded in SYS.STATEMENTS, not SYS.LAST_QUERY.
+  const std::string prep_insert = "INSERT INTO emp VALUES (?, ?, ?, ?)";
+  {
+    SCOPED_TRACE("prepared INSERT");
+    SinkState got = RunAndCapture(db_, prep_insert, [&] {
+      auto prep = s.Prepare(prep_insert);
+      ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+      auto r = prep->Execute({Value::BigInt(5), Value::Varchar("eve"),
+                              Value::Varchar("hr"), Value::Double(70.0)});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    });
+    ExpectSinks(got, true, 1, 0, 0, prep_select, kOk, 0, 0, 0);
+  }
+
+  // Plain INSERT, then INSERT ... SELECT: the nested SELECT counts as one
+  // query and publishes its profile under the INSERT's text.
+  const std::string insert = "INSERT INTO emp VALUES (6, 'fay', 'hr', 60.0)";
+  {
+    SCOPED_TRACE("INSERT");
+    ExpectSinks(exec(insert, true), true, 1, 0, 0, prep_select, kOk, 0, 0, 0);
+  }
+  const std::string insert_select =
+      "INSERT INTO emp SELECT id + 100, name, dept, salary FROM emp "
+      "WHERE dept = 'hr'";
+  {
+    SCOPED_TRACE("INSERT ... SELECT");
+    ExpectSinks(exec(insert_select, true), true, 1, 0, 0, insert_select, kOk,
+                1, 0, 0);
+  }
+
+  const std::string create = "CREATE TABLE pinned (id BIGINT PRIMARY KEY)";
+  {
+    SCOPED_TRACE("CREATE TABLE");
+    ExpectSinks(exec(create, true), true, 1, 0, 0, insert_select, kOk, 0, 0,
+                0);
+  }
+
+  // A parse error and a bind error reach SYS.LAST_QUERY only.
+  const std::string parse_error = "SELEC name FROM emp";
+  {
+    SCOPED_TRACE("parse error");
+    ExpectSinks(exec(parse_error, false), false, 0, 0, 0, parse_error,
+                StatusCode::kInvalidArgument, 0, 0, 0);
+  }
+  const std::string bind_error = "SELECT nosuch FROM emp";
+  const StatusCode bind_code = StatusCode::kNotFound;
+  {
+    SCOPED_TRACE("bind error");
+    ExpectSinks(exec(bind_error, false), false, 0, 0, 0, bind_error,
+                bind_code, 0, 0, 0);
+  }
+
+  // A SYS.* read counts, but leaves SYS.LAST_QUERY on the previous statement.
+  const std::string sys_read = "SELECT COUNT(*) FROM SYS.TABLES";
+  {
+    SCOPED_TRACE("SYS read");
+    ExpectSinks(exec(sys_read, true), true, 1, 0, 0, bind_error, bind_code, 1,
+                0, 1);
+  }
+
+  {
+    SCOPED_TRACE("BEGIN/COMMIT");
+    SinkState begin = exec("BEGIN", true);
+    ExpectSinks(begin, false, 0, 0, 0, bind_error, bind_code, 0, 0, 0);
+    SinkState commit = exec("COMMIT", true);
+    ExpectSinks(commit, false, 0, 0, 0, bind_error, bind_code, 0, 0, 0);
+  }
+
+  const std::string kill = "KILL 999999";
+  {
+    SCOPED_TRACE("KILL unknown id");
+    ExpectSinks(exec(kill, false), false, 0, 0, 0, kill,
+                StatusCode::kNotFound, 0, 0, 0);
+  }
+
+  const std::string analyze =
+      "EXPLAIN ANALYZE SELECT name FROM emp WHERE id = 1";
+  {
+    SCOPED_TRACE("EXPLAIN ANALYZE");
+    ExpectSinks(exec(analyze, true), true, 1, 0, 0, analyze, kOk, 1, 0, 0);
+  }
+}
 
 TEST_F(SessionTest, OptionsArePerSession) {
   Session other(db_);

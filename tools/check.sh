@@ -31,7 +31,7 @@ run_config() {
 run_graph_diff() {
   local dir="$1"
   ctest --test-dir "$dir" --output-on-failure \
-    -R 'GraphDiff|Frontier|ParallelEnum|ParallelTopK|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch'
+    -R 'GraphDiff|Frontier|ParallelEnum|ParallelTopK|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch|ActiveQueries|StatementStats|ExplainTrace|EngineMetrics|PathSemantics'
   local seed="${GRF_FUZZ_SEED:-$RANDOM$RANDOM}"
   echo "== graph differential + fault-injection suites, random seed ${seed} =="
   GRF_FUZZ_SEED="$seed" ctest --test-dir "$dir" --output-on-failure \
