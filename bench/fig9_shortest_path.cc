@@ -42,7 +42,13 @@ void GRFusionSp(::benchmark::State& state, const std::string& name,
     return;
   }
   Session& db = env.session();
+  // SPScan work per query, from the last iteration's batch: edges the
+  // kernel examined and partial paths it popped.
+  uint64_t edges_examined = 0;
+  uint64_t vertexes_expanded = 0;
   for (auto _ : state) {
+    edges_examined = 0;
+    vertexes_expanded = 0;
     for (const QueryPair& q : pairs) {
       auto result = db.Execute(SpathSql(name, q.src, q.dst, selectivity));
       if (!result.ok()) {
@@ -50,8 +56,15 @@ void GRFusionSp(::benchmark::State& state, const std::string& name,
         return;
       }
       ::benchmark::DoNotOptimize(result->NumRows());
+      edges_examined += db.last_stats().edges_examined;
+      vertexes_expanded += db.last_stats().vertexes_expanded;
     }
   }
+  const double queries = static_cast<double>(pairs.size());
+  state.counters["edges_examined"] =
+      static_cast<double>(edges_examined) / queries;
+  state.counters["vertexes_expanded"] =
+      static_cast<double>(vertexes_expanded) / queries;
   ReportPerQuery(state, pairs.size());
 }
 

@@ -61,18 +61,13 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
       ev.vertex = static_cast<uint32_t>(i);
       fast_current_.push_back(std::move(ev));
     }
-    for (const Candidate& seed : current_) {
-      const size_t bytes = CandidateBytes(seed.path);
-      ctx_->ReleaseBytes(bytes);
-      charged_ -= std::min(charged_, bytes);
-    }
+    for (const Candidate& seed : current_) Uncharge(CandidateBytes(seed.path));
     current_.clear();
     const size_t array_bytes =
         v_count * (sizeof(uint32_t) + sizeof(EdgeId) + sizeof(VertexId) + 1 +
                    bounds * sizeof(double)) +
         fast_current_.size() * FastEventBytes(bounds);
-    charged_ += array_bytes;
-    (void)ctx_->ChargeBytes(array_bytes);
+    Charge(array_bytes);
   }
   return Status::OK();
 }
@@ -125,7 +120,8 @@ StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
       Candidate& candidate = current_[qualify_cursor_];
       ++qualify_cursor_;
       ++ctx_->stats().vertexes_expanded;
-      GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(candidate));
+      GRF_ASSIGN_OR_RETURN(bool qualifies,
+                           Qualifies(candidate.path, candidate.sums.data()));
       if (qualifies) {
         ++ctx_->stats().paths_emitted;
         if (candidate.closing ||
@@ -137,9 +133,7 @@ StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
           *out = std::make_shared<const PathData>(std::move(candidate.path));
           candidate.path = PathData();
           candidate.closing = true;  // Keep it out of Phase B expansion.
-          const size_t moved = bytes - CandidateBytes(candidate.path);
-          ctx_->ReleaseBytes(moved);
-          charged_ -= std::min(charged_, moved);
+          Uncharge(bytes - CandidateBytes(candidate.path));
         } else {
           *out = std::make_shared<const PathData>(candidate.path);
         }
@@ -151,9 +145,7 @@ StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
     // Phase B: batch-expand the whole level, then retire it.
     GRF_RETURN_IF_ERROR(ExpandLevel());
     for (const Candidate& candidate : current_) {
-      const size_t bytes = CandidateBytes(candidate.path);
-      ctx_->ReleaseBytes(bytes);
-      charged_ -= std::min(charged_, bytes);
+      Uncharge(CandidateBytes(candidate.path));
     }
     current_ = std::move(next_);
     next_.clear();
@@ -180,21 +172,16 @@ Status FrontierScanner::ExpandLevelSerial() {
     }
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     GRF_RETURN_IF_ERROR(ExpandCore(
-        candidate, ctx_,
+        CandidatePrefix(candidate), ctx_,
         [this](VertexId nbr) { return AlreadyVisited(nbr); },
-        [this](Candidate&& next) {
-          if (spec_->global_visited && !next.closing) {
-            ClaimVisited(next.path.EndVertex());
-          }
-          const size_t bytes = CandidateBytes(next.path);
-          charged_ += bytes;
-          (void)ctx_->ChargeBytes(bytes);
+        [&](const EdgeEntry& edge, VertexId nbr, bool closing,
+            const double* sums, double cost) {
+          if (spec_->global_visited && !closing) ClaimVisited(nbr);
+          Candidate next = Extend(candidate, edge, nbr, closing, sums, cost);
+          Charge(CandidateBytes(next.path));
           next_.push_back(std::move(next));
         }));
-    if (ctx_->current_bytes() > ctx_->memory_cap()) {
-      return Status::ResourceExhausted(
-          "traversal frontier exceeded the query memory cap");
-    }
+    GRF_RETURN_IF_ERROR(CheckMemoryCap());
   }
   ctx_->stats().NoteFrontier(current_.size() + next_.size());
   return Status::OK();
@@ -247,16 +234,19 @@ Status FrontierScanner::ExpandLevelParallel() {
             std::vector<VertexId> local;
             Status charge_failure;
             st = ExpandCore(
-                candidate, &wctx,
+                CandidatePrefix(candidate), &wctx,
                 [&](VertexId nbr) {
                   return AlreadyVisited(nbr) ||
                          std::find(local.begin(), local.end(), nbr) !=
                              local.end();
                 },
-                [&](Candidate&& next) {
-                  if (spec_->global_visited && !next.closing) {
-                    local.push_back(next.path.EndVertex());
+                [&](const EdgeEntry& edge, VertexId nbr, bool closing,
+                    const double* sums, double cost) {
+                  if (spec_->global_visited && !closing) {
+                    local.push_back(nbr);
                   }
+                  Candidate next =
+                      Extend(candidate, edge, nbr, closing, sums, cost);
                   Status charge =
                       wctx.ChargeBytes(CandidateBytes(next.path));
                   if (!charge.ok() && charge_failure.ok()) {
@@ -289,18 +279,12 @@ Status FrontierScanner::ExpandLevelParallel() {
           !ClaimVisited(next.path.EndVertex())) {
         continue;
       }
-      const size_t bytes = CandidateBytes(next.path);
-      charged_ += bytes;
-      (void)ctx_->ChargeBytes(bytes);
+      Charge(CandidateBytes(next.path));
       next_.push_back(std::move(next));
     }
   }
   ctx_->stats().NoteFrontier(current_.size() + next_.size());
-  if (ctx_->current_bytes() > ctx_->memory_cap()) {
-    return Status::ResourceExhausted(
-        "traversal frontier exceeded the query memory cap");
-  }
-  return Status::OK();
+  return CheckMemoryCap();
 }
 
 // --- BFS-forest fast path --------------------------------------------------
@@ -323,7 +307,8 @@ StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
         if (endv != *target_) continue;
       }
       Candidate candidate = FastMaterialize(ev);
-      GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(candidate));
+      GRF_ASSIGN_OR_RETURN(bool qualifies,
+                           Qualifies(candidate.path, candidate.sums.data()));
       if (qualifies) {
         ++ctx_->stats().paths_emitted;
         *out = std::make_shared<const PathData>(std::move(candidate.path));
@@ -335,8 +320,7 @@ StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
     GRF_RETURN_IF_ERROR(FastExpandLevel());
     const size_t bounds = spec_->sum_bounds.size();
     const size_t retired = fast_current_.size() * FastEventBytes(bounds);
-    ctx_->ReleaseBytes(retired);
-    charged_ -= std::min(charged_, retired);
+    Uncharge(retired);
     fast_current_ = std::move(fast_next_);
     fast_next_.clear();
     qualify_cursor_ = 0;
@@ -392,7 +376,7 @@ Status FrontierScanner::FastExpandLevel() {
               return true;
             }
             const size_t nj = closing ? csr_->IndexOf(nbr) : j;
-            if (nj != CsrTopology::kAbsent) {
+            if (has_vertex_preds_ && nj != CsrTopology::kAbsent) {
               auto vertex_ok =
                   VertexAdmissible(spec_->gv->CsrVertex(nj), edge_index + 1);
               if (!vertex_ok.ok()) {
@@ -450,17 +434,12 @@ Status FrontierScanner::FastExpandLevel() {
             }
             next.vertex = static_cast<uint32_t>(j);
           }
-          const size_t bytes = FastEventBytes(bounds);
-          charged_ += bytes;
-          (void)ctx_->ChargeBytes(bytes);
+          Charge(FastEventBytes(bounds));
           fast_next_.push_back(std::move(next));
           return true;
         });
     GRF_RETURN_IF_ERROR(status);
-    if (ctx_->current_bytes() > ctx_->memory_cap()) {
-      return Status::ResourceExhausted(
-          "traversal frontier exceeded the query memory cap");
-    }
+    GRF_RETURN_IF_ERROR(CheckMemoryCap());
   }
   ctx_->stats().NoteFrontier(fast_current_.size() + fast_next_.size());
   return Status::OK();

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "common/task_pool.h"
 #include "common/tracer.h"
-#include "graphexec/frontier_scanner.h"
 
 namespace grfusion {
 
@@ -373,11 +372,7 @@ PathProbeJoinOp::PathProbeJoinOp(OperatorPtr outer,
 
 Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   ctx_ = ctx;
-  if (spec_->frontier) {
-    scanner_ = std::make_unique<FrontierScanner>(spec_, ctx);
-  } else {
-    scanner_ = std::make_unique<PathScanner>(spec_, ctx);
-  }
+  scanner_ = MakePathScanner(spec_, ctx);
   parallel_.reset();
   worker_totals_.clear();
   parallel_probes_ = 0;

@@ -182,7 +182,7 @@ void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
   GraphReadScope graph_scope(parent_->snapshot_epoch(),
                              parent_->include_open());
   {
-    PathScanner scanner(spec_, &wctx);
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(spec_, &wctx);
     std::vector<PathPtr> batch;  // Streaming protocol: flushed every
     batch.reserve(kStreamBatch);  // kStreamBatch paths and at worker exit.
     bool abort = false;
@@ -191,7 +191,7 @@ void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
       if (m >= morsels_.size()) break;
       ++slot.report.morsels;
       const auto [begin, end] = morsels_[m];
-      Status reset = scanner.Reset(
+      Status reset = scanner->Reset(
           {starts_.begin() + static_cast<ptrdiff_t>(begin),
            starts_.begin() + static_cast<ptrdiff_t>(end)},
           target_, outer_row_);
@@ -201,7 +201,7 @@ void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
       }
       while (true) {
         PathPtr path;
-        StatusOr<bool> has = scanner.Next(&path);
+        StatusOr<bool> has = scanner->Next(&path);
         if (!has.ok()) {
           RecordError(has.status());
           abort = true;
@@ -233,7 +233,7 @@ void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
       }
     }
     if (!ordered && !abort) channel_.Push(std::move(batch));
-    scanner.Release();
+    scanner->Release();
   }
   slot.stats = wctx.stats();
   slot.peak_bytes = wctx.peak_bytes();

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "graphexec/frontier_scanner.h"
+#include "graphexec/shortest_path_scanner.h"
 
 namespace grfusion {
 
@@ -34,17 +36,31 @@ std::string TraversalSpec::DebugString() const {
   return out + ")";
 }
 
-Status PathScanner::Reset(std::vector<VertexId> starts,
-                          std::optional<VertexId> target,
-                          const ExecRow* outer_row) {
-  frontier_.clear();
-  heap_ = decltype(heap_)();
-  visited_.clear();
-  expansions_.clear();
-  if (charged_ > 0) {
-    ctx_->ReleaseBytes(charged_);
-    charged_ = 0;
+PathScanner::PathScanner(std::shared_ptr<const TraversalSpec> spec,
+                         QueryContext* ctx)
+    : spec_(std::move(spec)), ctx_(ctx) {
+  has_vertex_preds_ = std::any_of(
+      spec_->element_preds.begin(), spec_->element_preds.end(),
+      [](const auto& pred) {
+        return pred->attr().kind == PathElementKind::kVertexes;
+      });
+}
+
+std::unique_ptr<PathScanner> MakePathScanner(
+    std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx) {
+  if (spec->physical == TraversalSpec::Physical::kShortestPath) {
+    return std::make_unique<ShortestPathScanner>(std::move(spec), ctx);
   }
+  if (spec->frontier) {
+    return std::make_unique<FrontierScanner>(std::move(spec), ctx);
+  }
+  return std::make_unique<PathScanner>(std::move(spec), ctx);
+}
+
+StatusOr<std::vector<VertexId>> PathScanner::ArmProbe(
+    std::vector<VertexId> starts, std::optional<VertexId> target,
+    const ExecRow* outer_row) {
+  ReleaseCharge();
   outer_row_ = outer_row;
   target_ = target;
 
@@ -66,6 +82,8 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
 
+  std::vector<VertexId> seeds;
+  seeds.reserve(starts.size());
   for (VertexId start : starts) {
     const VertexEntry* v = spec_->gv->FindVertex(start);
     if (v == nullptr) continue;
@@ -76,6 +94,19 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
         continue;
       }
     }
+    seeds.push_back(start);
+  }
+  return seeds;
+}
+
+Status PathScanner::Reset(std::vector<VertexId> starts,
+                          std::optional<VertexId> target,
+                          const ExecRow* outer_row) {
+  frontier_.clear();
+  visited_.clear();
+  GRF_ASSIGN_OR_RETURN(std::vector<VertexId> seeds,
+                       ArmProbe(std::move(starts), target, outer_row));
+  for (VertexId start : seeds) {
     Candidate candidate;
     candidate.path.vertexes.push_back(start);
     candidate.sums.assign(spec_->sum_bounds.size(), 0.0);
@@ -86,44 +117,22 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
 }
 
 bool PathScanner::PopCandidate(Candidate* out) {
-  if (spec_->physical == TraversalSpec::Physical::kShortestPath) {
-    if (heap_.empty()) return false;
-    *out = heap_.top();
-    heap_.pop();
-  } else if (spec_->physical == TraversalSpec::Physical::kBfs) {
-    if (frontier_.empty()) return false;
+  if (frontier_.empty()) return false;
+  if (spec_->physical == TraversalSpec::Physical::kBfs) {
     *out = std::move(frontier_.front());
     frontier_.pop_front();
   } else {  // DFS.
-    if (frontier_.empty()) return false;
     *out = std::move(frontier_.back());
     frontier_.pop_back();
   }
-  ctx_->ReleaseBytes(CandidateBytes(out->path));
-  charged_ -= std::min(charged_, CandidateBytes(out->path));
+  Uncharge(CandidateBytes(out->path));
   return true;
 }
 
 void PathScanner::PushCandidate(Candidate candidate) {
-  size_t bytes = CandidateBytes(candidate.path);
-  charged_ += bytes;
-  // Frontier growth counts against the query memory cap; the status is
-  // surfaced on the next Charge-returning call path. Charge failures here
-  // are recorded by the context (peak accounting) — the next qualifying
-  // charge check will abort the query.
-  (void)ctx_->ChargeBytes(bytes);
-  if (spec_->physical == TraversalSpec::Physical::kShortestPath) {
-    heap_.push(std::move(candidate));
-  } else {
-    frontier_.push_back(std::move(candidate));
-  }
-  ctx_->stats().NoteFrontier(FrontierSize());
-}
-
-size_t PathScanner::FrontierSize() const {
-  return spec_->physical == TraversalSpec::Physical::kShortestPath
-             ? heap_.size()
-             : frontier_.size();
+  Charge(CandidateBytes(candidate.path));
+  frontier_.push_back(std::move(candidate));
+  ctx_->stats().NoteFrontier(frontier_.size());
 }
 
 StatusOr<bool> PathScanner::EdgeAdmissible(const EdgeEntry& edge,
@@ -167,24 +176,40 @@ StatusOr<bool> PathScanner::VertexAdmissible(const VertexEntry& vertex,
 Status PathScanner::Expand(const Candidate& candidate) {
   // Serial engine: consult and mark the shared visited set inline, extensions
   // go straight onto the frontier (the admission pipeline itself lives in
-  // ExpandCore, shared with the level-synchronous FrontierScanner).
+  // ExpandCore, shared with the other engines).
   return ExpandCore(
-      candidate, ctx_,
+      CandidatePrefix(candidate), ctx_,
       [this](VertexId nbr) { return visited_.count(nbr) > 0; },
-      [this](Candidate&& next) {
-        if (spec_->global_visited && !next.closing) {
-          visited_.insert(next.path.EndVertex());
-        }
-        PushCandidate(std::move(next));
+      [&](const EdgeEntry& edge, VertexId nbr, bool closing,
+          const double* sums, double cost) {
+        if (spec_->global_visited && !closing) visited_.insert(nbr);
+        PushCandidate(Extend(candidate, edge, nbr, closing, sums, cost));
       });
 }
 
-StatusOr<bool> PathScanner::Qualifies(const Candidate& candidate) {
-  const size_t len = candidate.path.Length();
+PathScanner::Candidate PathScanner::Extend(const Candidate& prefix,
+                                           const EdgeEntry& edge,
+                                           VertexId nbr, bool closing,
+                                           const double* sums,
+                                           double cost) const {
+  Candidate next;
+  next.path.edges.reserve(prefix.path.edges.size() + 1);
+  next.path.edges = prefix.path.edges;
+  next.path.edges.push_back(edge.id);
+  next.path.vertexes.reserve(prefix.path.vertexes.size() + 1);
+  next.path.vertexes = prefix.path.vertexes;
+  next.path.vertexes.push_back(nbr);
+  next.path.accumulated_cost = cost;
+  next.sums.assign(sums, sums + spec_->sum_bounds.size());
+  next.closing = closing;
+  return next;
+}
+
+StatusOr<bool> PathScanner::Qualifies(const PathData& path,
+                                      const double* sums) {
+  const size_t len = path.Length();
   if (len < spec_->min_length || len > spec_->max_length) return false;
-  if (target_.has_value() && candidate.path.EndVertex() != *target_) {
-    return false;
-  }
+  if (target_.has_value() && path.EndVertex() != *target_) return false;
   // A range predicate whose window the path never reached fails (its Eval
   // semantics); enforce the structural requirement without re-evaluating.
   for (const auto& pred : spec_->element_preds) {
@@ -199,8 +224,7 @@ StatusOr<bool> PathScanner::Qualifies(const Candidate& candidate) {
   // Exact sum-bound checks.
   for (size_t i = 0; i < spec_->sum_bounds.size(); ++i) {
     GRF_ASSIGN_OR_RETURN(
-        Value v, EvalCompare(spec_->sum_bounds[i].op,
-                             Value::Double(candidate.sums[i]),
+        Value v, EvalCompare(spec_->sum_bounds[i].op, Value::Double(sums[i]),
                              Value::Double(sum_bound_values_[i])));
     if (v.is_null() || !v.AsBoolean()) return false;
   }
@@ -212,8 +236,7 @@ StatusOr<bool> PathScanner::Qualifies(const Candidate& candidate) {
     if (row.paths.size() <= spec_->path_slot) {
       row.paths.resize(spec_->path_slot + 1);
     }
-    row.paths[spec_->path_slot] =
-        std::make_shared<const PathData>(candidate.path);
+    row.paths[spec_->path_slot] = std::make_shared<const PathData>(path);
     if (!spec_->push_filters) {
       for (const auto& pred : spec_->element_preds) {
         GRF_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*pred, row));
@@ -241,12 +264,10 @@ StatusOr<bool> PathScanner::Next(PathPtr* out) {
     if (can_extend) {
       GRF_RETURN_IF_ERROR(Expand(candidate));
       // Frontier growth may have tripped the memory cap.
-      if (ctx_->current_bytes() > ctx_->memory_cap()) {
-        return Status::ResourceExhausted(
-            "traversal frontier exceeded the query memory cap");
-      }
+      GRF_RETURN_IF_ERROR(CheckMemoryCap());
     }
-    GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(candidate));
+    GRF_ASSIGN_OR_RETURN(bool qualifies,
+                         Qualifies(candidate.path, candidate.sums.data()));
     if (qualifies) {
       ++ctx_->stats().paths_emitted;
       *out = std::make_shared<const PathData>(std::move(candidate.path));

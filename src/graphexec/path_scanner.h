@@ -3,10 +3,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -23,16 +21,18 @@ namespace grfusion {
 ///
 /// The scanner is re-armed per probe row via Reset() — this is how an outer
 /// relational join tuple "probes" the traversal (paper Fig. 6). Between
-/// Reset() calls it holds the traversal frontier (DFS stack / BFS queue /
-/// Dijkstra priority queue) and yields one qualifying path per Next().
+/// Reset() calls it holds the traversal frontier (DFS stack / BFS queue) and
+/// yields one qualifying path per Next().
 ///
-/// FrontierScanner derives from this to run the same per-edge admission
-/// pipeline (ExpandCore) level-synchronously over whole frontiers; the
-/// virtual surface is exactly the operator-facing triple Reset/Next/Release.
+/// Two engines derive from this one and share its per-edge admission
+/// pipeline (ExpandCore): FrontierScanner runs BFS level-synchronously over
+/// whole frontiers, and ShortestPathScanner runs SPScan over a
+/// prefix-sharing path arena. The virtual surface is exactly the
+/// operator-facing triple Reset/Next/Release; MakePathScanner picks the
+/// engine for a spec.
 class PathScanner {
  public:
-  PathScanner(std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx)
-      : spec_(std::move(spec)), ctx_(ctx) {}
+  PathScanner(std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx);
   virtual ~PathScanner() = default;
 
   /// Arms the scanner for a new probe. `starts` may be empty (yields no
@@ -50,13 +50,8 @@ class PathScanner {
   /// Drops frontier state and releases its memory charge (operator Close).
   virtual void Release() {
     frontier_.clear();
-    heap_ = decltype(heap_)();
     visited_.clear();
-    expansions_.clear();
-    if (charged_ > 0) {
-      ctx_->ReleaseBytes(charged_);
-      charged_ = 0;
-    }
+    ReleaseCharge();
   }
 
  protected:
@@ -67,13 +62,28 @@ class PathScanner {
     bool closing = false;      ///< Cycle back to start: emit but never extend.
   };
 
-  /// Min-heap over the deterministic SPScan total order (cost, vertex seq,
-  /// edge seq — see ComparePathOrder). The tie-break makes serial emission
-  /// and the parallel per-morsel merge produce the same sequence.
-  struct CostOrder {
-    bool operator()(const Candidate& a, const Candidate& b) const {
-      return ComparePathOrder(a.path, b.path) > 0;
+  /// ExpandCore's view of a Candidate prefix (see ExpandCore for the
+  /// accessor contract).
+  class CandidatePrefix {
+   public:
+    explicit CandidatePrefix(const Candidate& c) : c_(c) {}
+    VertexId start() const { return c_.path.StartVertex(); }
+    VertexId end() const { return c_.path.EndVertex(); }
+    size_t len() const { return c_.path.Length(); }
+    bool MayContain(VertexId) const { return true; }
+    bool HasEdge(EdgeId e) const {
+      return std::find(c_.path.edges.begin(), c_.path.edges.end(), e) !=
+             c_.path.edges.end();
     }
+    bool HasVertex(VertexId v) const {
+      return std::find(c_.path.vertexes.begin(), c_.path.vertexes.end(), v) !=
+             c_.path.vertexes.end();
+    }
+    const double* sums() const { return c_.sums.data(); }
+    double cost() const { return c_.path.accumulated_cost; }
+
+   private:
+    const Candidate& c_;
   };
 
   /// Frontier-entry footprint for the query-memory accountant.
@@ -82,75 +92,114 @@ class PathScanner {
            path.edges.size() * sizeof(EdgeId);
   }
 
-  /// Pops the next candidate in physical-operator order.
+  /// Per-probe setup shared by every engine: drops the previous probe's
+  /// charge, evaluates the sum bounds, and returns the sorted, deduplicated
+  /// starts that exist and pass the pushed position-0 vertex filters (the
+  /// seeds of the traversal).
+  StatusOr<std::vector<VertexId>> ArmProbe(std::vector<VertexId> starts,
+                                           std::optional<VertexId> target,
+                                           const ExecRow* outer_row);
+
+  /// Adds `bytes` to the frontier charge. A failed charge is recorded by the
+  /// context (peak accounting); engines check current_bytes() against the
+  /// cap after each expansion and abort there.
+  void Charge(size_t bytes) {
+    charged_ += bytes;
+    (void)ctx_->ChargeBytes(bytes);
+  }
+  void Uncharge(size_t bytes) {
+    ctx_->ReleaseBytes(bytes);
+    charged_ -= std::min(charged_, bytes);
+  }
+  void ReleaseCharge() {
+    if (charged_ > 0) {
+      ctx_->ReleaseBytes(charged_);
+      charged_ = 0;
+    }
+  }
+  Status CheckMemoryCap() const {
+    if (ctx_->current_bytes() > ctx_->memory_cap()) {
+      return Status::ResourceExhausted(
+          "traversal frontier exceeded the query memory cap");
+    }
+    return Status::OK();
+  }
+
+  /// Pops the next candidate in physical-operator order (DFS stack / BFS
+  /// queue).
   bool PopCandidate(Candidate* out);
   void PushCandidate(Candidate candidate);
-  size_t FrontierSize() const;
 
-  /// True when the candidate may be emitted (length window, target, pushed
+  /// True when the path may be emitted (length window, target, pushed
   /// filters when running un-pushed, residual predicates, exact sum bounds).
-  StatusOr<bool> Qualifies(const Candidate& candidate);
+  /// `sums` holds one running total per spec sum-bound.
+  StatusOr<bool> Qualifies(const PathData& path, const double* sums);
 
   /// Expands `candidate` by every admissible incident edge, pushing the
   /// extensions onto the frontier.
   Status Expand(const Candidate& candidate);
 
-  /// The per-edge admission pipeline shared by the serial engine and the
-  /// level-synchronous frontier kernel: edge-simple / vertex-simple /
-  /// closing-cycle rules, pushed element filters, sum-bound accumulation and
-  /// monotone pruning, SPScan weights. `already_visited(nbr)` implements the
-  /// global_visited claim check (consulted only in that mode, and only for
-  /// non-closing extensions); `sink(Candidate&&)` receives each admissible
-  /// extension in neighbor-enumeration order and owns visited marking.
+  /// The Candidate for one admitted extension of `prefix` (the arguments
+  /// ExpandCore hands its sink).
+  Candidate Extend(const Candidate& prefix, const EdgeEntry& edge,
+                   VertexId nbr, bool closing, const double* sums,
+                   double cost) const;
+
+  /// The per-edge admission pipeline shared by every engine: edge-simple /
+  /// vertex-simple / closing-cycle rules, pushed element filters, sum-bound
+  /// accumulation and monotone pruning, SPScan weight validation.
+  ///
+  /// `prefix` is an accessor over the path being extended:
+  ///   start() / end() / len()       endpoints and length in edges;
+  ///   HasEdge(e) / HasVertex(v)     membership (may walk the prefix);
+  ///   MayContain(v)                 false only when v — and so every edge
+  ///                                 into v — is certainly off the prefix,
+  ///                                 which skips both walks;
+  ///   sums() / cost()               running sum-bound totals and SPScan
+  ///                                 cost. sums() is re-read per edge, so an
+  ///                                 engine whose sink grows the storage
+  ///                                 behind it stays valid.
+  /// `already_visited(nbr)` implements the global_visited claim check
+  /// (consulted only in that mode, and only for non-closing extensions).
+  /// `sink(edge, nbr, closing, sums, cost)` receives each admissible
+  /// extension in neighbor-enumeration order, after every check that can
+  /// fail the statement, and owns visited marking.
   ///
   /// Thread-safety: reads only const state (spec_, outer_row_,
-  /// sum_bound_values_) plus the expansions_ map — which is SPScan-only, and
-  /// SPScan never runs level-parallel — so concurrent workers may invoke
-  /// this on a shared scanner as long as each passes its own `ctx` (stats,
-  /// cancellation) and the visited set is frozen for the duration.
-  template <typename Visited, typename Sink>
-  Status ExpandCore(const Candidate& candidate, QueryContext* ctx,
+  /// sum_bound_values_) plus whatever `prefix` reads, so concurrent workers
+  /// may invoke this on a shared scanner as long as each passes its own
+  /// `ctx` (stats, cancellation) and the visited set is frozen for the
+  /// duration.
+  template <typename Prefix, typename Visited, typename Sink>
+  Status ExpandCore(const Prefix& prefix, QueryContext* ctx,
                     Visited&& already_visited, Sink&& sink) {
-    const VertexEntry* end = spec_->gv->FindVertex(candidate.path.EndVertex());
+    const VertexEntry* end = spec_->gv->FindVertex(prefix.end());
     if (end == nullptr) return Status::OK();  // Vertex deleted mid-query.
 
-    const VertexId start = candidate.path.StartVertex();
-
-    // SPScan expansion cap (classic k-shortest-paths pruning), counted per
-    // (start, vertex) so every start enumerates its own k shortest paths
-    // independently — identical under serial and per-morsel parallel
-    // execution.
-    if (spec_->physical == TraversalSpec::Physical::kShortestPath &&
-        spec_->sp_expansion_cap != kNoMaxLength) {
-      size_t& count = expansions_[{start, end->id}];
-      if (++count > spec_->sp_expansion_cap) return Status::OK();
-    }
-
-    const size_t edge_index = candidate.path.Length();
+    const VertexId start = prefix.start();
+    const size_t edge_index = prefix.len();
+    const size_t bounds = spec_->sum_bounds.size();
+    const bool shortest =
+        spec_->physical == TraversalSpec::Physical::kShortestPath;
+    std::vector<double> sums(bounds);
     Status status = Status::OK();
 
     spec_->gv->ForEachNeighbor(*end, [&](const EdgeEntry& edge, VertexId nbr) {
       ++ctx->stats().edges_examined;
 
       // Edge-simple: never reuse an edge within one path.
-      if (std::find(candidate.path.edges.begin(), candidate.path.edges.end(),
-                    edge.id) != candidate.path.edges.end()) {
-        return true;
-      }
+      const bool touches = prefix.MayContain(nbr);
+      if (touches && prefix.HasEdge(edge.id)) return true;
       // Vertex-simple, with one exception: an edge closing a cycle back to
       // the start vertex is emitted (that is how sub-graph patterns like
       // triangles are matched, paper Listing 4) but never extended.
-      bool closing = nbr == start && candidate.path.Length() >= 1;
+      const bool closing = nbr == start && edge_index >= 1;
       if (!closing) {
-        if (std::find(candidate.path.vertexes.begin(),
-                      candidate.path.vertexes.end(),
-                      nbr) != candidate.path.vertexes.end()) {
-          return true;
-        }
+        if (touches && prefix.HasVertex(nbr)) return true;
         if (spec_->global_visited && already_visited(nbr)) return true;
       }
 
-      std::vector<double> sums = candidate.sums;
+      std::copy_n(prefix.sums(), bounds, sums.begin());
       if (spec_->push_filters) {
         auto edge_ok = EdgeAdmissible(edge, edge_index);
         if (!edge_ok.ok()) {
@@ -161,20 +210,22 @@ class PathScanner {
           ++ctx->stats().paths_pruned;
           return true;
         }
-        const VertexEntry* nv = spec_->gv->FindVertex(nbr);
-        if (nv != nullptr) {
-          auto vertex_ok = VertexAdmissible(*nv, edge_index + 1);
-          if (!vertex_ok.ok()) {
-            status = vertex_ok.status();
-            return false;
-          }
-          if (!*vertex_ok) {
-            ++ctx->stats().paths_pruned;
-            return true;
+        if (has_vertex_preds_) {
+          const VertexEntry* nv = spec_->gv->FindVertex(nbr);
+          if (nv != nullptr) {
+            auto vertex_ok = VertexAdmissible(*nv, edge_index + 1);
+            if (!vertex_ok.ok()) {
+              status = vertex_ok.status();
+              return false;
+            }
+            if (!*vertex_ok) {
+              ++ctx->stats().paths_pruned;
+              return true;
+            }
           }
         }
         // Accumulate sum bounds and prune monotone upper bounds early.
-        for (size_t i = 0; i < spec_->sum_bounds.size(); ++i) {
+        for (size_t i = 0; i < bounds; ++i) {
           auto v =
               ExtractEdgeValue(*spec_->gv, edge, spec_->sum_bounds[i].attr);
           if (!v.ok()) {
@@ -194,7 +245,7 @@ class PathScanner {
       } else {
         // Pushdown disabled (ablation / paper §7.1 control): still
         // accumulate sums so emission checks stay exact.
-        for (size_t i = 0; i < spec_->sum_bounds.size(); ++i) {
+        for (size_t i = 0; i < bounds; ++i) {
           auto v =
               ExtractEdgeValue(*spec_->gv, edge, spec_->sum_bounds[i].attr);
           if (!v.ok()) {
@@ -205,16 +256,8 @@ class PathScanner {
         }
       }
 
-      Candidate next;
-      next.path.edges = candidate.path.edges;
-      next.path.edges.push_back(edge.id);
-      next.path.vertexes = candidate.path.vertexes;
-      next.path.vertexes.push_back(nbr);
-      next.sums = std::move(sums);
-      next.closing = closing;
-      next.path.accumulated_cost = candidate.path.accumulated_cost;
-
-      if (spec_->physical == TraversalSpec::Physical::kShortestPath) {
+      double cost = prefix.cost();
+      if (shortest) {
         auto w = ExtractEdgeValue(*spec_->gv, edge, spec_->sp_attr);
         if (!w.ok()) {
           status = w.status();
@@ -225,10 +268,10 @@ class PathScanner {
               "SHORTESTPATH requires a non-null, non-negative edge attribute");
           return false;
         }
-        next.path.accumulated_cost += w->AsNumeric();
+        cost += w->AsNumeric();
       }
 
-      sink(std::move(next));
+      sink(edge, nbr, closing, sums.data(), cost);
       return true;
     });
     return status;
@@ -242,21 +285,23 @@ class PathScanner {
 
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_;
+  /// Whether any pushed element predicate tests vertexes; without one the
+  /// per-edge neighbor lookup for VertexAdmissible is skipped.
+  bool has_vertex_preds_ = false;
 
   const ExecRow* outer_row_ = nullptr;
   std::optional<VertexId> target_;
   std::vector<double> sum_bound_values_;  ///< Bounds evaluated per probe.
 
   std::deque<Candidate> frontier_;  ///< DFS stack (back) / BFS queue (front).
-  std::priority_queue<Candidate, std::vector<Candidate>, CostOrder> heap_;
   std::unordered_set<VertexId> visited_;      ///< global_visited mode.
-  /// SPScan expansion cap, counted per (start, vertex): each start's
-  /// k-shortest enumeration is independent of the other starts, so a
-  /// multi-source probe gives the same answers whether the starts run in one
-  /// shared frontier (serial) or in per-morsel scanners (parallel).
-  std::map<std::pair<VertexId, VertexId>, size_t> expansions_;
   size_t charged_ = 0;  ///< Bytes currently charged for the frontier.
 };
+
+/// The engine for `spec`: ShortestPathScanner for SPScan, FrontierScanner
+/// for the level-synchronous BFS kernel, PathScanner for DFS / per-path BFS.
+std::unique_ptr<PathScanner> MakePathScanner(
+    std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx);
 
 }  // namespace grfusion
 

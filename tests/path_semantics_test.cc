@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <queue>
 #include <set>
+#include <tuple>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "engine/database.h"
+#include "graphexec/path_scanner.h"
 
 namespace grfusion {
 namespace {
@@ -636,6 +638,138 @@ INSTANTIATE_TEST_SUITE_P(
                        static_cast<unsigned long long>(info.param.seed),
                        info.param.directed ? "directed" : "undirected");
     });
+
+// ---------------------------------------------------------------------------
+// SPScan error and memory invariants
+//
+// SPScan drops records that can never be expanded at push time. The drops
+// must not hide an error the statement would have raised, and the arena's
+// records must be charged to the query budget and released on Close.
+// ---------------------------------------------------------------------------
+
+class SpScanInvariantTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // 0 -> 2 (1), 0 -> 1 (2), 2 -> 3 (5), 1 -> 2 (NULL), 1 -> 4 (1),
+    // 4 -> 3 (9). From 0, SPScan expands 2 before 1, so the NULL-weight edge
+    // 1 -> 2 leads into an already-expanded vertex when it is examined.
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+      CREATE TABLE v (id BIGINT PRIMARY KEY);
+      CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      w DOUBLE);
+    )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows;
+    for (int64_t i = 0; i < 5; ++i) vrows.push_back({Value::BigInt(i)});
+    ASSERT_TRUE(db_.BulkInsert("v", vrows).ok());
+    const std::vector<std::tuple<int64_t, int64_t, std::optional<double>>>
+        edges = {{0, 2, 1.0}, {0, 1, 2.0},         {2, 3, 5.0},
+                 {1, 2, std::nullopt}, {1, 4, 1.0}, {4, 3, 9.0}};
+    std::vector<std::vector<Value>> erows;
+    int64_t id = 0;
+    for (const auto& [src, dst, w] : edges) {
+      erows.push_back({Value::BigInt(id++), Value::BigInt(src),
+                       Value::BigInt(dst),
+                       w.has_value() ? Value::Double(*w) : Value::Null()});
+    }
+    ASSERT_TRUE(db_.BulkInsert("e", erows).ok());
+    ASSERT_TRUE(session_.ExecuteScript(
+                    "CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v "
+                    "EDGES (ID = id, FROM = src, TO = dst, w = w) FROM e;")
+                    .ok());
+  }
+
+  /// A TOP 1 SHORTESTPATH(w) spec, as the planner builds it.
+  std::shared_ptr<const TraversalSpec> TopOneSpec() {
+    auto spec = std::make_shared<TraversalSpec>();
+    spec->gv = db_.catalog().FindGraphView("g");
+    spec->physical = TraversalSpec::Physical::kShortestPath;
+    spec->sp_attr.kind = PathElementKind::kEdges;
+    spec->sp_attr.column = spec->gv->ResolveEdgeAttribute("w");
+    spec->sp_attr.type = ValueType::kDouble;
+    spec->sp_attr.display_name = "w";
+    spec->sp_expansion_cap = 1;
+    return spec;
+  }
+
+  Database db_;
+  Session session_{db_};
+};
+
+TEST_F(SpScanInvariantTest, NullWeightIntoExpandedVertexStillFails) {
+  // Vertex 2 is already at its expansion cap when 1 -> 2 is examined, so a
+  // drop ahead of weight validation would hide the error.
+  auto result = session_.Execute(
+      "SELECT TOP 1 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+      "WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 3");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("non-null, non-negative"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST_F(SpScanInvariantTest, TopOneUnderSmallMemoryCapIsResourceExhausted) {
+  const std::string sql =
+      "SELECT TOP 1 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+      "WHERE PS.StartVertex.Id = 2 AND PS.EndVertex.Id = 3";
+  auto ok = session_.Execute(sql);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_EQ(ok->NumRows(), 1u);
+  EXPECT_EQ(ok->rows[0][0].AsNumeric(), 5.0);
+
+  session_.options().memory_cap = 64;
+  auto capped = session_.Execute(sql);
+  session_.options().memory_cap = QueryContext::kDefaultMemoryCap;
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST_F(SpScanInvariantTest, ArenaBytesReturnToZeroAfterClose) {
+  // Release is what PathProbeJoin's Close calls on its scanner.
+  {
+    QueryContext ctx;
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(TopOneSpec(), &ctx);
+    ASSERT_TRUE(scanner->Reset({2}, VertexId{3}, nullptr).ok());
+    PathPtr path;
+    auto has = scanner->Next(&path);
+    ASSERT_TRUE(has.ok()) << has.status().ToString();
+    ASSERT_TRUE(*has);
+    EXPECT_EQ(path->accumulated_cost, 5.0);
+    EXPECT_EQ(PathToString(*path), "2 -[2]-> 3");
+    EXPECT_GT(ctx.current_bytes(), 0u);
+    // Re-arming settles the previous probe's charge before the next one.
+    const size_t first = ctx.current_bytes();
+    ASSERT_TRUE(scanner->Reset({2}, VertexId{3}, nullptr).ok());
+    ASSERT_TRUE(scanner->Next(&path).ok());
+    EXPECT_EQ(ctx.current_bytes(), first);
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+  }
+  // The failing probes unwind to zero too.
+  {
+    QueryContext ctx(/*memory_cap=*/64);
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(TopOneSpec(), &ctx);
+    ASSERT_TRUE(scanner->Reset({2}, VertexId{3}, nullptr).ok());
+    PathPtr path;
+    auto has = scanner->Next(&path);
+    ASSERT_FALSE(has.ok());
+    EXPECT_EQ(has.status().code(), StatusCode::kResourceExhausted);
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+  }
+  {
+    QueryContext ctx;
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(TopOneSpec(), &ctx);
+    ASSERT_TRUE(scanner->Reset({0}, VertexId{3}, nullptr).ok());
+    PathPtr path;
+    auto has = scanner->Next(&path);
+    ASSERT_FALSE(has.ok());
+    EXPECT_EQ(has.status().code(), StatusCode::kInvalidArgument);
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+  }
+}
 
 }  // namespace
 }  // namespace grfusion

@@ -695,6 +695,217 @@ TEST(GraphDiffFuzzEnvTest, EnvironmentSeedSweep) {
 }
 
 // ---------------------------------------------------------------------------
+// SPScan exact-sequence differential
+//
+// The engine's SPScan (prefix-sharing arena, push-time drops) must emit
+// exactly what the textbook copy-prefix formulation emits: a priority queue
+// of whole paths in ComparePathOrder order (cost, vertex sequence, edge
+// sequence), each (start, vertex) expanded at most k times for TOP k. Small
+// integer weights force cost ties, so the vertex/edge tie-break decides the
+// order; the sequences must match row for row at 1 and 4 workers.
+// ---------------------------------------------------------------------------
+
+/// One generated SPScan query and the parameters the reference needs.
+struct SpDiffQuery {
+  std::string sql;
+  std::vector<int64_t> starts;        // All view vertexes when unbound.
+  int64_t dst = 0;
+  size_t k = 1;
+  std::optional<int64_t> rank_below;  // PS.Edges[0..*].rank < R
+  std::optional<double> w_below;      // SUM(PS.Edges.w) < C
+};
+
+/// Reference SPScan over whole copied paths. Cost is the sum of the integer
+/// weights `iw`; `w` feeds the sum bound.
+std::vector<std::string> SpDiffReference(const DiffGraph& g,
+                                         const std::map<int64_t, int64_t>& iw,
+                                         const SpDiffQuery& q) {
+  struct RefPath {
+    std::vector<int64_t> vs, es;
+    double cost = 0.0;
+    double wsum = 0.0;
+    bool closing = false;
+  };
+  auto later = [](const RefPath& a, const RefPath& b) {
+    if (a.cost != b.cost) return a.cost > b.cost;
+    if (a.vs != b.vs) return a.vs > b.vs;
+    return a.es > b.es;
+  };
+  std::priority_queue<RefPath, std::vector<RefPath>, decltype(later)> heap(
+      later);
+  std::set<int64_t> starts(q.starts.begin(), q.starts.end());
+  for (int64_t s : starts) heap.push(RefPath{{s}, {}, 0.0, 0.0, false});
+  std::map<std::pair<int64_t, int64_t>, size_t> expansions;
+  std::vector<std::string> out;
+  while (!heap.empty() && out.size() < q.k) {
+    RefPath p = heap.top();
+    heap.pop();
+    const int64_t start = p.vs.front();
+    if (!p.closing && ++expansions[{start, p.vs.back()}] <= q.k) {
+      for (auto [e, nbr] : g.Neighbors(p.vs.back())) {
+        if (std::find(p.es.begin(), p.es.end(), e->id) != p.es.end()) {
+          continue;
+        }
+        const bool closing = nbr == start && !p.es.empty();
+        if (!closing &&
+            std::find(p.vs.begin(), p.vs.end(), nbr) != p.vs.end()) {
+          continue;
+        }
+        if (q.rank_below.has_value() && e->rank >= *q.rank_below) continue;
+        const double wsum = p.wsum + e->w;
+        if (q.w_below.has_value() && wsum >= *q.w_below) continue;
+        RefPath next = p;
+        next.vs.push_back(nbr);
+        next.es.push_back(e->id);
+        next.cost = p.cost + static_cast<double>(iw.at(e->id));
+        next.wsum = wsum;
+        next.closing = closing;
+        heap.push(std::move(next));
+      }
+    }
+    if (!p.es.empty() && p.vs.back() == q.dst) {
+      out.push_back(Value::Double(p.cost).ToString() + "|" +
+                    Value::Varchar(DiffPathString(p.vs, p.es)).ToString() +
+                    "|");
+    }
+  }
+  return out;
+}
+
+void RunSpScanExactSweep(uint64_t seed, int trials) {
+  SCOPED_TRACE(StrFormat("spscan-diff seed=%llu",
+                         static_cast<unsigned long long>(seed)));
+  Random rng(seed);
+  DiffGraph graph;
+  graph.n = rng.Uniform(6, 14);
+  graph.directed = rng.Bernoulli(0.5);
+  const int64_t target_edges = rng.Uniform(graph.n, 3 * graph.n);
+
+  Database db;
+  Session session(db);
+  ASSERT_TRUE(session.ExecuteScript(R"sql(
+    CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
+    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                    w DOUBLE, rank BIGINT, iw BIGINT);
+  )sql")
+                  .ok());
+  std::vector<std::vector<Value>> vrows;
+  for (int64_t i = 0; i < graph.n; ++i) {
+    vrows.push_back({Value::BigInt(i), Value::Varchar("v")});
+  }
+  ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
+  std::set<std::pair<int64_t, int64_t>> used;
+  std::map<int64_t, int64_t> iw;
+  std::vector<std::vector<Value>> erows;
+  int64_t id = 0;
+  while (id < target_edges &&
+         used.size() < static_cast<size_t>(graph.n * (graph.n - 1))) {
+    const int64_t s = rng.Uniform(0, graph.n - 1);
+    const int64_t d = rng.Uniform(0, graph.n - 1);
+    if (s == d || !used.insert({s, d}).second) continue;
+    const double w = 0.5 + rng.NextDouble() * 4.0;
+    const int64_t rank = rng.Uniform(0, 99);
+    iw[id] = rng.Uniform(1, 3);
+    graph.edges.push_back(DiffEdge{id, s, d, w, rank});
+    erows.push_back({Value::BigInt(id), Value::BigInt(s), Value::BigInt(d),
+                     Value::Double(w), Value::BigInt(rank),
+                     Value::BigInt(iw[id])});
+    ++id;
+  }
+  ASSERT_TRUE(db.BulkInsert("e", erows).ok());
+  ASSERT_TRUE(session.ExecuteScript(StrFormat(
+                    "CREATE %s GRAPH VIEW g "
+                    "VERTEXES (ID = id, name = name) FROM v "
+                    "EDGES (ID = id, FROM = src, TO = dst, w = w, "
+                    "rank = rank, iw = iw) FROM e;",
+                    graph.directed ? "DIRECTED" : "UNDIRECTED"))
+                  .ok());
+
+  std::vector<int64_t> all_vertexes;
+  for (int64_t i = 0; i < graph.n; ++i) all_vertexes.push_back(i);
+
+  const uint64_t tasks_before =
+      MetricsRegistry::Global().GetCounter("taskpool_tasks_total")->value();
+  int answered = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    SpDiffQuery q;
+    q.dst = rng.Uniform(0, graph.n - 1);
+    q.k = static_cast<size_t>(rng.Uniform(1, 4));
+    std::vector<std::string> conjuncts;
+    if (rng.Bernoulli(0.5)) {
+      q.starts = all_vertexes;  // Multi start: per-morsel under 4 workers.
+    } else {
+      const int64_t s = rng.Uniform(0, graph.n - 1);
+      q.starts = {s};
+      conjuncts.push_back(StrFormat("PS.StartVertex.Id = %lld",
+                                    static_cast<long long>(s)));
+    }
+    conjuncts.push_back(
+        StrFormat("PS.EndVertex.Id = %lld", static_cast<long long>(q.dst)));
+    if (rng.Bernoulli(0.4)) {
+      q.rank_below = rng.Uniform(20, 90);
+      conjuncts.push_back(StrFormat("PS.Edges[0..*].rank < %lld",
+                                    static_cast<long long>(*q.rank_below)));
+    }
+    if (rng.Bernoulli(0.4)) {
+      q.w_below = static_cast<double>(rng.Uniform(3, 12));
+      conjuncts.push_back(StrFormat("SUM(PS.Edges.w) < %lld",
+                                    static_cast<long long>(*q.w_below)));
+    }
+    q.sql = StrFormat(
+        "SELECT TOP %zu PS.Cost, PS.PathString FROM g.Paths PS "
+        "HINT(SHORTESTPATH(iw)) WHERE ",
+        q.k);
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (i > 0) q.sql += " AND ";
+      q.sql += conjuncts[i];
+    }
+    SCOPED_TRACE(q.sql);
+
+    const std::vector<std::string> expected = SpDiffReference(graph, iw, q);
+    if (!expected.empty()) ++answered;
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      session.options().max_parallelism = workers;
+      session.options().parallel_min_starts = 1;
+      auto result = session.Execute(q.sql);
+      ASSERT_TRUE(result.ok())
+          << "workers=" << workers << ": " << result.status().ToString();
+      EXPECT_EQ(DiffOrdered(*result), expected)
+          << "workers=" << workers << " diverges from the reference";
+    }
+  }
+  // Guards against a vacuous sweep: some queries must have answers, and the
+  // 4-worker runs must actually have fanned out.
+  EXPECT_GT(answered, 0) << "no trial had a path to compare";
+  const uint64_t tasks_after =
+      MetricsRegistry::Global().GetCounter("taskpool_tasks_total")->value();
+  EXPECT_GT(tasks_after, tasks_before) << "parallel SPScan never engaged";
+  session.options().max_parallelism = 0;
+  session.options().parallel_min_starts = 8;
+}
+
+class SpScanDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SpScanDiffFuzzTest, MatchesCopyPrefixReference) {
+  RunSpScanExactSweep(GetParam(), /*trials=*/40);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpScanDiffFuzzTest,
+                         ::testing::Values(41, 42, 43, 44, 45, 46, 47, 48),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// Environment-seeded SPScan sweep: CI rolls a fresh seed per run.
+TEST(SpScanDiffFuzzEnvTest, EnvironmentSeedSweep) {
+  uint64_t seed = 20261017;
+  if (const char* env = std::getenv("GRF_FUZZ_SEED")) {
+    seed = std::strtoull(env, nullptr, 10) + 7;  // Decorrelate from the rest.
+  }
+  RunSpScanExactSweep(seed, /*trials=*/24);
+}
+
+// ---------------------------------------------------------------------------
 // Frontier-kernel differential fuzz
 //
 // The level-synchronous frontier BFS operator must be observationally

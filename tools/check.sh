@@ -5,7 +5,8 @@
 #   build-tsan/     Debug + ThreadSanitizer (task pool + parallel executor)
 #
 # The sanitize and tsan configurations additionally re-run the graph
-# differential suite (serial vs. morsel-parallel vs. brute-force reference)
+# differential suite (serial vs. morsel-parallel vs. brute-force reference,
+# including the SPScan exact-sequence differential and its invariant tests)
 # and the fault-injection fuzz (random failpoints + random cancellation
 # against the robustness invariants) twice: once with built-in fixed seeds
 # and once with a fresh random seed exported through GRF_FUZZ_SEED, so every
@@ -31,11 +32,11 @@ run_config() {
 run_graph_diff() {
   local dir="$1"
   ctest --test-dir "$dir" --output-on-failure \
-    -R 'GraphDiff|Frontier|ParallelEnum|ParallelTopK|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch|ActiveQueries|StatementStats|ExplainTrace|EngineMetrics|PathSemantics'
+    -R 'GraphDiff|Frontier|ParallelEnum|ParallelTopK|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch|ActiveQueries|StatementStats|ExplainTrace|EngineMetrics|PathSemantics|SpScan'
   local seed="${GRF_FUZZ_SEED:-$RANDOM$RANDOM}"
   echo "== graph differential + fault-injection suites, random seed ${seed} =="
   GRF_FUZZ_SEED="$seed" ctest --test-dir "$dir" --output-on-failure \
-    -R 'GraphDiffFuzzEnvTest|FrontierDiffFuzzEnvTest|FaultInjectionFuzzEnvTest|PlanCacheChurnFuzzEnvTest|SnapshotFuzzEnvTest|CrashRecoverFuzzEnvTest'
+    -R 'GraphDiffFuzzEnvTest|SpScanDiffFuzzEnvTest|FrontierDiffFuzzEnvTest|FaultInjectionFuzzEnvTest|PlanCacheChurnFuzzEnvTest|SnapshotFuzzEnvTest|CrashRecoverFuzzEnvTest'
 }
 
 echo "== tier-1 (RelWithDebInfo) =="
