@@ -45,23 +45,8 @@ Status ShortestPathScanner::Reset(std::vector<VertexId> starts,
                                   std::optional<VertexId> target,
                                   const ExecRow* outer_row) {
   ClearArena();
-  csr_ = nullptr;
   GRF_ASSIGN_OR_RETURN(std::vector<VertexId> seeds,
                        ArmProbe(std::move(starts), target, outer_row));
-
-  if (seeds.size() == 1 && spec_->gv->PureCsr()) {
-    csr_ = spec_->gv->csr();
-    if (dense_.size() != csr_->NumVertexes()) {
-      dense_.assign(csr_->NumVertexes(), ExpansionSlot{});
-      epoch_ = 0;
-    }
-    // A fresh epoch invalidates every slot of the previous probe at once.
-    if (++epoch_ == 0) {
-      std::fill(dense_.begin(), dense_.end(), ExpansionSlot{});
-      epoch_ = 1;
-    }
-    Charge(dense_.size() * sizeof(ExpansionSlot));
-  }
 
   const std::vector<double> zeros(spec_->sum_bounds.size(), 0.0);
   for (VertexId start : seeds) {
@@ -75,9 +60,6 @@ Status ShortestPathScanner::Reset(std::vector<VertexId> starts,
 
 void ShortestPathScanner::Release() {
   ClearArena();
-  csr_ = nullptr;
-  dense_ = std::vector<ExpansionSlot>();
-  epoch_ = 0;
   PathScanner::Release();
 }
 
@@ -85,35 +67,21 @@ void ShortestPathScanner::ClearArena() {
   records_.clear();
   record_sums_.clear();
   queue_.clear();
-  sparse_.clear();
+  slots_.clear();
   arena_full_ = false;
 }
 
 ShortestPathScanner::ExpansionSlot& ShortestPathScanner::Slot(VertexId start,
                                                               VertexId v) {
-  if (csr_ != nullptr) {
-    const size_t i = csr_->IndexOf(v);
-    if (i != CsrTopology::kAbsent) {
-      ExpansionSlot& slot = dense_[i];
-      if (slot.epoch != epoch_) slot = ExpansionSlot{epoch_};
-      return slot;
-    }
-  }
-  auto [it, inserted] = sparse_.try_emplace({start, v});
-  if (inserted) Charge(kSparseSlotBytes);
+  auto [it, inserted] = slots_.try_emplace({start, v});
+  if (inserted) Charge(kSlotBytes);
   return it->second;
 }
 
 const ShortestPathScanner::ExpansionSlot* ShortestPathScanner::FindSlot(
     VertexId start, VertexId v) const {
-  if (csr_ != nullptr) {
-    const size_t i = csr_->IndexOf(v);
-    if (i != CsrTopology::kAbsent) {
-      return dense_[i].epoch == epoch_ ? &dense_[i] : nullptr;
-    }
-  }
-  auto it = sparse_.find({start, v});
-  return it == sparse_.end() ? nullptr : &it->second;
+  auto it = slots_.find({start, v});
+  return it == slots_.end() ? nullptr : &it->second;
 }
 
 bool ShortestPathScanner::PopsAfter(uint32_t a, uint32_t b) const {

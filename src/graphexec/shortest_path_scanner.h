@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "graph/csr_topology.h"
 #include "graphexec/path_scanner.h"
 
 namespace grfusion {
@@ -24,8 +23,8 @@ namespace grfusion {
 /// 4-byte record indexes ordered by cost, falling back to parent-chain
 /// walks only on cost ties. A PathData is built only for a record that
 /// passes the length and target pre-filters. Expansion counts live in a
-/// dense CSR-indexed array when the view is pure CSR and the probe has one
-/// start, in a hash map otherwise.
+/// hash map keyed by (start, vertex), created on first use, so the probe's
+/// memory follows the region it explores, not the size of the view.
 ///
 /// With the target bound, an extension to a non-target vertex that can
 /// never be expanded is dropped at push time (see Expand); such a record
@@ -61,10 +60,8 @@ class ShortestPathScanner : public PathScanner {
 
   /// Expansion bookkeeping for one (start, vertex): how many of its paths
   /// were popped for expansion, and the cheapest expandable extension ever
-  /// pushed to it (drop rule (c)). Dense slots are valid only while `epoch`
-  /// matches the probe's.
+  /// pushed to it (drop rule (c)).
   struct ExpansionSlot {
-    uint32_t epoch = 0;
     uint32_t count = 0;
     double best = std::numeric_limits<double>::infinity();
   };
@@ -84,7 +81,7 @@ class ShortestPathScanner : public PathScanner {
            sizeof(uint32_t);
   }
   /// Accounting footprint of one hash-map slot (node plus bucket).
-  static constexpr size_t kSparseSlotBytes = 64;
+  static constexpr size_t kSlotBytes = 64;
 
   /// Appends a record and queues it.
   void Push(const Record& record, const double* sums);
@@ -115,14 +112,9 @@ class ShortestPathScanner : public PathScanner {
   std::vector<uint32_t> queue_;      ///< Binary heap of record indexes.
   bool arena_full_ = false;          ///< Record index space exhausted.
 
-  /// Dense slots, indexed by CSR position; armed (csr_ != nullptr) for a
-  /// single-start probe over a pure-CSR view.
-  const CsrTopology* csr_ = nullptr;
-  std::vector<ExpansionSlot> dense_;
-  uint32_t epoch_ = 0;
   std::unordered_map<std::pair<VertexId, VertexId>, ExpansionSlot,
                      SlotKeyHash>
-      sparse_;
+      slots_;
 };
 
 }  // namespace grfusion

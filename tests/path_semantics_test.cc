@@ -725,6 +725,53 @@ TEST_F(SpScanInvariantTest, TopOneUnderSmallMemoryCapIsResourceExhausted) {
   EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST_F(SpScanInvariantTest, EachPushedRecordIsCharged) {
+  // Reset pushes one root record per start and pops nothing, so the charge
+  // after it is exactly the records' bytes, and it scales with the starts.
+  QueryContext ctx;
+  std::unique_ptr<PathScanner> scanner = MakePathScanner(TopOneSpec(), &ctx);
+  ASSERT_TRUE(scanner->Reset({2}, VertexId{3}, nullptr).ok());
+  const size_t one_record = ctx.current_bytes();
+  EXPECT_GT(one_record, 0u);
+  ASSERT_TRUE(scanner->Reset({0, 1, 2, 3, 4}, VertexId{3}, nullptr).ok());
+  EXPECT_EQ(ctx.current_bytes(), 5 * one_record);
+  scanner->Release();
+  EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+TEST(SpScanMemoryTest, ChargeFollowsExploredRegionNotViewSize) {
+  // A 1-hop TOP 1 on a view of 20000 vertexes, under a cap far below any
+  // per-vertex table (16 B x V = 320 KB): the probe touches two vertexes,
+  // so it must fit.
+  Database db;
+  Session session(db);
+  ASSERT_TRUE(session.ExecuteScript(R"sql(
+    CREATE TABLE v (id BIGINT PRIMARY KEY);
+    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                    w DOUBLE);
+  )sql")
+                  .ok());
+  std::vector<std::vector<Value>> vrows;
+  for (int64_t i = 0; i < 20000; ++i) vrows.push_back({Value::BigInt(i)});
+  ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
+  ASSERT_TRUE(db.BulkInsert("e", {{Value::BigInt(0), Value::BigInt(0),
+                                   Value::BigInt(1), Value::Double(1.0)},
+                                  {Value::BigInt(1), Value::BigInt(1),
+                                   Value::BigInt(2), Value::Double(1.0)}})
+                  .ok());
+  ASSERT_TRUE(session.ExecuteScript(
+                    "CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v "
+                    "EDGES (ID = id, FROM = src, TO = dst, w = w) FROM e;")
+                  .ok());
+  session.options().memory_cap = 16 << 10;
+  auto result = session.Execute(
+      "SELECT TOP 1 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+      "WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 1");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRows(), 1u);
+  EXPECT_EQ(result->rows[0][0].AsNumeric(), 1.0);
+}
+
 TEST_F(SpScanInvariantTest, ArenaBytesReturnToZeroAfterClose) {
   // Release is what PathProbeJoin's Close calls on its scanner.
   {

@@ -6,7 +6,7 @@
 #
 # The sanitize and tsan configurations additionally re-run the graph
 # differential suite (serial vs. morsel-parallel vs. brute-force reference,
-# including the SPScan exact-sequence differential and its invariant tests)
+# SHORTESTPATH as exact row sequences) with the SPScan invariant tests
 # and the fault-injection fuzz (random failpoints + random cancellation
 # against the robustness invariants) twice: once with built-in fixed seeds
 # and once with a fresh random seed exported through GRF_FUZZ_SEED, so every
@@ -36,7 +36,7 @@ run_graph_diff() {
   local seed="${GRF_FUZZ_SEED:-$RANDOM$RANDOM}"
   echo "== graph differential + fault-injection suites, random seed ${seed} =="
   GRF_FUZZ_SEED="$seed" ctest --test-dir "$dir" --output-on-failure \
-    -R 'GraphDiffFuzzEnvTest|SpScanDiffFuzzEnvTest|FrontierDiffFuzzEnvTest|FaultInjectionFuzzEnvTest|PlanCacheChurnFuzzEnvTest|SnapshotFuzzEnvTest|CrashRecoverFuzzEnvTest'
+    -R 'GraphDiffFuzzEnvTest|FrontierDiffFuzzEnvTest|FaultInjectionFuzzEnvTest|PlanCacheChurnFuzzEnvTest|SnapshotFuzzEnvTest|CrashRecoverFuzzEnvTest'
 }
 
 echo "== tier-1 (RelWithDebInfo) =="
