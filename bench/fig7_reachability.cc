@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
 #include "baselines/graphdb_session.h"
@@ -111,80 +110,6 @@ void PropertyGraphReach(::benchmark::State& state, const std::string& name,
   ReportPerQuery(state, pairs.size());
 }
 
-// --- Morsel-driven parallel traversal sweep -------------------------------
-//
-// Multi-source (unbound-start) path enumeration per dataset, swept over the
-// worker count. Reachability LIMIT-1 probes pin the shared-visited fast path
-// and stay serial by design, so the parallel sweep uses the full-consumption
-// shape that morsel partitioning accelerates. Results (median wall ms per
-// thread count + speedup vs. serial) land in BENCH_fig7_parallel.json.
-
-std::vector<size_t> g_thread_sweep = {1, 2, 4};
-
-double MultiSourceSweepMs(Session& db, const std::string& name,
-                          size_t threads) {
-  db.options().max_parallelism = threads;
-  db.options().parallel_min_rows = 1;
-  db.options().parallel_min_starts = 1;
-  std::string sql = StrFormat(
-      "SELECT COUNT(P) FROM %s.Paths P WHERE P.Length <= 2", name.c_str());
-  // Warm-up, then median of 3 timed runs.
-  (void)db.Execute(sql);
-  std::vector<double> runs;
-  for (int i = 0; i < 3; ++i) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto result = db.Execute(sql);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!result.ok()) {
-      std::fprintf(stderr, "parallel sweep failed on %s: %s\n", name.c_str(),
-                   result.status().ToString().c_str());
-      return -1.0;
-    }
-    runs.push_back(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count() /
-        1000.0);
-  }
-  std::sort(runs.begin(), runs.end());
-  db.options().max_parallelism = 0;
-  db.options().parallel_min_rows = 2048;
-  db.options().parallel_min_starts = 8;
-  return runs[runs.size() / 2];
-}
-
-void RunParallelSweep(const std::string& path) {
-  BenchEnv& env = BenchEnv::Get();
-  Session& db = env.session();
-  std::string json = "[\n";
-  bool first = true;
-  for (const char* name : kDatasetNames) {
-    double serial_ms = -1.0;
-    for (size_t threads : g_thread_sweep) {
-      double ms = MultiSourceSweepMs(db, name, threads);
-      if (ms < 0) continue;
-      if (threads == 1) serial_ms = ms;
-      double speedup = (serial_ms > 0 && ms > 0) ? serial_ms / ms : 0.0;
-      if (!first) json += ",\n";
-      first = false;
-      json += StrFormat(
-          "  {\"dataset\": \"%s\", \"threads\": %zu, \"ms\": %.3f, "
-          "\"speedup\": %.3f}",
-          name, threads, ms, speedup);
-      std::fprintf(stderr, "Fig7/ParallelSweep/%s threads=%zu %.3f ms "
-                   "(speedup %.2fx)\n", name, threads, ms, speedup);
-    }
-  }
-  json += "\n]\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "parallel sweep written to %s\n", path.c_str());
-}
-
 // --- Cancellation-overhead sweep ------------------------------------------
 //
 // The robustness layer must cost ~nothing when not in use. Three variants of
@@ -276,29 +201,6 @@ void RunCancellationOverheadSweep(const std::string& path) {
                path.c_str());
 }
 
-/// Consumes a `--threads=1,2,4,8` argument (worker counts for the parallel
-/// sweep) before google-benchmark sees the command line.
-void ParseThreadSweep(int* argc, char** argv) {
-  for (int i = 1; i < *argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) != 0) continue;
-    g_thread_sweep.clear();
-    std::string list = arg.substr(10);
-    size_t pos = 0;
-    while (pos < list.size()) {
-      size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) comma = list.size();
-      long v = std::strtol(list.substr(pos, comma - pos).c_str(), nullptr, 10);
-      if (v > 0) g_thread_sweep.push_back(static_cast<size_t>(v));
-      pos = comma + 1;
-    }
-    if (g_thread_sweep.empty()) g_thread_sweep = {1, 2, 4};
-    for (int j = i; j + 1 < *argc; ++j) argv[j] = argv[j + 1];
-    --*argc;
-    return;
-  }
-}
-
 void RegisterAll() {
   for (const char* name : kDatasetNames) {
     for (size_t hops : {2, 4, 6, 8, 12, 16, 20}) {
@@ -336,11 +238,9 @@ void RegisterAll() {
 }  // namespace grfusion::bench
 
 int main(int argc, char** argv) {
-  grfusion::bench::ParseThreadSweep(&argc, argv);
   ::benchmark::Initialize(&argc, argv);
   grfusion::bench::RegisterAll();
   ::benchmark::RunSpecifiedBenchmarks();
-  grfusion::bench::RunParallelSweep("BENCH_fig7_parallel.json");
   grfusion::bench::RunCancellationOverheadSweep("BENCH_fig7_robustness.json");
   grfusion::bench::DumpEngineMetrics("BENCH_fig7_metrics.json");
   ::benchmark::Shutdown();

@@ -21,8 +21,8 @@ class Counter;
 class Gauge;
 
 /// Work-stealing worker pool shared by all morsel-driven parallel paths in
-/// the engine (parallel PathScan fan-out, parallel Vertex/EdgeScan, parallel
-/// graph-view construction).
+/// the engine (frontier BFS level expansion, parallel Vertex/EdgeScan,
+/// parallel graph-view construction).
 ///
 /// Design (Leis et al., "Morsel-Driven Parallelism", SIGMOD 2014):
 ///  - each worker owns a deque; it pops its own work LIFO (cache-hot) and

@@ -214,10 +214,10 @@ class QueryContext {
   void set_parallel_min_rows(size_t n) { parallel_min_rows_ = n; }
   size_t parallel_min_rows() const { return parallel_min_rows_; }
 
-  /// Minimum distinct start vertices before a multi-source path probe fans
-  /// out. Distinct from parallel_min_rows: each start seeds a whole
-  /// traversal, so the useful threshold is far lower than for per-row scan
-  /// work. Probes with fewer starts (always < 2) run serial.
+  /// Minimum frontier candidates before the frontier BFS kernel expands a
+  /// level morsel-parallel. Distinct from parallel_min_rows: each candidate
+  /// expands a whole adjacency list, so the useful threshold is far lower
+  /// than for per-row scan work. Smaller levels (always < 2) run serial.
   void set_parallel_min_starts(size_t n) { parallel_min_starts_ = n; }
   size_t parallel_min_starts() const { return parallel_min_starts_; }
 

@@ -14,13 +14,4 @@ std::string PathToString(const PathData& path) {
   return out;
 }
 
-int ComparePathOrder(const PathData& a, const PathData& b) {
-  if (a.accumulated_cost != b.accumulated_cost) {
-    return a.accumulated_cost < b.accumulated_cost ? -1 : 1;
-  }
-  if (a.vertexes != b.vertexes) return a.vertexes < b.vertexes ? -1 : 1;
-  if (a.edges != b.edges) return a.edges < b.edges ? -1 : 1;
-  return 0;
-}
-
 }  // namespace grfusion

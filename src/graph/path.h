@@ -34,13 +34,6 @@ using PathPtr = std::shared_ptr<const PathData>;
 ///   "v0 -[e0]-> v1 -[e1]-> v2".
 std::string PathToString(const PathData& path);
 
-/// Strict total order over paths: (accumulated_cost, vertex sequence, edge
-/// sequence), lexicographic. SPScan pops its frontier in this order, and the
-/// parallel multi-source merge uses the same comparator, so the
-/// next-shortest-path emission sequence is identical for any worker count.
-/// Returns <0 / 0 / >0 in strcmp style.
-int ComparePathOrder(const PathData& a, const PathData& b);
-
 }  // namespace grfusion
 
 #endif  // GRFUSION_GRAPH_PATH_H_

@@ -202,7 +202,7 @@ Status FrontierScanner::ExpandLevelParallel() {
   std::vector<size_t> worker_peaks(num_morsels, 0);
   std::atomic<bool> abort{false};
   // Workers charge against the query's remaining headroom so the memory cap
-  // stays a per-query guarantee (same protocol as ParallelPathProbe).
+  // stays a per-query guarantee (same protocol as the parallel scans).
   SharedMemoryBudget budget(ctx_->remaining_budget());
 
   Status submitted = ParallelFor(

@@ -25,8 +25,7 @@ namespace grfusion {
 ///    the coordinating thread in (candidate, neighbor) order, applying
 ///    global_visited claims first-occurrence-wins. That merge order equals
 ///    the serial claim order, so the kernel returns byte-identical results
-///    at any worker count — including in global_visited mode, which the
-///    per-path fan-out (ParallelPathProbe) must refuse.
+///    at any worker count, global_visited mode included.
 ///
 /// In global_visited mode over a pure-CSR topology the visited set is a
 /// dense bitmap indexed by CSR position rather than a hash set — and the

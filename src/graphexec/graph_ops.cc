@@ -373,9 +373,6 @@ PathProbeJoinOp::PathProbeJoinOp(OperatorPtr outer,
 Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   ctx_ = ctx;
   scanner_ = MakePathScanner(spec_, ctx);
-  parallel_.reset();
-  worker_totals_.clear();
-  parallel_probes_ = 0;
   outer_valid_ = false;
   return outer_->Open(ctx);
 }
@@ -399,31 +396,11 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
   return starts;
 }
 
-void PathProbeJoinOp::RetireParallelProbe() {
-  if (parallel_ == nullptr) return;
-  parallel_->Cancel();  // Joins workers + folds stats (idempotent).
-  const auto& reports = parallel_->reports();
-  if (worker_totals_.size() < reports.size()) {
-    worker_totals_.resize(reports.size());
-  }
-  for (size_t i = 0; i < reports.size(); ++i) {
-    worker_totals_[i].morsels += reports[i].morsels;
-    worker_totals_[i].paths += reports[i].paths;
-    worker_totals_[i].ns += reports[i].ns;
-  }
-  parallel_.reset();
-}
-
 StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
   while (true) {
     if (outer_valid_) {
       PathPtr path;
-      bool has = false;
-      if (parallel_ != nullptr) {
-        GRF_ASSIGN_OR_RETURN(has, parallel_->Next(&path));
-      } else {
-        GRF_ASSIGN_OR_RETURN(has, scanner_->Next(&path));
-      }
+      GRF_ASSIGN_OR_RETURN(bool has, scanner_->Next(&path));
       if (has) {
         ExecRow row = outer_row_;
         if (row.paths.size() <= spec_->path_slot) {
@@ -434,7 +411,6 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
         *out = std::move(row);
         return true;
       }
-      RetireParallelProbe();
       outer_valid_ = false;
     }
     GRF_ASSIGN_OR_RETURN(bool has_outer, outer_->Next(&outer_row_));
@@ -448,54 +424,20 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
       GRF_ASSIGN_OR_RETURN(Value id, v.CastTo(ValueType::kBigInt));
       target = id.AsBigInt();
     }
-    if (!spec_->frontier &&
-        ParallelPathProbe::Eligible(*spec_, *ctx_, starts.size())) {
-      // Keep the starts so a ResourceExhausted fan-out (the buffered-merge
-      // protocol can need memory the streaming serial scanner does not) can
-      // fall back to serial execution instead of failing the query.
-      std::vector<VertexId> serial_starts = starts;
-      parallel_ = std::make_unique<ParallelPathProbe>(spec_, ctx_);
-      ++parallel_probes_;
-      Status started =
-          parallel_->Start(std::move(starts), target, &outer_row_);
-      if (!started.ok()) {
-        RetireParallelProbe();
-        if (started.code() != StatusCode::kResourceExhausted) return started;
-        GRF_RETURN_IF_ERROR(scanner_->Reset(std::move(serial_starts), target,
-                                            &outer_row_));
-      }
-    } else {
-      GRF_RETURN_IF_ERROR(scanner_->Reset(std::move(starts), target,
-                                          &outer_row_));
-    }
+    GRF_RETURN_IF_ERROR(scanner_->Reset(std::move(starts), target,
+                                        &outer_row_));
     outer_valid_ = true;
   }
 }
 
 void PathProbeJoinOp::CloseImpl() {
   outer_->Close();
-  RetireParallelProbe();
   if (scanner_ != nullptr) scanner_->Release();
   outer_valid_ = false;
 }
 
 std::string PathProbeJoinOp::name() const {
   return "PathProbeJoin[" + spec_->DebugString() + "]";
-}
-
-std::string PathProbeJoinOp::AnalyzeExtra() const {
-  if (parallel_probes_ == 0) return "";
-  std::string out = StrFormat(" parallel_probes=%llu workers=[",
-                              static_cast<unsigned long long>(parallel_probes_));
-  for (size_t i = 0; i < worker_totals_.size(); ++i) {
-    if (i > 0) out += " | ";
-    out += StrFormat(
-        "w%zu morsels=%llu paths=%llu time_ms=%.3f", i,
-        static_cast<unsigned long long>(worker_totals_[i].morsels),
-        static_cast<unsigned long long>(worker_totals_[i].paths),
-        static_cast<double>(worker_totals_[i].ns) / 1e6);
-  }
-  return out + "]";
 }
 
 }  // namespace grfusion

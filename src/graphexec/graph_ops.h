@@ -10,7 +10,6 @@
 #include "exec/row_layout.h"
 #include "expr/expression.h"
 #include "graph/graph_view.h"
-#include "graphexec/parallel_path_probe.h"
 #include "graphexec/path_scanner.h"
 #include "graphexec/traversal_spec.h"
 
@@ -111,7 +110,6 @@ class PathProbeJoinOp : public PhysicalOperator {
   PathProbeJoinOp(OperatorPtr outer, std::shared_ptr<const TraversalSpec> spec);
   const Schema& schema() const override { return outer_->schema(); }
   std::string name() const override;
-  std::string AnalyzeExtra() const override;
   std::vector<const PhysicalOperator*> children() const override {
     return {outer_.get()};
   }
@@ -126,17 +124,10 @@ class PathProbeJoinOp : public PhysicalOperator {
   /// value, or every vertex of the graph view when unbound (paper §5.1.2).
   StatusOr<std::vector<VertexId>> StartsFor(const ExecRow& outer_row);
 
-  /// Folds a finished parallel probe's per-worker fan-out into the lifetime
-  /// totals shown by EXPLAIN ANALYZE, then tears the probe down.
-  void RetireParallelProbe();
-
   OperatorPtr outer_;
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_ = nullptr;
   std::unique_ptr<PathScanner> scanner_;
-  std::unique_ptr<ParallelPathProbe> parallel_;
-  std::vector<ParallelPathProbe::WorkerReport> worker_totals_;
-  uint64_t parallel_probes_ = 0;
   ExecRow outer_row_;
   bool outer_valid_ = false;
 };

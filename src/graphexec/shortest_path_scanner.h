@@ -13,9 +13,9 @@
 namespace grfusion {
 
 /// SPScan (paper §6.3, HINT(SHORTESTPATH)): a lazy Dijkstra that pops
-/// partial paths in the deterministic total order (cost, vertex sequence,
-/// edge sequence — ComparePathOrder) and expands each (start, vertex) at
-/// most sp_expansion_cap times (TOP k / LIMIT k).
+/// partial paths in the deterministic total order (cost, then vertex
+/// sequence, then edge sequence, lexicographic) and expands each
+/// (start, vertex) at most sp_expansion_cap times (TOP k / LIMIT k).
 ///
 /// Partial paths live in a per-probe prefix-sharing arena: one record per
 /// admitted extension holding a parent pointer instead of a copied prefix,
@@ -95,9 +95,8 @@ class ShortestPathScanner : public PathScanner {
 
   /// Heap order: true when record `a` pops after record `b`.
   bool PopsAfter(uint32_t a, uint32_t b) const;
-  /// ComparePathOrder's vertex-then-edge tie-break for two records of equal
-  /// cost (strcmp style), walking both parent chains up to their common
-  /// ancestor.
+  /// The vertex-then-edge tie-break for two records of equal cost (strcmp
+  /// style), walking both parent chains up to their common ancestor.
   int CompareChains(uint32_t a, uint32_t b) const;
   /// The emitted path of record `r`.
   PathData Materialize(uint32_t r) const;

@@ -76,26 +76,13 @@ struct TraversalSpec {
   /// exponential all-simple-paths enumeration into O(V+E) search.
   bool global_visited = false;
 
-  /// Whether this probe may fan out across workers when it has multiple
-  /// start vertexes (DFS and SPScan only: BFS never fans out per start,
-  /// see ParallelPathProbe). The planner clears it when the query's
-  /// *result* depends on the serial emission order:
-  ///  - DFS feeding a bare LIMIT/TOP k (no ORDER BY): which k paths
-  ///    survive depends on interleaving, so those stay serial;
-  ///  - global_visited: the shared visited set makes each start's witness
-  ///    path depend on what earlier starts visited.
-  /// SPScan is always parallel-safe: per-morsel streams are merged in
-  /// (cost, vertex-seq, edge-seq) order, which equals the serial order.
-  bool parallel_safe = true;
-
   /// Level-synchronous frontier kernel (BFS only): the scanner processes one
   /// whole depth level at a time — qualify/emit the level in order first
   /// (LIMIT-k early exit before any deeper expansion), then batch-expand it,
   /// morsel-parallel over the frontier when large enough. The merge applies
   /// visited claims in (candidate, neighbor) order, so results are identical
-  /// to the serial BFS engine at any worker count — which is why it may run
-  /// parallel even when parallel_safe is false (e.g. global_visited
-  /// reachability).
+  /// to the serial BFS engine at any worker count, global_visited
+  /// reachability and bare LIMIT included.
   bool frontier = false;
 
   std::string DebugString() const;

@@ -764,23 +764,6 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       }
     }
 
-    // Parallel-safety (morsel-driven multi-source fan-out, DFS and SPScan
-    // only — BFS never fans out per start): DFS streams results in
-    // interleave-dependent order, so any LIMIT/TOP — where *which* rows
-    // survive can depend on emission order (directly, through first-seen
-    // DISTINCT/group order, or through ORDER BY ties) — pins the probe to
-    // serial execution. Queries that consume the full stream are
-    // order-insensitive: the emitted multiset is identical for any
-    // interleaving. SPScan stays eligible even under TOP k: its parallel
-    // merge reproduces the serial (cost, path) total order exactly. The
-    // visited-once fast path shares one visited set across starts and never
-    // fans out.
-    if (spec.physical != TraversalSpec::Physical::kShortestPath &&
-        (stmt.limit >= 0 || stmt.top >= 0)) {
-      spec.parallel_safe = false;
-    }
-    if (spec.global_visited) spec.parallel_safe = false;
-
     // Frontier kernel (§6.3 extension): BFS with a frontier expected to
     // reach frontier_min_batch runs level-synchronously — whole levels are
     // qualified before expansion (LIMIT-k early exit) and expanded in

@@ -64,10 +64,11 @@ struct PlannerOptions {
   /// Destination for slow-query trace lines; empty means stderr.
   std::string slow_query_log_path;
 
-  /// Worker fan-out ceiling for morsel-driven parallel execution (parallel
-  /// multi-source PathScan, parallel Vertex/EdgeScan qualifier evaluation,
-  /// parallel graph-view construction). 1 reproduces the single-threaded
-  /// engine exactly; 0 means "use hardware_concurrency".
+  /// Worker fan-out ceiling for morsel-driven parallel execution (frontier
+  /// BFS level expansion, parallel Vertex/EdgeScan qualifier evaluation,
+  /// parallel graph-view construction). Path probes themselves run on one
+  /// thread, so results are identical at any setting; 1 reproduces the
+  /// single-threaded engine exactly; 0 means "use hardware_concurrency".
   size_t max_parallelism = 0;
 
   /// Inputs below this row count stay on the serial path even when
@@ -76,11 +77,11 @@ struct PlannerOptions {
   /// Governs per-row work: parallel scans and graph-view builds.
   size_t parallel_min_rows = 2048;
 
-  /// Multi-source path probes fan out only with at least this many distinct
-  /// start vertices (never fewer than 2). A separate, much lower threshold
-  /// than parallel_min_rows because each start seeds a whole traversal;
-  /// raising it arbitrarily high disables probe fan-out, like
-  /// max_parallelism = 1 does globally.
+  /// The frontier BFS kernel expands a level morsel-parallel only when it
+  /// holds at least this many candidates (never fewer than 2). A separate,
+  /// much lower threshold than parallel_min_rows because each candidate
+  /// expands a whole adjacency list; raising it arbitrarily high keeps level
+  /// expansion serial, like max_parallelism = 1 does globally.
   size_t parallel_min_starts = 8;
 
   /// Statement timeout in microseconds. Every statement gets a monotonic

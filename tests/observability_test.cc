@@ -148,22 +148,20 @@ TEST(TracerTest, SinkWritesTraceFile) {
 
 TEST(ExplainTraceTest, EmitsSessionOperatorAndWorkerSpans) {
   Database db;
-  BuildRingWithChords(db, 64);
+  BuildRingWithChords(db, 4096);
   Session session(db);
   ArmParallel(session);
 
-  // Multi-source probe: no start constraint, so every vertex seeds a
-  // traversal and the parallel path probe fans out across workers. The
-  // length bound keeps each morsel expensive enough that more than one pool
-  // thread wakes up and claims worker tasks; scheduling is still up to the
-  // OS, so retry a few times before declaring the parallelism assertion
+  // Filtered vertex scan: the qualifier is evaluated over id morsels on the
+  // task pool. 4,096 vertexes make 16 morsels, enough that more than one
+  // pool thread wakes up and claims worker tasks; scheduling is still up to
+  // the OS, so retry a few times before declaring the parallelism assertion
   // failed.
   std::string json;
   std::set<int> worker_tids;
   for (int attempt = 0; attempt < 5 && worker_tids.size() < 2; ++attempt) {
     auto r = session.Execute(
-        "EXPLAIN TRACE SELECT P.StartVertex.Id, P.PathString "
-        "FROM g.Paths P WHERE P.Length <= 7");
+        "EXPLAIN TRACE SELECT V.ID FROM g.Vertexes V WHERE V.ID >= 0");
     ASSERT_TRUE(r.ok()) << r.status().message();
     json = JoinRows(*r);
     worker_tids = TidsForCategory(json, "worker");
@@ -177,7 +175,7 @@ TEST(ExplainTraceTest, EmitsSessionOperatorAndWorkerSpans) {
   EXPECT_NE(json.find("\"cat\":\"operator\""), std::string::npos);
   EXPECT_NE(json.find("\"rows\":"), std::string::npos);
   // Parallel workers contributed spans from >= 2 distinct threads.
-  EXPECT_NE(json.find("probe.worker."), std::string::npos);
+  EXPECT_NE(json.find("scan.morsel."), std::string::npos);
   EXPECT_GE(worker_tids.size(), 2u)
       << "expected spans from >= 2 distinct worker threads:\n" << json;
 }

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "common/task_pool.h"
 #include "engine/database.h"
 #include "graphexec/path_scanner.h"
 
@@ -318,13 +319,14 @@ TEST_P(PathSemanticsTest, ReachabilityMatchesBfs) {
 
 // --- Parallel-executor ordering semantics -------------------------------
 //
-// Morsel-driven traversal must never change what a query means:
-//  * SPScan / TOP k keeps its exact serial emission sequence (the parallel
-//    k-way merge reproduces the (cost, vertexes, edges) total order);
-//  * DFS/BFS full enumerations keep the same multiset of paths;
-//  * LIMIT without ORDER BY is planned serial, so its prefix is stable.
+// Enabling parallelism must never change what a query returns, nor in what
+// order: path probes run on the serial scanner at any worker count, and the
+// frontier kernel's level merge reproduces the serial claim order. So DFS,
+// BFS and SPScan probes, with or without LIMIT/TOP, emit the exact serial
+// row sequence at max_parallelism 1 and 4.
 
 TEST_P(PathSemanticsTest, ParallelEnumerationMatchesSerialMultiset) {
+  // Exact sequence, which implies the multiset the name promises.
   const std::string sql =
       "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P "
       "WHERE P.Length <= 3";
@@ -334,9 +336,9 @@ TEST_P(PathSemanticsTest, ParallelEnumerationMatchesSerialMultiset) {
     session_.options().parallel_min_starts = 1;
     auto result = session_.Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::multiset<std::string> out;
+    std::vector<std::string> out;
     for (const auto& row : result->rows) {
-      out.insert(row[0].ToString() + "|" + row[1].AsVarchar());
+      out.push_back(row[0].ToString() + "|" + row[1].AsVarchar());
     }
     return out;
   };
@@ -354,8 +356,9 @@ TEST_P(PathSemanticsTest, ParallelEnumerationMatchesSerialMultiset) {
 }
 
 TEST_P(PathSemanticsTest, ParallelTopKShortestPathsKeepSerialOrder) {
-  // Single-start and multi-start (unbound) shortest-path scans: the parallel
-  // run must emit the exact serial sequence, row for row.
+  // Single-start and multi-start (unbound) shortest-path scans: the run at
+  // 4 workers must emit the exact serial sequence, row for row, and stop at
+  // the k-th path after the same traversal work (the last entry).
   const std::vector<std::string> queries = {
       "SELECT TOP 4 PS.Cost, PS.PathString FROM g.Paths PS "
       "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 0 "
@@ -372,6 +375,11 @@ TEST_P(PathSemanticsTest, ParallelTopKShortestPathsKeepSerialOrder) {
     for (const auto& row : result->rows) {
       out.push_back(row[0].ToString() + "|" + row[1].AsVarchar());
     }
+    const ExecStats& stats = session_.last_stats();
+    out.push_back(StrFormat(
+        "edges_examined=%llu paths_emitted=%llu",
+        static_cast<unsigned long long>(stats.edges_examined),
+        static_cast<unsigned long long>(stats.paths_emitted)));
     return out;
   };
   for (const std::string& sql : queries) {
@@ -387,8 +395,8 @@ TEST_P(PathSemanticsTest, ParallelTopKShortestPathsKeepSerialOrder) {
 }
 
 TEST_P(PathSemanticsTest, LimitWithoutOrderByIsStableUnderParallelism) {
-  // The planner marks DFS/BFS probes with LIMIT as not parallel-safe, so the
-  // emitted prefix must be byte-identical at any parallelism setting.
+  // Probes run on the serial scanner at any worker count, so the prefix a
+  // bare LIMIT keeps must be byte-identical at any parallelism setting.
   const std::string sql =
       "SELECT P.PathString FROM g.Paths P WHERE P.Length <= 2 LIMIT 5";
   auto run = [&](size_t parallelism) {
@@ -410,58 +418,38 @@ TEST_P(PathSemanticsTest, LimitWithoutOrderByIsStableUnderParallelism) {
   session_.options().parallel_min_starts = 8;
 }
 
-TEST_P(PathSemanticsTest, ExplainAnalyzeReportsParallelFanOut) {
-  session_.options().max_parallelism = 4;
-  session_.options().parallel_min_rows = 1;
-  session_.options().parallel_min_starts = 1;
-  auto result = session_.Execute(
-      "EXPLAIN ANALYZE SELECT P.StartVertex.Id, P.PathString "
-      "FROM g.Paths P HINT(DFS) WHERE P.Length <= 2");
-  session_.options().max_parallelism = 0;
-  session_.options().parallel_min_rows = 2048;
-  session_.options().parallel_min_starts = 8;
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  std::string plan;
-  for (const auto& row : result->rows) plan += row[0].AsVarchar() + "\n";
-  // The probe operator reports how many probes fanned out and the per-worker
-  // morsel/path/time breakdown.
-  EXPECT_NE(plan.find("parallel_probes="), std::string::npos) << plan;
-  EXPECT_NE(plan.find("workers=["), std::string::npos) << plan;
-  EXPECT_NE(plan.find("morsels="), std::string::npos) << plan;
-}
-
 TEST_P(PathSemanticsTest, ParallelMinStartsKnobDisablesProbeFanOut) {
-  // Probe eligibility is governed by parallel_min_starts directly (no hidden
-  // clamp): raising it above the start count keeps every probe on the serial
-  // scanner even though parallelism stays enabled for scans and builds.
-  auto plan_for = [&](size_t min_starts) {
+  // parallel_min_starts gates the frontier kernel's morsel-parallel level
+  // expansion directly (no hidden clamp): raising it above every level's
+  // size keeps the probe off the task pool even though parallelism stays
+  // enabled. No other operator of this query can submit pool tasks.
+  session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
+  session_.options().frontier_min_batch = 1;
+  auto tasks_for = [&](size_t min_starts) {
     session_.options().max_parallelism = 4;
     session_.options().parallel_min_rows = 1;
     session_.options().parallel_min_starts = min_starts;
+    const uint64_t before = TaskPool::Shared().stats().submitted;
     auto result = session_.Execute(
-        "EXPLAIN ANALYZE SELECT P.PathString FROM g.Paths P HINT(DFS) "
-        "WHERE P.Length <= 2");
-    session_.options().max_parallelism = 0;
-    session_.options().parallel_min_rows = 2048;
-    session_.options().parallel_min_starts = 8;
+        "SELECT P.PathString FROM g.Paths P WHERE P.Length <= 2");
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::string plan;
-    if (result.ok()) {
-      for (const auto& row : result->rows) plan += row[0].AsVarchar() + "\n";
-    }
-    return plan;
+    return TaskPool::Shared().stats().submitted - before;
   };
-  EXPECT_EQ(plan_for(1 << 20).find("parallel_probes="), std::string::npos);
-  EXPECT_NE(plan_for(1).find("parallel_probes="), std::string::npos);
+  EXPECT_EQ(tasks_for(1 << 20), 0u) << "seed=" << GetParam().seed;
+  EXPECT_GT(tasks_for(1), 0u) << "seed=" << GetParam().seed;
+  session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
+  session_.options().frontier_min_batch = 32;
+  session_.options().max_parallelism = 0;
+  session_.options().parallel_min_rows = 2048;
+  session_.options().parallel_min_starts = 8;
 }
 
 TEST_P(PathSemanticsTest, TinyMemoryCapFallsBackToSerialUnderParallelism) {
-  // Parallel scans materialize passing rows and parallel SPScan buffers
-  // per-morsel runs — both charge against the query's remaining budget as
-  // they build. A cap too small for those buffers must not fail a query that
-  // streams fine serially: the fan-out aborts with ResourceExhausted during
-  // the build (never after allocating past the cap) and execution falls back
-  // to the serial path.
+  // Parallel scans materialize passing rows, charging the query's remaining
+  // budget as they build. A cap too small for that buffer must not fail a
+  // query that streams fine serially: the fan-out aborts with
+  // ResourceExhausted during the build (never after allocating past the cap)
+  // and execution falls back to the serial path.
   const std::string scan_sql = "SELECT V.ID FROM g.Vertexes V WHERE V.ID >= 0";
   const std::string sp_sql =
       "SELECT TOP 4 PS.Cost, PS.PathString FROM g.Paths PS "
@@ -496,11 +484,9 @@ TEST_P(PathSemanticsTest, TinyMemoryCapFallsBackToSerialUnderParallelism) {
   ASSERT_TRUE(tiny_scan.ok()) << tiny_scan.status().ToString();
   EXPECT_EQ(*serial_scan, *tiny_scan) << "seed=" << GetParam().seed;
 
-  // Probe shape: serial SPScan enforces the cap on its own frontier, so only
-  // caps the serial run survives are in scope. At every such cap the
-  // parallel run — whose per-morsel run buffers can need strictly more — must
-  // also succeed (via serial fallback when the fan-out does not fit) and
-  // emit identical rows.
+  // Probe shape: SPScan enforces the cap on its own arena, so only caps the
+  // serial run survives are in scope. At every such cap the run with
+  // parallelism enabled must also succeed and emit identical rows.
   for (size_t cap : {size_t{512}, size_t{2048}, size_t{8192},
                      QueryContext::kDefaultMemoryCap}) {
     auto serial = run(sp_sql, 1, cap);
@@ -517,15 +503,11 @@ TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
   // The level-synchronous frontier kernel must reproduce the per-path BFS
   // engine's emission order exactly (not just the multiset): both process
   // whole depth levels in FIFO order. Compare ordered row sequences with the
-  // kernel forced on (frontier_min_batch = 1) vs forced off. The per-path
-  // side runs with probe fan-out enabled, so every host exercises the same
-  // code: multi-source BFS must stay serial there.
+  // kernel forced on (frontier_min_batch = 1) vs forced off.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
   auto run = [&](bool frontier, const std::string& sql) {
     session_.options().enable_frontier_bfs = frontier;
     session_.options().frontier_min_batch = 1;
-    session_.options().max_parallelism = frontier ? 0 : 4;
-    session_.options().parallel_min_starts = frontier ? 8 : 1;
     auto result = session_.Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> out;
@@ -555,15 +537,12 @@ TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
   session_.options().enable_frontier_bfs = true;
   session_.options().frontier_min_batch = 32;
-  session_.options().max_parallelism = 0;
-  session_.options().parallel_min_starts = 8;
 }
 
 TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {
-  // Unlike the per-path fan-out (which the planner must disable for LIMIT
-  // and visited-once plans), the frontier kernel's deterministic level merge
-  // makes results byte-identical at any worker count — including the
-  // reachability fast path and bare-LIMIT queries.
+  // The frontier kernel's deterministic level merge makes results
+  // byte-identical at any worker count — including the reachability fast
+  // path and bare-LIMIT queries.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
   session_.options().frontier_min_batch = 1;
   auto run = [&](size_t parallelism, const std::string& sql) {

@@ -244,12 +244,17 @@ class CancellationEngineTest : public ::testing::Test {
 
   void TearDown() override { FailpointRegistry::Global().DisarmAll(); }
 
-  /// Plans the unbounded enumeration and drives the Volcano loop with an
+  /// Plans a combinatorial enumeration and drives the Volcano loop with an
   /// explicit QueryContext, so the test can assert the byte ledger is empty
-  /// after Close() unwinds a deadline mid-traversal.
-  void RunUnboundedWithDeadline(bool parallel) {
+  /// after Close() unwinds a deadline mid-traversal. The parallel variant
+  /// runs the frontier BFS kernel, whose level expansion is the
+  /// morsel-parallel part of path enumeration; its length bound keeps the
+  /// materialized levels far below the memory cap.
+  void RunEnumerationWithDeadline(bool parallel) {
     auto stmt = Parser::ParseSingle(
-        "SELECT P.PathString FROM g.Paths P");
+        parallel ? "SELECT P.PathString FROM g.Paths P HINT(BFS) "
+                   "WHERE P.Length <= 5"
+                 : "SELECT P.PathString FROM g.Paths P");
     ASSERT_TRUE(stmt.ok());
     const SelectStmt& select = std::get<SelectStmt>(*stmt);
     PlannerOptions options = session_.options();
@@ -257,6 +262,7 @@ class CancellationEngineTest : public ::testing::Test {
       options.max_parallelism = 4;
       options.parallel_min_rows = 1;
       options.parallel_min_starts = 2;
+      options.frontier_min_batch = 1;
     }
     Planner planner(&db_.catalog(), options);
     auto planned = planner.PlanSelect(select);
@@ -272,6 +278,7 @@ class CancellationEngineTest : public ::testing::Test {
     CancellationToken token;
     token.SetTimeoutUs(20'000);  // 20ms against a combinatorial traversal.
     ctx.set_cancellation(&token);
+    const uint64_t tasks_before = TaskPool::Shared().stats().submitted;
 
     auto t0 = std::chrono::steady_clock::now();
     Status status = planned->root->Open(&ctx);
@@ -296,6 +303,10 @@ class CancellationEngineTest : public ::testing::Test {
     // Leak-freedom: unwinding released every charged byte.
     EXPECT_EQ(ctx.current_bytes(), 0u);
     EXPECT_GT(ctx.peak_bytes(), 0u);
+    if (parallel) {
+      EXPECT_GT(TaskPool::Shared().stats().submitted, tasks_before)
+          << "level expansion never reached the task pool";
+    }
   }
 
   Database db_;
@@ -303,11 +314,11 @@ class CancellationEngineTest : public ::testing::Test {
 };
 
 TEST_F(CancellationEngineTest, SerialDeadlineUnwindsLeakFree) {
-  RunUnboundedWithDeadline(/*parallel=*/false);
+  RunEnumerationWithDeadline(/*parallel=*/false);
 }
 
 TEST_F(CancellationEngineTest, ParallelDeadlineUnwindsLeakFree) {
-  RunUnboundedWithDeadline(/*parallel=*/true);
+  RunEnumerationWithDeadline(/*parallel=*/true);
 }
 
 TEST_F(CancellationEngineTest, StatementTimeoutReturnsDeadlineExceeded) {

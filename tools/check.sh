@@ -5,8 +5,8 @@
 #   build-tsan/     Debug + ThreadSanitizer (task pool + parallel executor)
 #
 # The sanitize and tsan configurations additionally re-run the graph
-# differential suite (serial vs. morsel-parallel vs. brute-force reference,
-# SHORTESTPATH as exact row sequences) with the SPScan invariant tests
+# differential suite (1 worker vs. 4 workers as exact row sequences, both
+# against a brute-force reference) with the SPScan invariant tests
 # and the fault-injection fuzz (random failpoints + random cancellation
 # against the robustness invariants) twice: once with built-in fixed seeds
 # and once with a fresh random seed exported through GRF_FUZZ_SEED, so every
@@ -32,7 +32,7 @@ run_config() {
 run_graph_diff() {
   local dir="$1"
   ctest --test-dir "$dir" --output-on-failure \
-    -R 'GraphDiff|Frontier|ParallelEnum|ParallelTopK|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch|ActiveQueries|StatementStats|ExplainTrace|EngineMetrics|PathSemantics|SpScan'
+    -R 'GraphDiff|Frontier|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch|ActiveQueries|StatementStats|ExplainTrace|EngineMetrics|PathSemantics|SpScan'
   local seed="${GRF_FUZZ_SEED:-$RANDOM$RANDOM}"
   echo "== graph differential + fault-injection suites, random seed ${seed} =="
   GRF_FUZZ_SEED="$seed" ctest --test-dir "$dir" --output-on-failure \
