@@ -1,6 +1,7 @@
 #include "common/value.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -95,22 +96,24 @@ size_t Value::Hash() const {
     case ValueType::kBigInt:
       h = std::hash<int64_t>{}(AsBigInt());
       break;
-    case ValueType::kDouble:
-      h = std::hash<double>{}(AsDouble());
+    case ValueType::kDouble: {
+      // Numeric types hash the same when they compare equal, so a hash join
+      // on a BIGINT/DOUBLE mix still works: integral doubles (-0.0 too) hash
+      // as int64. Every NaN hashes alike, as KeyEquals groups them.
+      const double d = AsDouble();
+      if (std::isnan(d)) {
+        h = 0x7ff8000000000000ULL;
+      } else if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+        h = std::hash<int64_t>{}(static_cast<int64_t>(d));
+        seed = static_cast<size_t>(ValueType::kBigInt);
+      } else {
+        h = std::hash<double>{}(d);
+      }
       break;
+    }
     case ValueType::kVarchar:
       h = std::hash<std::string>{}(AsVarchar());
       break;
-  }
-  // Numeric types hash the same when they compare equal, so a hash join on a
-  // BIGINT/DOUBLE mix still works: hash integral doubles as int64.
-  if (type_ == ValueType::kDouble) {
-    double d = AsDouble();
-    int64_t as_int = static_cast<int64_t>(d);
-    if (static_cast<double>(as_int) == d) {
-      h = std::hash<int64_t>{}(as_int);
-      seed = static_cast<size_t>(ValueType::kBigInt);
-    }
   }
   return h ^ (seed + 0x9e3779b9 + (h << 6) + (h >> 2));
 }
@@ -189,6 +192,18 @@ std::string Value::ToString() const {
       return AsVarchar();
   }
   return "?";
+}
+
+bool KeyEquals(const std::vector<Value>& a, const std::vector<Value>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const bool both_nan = a[i].type() == ValueType::kDouble &&
+                          b[i].type() == ValueType::kDouble &&
+                          std::isnan(a[i].AsDouble()) &&
+                          std::isnan(b[i].AsDouble());
+    if (!both_nan && !(a[i] == b[i])) return false;
+  }
+  return true;
 }
 
 size_t HashValues(const std::vector<Value>& values) {

@@ -88,8 +88,8 @@ class Value {
     return type_ == other.type_ && data_ == other.data_;
   }
 
-  /// Hash compatible with operator== (structural). Used by hash joins,
-  /// group-by, and hash indexes.
+  /// Hash compatible with operator== (structural) and KeyEquals. Used by
+  /// hash joins, group-by, and hash indexes.
   size_t Hash() const;
 
   /// Coerces this value to `target` if a lossless/standard SQL cast exists
@@ -109,8 +109,27 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
-/// Hash/equality over a vector of values (composite keys).
+/// Hash over a vector of values (composite keys), consistent with KeyEquals.
 size_t HashValues(const std::vector<Value>& values);
+
+/// Key equality for GROUP BY, DISTINCT and hash-join buckets: structural
+/// (types must match, NULL equals NULL, -0.0 equals 0.0), except that NaN
+/// equals NaN, so every SQL-equal value lands in one group.
+bool KeyEquals(const std::vector<Value>& a, const std::vector<Value>& b);
+
+/// Hash and equality functors for unordered containers keyed by a
+/// std::vector<Value>.
+struct ValuesHash {
+  size_t operator()(const std::vector<Value>& v) const {
+    return HashValues(v);
+  }
+};
+struct ValuesEqual {
+  bool operator()(const std::vector<Value>& a,
+                  const std::vector<Value>& b) const {
+    return KeyEquals(a, b);
+  }
+};
 
 }  // namespace grfusion
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/filter_ops.h"
-
 namespace grfusion {
 
 // --- AggregateOp ------------------------------------------------------------------
@@ -42,28 +40,38 @@ Status AggregateOp::Accumulate(Group* group, const ExecRow& row) {
       ++state.count;
       continue;
     }
+    if (spec.func == AggFunc::kCount) {
+      GRF_ASSIGN_OR_RETURN(bool counted, spec.arg->EvalIsNotNull(row));
+      if (counted) ++state.count;
+      continue;
+    }
     GRF_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(row));
     if (v.is_null()) continue;  // Aggregates skip NULLs.
     ++state.count;
-    if (spec.func == AggFunc::kCount) continue;
-    if (v.type() != ValueType::kBigInt && v.type() != ValueType::kDouble &&
-        spec.func != AggFunc::kMin && spec.func != AggFunc::kMax) {
-      return Status::InvalidArgument("cannot " +
-                                     std::string(AggFuncToString(spec.func)) +
-                                     " non-numeric value " + v.ToString());
-    }
-    if (v.type() == ValueType::kDouble) state.integral = false;
-    if (v.type() == ValueType::kBigInt || v.type() == ValueType::kDouble) {
-      state.sum += v.AsNumeric();
-    }
-    if (state.min.is_null()) {
-      state.min = v;
-      state.max = v;
-    } else {
-      GRF_ASSIGN_OR_RETURN(int cmp_min, v.Compare(state.min));
-      if (cmp_min < 0) state.min = v;
-      GRF_ASSIGN_OR_RETURN(int cmp_max, v.Compare(state.max));
-      if (cmp_max > 0) state.max = v;
+    switch (spec.func) {
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        Value& best = spec.func == AggFunc::kMin ? state.min : state.max;
+        if (best.is_null()) {
+          best = std::move(v);
+          break;
+        }
+        GRF_ASSIGN_OR_RETURN(int cmp, v.Compare(best));
+        if (spec.func == AggFunc::kMin ? cmp < 0 : cmp > 0) {
+          best = std::move(v);
+        }
+        break;
+      }
+      default:  // SUM, AVG.
+        if (v.type() != ValueType::kBigInt &&
+            v.type() != ValueType::kDouble) {
+          return Status::InvalidArgument(
+              "cannot " + std::string(AggFuncToString(spec.func)) +
+              " non-numeric value " + v.ToString());
+        }
+        if (v.type() == ValueType::kDouble) state.integral = false;
+        state.sum += v.AsNumeric();
+        break;
     }
   }
   return Status::OK();
@@ -89,6 +97,29 @@ StatusOr<Value> AggregateOp::Finalize(const AggregateSpec& spec,
   return Status::Internal("bad aggregate function");
 }
 
+StatusOr<size_t> AggregateOp::GroupFor(const ExecRow& row) {
+  // A scalar aggregate has one group and no key.
+  if (group_by_.empty() && !groups_.empty()) return 0;
+  key_.resize(group_by_.size());
+  for (size_t i = 0; i < group_by_.size(); ++i) {
+    GRF_ASSIGN_OR_RETURN(key_[i], group_by_[i]->Eval(row));
+  }
+  if (!group_by_.empty()) {
+    auto it = group_index_.find(key_);
+    if (it != group_index_.end()) return it->second;
+  }
+  Group group;
+  group.keys = key_;
+  group.states.resize(aggs_.size());
+  size_t bytes = 64 + group.keys.size() * sizeof(Value) +
+                 group.states.size() * sizeof(AggState);
+  charged_ += bytes;
+  GRF_RETURN_IF_ERROR(ctx_->ChargeBytes(bytes));
+  if (!group_by_.empty()) group_index_.emplace(key_, groups_.size());
+  groups_.push_back(std::move(group));
+  return groups_.size() - 1;
+}
+
 Status AggregateOp::OpenImpl(QueryContext* ctx) {
   ctx_ = ctx;
   groups_.clear();
@@ -107,31 +138,12 @@ Status AggregateOp::OpenImpl(QueryContext* ctx) {
       break;
     }
     if (!*has) break;
-    std::vector<Value> keys;
-    keys.reserve(group_by_.size());
-    for (const ExprPtr& expr : group_by_) {
-      auto v = expr->Eval(row);
-      if (!v.ok()) {
-        result = v.status();
-        break;
-      }
-      keys.push_back(std::move(v).value());
+    auto group = GroupFor(row);
+    if (!group.ok()) {
+      result = group.status();
+      break;
     }
-    if (!result.ok()) break;
-    std::string key = RowKey(keys);
-    auto [it, inserted] = group_index_.emplace(std::move(key), groups_.size());
-    if (inserted) {
-      Group group;
-      group.keys = std::move(keys);
-      group.states.resize(aggs_.size());
-      size_t bytes = 64 + group.keys.size() * sizeof(Value) +
-                     group.states.size() * sizeof(AggState);
-      charged_ += bytes;
-      result = ctx->ChargeBytes(bytes);
-      if (!result.ok()) break;
-      groups_.push_back(std::move(group));
-    }
-    result = Accumulate(&groups_[it->second], row);
+    result = Accumulate(&groups_[*group], row);
     if (!result.ok()) break;
   }
   child_->Close();

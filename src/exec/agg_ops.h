@@ -52,6 +52,11 @@ class AggregateOp : public PhysicalOperator {
     std::vector<AggState> states;
   };
 
+  /// The index in groups_ of `row`'s group, created (and charged) on first
+  /// use.
+  StatusOr<size_t> GroupFor(const ExecRow& row);
+  /// Updates each aggregate's state from `row`, touching only the state its
+  /// function reads.
   Status Accumulate(Group* group, const ExecRow& row);
   StatusOr<Value> Finalize(const AggregateSpec& spec,
                            const AggState& state) const;
@@ -63,7 +68,9 @@ class AggregateOp : public PhysicalOperator {
 
   QueryContext* ctx_ = nullptr;
   std::vector<Group> groups_;
-  std::unordered_map<std::string, size_t> group_index_;
+  std::unordered_map<std::vector<Value>, size_t, ValuesHash, ValuesEqual>
+      group_index_;
+  std::vector<Value> key_;  ///< The current row's group key, reused.
   size_t charged_ = 0;
   size_t cursor_ = 0;
   bool materialized_ = false;

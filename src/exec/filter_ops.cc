@@ -2,18 +2,6 @@
 
 namespace grfusion {
 
-std::string RowKey(const std::vector<Value>& values) {
-  std::string key;
-  for (const Value& v : values) {
-    key += static_cast<char>('0' + static_cast<int>(v.type()));
-    std::string s = v.ToString();
-    key += std::to_string(s.size());
-    key += ':';
-    key += s;
-  }
-  return key;
-}
-
 // --- FilterOp ------------------------------------------------------------------
 
 StatusOr<bool> FilterOp::NextImpl(ExecRow* out) {
@@ -90,13 +78,15 @@ StatusOr<bool> DistinctOp::NextImpl(ExecRow* out) {
   while (true) {
     GRF_ASSIGN_OR_RETURN(bool has, child_->Next(out));
     if (!has) return false;
-    std::string key = RowKey(out->columns);
-    size_t key_bytes = key.size() + 32;
-    if (seen_.insert(std::move(key)).second) {
-      charged_ += key_bytes;
-      GRF_RETURN_IF_ERROR(ctx_->ChargeBytes(key_bytes));
-      return true;
+    if (seen_.find(out->columns) != seen_.end()) continue;
+    size_t key_bytes = 32 + out->columns.size() * sizeof(Value);
+    for (const Value& v : out->columns) {
+      if (v.type() == ValueType::kVarchar) key_bytes += v.AsVarchar().size();
     }
+    seen_.insert(out->columns);
+    charged_ += key_bytes;
+    GRF_RETURN_IF_ERROR(ctx_->ChargeBytes(key_bytes));
+    return true;
   }
 }
 

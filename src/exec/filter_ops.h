@@ -124,13 +124,9 @@ class DistinctOp : public PhysicalOperator {
  private:
   OperatorPtr child_;
   QueryContext* ctx_ = nullptr;
-  std::unordered_set<std::string> seen_;
+  std::unordered_set<std::vector<Value>, ValuesHash, ValuesEqual> seen_;
   size_t charged_ = 0;
 };
-
-/// Serializes a row's column values into a collision-free key (types and
-/// lengths are tagged). Shared by Distinct, hash joins, and group-by.
-std::string RowKey(const std::vector<Value>& values);
 
 }  // namespace grfusion
 

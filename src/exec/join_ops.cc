@@ -1,7 +1,5 @@
 #include "exec/join_ops.h"
 
-#include "exec/filter_ops.h"
-
 namespace grfusion {
 
 ExecRow MergeRows(const ExecRow& left, const ExecRow& right,
@@ -28,21 +26,21 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
       residual_(std::move(residual)), right_offset_(right_offset),
       right_width_(right_width) {}
 
-StatusOr<std::string> HashJoinOp::KeyFor(const std::vector<ExprPtr>& exprs,
-                                         const ExecRow& row) const {
-  std::vector<Value> keys;
-  keys.reserve(exprs.size());
-  for (const ExprPtr& expr : exprs) {
-    GRF_ASSIGN_OR_RETURN(Value v, expr->Eval(row));
-    if (v.is_null()) return std::string();  // NULL never joins.
+StatusOr<bool> HashJoinOp::KeyFor(const std::vector<ExprPtr>& exprs,
+                                  const ExecRow& row,
+                                  std::vector<Value>* key) const {
+  key->resize(exprs.size());
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    GRF_ASSIGN_OR_RETURN(Value v, exprs[i]->Eval(row));
+    if (v.is_null()) return false;  // NULL never joins.
     // Normalize numerics so BIGINT 3 and DOUBLE 3.0 meet in one bucket.
     if (v.type() == ValueType::kBigInt) {
-      keys.push_back(Value::Double(static_cast<double>(v.AsBigInt())));
+      (*key)[i] = Value::Double(static_cast<double>(v.AsBigInt()));
     } else {
-      keys.push_back(std::move(v));
+      (*key)[i] = std::move(v);
     }
   }
-  return RowKey(keys);
+  return true;
 }
 
 Status HashJoinOp::OpenImpl(QueryContext* ctx) {
@@ -61,20 +59,20 @@ Status HashJoinOp::OpenImpl(QueryContext* ctx) {
       return has.status();
     }
     if (!*has) break;
-    auto key = KeyFor(left_keys_, row);
-    if (!key.ok()) {
+    auto keyed = KeyFor(left_keys_, row, &key_);
+    if (!keyed.ok()) {
       left_->Close();
-      return key.status();
+      return keyed.status();
     }
-    if (key->empty()) continue;  // NULL key: drops out of an inner join.
-    size_t bytes = row.ByteSize() + key->size();
+    if (!*keyed) continue;  // NULL key: drops out of an inner join.
+    size_t bytes = row.ByteSize() + key_.size() * sizeof(Value);
     charged_ += bytes;
     Status charge = ctx->ChargeBytes(bytes);
     if (!charge.ok()) {
       left_->Close();
       return charge;
     }
-    build_[*std::move(key)].push_back(std::move(row));
+    build_[key_].push_back(std::move(row));
   }
   left_->Close();
   return right_->Open(ctx);
@@ -96,9 +94,9 @@ StatusOr<bool> HashJoinOp::NextImpl(ExecRow* out) {
     bucket_ = nullptr;
     GRF_ASSIGN_OR_RETURN(bool has, right_->Next(&probe_row_));
     if (!has) return false;
-    GRF_ASSIGN_OR_RETURN(std::string key, KeyFor(right_keys_, probe_row_));
-    if (key.empty()) continue;
-    auto it = build_.find(key);
+    GRF_ASSIGN_OR_RETURN(bool keyed, KeyFor(right_keys_, probe_row_, &key_));
+    if (!keyed) continue;
+    auto it = build_.find(key_);
     if (it == build_.end()) continue;
     bucket_ = &it->second;
     bucket_pos_ = 0;

@@ -38,8 +38,10 @@ class HashJoinOp : public PhysicalOperator {
   void CloseImpl() override;
 
  private:
-  StatusOr<std::string> KeyFor(const std::vector<ExprPtr>& exprs,
-                               const ExecRow& row) const;
+  /// Evaluates `exprs` over `row` into `key`; false when a key is NULL,
+  /// which never joins.
+  StatusOr<bool> KeyFor(const std::vector<ExprPtr>& exprs, const ExecRow& row,
+                        std::vector<Value>* key) const;
 
   OperatorPtr left_;
   OperatorPtr right_;
@@ -50,7 +52,10 @@ class HashJoinOp : public PhysicalOperator {
   size_t right_width_;
 
   QueryContext* ctx_ = nullptr;
-  std::unordered_map<std::string, std::vector<ExecRow>> build_;
+  std::unordered_map<std::vector<Value>, std::vector<ExecRow>, ValuesHash,
+                     ValuesEqual>
+      build_;
+  std::vector<Value> key_;  ///< The current row's join key, reused.
   size_t charged_ = 0;
   ExecRow probe_row_;
   const std::vector<ExecRow>* bucket_ = nullptr;

@@ -318,6 +318,11 @@ StatusOr<Value> PathPropertyExpr::Eval(const ExecRow& row) const {
   return Status::Internal("bad path property");
 }
 
+StatusOr<bool> PathPropertyExpr::EvalIsNotNull(const ExecRow& row) const {
+  GRF_RETURN_IF_ERROR(PathAt(row, slot_).status());
+  return true;
+}
+
 StatusOr<Value> PathEndpointAttrExpr::Eval(const ExecRow& row) const {
   GRF_ASSIGN_OR_RETURN(const PathData* path, PathAt(row, slot_));
   size_t index = start_ ? 0 : path->vertexes.size() - 1;

@@ -40,6 +40,14 @@ class Expression {
   /// as a NULL Value.
   virtual StatusOr<Value> Eval(const ExecRow& row) const = 0;
 
+  /// Whether Eval(row) is non-NULL, with Eval's error statuses. Overridden
+  /// where the answer is cheaper than the value: COUNT over a bare path
+  /// alias must not format the path.
+  virtual StatusOr<bool> EvalIsNotNull(const ExecRow& row) const {
+    GRF_ASSIGN_OR_RETURN(Value v, Eval(row));
+    return !v.is_null();
+  }
+
   /// Static result type (kNull when unknown/polymorphic).
   virtual ValueType result_type() const = 0;
 
@@ -319,6 +327,8 @@ class PathPropertyExpr : public Expression {
   PathPropertyExpr(size_t slot, PathProperty property, std::string name)
       : slot_(slot), property_(property), name_(std::move(name)) {}
   StatusOr<Value> Eval(const ExecRow& row) const override;
+  /// Every property of a populated path slot is non-NULL.
+  StatusOr<bool> EvalIsNotNull(const ExecRow& row) const override;
   ValueType result_type() const override {
     return property_ == PathProperty::kPathString ? ValueType::kVarchar
            : property_ == PathProperty::kCost     ? ValueType::kDouble

@@ -399,16 +399,21 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
 StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
   while (true) {
     if (outer_valid_) {
+      // Drop the caller's hold on the previous path first, so a scanner that
+      // recycles its emitted PathData can refill it in place.
+      if (out->paths.size() > spec_->path_slot) {
+        out->paths[spec_->path_slot].reset();
+      }
       PathPtr path;
       GRF_ASSIGN_OR_RETURN(bool has, scanner_->Next(&path));
       if (has) {
-        ExecRow row = outer_row_;
-        if (row.paths.size() <= spec_->path_slot) {
-          row.paths.resize(spec_->path_slot + 1);
+        // Copy-assignment reuses the caller's row buffers.
+        *out = outer_row_;
+        if (out->paths.size() <= spec_->path_slot) {
+          out->paths.resize(spec_->path_slot + 1);
         }
-        row.paths[spec_->path_slot] = std::move(path);
+        out->paths[spec_->path_slot] = std::move(path);
         ++ctx_->stats().rows_joined;
-        *out = std::move(row);
         return true;
       }
       outer_valid_ = false;

@@ -101,7 +101,9 @@ class EdgeScanOp : public PhysicalOperator {
 /// The cross-data-model join of paper Fig. 6: each row of the relational
 /// outer child probes the PathScan — the outer row's start/end bindings are
 /// evaluated, the traversal is re-armed, and each lazily produced path is
-/// attached to a copy of the outer row at the path's slot.
+/// attached to a copy of the outer row at the path's slot. The copy is
+/// assigned into the caller's row, whose path slot is released before each
+/// pull, so a pipeline that reuses its row allocates no row per path.
 ///
 /// With no relational FROM items the planner supplies a SingleRowOp outer,
 /// making this the plain PathScan of a pure graph query.

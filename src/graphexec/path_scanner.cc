@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "graphexec/dfs_scanner.h"
 #include "graphexec/frontier_scanner.h"
 #include "graphexec/shortest_path_scanner.h"
 
@@ -50,6 +51,9 @@ std::unique_ptr<PathScanner> MakePathScanner(
     std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx) {
   if (spec->physical == TraversalSpec::Physical::kShortestPath) {
     return std::make_unique<ShortestPathScanner>(std::move(spec), ctx);
+  }
+  if (spec->physical == TraversalSpec::Physical::kDfs) {
+    return std::make_unique<DfsScanner>(std::move(spec), ctx);
   }
   if (spec->frontier) {
     return std::make_unique<FrontierScanner>(std::move(spec), ctx);
@@ -118,13 +122,8 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
 
 bool PathScanner::PopCandidate(Candidate* out) {
   if (frontier_.empty()) return false;
-  if (spec_->physical == TraversalSpec::Physical::kBfs) {
-    *out = std::move(frontier_.front());
-    frontier_.pop_front();
-  } else {  // DFS.
-    *out = std::move(frontier_.back());
-    frontier_.pop_back();
-  }
+  *out = std::move(frontier_.front());
+  frontier_.pop_front();
   Uncharge(CandidateBytes(out->path));
   return true;
 }

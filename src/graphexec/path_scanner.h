@@ -21,11 +21,13 @@ namespace grfusion {
 ///
 /// The scanner is re-armed per probe row via Reset() — this is how an outer
 /// relational join tuple "probes" the traversal (paper Fig. 6). Between
-/// Reset() calls it holds the traversal frontier (DFS stack / BFS queue) and
-/// yields one qualifying path per Next().
+/// Reset() calls it holds the traversal frontier and yields one qualifying
+/// path per Next(). This class itself is the per-path BFS engine: a FIFO
+/// queue of Candidates, each a copied prefix.
 ///
-/// Two engines derive from this one and share its per-edge admission
-/// pipeline (ExpandCore): FrontierScanner runs BFS level-synchronously over
+/// Three engines derive from this one and share its per-edge admission
+/// pipeline (ExpandCore): DfsScanner runs DFScan over a one-hop stack and a
+/// single path buffer, FrontierScanner runs BFS level-synchronously over
 /// whole frontiers, and ShortestPathScanner runs SPScan over a
 /// prefix-sharing path arena. The virtual surface is exactly the
 /// operator-facing triple Reset/Next/Release; MakePathScanner picks the
@@ -125,8 +127,7 @@ class PathScanner {
     return Status::OK();
   }
 
-  /// Pops the next candidate in physical-operator order (DFS stack / BFS
-  /// queue).
+  /// Pops the next candidate in BFS queue order.
   bool PopCandidate(Candidate* out);
   void PushCandidate(Candidate candidate);
 
@@ -293,13 +294,14 @@ class PathScanner {
   std::optional<VertexId> target_;
   std::vector<double> sum_bound_values_;  ///< Bounds evaluated per probe.
 
-  std::deque<Candidate> frontier_;  ///< DFS stack (back) / BFS queue (front).
+  std::deque<Candidate> frontier_;  ///< BFS queue.
   std::unordered_set<VertexId> visited_;      ///< global_visited mode.
   size_t charged_ = 0;  ///< Bytes currently charged for the frontier.
 };
 
-/// The engine for `spec`: ShortestPathScanner for SPScan, FrontierScanner
-/// for the level-synchronous BFS kernel, PathScanner for DFS / per-path BFS.
+/// The engine for `spec`: ShortestPathScanner for SPScan, DfsScanner for
+/// DFScan, FrontierScanner for the level-synchronous BFS kernel, PathScanner
+/// for per-path BFS.
 std::unique_ptr<PathScanner> MakePathScanner(
     std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx);
 

@@ -65,7 +65,7 @@ class CrossValidationTest : public ::testing::Test {
     return result->rows[0][0].AsNumeric();
   }
 
-  Database db_;
+  Database db_{TestOptions()};
   SqlGraph sqlgraph_;
   Grail grail_;
   std::unique_ptr<PropertyGraphStore> neo_;
@@ -220,7 +220,7 @@ TEST(DatasetTest, GeneratorsAreDeterministic) {
 
 TEST(DatasetTest, AllDatasetsLoad) {
   for (const Dataset& dataset : MakeAllDatasets(0.002, 11)) {
-    Database db;
+    Database db(TestOptions());
     ASSERT_TRUE(LoadIntoDatabase(dataset, &db).ok()) << dataset.name;
     const GraphView* gv = db.catalog().FindGraphView(dataset.name);
     ASSERT_NE(gv, nullptr);

@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "engine/database.h"
+#include "sql_test_util.h"
 
 namespace grfusion {
 namespace {
@@ -47,7 +49,7 @@ class ExecutorTest : public ::testing::Test {
     return plan;
   }
 
-  Database db_;
+  Database db_{TestOptions()};
   Session session_{db_};
 };
 
@@ -140,6 +142,58 @@ TEST_F(ExecutorTest, DistinctAndLimit) {
   r = Must("SELECT DISTINCT dept FROM emp ORDER BY dept LIMIT 2");
   ASSERT_EQ(r.NumRows(), 2u);
   EXPECT_EQ(r.rows[0][0].AsVarchar(), "eng");
+}
+
+TEST_F(ExecutorTest, TypedKeysKeepNearbyValuesApart) {
+  // Join, group and distinct keys compare typed values, not their display
+  // strings: %g keeps 6 significant digits, so a string key merged values
+  // that differ in the 7th.
+  ASSERT_TRUE(session_.ExecuteScript(R"sql(
+    CREATE TABLE ka (id BIGINT);
+    CREATE TABLE kb (aid BIGINT);
+    CREATE TABLE kd (x DOUBLE);
+    CREATE TABLE kf (y DOUBLE);
+    INSERT INTO ka VALUES (1234567), (1234568), (3);
+    INSERT INTO kb VALUES (1234567);
+    INSERT INTO kd VALUES (1.0000001), (1.0000002);
+    INSERT INTO kf VALUES (3.0);
+  )sql")
+                  .ok());
+  ASSERT_NE(MustPlan("SELECT a.id FROM ka a, kb b WHERE a.id = b.aid")
+                .find("HashJoin"),
+            std::string::npos);
+  ResultSet r = Must("SELECT a.id FROM ka a, kb b WHERE a.id = b.aid");
+  EXPECT_EQ(r.NumRows(), 1u);
+  for (const auto& row : r.rows) EXPECT_EQ(row[0].AsBigInt(), 1234567);
+
+  r = Must("SELECT x, COUNT(*) FROM kd GROUP BY x");
+  EXPECT_EQ(r.NumRows(), 2u);
+  r = Must("SELECT DISTINCT x FROM kd");
+  EXPECT_EQ(r.NumRows(), 2u);
+
+  // A BIGINT key still meets an equal DOUBLE key.
+  r = Must("SELECT a.id FROM ka a, kf f WHERE a.id = f.y");
+  ASSERT_EQ(r.NumRows(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsBigInt(), 3);
+}
+
+TEST_F(ExecutorTest, SqlEqualKeysShareOneGroup) {
+  // -0.0 equals 0.0, and GROUP BY / DISTINCT put NULLs together and NaNs
+  // together.
+  ASSERT_TRUE(session_.ExecuteScript("CREATE TABLE kz (x DOUBLE);").ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(db_.BulkInsert("kz", {{Value::Double(0.0)},
+                                    {Value::Double(-0.0)},
+                                    {Value::Null()},
+                                    {Value::Null()},
+                                    {Value::Double(nan)},
+                                    {Value::Double(-nan)}})
+                  .ok());
+  ResultSet r = Must("SELECT x, COUNT(*) FROM kz GROUP BY x");
+  ASSERT_EQ(r.NumRows(), 3u);
+  for (const auto& row : r.rows) EXPECT_EQ(row[1].AsBigInt(), 2);
+  r = Must("SELECT DISTINCT x FROM kz");
+  EXPECT_EQ(r.NumRows(), 3u);
 }
 
 TEST_F(ExecutorTest, OrderByMultipleKeysAndNulls) {

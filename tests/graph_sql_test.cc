@@ -40,7 +40,7 @@ class GraphSqlTest : public ::testing::Test {
     return result.ok() ? *std::move(result) : ResultSet();
   }
 
-  Database db_;
+  Database db_{TestOptions()};
 };
 
 TEST_F(GraphSqlTest, UnboundStartEnumeratesAllVertexes) {

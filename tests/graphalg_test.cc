@@ -37,7 +37,7 @@ class GraphAlgTest : public ::testing::Test {
     ASSERT_NE(gv_, nullptr);
   }
 
-  Database db_;
+  Database db_{TestOptions()};
   const GraphView* gv_ = nullptr;
 };
 
@@ -130,7 +130,7 @@ TEST(GraphAlgDatasetTest, TriangleCountMatchesGeneratedShape) {
   // for label-free triangles... instead compare against a second method:
   // neighbor intersection over the property store would be redundant, so
   // use a tiny complete graph with a known closed form: K5 has C(5,3)=10).
-  Database db;
+  Database db(TestOptions());
   ASSERT_TRUE(ExecScript(db, R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY);
     CREATE TABLE e (id BIGINT PRIMARY KEY, s BIGINT, d BIGINT);
@@ -157,7 +157,7 @@ TEST(GraphAlgDatasetTest, TriangleCountMatchesGeneratedShape) {
 }
 
 TEST(GraphAlgDatasetTest, PageRankHubsOnSocialGraph) {
-  Database db;
+  Database db(TestOptions());
   Dataset social = MakeSocialNetwork(400, 4, 9);
   ASSERT_TRUE(LoadIntoDatabase(social, &db).ok());
   const GraphView* gv = db.catalog().FindGraphView("social");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "sql_test_util.h"
 
 namespace grfusion {
 namespace {
@@ -36,7 +37,7 @@ class OptimizerTest : public ::testing::Test {
     return plan;
   }
 
-  Database db_;
+  Database db_{TestOptions()};
   Session session_{db_};
 };
 

@@ -15,6 +15,7 @@
 #include "common/task_pool.h"
 #include "engine/database.h"
 #include "graphexec/path_scanner.h"
+#include "sql_test_util.h"
 
 namespace grfusion {
 namespace {
@@ -189,7 +190,7 @@ class PathSemanticsTest : public ::testing::TestWithParam<RandomGraphSpec> {
     return out;
   }
 
-  Database db_;
+  Database db_{TestOptions()};
   Session session_{db_};
   RefGraph graph_;
 };
@@ -350,7 +351,7 @@ TEST_P(PathSemanticsTest, ParallelEnumerationMatchesSerialMultiset) {
     EXPECT_EQ(serial, parallel) << "seed=" << GetParam().seed;
   }
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().max_parallelism = 0;
+  session_.options().max_parallelism = TestOptions().max_parallelism;
   session_.options().parallel_min_rows = 2048;
   session_.options().parallel_min_starts = 8;
 }
@@ -389,7 +390,7 @@ TEST_P(PathSemanticsTest, ParallelTopKShortestPathsKeepSerialOrder) {
     // Determinism across repeated parallel runs, not just one lucky draw.
     EXPECT_EQ(parallel, run(sql, 4)) << sql;
   }
-  session_.options().max_parallelism = 0;
+  session_.options().max_parallelism = TestOptions().max_parallelism;
   session_.options().parallel_min_rows = 2048;
   session_.options().parallel_min_starts = 8;
 }
@@ -413,7 +414,7 @@ TEST_P(PathSemanticsTest, LimitWithoutOrderByIsStableUnderParallelism) {
   for (int repeat = 0; repeat < 3; ++repeat) {
     EXPECT_EQ(run(4), serial) << "seed=" << GetParam().seed;
   }
-  session_.options().max_parallelism = 0;
+  session_.options().max_parallelism = TestOptions().max_parallelism;
   session_.options().parallel_min_rows = 2048;
   session_.options().parallel_min_starts = 8;
 }
@@ -439,7 +440,7 @@ TEST_P(PathSemanticsTest, ParallelMinStartsKnobDisablesProbeFanOut) {
   EXPECT_GT(tasks_for(1), 0u) << "seed=" << GetParam().seed;
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
   session_.options().frontier_min_batch = 32;
-  session_.options().max_parallelism = 0;
+  session_.options().max_parallelism = TestOptions().max_parallelism;
   session_.options().parallel_min_rows = 2048;
   session_.options().parallel_min_starts = 8;
 }
@@ -461,7 +462,7 @@ TEST_P(PathSemanticsTest, TinyMemoryCapFallsBackToSerialUnderParallelism) {
     session_.options().parallel_min_starts = 1;
     session_.options().memory_cap = cap;
     auto result = session_.Execute(sql);
-    session_.options().max_parallelism = 0;
+    session_.options().max_parallelism = TestOptions().max_parallelism;
     session_.options().parallel_min_rows = 2048;
     session_.options().parallel_min_starts = 8;
     session_.options().memory_cap = QueryContext::kDefaultMemoryCap;
@@ -550,7 +551,7 @@ TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {
     session_.options().parallel_min_rows = 1;
     session_.options().parallel_min_starts = 1;
     auto result = session_.Execute(sql);
-    session_.options().max_parallelism = 0;
+    session_.options().max_parallelism = TestOptions().max_parallelism;
     session_.options().parallel_min_rows = 2048;
     session_.options().parallel_min_starts = 8;
     EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -671,7 +672,7 @@ class SpScanInvariantTest : public ::testing::Test {
     return spec;
   }
 
-  Database db_;
+  Database db_{TestOptions()};
   Session session_{db_};
 };
 
@@ -722,7 +723,7 @@ TEST(SpScanMemoryTest, ChargeFollowsExploredRegionNotViewSize) {
   // A 1-hop TOP 1 on a view of 20000 vertexes, under a cap far below any
   // per-vertex table (16 B x V = 320 KB): the probe touches two vertexes,
   // so it must fit.
-  Database db;
+  Database db(TestOptions());
   Session session(db);
   ASSERT_TRUE(session.ExecuteScript(R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY);
@@ -795,6 +796,190 @@ TEST_F(SpScanInvariantTest, ArenaBytesReturnToZeroAfterClose) {
     scanner->Release();
     EXPECT_EQ(ctx.current_bytes(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// DFScan memory and emission invariants
+//
+// DFScan keeps one-hop stack records and one path buffer, and recycles the
+// PathData it last emitted when nobody else holds it. Its records must be
+// charged to the query budget and released on Close, and a path a consumer
+// still holds must never be overwritten.
+// ---------------------------------------------------------------------------
+
+class DfsScanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // A complete directed graph on 5 vertexes, edge weight 1.
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+      CREATE TABLE v (id BIGINT PRIMARY KEY);
+      CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      w DOUBLE);
+    )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows;
+    std::vector<std::vector<Value>> erows;
+    for (int64_t i = 0; i < 5; ++i) {
+      vrows.push_back({Value::BigInt(i)});
+      for (int64_t j = 0; j < 5; ++j) {
+        if (i == j) continue;
+        erows.push_back({Value::BigInt(static_cast<int64_t>(erows.size())),
+                         Value::BigInt(i), Value::BigInt(j),
+                         Value::Double(1.0)});
+      }
+    }
+    ASSERT_TRUE(db_.BulkInsert("v", vrows).ok());
+    ASSERT_TRUE(db_.BulkInsert("e", erows).ok());
+    ASSERT_TRUE(session_.ExecuteScript(
+                    "CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v "
+                    "EDGES (ID = id, FROM = src, TO = dst, w = w) FROM e;")
+                    .ok());
+  }
+
+  /// A DFS spec enumerating paths of up to `max_length` edges.
+  std::shared_ptr<const TraversalSpec> DfsSpec(size_t max_length) {
+    auto spec = std::make_shared<TraversalSpec>();
+    spec->gv = db_.catalog().FindGraphView("g");
+    spec->physical = TraversalSpec::Physical::kDfs;
+    spec->max_length = max_length;
+    return spec;
+  }
+
+  ResultSet Must(const std::string& sql) {
+    auto result = session_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    return result.ok() ? *std::move(result) : ResultSet();
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+};
+
+TEST_F(DfsScanTest, CountOfPathAliasEqualsCountStar) {
+  // COUNT(P) is a non-NULL test over the path slot; it must count exactly
+  // the rows COUNT(*) does, for every engine.
+  const std::vector<std::pair<std::string, std::string>> probes = {
+      {"DFScan",
+       "FROM g.Paths P HINT(DFS) WHERE P.StartVertex.Id = 0 AND "
+       "P.Length <= 3"},
+      {"BFScan",
+       "FROM g.Paths P HINT(BFS) WHERE P.StartVertex.Id = 0 AND "
+       "P.Length <= 3"},
+      {"SPScan",
+       "FROM g.Paths P HINT(SHORTESTPATH(w)) WHERE P.StartVertex.Id = 0 AND "
+       "P.EndVertex.Id = 3 AND P.Length <= 3"},
+  };
+  for (const auto& [engine, from] : probes) {
+    SCOPED_TRACE(from);
+    ResultSet plan = Must("EXPLAIN SELECT COUNT(P) " + from);
+    std::string plan_text;
+    for (const auto& row : plan.rows) plan_text += row[0].ToString() + "\n";
+    EXPECT_NE(plan_text.find(engine), std::string::npos) << plan_text;
+    ResultSet r = Must("SELECT COUNT(P), COUNT(*) " + from);
+    ASSERT_EQ(r.NumRows(), 1u);
+    EXPECT_GT(r.rows[0][1].AsBigInt(), 0);
+    EXPECT_EQ(r.rows[0][0].AsBigInt(), r.rows[0][1].AsBigInt());
+  }
+}
+
+TEST_F(DfsScanTest, SmallCapIsResourceExhaustedAndReleaseSettles) {
+  session_.options().memory_cap = 64;
+  auto capped = session_.Execute(
+      "SELECT COUNT(*) FROM g.Paths P HINT(DFS) WHERE P.Length <= 3");
+  session_.options().memory_cap = QueryContext::kDefaultMemoryCap;
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+
+  {
+    // Reset pushes one root record per start; each is charged.
+    QueryContext ctx;
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(DfsSpec(3), &ctx);
+    ASSERT_TRUE(scanner->Reset({0}, std::nullopt, nullptr).ok());
+    const size_t one_record = ctx.current_bytes();
+    EXPECT_GT(one_record, 0u);
+    ASSERT_TRUE(scanner->Reset({0, 1, 2}, std::nullopt, nullptr).ok());
+    EXPECT_EQ(ctx.current_bytes(), 3 * one_record);
+    PathPtr path;
+    for (int i = 0; i < 5; ++i) {
+      auto has = scanner->Next(&path);
+      ASSERT_TRUE(has.ok() && *has);
+    }
+    EXPECT_GT(ctx.current_bytes(), 0u);
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+  }
+  {
+    QueryContext ctx(/*memory_cap=*/64);
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(DfsSpec(3), &ctx);
+    ASSERT_TRUE(scanner->Reset({0}, std::nullopt, nullptr).ok());
+    PathPtr path;
+    auto has = scanner->Next(&path);
+    ASSERT_FALSE(has.ok());
+    EXPECT_EQ(has.status().code(), StatusCode::kResourceExhausted);
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+  }
+}
+
+TEST_F(DfsScanTest, HeldPathIsNeverOverwritten) {
+  // Pull every path twice: once holding each PathPtr to the end (every
+  // emission must then be a fresh object), once rendering and dropping each
+  // at once (the scanner may then refill its last path in place). Both
+  // must see the same sequence, and no held path may change under later
+  // pulls.
+  auto pull_all = [&](bool hold) {
+    QueryContext ctx;
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(DfsSpec(2), &ctx);
+    EXPECT_TRUE(scanner->Reset({0, 1}, std::nullopt, nullptr).ok());
+    std::vector<PathPtr> held;
+    std::vector<std::string> texts;
+    while (true) {
+      PathPtr path;
+      auto has = scanner->Next(&path);
+      EXPECT_TRUE(has.ok());
+      if (!has.ok() || !*has) break;
+      texts.push_back(PathToString(*path));
+      if (hold) held.push_back(std::move(path));
+    }
+    if (hold) {
+      for (size_t i = 0; i < held.size(); ++i) {
+        EXPECT_EQ(PathToString(*held[i]), texts[i]) << "path " << i;
+      }
+    }
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+    return texts;
+  };
+  const std::vector<std::string> held = pull_all(/*hold=*/true);
+  const std::vector<std::string> dropped = pull_all(/*hold=*/false);
+  EXPECT_EQ(held, dropped);
+  ASSERT_FALSE(held.empty());
+  EXPECT_EQ(std::set<std::string>(held.begin(), held.end()).size(),
+            held.size());
+}
+
+TEST_F(DfsScanTest, OrderByKeepsEveryPath) {
+  // Sort holds every row's path handle until it emits; recycling must not
+  // overwrite any of them.
+  const std::string base =
+      "SELECT P.PathString, P.Length FROM g.Paths P HINT(DFS) WHERE "
+      "P.StartVertex.Id = 0 AND P.Length <= 3";
+  ResultSet plain = Must(base);
+  ResultSet sorted = Must(base + " ORDER BY P.Length DESC");
+  std::vector<std::vector<Value>> expected = plain.rows;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a[1].AsBigInt() > b[1].AsBigInt();
+                   });
+  ASSERT_EQ(sorted.NumRows(), expected.size());
+  ASSERT_GT(sorted.NumRows(), 0u);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sorted.rows[i][0].AsVarchar(), expected[i][0].AsVarchar())
+        << "row " << i;
+  }
+  std::set<std::string> distinct;
+  for (const auto& row : sorted.rows) distinct.insert(row[0].AsVarchar());
+  EXPECT_EQ(distinct.size(), sorted.NumRows());
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 #include "common/string_util.h"
 #include "engine/database.h"
 #include "graph/graph_view.h"
+#include "graphexec/traversal_spec.h"
+#include "sql_test_util.h"
 
 namespace grfusion {
 namespace {
@@ -164,7 +166,7 @@ class SqlFuzzTest : public ::testing::TestWithParam<uint64_t> {
     return out;
   }
 
-  Database db_;
+  Database db_{TestOptions()};
   Session session_{db_};
   std::vector<RefRow> t_rows_;
   std::vector<RefRow> u_rows_;
@@ -524,13 +526,111 @@ std::vector<std::string> SpDiffReference(const DiffGraph& g,
   return out;
 }
 
+/// One generated HINT(DFS) query and the parameters the reference needs.
+struct DfsDiffQuery {
+  std::vector<int64_t> starts;        // All view vertexes when unbound.
+  size_t min_len = 1;
+  size_t max_len = 1;                 // kNoMaxLength when unbounded.
+  std::optional<int64_t> rank_below;  // P.Edges[0..*].rank < R
+  std::optional<int64_t> end_vertex;  // P.EndVertex.Id = d
+  std::optional<CompareOp> w_op;      // SUM(P.Edges.w) <op> w_bound
+  double w_bound = 0.0;
+  bool pushdown = true;
+  bool global_visited = false;        // TOP 1 reachability: visited-once.
+};
+
+/// Adjacency in the view's own neighbor order: (edge id, neighbor) lists.
+using DiffAdjacency = std::map<int64_t, std::vector<std::pair<int64_t, int64_t>>>;
+
+/// Reference DFScan with the engine's semantics, over whole copied prefixes
+/// (the engine's layout before its one-hop stack): a stack of candidate
+/// paths, each popped one expanded (extensions pushed in neighbor order)
+/// and then emitted if it qualifies, so rows come out in pre-order with the
+/// last neighbor first.
+std::vector<std::string> DfsDiffReference(const DiffGraph& g,
+                                          const DiffAdjacency& adj,
+                                          const DfsDiffQuery& q) {
+  struct RefPath {
+    std::vector<int64_t> vs, es;
+    double wsum = 0.0;
+    bool closing = false;
+  };
+  std::map<int64_t, const DiffEdge*> by_id;
+  for (const DiffEdge& e : g.edges) by_id[e.id] = &e;
+  auto prunes = [&](double wsum) {
+    return q.w_op == CompareOp::kLt ? wsum >= q.w_bound
+           : q.w_op == CompareOp::kLe ? wsum > q.w_bound
+                                      : false;
+  };
+  auto passes = [&](double wsum) {
+    if (!q.w_op.has_value()) return true;
+    switch (*q.w_op) {
+      case CompareOp::kLt: return wsum < q.w_bound;
+      case CompareOp::kLe: return wsum <= q.w_bound;
+      case CompareOp::kGe: return wsum >= q.w_bound;
+      default: return wsum > q.w_bound;
+    }
+  };
+  std::set<int64_t> visited;
+  std::vector<RefPath> stack;
+  for (int64_t s : std::set<int64_t>(q.starts.begin(), q.starts.end())) {
+    if (q.global_visited) visited.insert(s);
+    stack.push_back(RefPath{{s}, {}, 0.0, false});
+  }
+  std::vector<std::string> out;
+  while (!stack.empty() && !(q.global_visited && !out.empty())) {
+    const RefPath p = stack.back();
+    stack.pop_back();
+    if (!p.closing && p.es.size() < q.max_len) {
+      for (auto [eid, nbr] : adj.at(p.vs.back())) {
+        const DiffEdge& e = *by_id.at(eid);
+        if (std::find(p.es.begin(), p.es.end(), eid) != p.es.end()) continue;
+        const bool closing = nbr == p.vs.front() && !p.es.empty();
+        if (!closing) {
+          if (std::find(p.vs.begin(), p.vs.end(), nbr) != p.vs.end()) {
+            continue;
+          }
+          if (q.global_visited && visited.count(nbr) > 0) continue;
+        }
+        const double wsum = p.wsum + e.w;
+        if (q.pushdown) {
+          if (q.rank_below.has_value() && e.rank >= *q.rank_below) continue;
+          if (prunes(wsum)) continue;
+        }
+        if (q.global_visited && !closing) visited.insert(nbr);
+        RefPath next = p;
+        next.vs.push_back(nbr);
+        next.es.push_back(eid);
+        next.wsum = wsum;
+        next.closing = closing;
+        stack.push_back(std::move(next));
+      }
+    }
+    const size_t len = p.es.size();
+    if (len < q.min_len || len > q.max_len) continue;
+    if (q.end_vertex.has_value() && p.vs.back() != *q.end_vertex) continue;
+    if (!passes(p.wsum)) continue;
+    if (!q.pushdown && q.rank_below.has_value() &&
+        std::any_of(p.es.begin(), p.es.end(), [&](int64_t eid) {
+          return by_id.at(eid)->rank >= *q.rank_below;
+        })) {
+      continue;
+    }
+    out.push_back(std::to_string(p.vs.front()) + "|" +
+                  DiffPathString(p.vs, p.es) + "|");
+  }
+  return out;
+}
+
 /// Builds one random graph (tables v/e + graph view g), then runs
-/// `enum_trials` random enumeration queries and `sp_trials` random
-/// SHORTESTPATH queries, differentially: 1 worker vs 4 vs reference.
-/// SHORTESTPATH answers must match the reference's exact row sequence.
+/// `enum_trials` random enumeration queries, `sp_trials` random
+/// SHORTESTPATH queries and `dfs_trials` random HINT(DFS) queries,
+/// differentially: 1 worker vs 4 vs reference. SHORTESTPATH and DFS answers
+/// must match the reference's exact row sequence.
 /// The graph view itself is built once serially and once through the
 /// parallel morsel path; both must answer identically.
-void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials) {
+void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
+                               int dfs_trials) {
   SCOPED_TRACE(StrFormat("graph-diff seed=%llu",
                          static_cast<unsigned long long>(seed)));
   const uint64_t tasks_before =
@@ -541,7 +641,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials) {
   graph.directed = rng.Bernoulli(0.5);
   int64_t target_edges = rng.Uniform(graph.n, 3 * graph.n);
 
-  Database db;
+  Database db(TestOptions());
   Session session(db);
   ASSERT_TRUE(session.ExecuteScript(R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
@@ -716,6 +816,109 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials) {
   if (sp_trials > 0) {
     EXPECT_GT(sp_answered, 0) << "no shortest-path trial had an answer";
   }
+
+  DiffAdjacency adj;
+  {
+    const GraphView* gv = db.catalog().FindGraphView("g");
+    ASSERT_NE(gv, nullptr);
+    for (int64_t v = 0; v < graph.n; ++v) {
+      const VertexEntry* entry = gv->FindVertex(v);
+      ASSERT_NE(entry, nullptr);
+      auto& list = adj[v];
+      gv->ForEachNeighbor(*entry, [&](const EdgeEntry& e, VertexId nbr) {
+        list.emplace_back(e.id, nbr);
+        return true;
+      });
+    }
+  }
+  int dfs_answered = 0;
+  int dfs_visited_once = 0;
+  for (int trial = 0; trial < dfs_trials; ++trial) {
+    DfsDiffQuery q;
+    std::vector<std::string> conjuncts;
+    q.global_visited = rng.Bernoulli(0.2);
+    q.pushdown = q.global_visited || rng.Bernoulli(0.5);
+    if (q.global_visited) {
+      // TOP 1 with a bound end and no length bound: the planner's
+      // visited-once reachability search.
+      q.max_len = kNoMaxLength;
+      const int64_t s = rng.Uniform(0, graph.n - 1);
+      q.starts = {s};
+      q.end_vertex = rng.Uniform(0, graph.n - 1);
+      conjuncts.push_back(StrFormat("P.StartVertex.Id = %lld",
+                                    static_cast<long long>(s)));
+    } else {
+      q.max_len = static_cast<size_t>(rng.Uniform(1, 4));
+      q.min_len = static_cast<size_t>(rng.Uniform(1, q.max_len));
+      if (q.min_len > 1) {
+        conjuncts.push_back(StrFormat("P.Length >= %zu", q.min_len));
+      }
+      conjuncts.push_back(StrFormat("P.Length <= %zu", q.max_len));
+      if (rng.Bernoulli(0.5)) {
+        q.starts = all_vertexes;
+      } else {
+        const int64_t s = rng.Uniform(0, graph.n - 1);
+        q.starts = {s};
+        conjuncts.push_back(StrFormat("P.StartVertex.Id = %lld",
+                                      static_cast<long long>(s)));
+      }
+      if (rng.Bernoulli(0.4)) {
+        static constexpr CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
+                                             CompareOp::kGe};
+        static constexpr const char* kOpText[] = {"<", "<=", ">="};
+        const int op = static_cast<int>(rng.Uniform(0, 2));
+        q.w_op = kOps[op];
+        q.w_bound = static_cast<double>(rng.Uniform(2, 10));
+        conjuncts.push_back(StrFormat("SUM(P.Edges.w) %s %lld", kOpText[op],
+                                      static_cast<long long>(q.w_bound)));
+      }
+      if (rng.Bernoulli(0.3)) {
+        q.end_vertex = rng.Uniform(0, graph.n - 1);
+      }
+    }
+    if (q.end_vertex.has_value()) {
+      conjuncts.push_back(StrFormat("P.EndVertex.Id = %lld",
+                                    static_cast<long long>(*q.end_vertex)));
+    }
+    if (rng.Bernoulli(0.4)) {
+      q.rank_below = rng.Uniform(20, 90);
+      conjuncts.push_back(StrFormat("P.Edges[0..*].rank < %lld",
+                                    static_cast<long long>(*q.rank_below)));
+    }
+    std::string sql = StrFormat(
+        "SELECT %sP.StartVertex.Id, P.PathString FROM g.Paths P HINT(DFS) "
+        "WHERE ",
+        q.global_visited ? "TOP 1 " : "");
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (i > 0) sql += " AND ";
+      sql += conjuncts[i];
+    }
+    SCOPED_TRACE(StrFormat("%s pushdown=%d", sql.c_str(), q.pushdown));
+
+    session.options().enable_filter_pushdown = q.pushdown;
+    auto plan = session.Execute("EXPLAIN " + sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    std::string plan_text;
+    for (const auto& row : plan->rows) plan_text += row[0].ToString() + "\n";
+    ASSERT_NE(plan_text.find("DFScan"), std::string::npos) << plan_text;
+    ASSERT_EQ(plan_text.find("visited-once") != std::string::npos,
+              q.global_visited)
+        << plan_text;
+    if (q.global_visited) ++dfs_visited_once;
+
+    const std::vector<std::string> expected = DfsDiffReference(graph, adj, q);
+    if (!expected.empty()) ++dfs_answered;
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      auto result = run_at(sql, workers);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(DiffOrdered(*result), expected)
+          << "workers=" << workers << " diverges from the reference";
+    }
+  }
+  session.options().enable_filter_pushdown = true;
+  if (dfs_trials > 0) {
+    EXPECT_GT(dfs_answered, 0) << "no DFS trial had an answer";
+  }
   // The `gp` view must actually have been built on the shared pool —
   // otherwise the parallel-build comparison silently ran serial twice. (Path
   // probes never use the pool, and these graphs are too small for the
@@ -724,7 +927,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials) {
       MetricsRegistry::Global().GetCounter("taskpool_tasks_total")->value();
   EXPECT_GT(tasks_after, tasks_before)
       << "no task-pool work observed: parallel paths never engaged";
-  session.options().max_parallelism = 0;
+  session.options().max_parallelism = TestOptions().max_parallelism;
   session.options().parallel_min_rows = 2048;
   session.options().parallel_min_starts = 8;
 }
@@ -732,8 +935,10 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials) {
 class GraphDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GraphDiffFuzzTest, SerialParallelAndReferenceAgree) {
-  // 8 seeds x (20 enumeration + 30 shortest-path) = 400 differential cases.
-  RunGraphDifferentialSweep(GetParam(), /*enum_trials=*/20, /*sp_trials=*/30);
+  // 8 seeds x (20 enumeration + 30 shortest-path + 30 DFS) = 640
+  // differential cases.
+  RunGraphDifferentialSweep(GetParam(), /*enum_trials=*/20, /*sp_trials=*/30,
+                            /*dfs_trials=*/30);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphDiffFuzzTest,
@@ -750,7 +955,8 @@ TEST(GraphDiffFuzzEnvTest, EnvironmentSeedSweep) {
   if (const char* env = std::getenv("GRF_FUZZ_SEED")) {
     seed = std::strtoull(env, nullptr, 10);
   }
-  RunGraphDifferentialSweep(seed, /*enum_trials=*/10, /*sp_trials=*/16);
+  RunGraphDifferentialSweep(seed, /*enum_trials=*/10, /*sp_trials=*/16,
+                            /*dfs_trials=*/16);
 }
 
 // ---------------------------------------------------------------------------
@@ -782,7 +988,7 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
   graph.directed = rng.Bernoulli(0.5);
   int64_t target_edges = rng.Uniform(graph.n, 3 * graph.n);
 
-  Database db;
+  Database db(TestOptions());
   Session session(db);
   ASSERT_TRUE(session.ExecuteScript(R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
@@ -961,7 +1167,7 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   SCOPED_TRACE(StrFormat("frontier-snapshot seed=%llu",
                          static_cast<unsigned long long>(seed)));
   Random rng(seed);
-  Database db;
+  Database db(TestOptions());
   Session session(db);
   ASSERT_TRUE(session.ExecuteScript(R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
@@ -1216,7 +1422,7 @@ void RunFaultInjectionSweep(uint64_t seed, int trials) {
   failpoints.DisarmAll();
   Random rng(seed);
 
-  Database db;
+  Database db(TestOptions());
   Session session(db);
   ASSERT_TRUE(session.ExecuteScript(R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
@@ -1487,7 +1693,7 @@ void RunPlanCacheChurnSweep(uint64_t seed, int trials) {
   SCOPED_TRACE(StrFormat("plan-cache seed=%llu",
                          static_cast<unsigned long long>(seed)));
   Random rng(seed);
-  Database db;
+  Database db(TestOptions());
   Session session(db);
   ASSERT_TRUE(session.ExecuteScript(R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
@@ -1656,7 +1862,7 @@ void RunSnapshotSweep(uint64_t seed, int trials) {
   failpoints.DisarmAll();
   Random rng(seed);
 
-  Database db;
+  Database db(TestOptions());
   Session session(db);
   ASSERT_TRUE(session.ExecuteScript(R"sql(
     CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);

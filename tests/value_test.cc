@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/value.h"
 
 namespace grfusion {
@@ -122,6 +124,25 @@ TEST(ValueTest, HashValuesComposite) {
   std::vector<Value> c = {Value::Varchar("x"), Value::BigInt(1)};
   EXPECT_EQ(HashValues(a), HashValues(b));
   EXPECT_NE(HashValues(a), HashValues(c));  // Order matters.
+}
+
+TEST(ValueTest, KeyEqualsGroupsSqlEqualValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<Value, Value>> same = {
+      {Value::Double(0.0), Value::Double(-0.0)},
+      {Value::Double(nan), Value::Double(-nan)},
+      {Value::Null(), Value::Null()},
+  };
+  for (const auto& [a, b] : same) {
+    EXPECT_TRUE(KeyEquals({a}, {b})) << a.ToString() << " " << b.ToString();
+    EXPECT_EQ(HashValues({a}), HashValues({b})) << a.ToString();
+  }
+  EXPECT_FALSE(KeyEquals({Value::Double(1.0000001)},
+                         {Value::Double(1.0000002)}));
+  // Types must match; the hash still agrees for an integral DOUBLE, which
+  // lets a hash join normalize BIGINT keys to DOUBLE.
+  EXPECT_FALSE(KeyEquals({Value::BigInt(3)}, {Value::Double(3.0)}));
+  EXPECT_EQ(HashValues({Value::BigInt(3)}), HashValues({Value::Double(3.0)}));
 }
 
 }  // namespace

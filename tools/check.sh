@@ -4,7 +4,9 @@
 #   build-sanitize/ Debug + ASan/UBSan, with GRF_DCHECK assertions live
 #   build-tsan/     Debug + ThreadSanitizer (task pool + parallel executor)
 #
-# The sanitize and tsan configurations additionally re-run the graph
+# The tier-1 configuration re-runs the graph and differential suites with
+# the worker count pinned to 1 and to 4. The sanitize and tsan
+# configurations additionally re-run the graph
 # differential suite (1 worker vs. 4 workers as exact row sequences, both
 # against a brute-force reference) with the SPScan invariant tests
 # and the fault-injection fuzz (random failpoints + random cancellation
@@ -41,6 +43,17 @@ run_graph_diff() {
 
 echo "== tier-1 (RelWithDebInfo) =="
 run_config build -DCMAKE_BUILD_TYPE=RelWithDebInfo
+
+# Graph and differential suites with the worker count pinned to 1 and to 4
+# (GRF_TEST_MAX_PARALLELISM, honoured by the test fixtures and
+# tests/sql_test_util.h), so both the serial and the parallel paths run on
+# any host, whatever its core count.
+echo "== graph + differential suites at 1 and 4 workers =="
+for workers in 1 4; do
+  GRF_TEST_MAX_PARALLELISM="$workers" ctest --test-dir build \
+    --output-on-failure -j "$JOBS" \
+    -R 'GraphSql|PathSemantics|SpScan|DfsScan|GraphDiff|FrontierDiff|SqlFuzz|CrossValidation|GraphAlg|Executor|Optimizer'
+done
 
 # Session-layer throughput smoke: exercises the plan cache, prepared
 # statements, and multi-session shared-read execution end to end, and leaves
