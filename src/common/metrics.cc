@@ -210,6 +210,7 @@ EngineMetrics::EngineMetrics() {
   graph_view_vetoes_total = r.GetCounter("graph_view_vetoes_total");
   graph_view_undo_total = r.GetCounter("graph_view_undo_total");
   graph_view_delta_bytes = r.GetGauge("graph_view_delta_bytes");
+  graph_view_attr_bytes = r.GetGauge("graph_view_attr_bytes");
   wal_records_total = r.GetCounter("wal_records_total");
   wal_bytes_total = r.GetCounter("wal_bytes_total");
   wal_appends_total = r.GetCounter("wal_appends_total");

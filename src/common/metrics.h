@@ -168,6 +168,9 @@ struct EngineMetrics {
   /// Bytes held by published-but-unfolded graph-view delta overlays across
   /// all views (fold pressure; drops to 0 when every chain folds).
   Gauge* graph_view_delta_bytes;
+  /// Bytes held by flat numeric edge-attribute columns across all views
+  /// (built lazily by traversals; released at folds and attribute writes).
+  Gauge* graph_view_attr_bytes;
 
   // Durability: write-ahead log appends on the commit path, checkpoints.
   Counter* wal_records_total;

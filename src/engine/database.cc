@@ -242,7 +242,8 @@ void Database::RegisterSystemTables() {
           return rows;
         }));
   }
-  // SYS.GRAPH_VIEWS: live topology sizes per graph view (paper §3).
+  // SYS.GRAPH_VIEWS: live topology sizes per graph view (paper §3), plus the
+  // bytes of the flat edge-attribute columns traversals built beside it.
   {
     Schema schema;
     schema.AddColumn(Column("NAME", ValueType::kVarchar));
@@ -252,6 +253,7 @@ void Database::RegisterSystemTables() {
     schema.AddColumn(Column("TOPOLOGY", ValueType::kVarchar));
     schema.AddColumn(Column("CSR_BYTES", ValueType::kBigInt));
     schema.AddColumn(Column("FOLDS", ValueType::kBigInt));
+    schema.AddColumn(Column("ATTR_BYTES", ValueType::kBigInt));
     catalog_.RegisterVirtualTable(std::make_unique<FuncVirtualTable>(
         "SYS.GRAPH_VIEWS", std::move(schema),
         [this]() -> StatusOr<std::vector<std::vector<Value>>> {
@@ -271,7 +273,8 @@ void Database::RegisterSystemTables() {
                  Value::BigInt(static_cast<int64_t>(gv->NumEdges())),
                  Value::Varchar(topology),
                  Value::BigInt(static_cast<int64_t>(gv->CsrBytes())),
-                 Value::BigInt(static_cast<int64_t>(gv->Folds()))});
+                 Value::BigInt(static_cast<int64_t>(gv->Folds())),
+                 Value::BigInt(static_cast<int64_t>(gv->AttrBytes()))});
           }
           return rows;
         }));

@@ -67,6 +67,9 @@ struct ExecStats {
   uint64_t paths_emitted = 0;       ///< Paths produced by PathScan.
   uint64_t paths_pruned = 0;        ///< Branches cut by pushed-down filters.
   uint64_t max_frontier = 0;        ///< Peak traversal stack/queue size.
+  /// Traversal-time edge-attribute reads served by the tuple pointer rather
+  /// than a flat column (appended edges, stale or undescribed slots).
+  uint64_t attr_tuple_reads = 0;
 
   void NoteFrontier(uint64_t size) {
     if (size > max_frontier) max_frontier = size;
@@ -81,6 +84,7 @@ struct ExecStats {
     edges_examined += other.edges_examined;
     paths_emitted += other.paths_emitted;
     paths_pruned += other.paths_pruned;
+    attr_tuple_reads += other.attr_tuple_reads;
     NoteFrontier(other.max_frontier);
   }
 };

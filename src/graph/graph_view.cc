@@ -141,6 +141,10 @@ StatusOr<std::unique_ptr<GraphView>> GraphView::Create(
   std::unique_ptr<GraphView> gv(
       new GraphView(std::move(def), vertex_table, edge_table));
   GRF_RETURN_IF_ERROR(gv->ResolveColumns());
+  const size_t edge_columns = edge_table->schema().NumColumns();
+  gv->edge_columns_.resize(edge_columns);
+  gv->edge_column_heads_ =
+      std::make_unique<std::atomic<const EdgeAttrColumn*>[]>(edge_columns);
 
   const bool parallel =
       build.pool != nullptr && build.max_parallelism > 1 &&
@@ -322,6 +326,7 @@ GraphView::~GraphView() {
     EngineMetrics::Get().graph_view_delta_bytes->Add(
         -static_cast<int64_t>(published_delta_bytes_));
   }
+  DropEdgeColumns();
 }
 
 // --- CSR snapshot -----------------------------------------------------------
@@ -331,6 +336,8 @@ void GraphView::RebuildCsr() {
   // removals, then appends) into fresh contiguous arrays, keyed by edge id;
   // the old snapshot, if any, stays readable throughout. Callers guarantee
   // quiescence: initial build, or FoldDeltas under the exclusive lock.
+  // Columns are aligned with the old snapshot's slots.
+  DropEdgeColumns();
   auto fresh = std::make_unique<CsrTopology>();
   CsrTopology& c = *fresh;
   const CsrTopology* old = csr_.get();
@@ -568,6 +575,10 @@ void GraphView::PublishOpenDelta(Epoch epoch) {
 
 Status GraphView::FoldDeltas() {
   GRF_CHECK(open_ == nullptr);
+  // Maintenance boundary: no writer is open and no reader is in flight, so
+  // every attribute write is committed (or undone) and the next reader can
+  // rebuild a column from its own snapshot.
+  if (EdgeColumnsStale()) DropEdgeColumns();
   const GraphDelta* d = delta_head_.load(std::memory_order_relaxed);
   if (d == nullptr) return Status::OK();
   // An injected failure defers the fold: the published chain stays intact
@@ -711,6 +722,77 @@ size_t GraphView::TopologyBytes() const {
   bytes += edge_index_.size() * (sizeof(EdgeId) + sizeof(size_t) + 16);
   bytes += CsrBytes();
   return bytes;
+}
+
+// --- Edge-attribute columns -------------------------------------------------
+
+const EdgeAttrColumn* GraphView::EdgeColumn(int column) const {
+  if (column < 0 || static_cast<size_t>(column) >= edge_columns_.size() ||
+      EdgeColumnsStale()) {
+    return nullptr;
+  }
+  const EdgeAttrColumn* built =
+      edge_column_heads_[column].load(std::memory_order_acquire);
+  return built != nullptr ? built
+                          : BuildEdgeColumn(static_cast<size_t>(column));
+}
+
+const EdgeAttrColumn* GraphView::BuildEdgeColumn(size_t column) const {
+  std::lock_guard<std::mutex> lock(edge_columns_mu_);
+  const EdgeAttrColumn* built =
+      edge_column_heads_[column].load(std::memory_order_relaxed);
+  if (built != nullptr || csr_ == nullptr) return built;
+  const ValueType type = edge_table_->schema().column(column).type;
+  if (type != ValueType::kBigInt && type != ValueType::kDouble) return nullptr;
+
+  // Read every slot's tuple at the caller's snapshot. The caller saw no
+  // attribute write since the boundary, so those values are the boundary's.
+  // An edge the visible overlay shadows was removed or re-linked since (its
+  // tuple may hold a newer version); its slot stays undescribed, as does any
+  // slot whose base entry no longer carries the snapshot's edge (standalone
+  // views recycle entries).
+  const CsrTopology& c = *csr_;
+  const size_t edges = c.NumEdges();
+  const GraphDelta* d = VisibleDelta();
+  const Epoch epoch = GraphReadScope::CurrentEpoch();
+  auto col = std::make_unique<EdgeAttrColumn>(
+      type, directed() ? edges : 2 * edges);
+  auto fill = [&](const std::vector<size_t>& pos,
+                  const std::vector<EdgeId>& ids, size_t base) {
+    for (size_t i = 0; i < pos.size(); ++i) {
+      const EdgeEntry& e = edges_[pos[i]];
+      const Tuple* tuple = nullptr;
+      if (e.live && e.id == ids[i] &&
+          (d == nullptr || d->emap.count(e.id) == 0)) {
+        tuple = edge_table_->Get(e.tuple, epoch);
+      }
+      col->Set(base + i, tuple != nullptr ? &tuple->value(column) : nullptr);
+    }
+  };
+  fill(c.out_edge_pos, c.out_edge_ids, 0);
+  if (!directed()) fill(c.in_edge_pos, c.in_edge_ids, edges);
+
+  const size_t bytes = col->Bytes();
+  attr_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  EngineMetrics::Get().graph_view_attr_bytes->Add(static_cast<int64_t>(bytes));
+  built = col.get();
+  edge_columns_[column] = std::move(col);
+  edge_column_heads_[column].store(built, std::memory_order_release);
+  return built;
+}
+
+void GraphView::DropEdgeColumns() {
+  std::lock_guard<std::mutex> lock(edge_columns_mu_);
+  for (size_t i = 0; i < edge_columns_.size(); ++i) {
+    edge_column_heads_[i].store(nullptr, std::memory_order_relaxed);
+    edge_columns_[i].reset();
+  }
+  const size_t bytes = attr_bytes_.exchange(0, std::memory_order_relaxed);
+  if (bytes > 0) {
+    EngineMetrics::Get().graph_view_attr_bytes->Add(
+        -static_cast<int64_t>(bytes));
+  }
+  edge_columns_stale_.store(false, std::memory_order_relaxed);
 }
 
 int GraphView::ResolveVertexAttribute(std::string_view exposed_name) const {
@@ -1214,7 +1296,11 @@ Status GraphView::OnEdgeUpdate(TupleSlot slot, const Tuple& old_tuple,
   GRF_ASSIGN_OR_RETURN(int64_t new_to,
                        IdFromTuple(new_tuple, edge_to_col_, "edge-to"));
   if (old_id == new_id && old_from == new_from && old_to == new_to) {
-    return Status::OK();  // Pure attribute update: nothing to do.
+    // Pure attribute update: the topology is unchanged, but edge-attribute
+    // columns stop describing every snapshot. Marked before the write can
+    // become visible (commit, or return for standalone views).
+    edge_columns_stale_.store(true, std::memory_order_seq_cst);
+    return Status::OK();
   }
   // Topological change: re-link as remove + add, keeping the tuple pointer.
   if (managed_) {

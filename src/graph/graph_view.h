@@ -5,6 +5,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/ids.h"
 #include "common/status.h"
 #include "graph/csr_topology.h"
+#include "graph/edge_attr_column.h"
 #include "graph/graph_view_def.h"
 #include "storage/epoch.h"
 #include "storage/table.h"
@@ -266,6 +268,17 @@ class GraphView {
   /// unchanged endpoints at every visible snapshot.
   template <typename Fn>
   void ForEachNeighbor(const VertexEntry& v, Fn&& fn) const {
+    ForEachNeighborSlot(
+        v, [&fn](const EdgeEntry& e, VertexId nbr, size_t /*slot*/) {
+          return fn(e, nbr);
+        });
+  }
+
+  /// ForEachNeighbor for traversal kernels: fn(const EdgeEntry&, VertexId
+  /// neighbor, size_t slot) also receives the edge's CSR slot (see
+  /// EdgeAttrColumn), or kNoCsrSlot for an edge appended since the snapshot.
+  template <typename Fn>
+  void ForEachNeighborSlot(const VertexEntry& v, Fn&& fn) const {
     if (!EnumerateSide(v, /*out_side=*/true, fn)) return;
     if (!directed()) EnumerateSide(v, /*out_side=*/false, fn);
   }
@@ -276,8 +289,11 @@ class GraphView {
   /// returns false. Same CSR fast path as ForEachNeighbor.
   template <typename Fn>
   void ForEachIncidentEdge(const VertexEntry& v, Fn&& fn) const {
-    if (!EnumerateSide(v, /*out_side=*/true, fn)) return;
-    EnumerateSide(v, /*out_side=*/false, fn);
+    auto call = [&fn](const EdgeEntry& e, VertexId nbr, size_t /*slot*/) {
+      return fn(e, nbr);
+    };
+    if (!EnumerateSide(v, /*out_side=*/true, call)) return;
+    EnumerateSide(v, /*out_side=*/false, call);
   }
 
   /// Average fan-out statistic used by the optimizer's BFS/DFS rule (§6.3).
@@ -321,8 +337,34 @@ class GraphView {
   }
 
   /// Approximate bytes of the topology structures alone (the paper's point:
-  /// topology size is independent of attribute-data size).
+  /// topology size is independent of attribute-data size). Edge-attribute
+  /// columns are not topology; AttrBytes() reports them.
   size_t TopologyBytes() const;
+
+  // --- Flat edge-attribute columns -------------------------------------------
+
+  /// The flat column of edge source column `column`, built on first use from
+  /// the calling scope's snapshot; nullptr when the attribute is not BIGINT
+  /// or DOUBLE, no CSR snapshot exists, or EdgeColumnsStale(). A returned
+  /// column stays valid until the next maintenance boundary (fold, or
+  /// RebuildCsr for standalone views) and describes the tuples at every
+  /// snapshot from the last boundary up to the first attribute write after
+  /// it. Readers therefore test EdgeColumnsStale() after taking their
+  /// snapshot (once per expansion) before trusting a column's cells.
+  const EdgeAttrColumn* EdgeColumn(int column) const;
+
+  /// True once an edge attribute write (an UPDATE that leaves topology
+  /// unchanged) has landed since the last maintenance boundary, committed
+  /// or not: columns no longer describe every snapshot, so reads fall back
+  /// to tuples until the boundary drops the columns.
+  bool EdgeColumnsStale() const {
+    return edge_columns_stale_.load(std::memory_order_acquire);
+  }
+
+  /// Heap bytes held by the built edge-attribute columns (SYS column).
+  size_t AttrBytes() const {
+    return attr_bytes_.load(std::memory_order_relaxed);
+  }
 
   /// Resolves the exposed vertex-attribute name to a source column index;
   /// also resolves the id pseudo-attribute ("ID"). Returns -1 when unknown.
@@ -357,6 +399,8 @@ class GraphView {
   /// chain. Callers must hold the exclusive statement lock (no readers in
   /// flight) and must not have an open overlay. A failpoint-injected error
   /// simply defers the fold — the published chain stays intact and correct.
+  /// This is the maintenance boundary for edge-attribute columns: stale
+  /// columns are dropped (and the mark cleared) even with nothing to fold.
   Status FoldDeltas();
 
   /// Fold pressure: cumulative overlay mutations awaiting a fold.
@@ -414,7 +458,9 @@ class GraphView {
   }
 
   /// Enumerates one side's effective adjacency (CSR slice minus removals,
-  /// then appends). Returns false when fn stopped the enumeration.
+  /// then appends), calling fn(edge, neighbor, slot) with the edge's CSR
+  /// slot (in-side slots follow all out-side ones) or kNoCsrSlot for
+  /// appends. Returns false when fn stopped the enumeration.
   template <typename Fn>
   bool EnumerateSide(const VertexEntry& v, bool out_side, Fn&& fn) const {
     if (csr_ != nullptr && v.csr_pos != kNoCsrPos) {
@@ -422,6 +468,7 @@ class GraphView {
       const size_t begin =
           out_side ? c.OutBegin(v.csr_pos) : c.InBegin(v.csr_pos);
       const size_t end = out_side ? c.OutEnd(v.csr_pos) : c.InEnd(v.csr_pos);
+      const size_t slot_base = out_side ? 0 : c.NumEdges();
       const std::vector<size_t>& pos =
           out_side ? c.out_edge_pos : c.in_edge_pos;
       const std::vector<VertexId>& nbr = out_side ? c.out_nbr : c.in_nbr;
@@ -429,7 +476,7 @@ class GraphView {
           out_side ? v.out_removed : v.in_removed;
       if (removed.empty()) {
         for (size_t i = begin; i < end; ++i) {
-          if (!fn(edges_[pos[i]], nbr[i])) return false;
+          if (!fn(edges_[pos[i]], nbr[i], slot_base + i)) return false;
         }
       } else {
         const std::vector<EdgeId>& ids =
@@ -439,17 +486,24 @@ class GraphView {
               removed.end()) {
             continue;
           }
-          if (!fn(edges_[pos[i]], nbr[i])) return false;
+          if (!fn(edges_[pos[i]], nbr[i], slot_base + i)) return false;
         }
       }
     }
     for (EdgeId eid : out_side ? v.out_edges : v.in_edges) {
       const EdgeEntry* e = FindEdge(eid);
       if (e == nullptr) continue;
-      if (!fn(*e, out_side ? e->to : e->from)) return false;
+      if (!fn(*e, out_side ? e->to : e->from, kNoCsrSlot)) return false;
     }
     return true;
   }
+
+  /// Builds (under edge_columns_mu_) and publishes the column of `column`.
+  const EdgeAttrColumn* BuildEdgeColumn(size_t column) const;
+
+  /// Frees every built column and clears the stale mark. Quiesced callers
+  /// only: RebuildCsr, the fold boundary, destruction.
+  void DropEdgeColumns();
 
   /// Detaches `id` from one side of a vertex's effective adjacency: erased
   /// from the append vector when it was a post-snapshot append, recorded as
@@ -549,6 +603,16 @@ class GraphView {
   std::unique_ptr<CsrTopology> csr_;
   bool csr_dirty_ = false;
   size_t folds_ = 0;
+
+  /// Edge-attribute columns, one slot per edge source column, aligned with
+  /// csr_. Heads are published with release stores under edge_columns_mu_
+  /// (lazy build, racing readers) and reset only by quiesced callers.
+  mutable std::mutex edge_columns_mu_;
+  mutable std::vector<std::unique_ptr<const EdgeAttrColumn>> edge_columns_;
+  mutable std::unique_ptr<std::atomic<const EdgeAttrColumn*>[]>
+      edge_column_heads_;
+  std::atomic<bool> edge_columns_stale_{false};
+  mutable std::atomic<size_t> attr_bytes_{0};
 
   /// Bytes currently accounted to this view in the graph_view_delta_bytes
   /// gauge (published chain only; released on fold / destruction).

@@ -338,9 +338,11 @@ Status FrontierScanner::FastExpandLevel() {
     const uint32_t u = ev.vertex;
     const VertexId root = fast_root_[u];
     const size_t edge_index = fast_level_;
+    const bool columns = ColumnsUsable();
     Status status = Status::OK();
-    spec_->gv->ForEachNeighbor(
-        spec_->gv->CsrVertex(u), [&](const EdgeEntry& edge, VertexId nbr) {
+    spec_->gv->ForEachNeighborSlot(
+        spec_->gv->CsrVertex(u),
+        [&](const EdgeEntry& edge, VertexId nbr, size_t slot) {
           ++ctx_->stats().edges_examined;
 
           // The admission pipeline below mirrors ExpandCore under the fast
@@ -366,7 +368,8 @@ Status FrontierScanner::FastExpandLevel() {
             sums[b] = fast_sums_[u * bounds + b];
           }
           if (spec_->push_filters) {
-            auto edge_ok = EdgeAdmissible(edge, edge_index);
+            auto edge_ok =
+                EdgeAdmissible(edge, slot, edge_index, columns, ctx_);
             if (!edge_ok.ok()) {
               status = edge_ok.status();
               return false;
@@ -389,13 +392,11 @@ Status FrontierScanner::FastExpandLevel() {
               }
             }
             for (size_t b = 0; b < bounds; ++b) {
-              auto v = ExtractEdgeValue(*spec_->gv, edge,
-                                        spec_->sum_bounds[b].attr);
-              if (!v.ok()) {
-                status = v.status();
+              if (!AddEdgeNumber(edge, slot, SumColumn(b, columns),
+                                 spec_->sum_bounds[b].attr, ctx_, &sums[b],
+                                 &status)) {
                 return false;
               }
-              if (!v->is_null()) sums[b] += v->AsNumeric();
               const CompareOp op = spec_->sum_bounds[b].op;
               const double bound = sum_bound_values_[b];
               const bool prune =
@@ -408,13 +409,11 @@ Status FrontierScanner::FastExpandLevel() {
             }
           } else {
             for (size_t b = 0; b < bounds; ++b) {
-              auto v = ExtractEdgeValue(*spec_->gv, edge,
-                                        spec_->sum_bounds[b].attr);
-              if (!v.ok()) {
-                status = v.status();
+              if (!AddEdgeNumber(edge, slot, SumColumn(b, columns),
+                                 spec_->sum_bounds[b].attr, ctx_, &sums[b],
+                                 &status)) {
                 return false;
               }
-              if (!v->is_null()) sums[b] += v->AsNumeric();
             }
           }
 

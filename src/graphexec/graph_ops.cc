@@ -374,6 +374,7 @@ Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   ctx_ = ctx;
   scanner_ = MakePathScanner(spec_, ctx);
   outer_valid_ = false;
+  attr_tuple_reads_ = 0;
   return outer_->Open(ctx);
 }
 
@@ -405,7 +406,10 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
         out->paths[spec_->path_slot].reset();
       }
       PathPtr path;
-      GRF_ASSIGN_OR_RETURN(bool has, scanner_->Next(&path));
+      const uint64_t reads_before = ctx_->stats().attr_tuple_reads;
+      StatusOr<bool> next = scanner_->Next(&path);
+      attr_tuple_reads_ += ctx_->stats().attr_tuple_reads - reads_before;
+      GRF_ASSIGN_OR_RETURN(bool has, std::move(next));
       if (has) {
         // Copy-assignment reuses the caller's row buffers.
         *out = outer_row_;
@@ -443,6 +447,12 @@ void PathProbeJoinOp::CloseImpl() {
 
 std::string PathProbeJoinOp::name() const {
   return "PathProbeJoin[" + spec_->DebugString() + "]";
+}
+
+std::string PathProbeJoinOp::AnalyzeExtra() const {
+  if (attr_tuple_reads_ == 0) return "";
+  return StrFormat(" attr_tuple_reads=%llu",
+                   static_cast<unsigned long long>(attr_tuple_reads_));
 }
 
 }  // namespace grfusion

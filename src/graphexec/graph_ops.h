@@ -112,6 +112,7 @@ class PathProbeJoinOp : public PhysicalOperator {
   PathProbeJoinOp(OperatorPtr outer, std::shared_ptr<const TraversalSpec> spec);
   const Schema& schema() const override { return outer_->schema(); }
   std::string name() const override;
+  std::string AnalyzeExtra() const override;
   std::vector<const PhysicalOperator*> children() const override {
     return {outer_.get()};
   }
@@ -132,6 +133,9 @@ class PathProbeJoinOp : public PhysicalOperator {
   std::unique_ptr<PathScanner> scanner_;
   ExecRow outer_row_;
   bool outer_valid_ = false;
+  /// Edge-attribute reads this operator's traversals served from tuples
+  /// rather than flat columns (EXPLAIN ANALYZE).
+  uint64_t attr_tuple_reads_ = 0;
 };
 
 }  // namespace grfusion

@@ -82,6 +82,32 @@ StatusOr<std::vector<VertexId>> PathScanner::ArmProbe(
     sum_bound_values_.push_back(v.AsNumeric());
   }
 
+  // Flat columns for the edge attributes this traversal reads per edge,
+  // built on first use from this statement's snapshot.
+  const GraphView& gv = *spec_->gv;
+  auto column_of = [&gv](const ElementAttr& attr) -> const EdgeAttrColumn* {
+    return attr.kind == PathElementKind::kEdges &&
+                   attr.field == ElementField::kSourceColumn
+               ? gv.EdgeColumn(attr.column)
+               : nullptr;
+  };
+  pred_columns_.clear();
+  sum_columns_.clear();
+  has_columns_ = false;
+  for (const auto& pred : spec_->element_preds) {
+    pred_columns_.push_back(spec_->push_filters ? column_of(pred->attr())
+                                                : nullptr);
+    has_columns_ = has_columns_ || pred_columns_.back() != nullptr;
+  }
+  for (const TraversalSpec::SumBound& bound : spec_->sum_bounds) {
+    sum_columns_.push_back(column_of(bound.attr));
+    has_columns_ = has_columns_ || sum_columns_.back() != nullptr;
+  }
+  weight_column_ = spec_->physical == TraversalSpec::Physical::kShortestPath
+                       ? column_of(spec_->sp_attr)
+                       : nullptr;
+  has_columns_ = has_columns_ || weight_column_ != nullptr;
+
   // Deduplicate starts (a probe may legitimately produce repeats).
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
@@ -135,18 +161,21 @@ void PathScanner::PushCandidate(Candidate candidate) {
 }
 
 StatusOr<bool> PathScanner::EdgeAdmissible(const EdgeEntry& edge,
-                                           size_t edge_index) {
+                                           size_t slot, size_t edge_index,
+                                           bool columns, QueryContext* ctx) {
   static const ExecRow kEmptyRow;
   const ExecRow& row = outer_row_ == nullptr ? kEmptyRow : *outer_row_;
-  for (const auto& pred : spec_->element_preds) {
+  for (size_t p = 0; p < spec_->element_preds.size(); ++p) {
+    const auto& pred = spec_->element_preds[p];
     if (pred->attr().kind != PathElementKind::kEdges) continue;
     if (edge_index < pred->lo()) continue;
     if (pred->hi() != PathRangePredicateExpr::kOpenEnd &&
         edge_index > pred->hi()) {
       continue;
     }
-    GRF_ASSIGN_OR_RETURN(Value v, ExtractEdgeValue(*spec_->gv, edge,
-                                                   pred->attr()));
+    GRF_ASSIGN_OR_RETURN(
+        Value v, ReadEdgeValue(edge, slot, columns ? pred_columns_[p] : nullptr,
+                               pred->attr(), ctx));
     GRF_ASSIGN_OR_RETURN(bool pass, pred->TestElement(v, row));
     if (!pass) return false;
   }

@@ -53,6 +53,7 @@ class PathScanner {
   virtual void Release() {
     frontier_.clear();
     visited_.clear();
+    has_columns_ = false;
     ReleaseCharge();
   }
 
@@ -166,11 +167,15 @@ class PathScanner {
   /// extension in neighbor-enumeration order, after every check that can
   /// fail the statement, and owns visited marking.
   ///
+  /// Edge attributes are read from the probe's flat columns (ArmProbe)
+  /// when the edge sits in the CSR slice and no attribute write has landed
+  /// since the columns' boundary, else through the tuple pointer.
+  ///
   /// Thread-safety: reads only const state (spec_, outer_row_,
-  /// sum_bound_values_) plus whatever `prefix` reads, so concurrent workers
-  /// may invoke this on a shared scanner as long as each passes its own
-  /// `ctx` (stats, cancellation) and the visited set is frozen for the
-  /// duration.
+  /// sum_bound_values_, the probe's columns) plus whatever `prefix` reads,
+  /// so concurrent workers may invoke this on a shared scanner as long as
+  /// each passes its own `ctx` (stats, cancellation) and the visited set is
+  /// frozen for the duration.
   template <typename Prefix, typename Visited, typename Sink>
   Status ExpandCore(const Prefix& prefix, QueryContext* ctx,
                     Visited&& already_visited, Sink&& sink) {
@@ -182,10 +187,12 @@ class PathScanner {
     const size_t bounds = spec_->sum_bounds.size();
     const bool shortest =
         spec_->physical == TraversalSpec::Physical::kShortestPath;
+    const bool columns = ColumnsUsable();
     std::vector<double> sums(bounds);
     Status status = Status::OK();
 
-    spec_->gv->ForEachNeighbor(*end, [&](const EdgeEntry& edge, VertexId nbr) {
+    spec_->gv->ForEachNeighborSlot(*end, [&](const EdgeEntry& edge,
+                                             VertexId nbr, size_t slot) {
       ++ctx->stats().edges_examined;
 
       // Edge-simple: never reuse an edge within one path.
@@ -202,7 +209,7 @@ class PathScanner {
 
       std::copy_n(prefix.sums(), bounds, sums.begin());
       if (spec_->push_filters) {
-        auto edge_ok = EdgeAdmissible(edge, edge_index);
+        auto edge_ok = EdgeAdmissible(edge, slot, edge_index, columns, ctx);
         if (!edge_ok.ok()) {
           status = edge_ok.status();
           return false;
@@ -227,13 +234,11 @@ class PathScanner {
         }
         // Accumulate sum bounds and prune monotone upper bounds early.
         for (size_t i = 0; i < bounds; ++i) {
-          auto v =
-              ExtractEdgeValue(*spec_->gv, edge, spec_->sum_bounds[i].attr);
-          if (!v.ok()) {
-            status = v.status();
+          if (!AddEdgeNumber(edge, slot, SumColumn(i, columns),
+                             spec_->sum_bounds[i].attr, ctx, &sums[i],
+                             &status)) {
             return false;
           }
-          if (!v->is_null()) sums[i] += v->AsNumeric();
           CompareOp op = spec_->sum_bounds[i].op;
           double bound = sum_bound_values_[i];
           bool prune = (op == CompareOp::kLt && sums[i] >= bound) ||
@@ -247,29 +252,31 @@ class PathScanner {
         // Pushdown disabled (ablation / paper §7.1 control): still
         // accumulate sums so emission checks stay exact.
         for (size_t i = 0; i < bounds; ++i) {
-          auto v =
-              ExtractEdgeValue(*spec_->gv, edge, spec_->sum_bounds[i].attr);
-          if (!v.ok()) {
-            status = v.status();
+          if (!AddEdgeNumber(edge, slot, SumColumn(i, columns),
+                             spec_->sum_bounds[i].attr, ctx, &sums[i],
+                             &status)) {
             return false;
           }
-          if (!v->is_null()) sums[i] += v->AsNumeric();
         }
       }
 
       double cost = prefix.cost();
       if (shortest) {
-        auto w = ExtractEdgeValue(*spec_->gv, edge, spec_->sp_attr);
-        if (!w.ok()) {
-          status = w.status();
+        double w = 0.0;
+        bool is_null = false;
+        Status read =
+            ReadEdgeNumber(edge, slot, columns ? weight_column_ : nullptr,
+                           spec_->sp_attr, ctx, &w, &is_null);
+        if (!read.ok()) {
+          status = std::move(read);
           return false;
         }
-        if (w->is_null() || w->AsNumeric() < 0) {
+        if (is_null || w < 0) {
           status = Status::InvalidArgument(
               "SHORTESTPATH requires a non-null, non-negative edge attribute");
           return false;
         }
-        cost += w->AsNumeric();
+        cost += w;
       }
 
       sink(edge, nbr, closing, sums.data(), cost);
@@ -278,11 +285,76 @@ class PathScanner {
     return status;
   }
 
-  /// Incremental checks for appending `edge`->`next_vertex` at position
-  /// `edge_index`; false means the branch is pruned.
-  StatusOr<bool> EdgeAdmissible(const EdgeEntry& edge, size_t edge_index);
+  /// Incremental checks for appending `edge` (CSR `slot`) at position
+  /// `edge_index`; false means the branch is pruned. `columns` is the
+  /// expansion's ColumnsUsable(); tuple reads are counted in `ctx`.
+  StatusOr<bool> EdgeAdmissible(const EdgeEntry& edge, size_t slot,
+                                size_t edge_index, bool columns,
+                                QueryContext* ctx);
   StatusOr<bool> VertexAdmissible(const VertexEntry& vertex,
                                   size_t vertex_index);
+
+  /// Whether this expansion may read the probe's flat columns: one was
+  /// resolved, and no edge attribute write has landed since (tested after
+  /// the statement took its snapshot, once per expansion).
+  bool ColumnsUsable() const {
+    return has_columns_ && !spec_->gv->EdgeColumnsStale();
+  }
+  const EdgeAttrColumn* SumColumn(size_t i, bool columns) const {
+    return columns ? sum_columns_[i] : nullptr;
+  }
+
+  /// Edge attribute `attr` of `edge` at CSR `slot`: from `column` when it
+  /// describes the slot, else through the tuple pointer (source-column
+  /// reads counted as attr_tuple_reads in `ctx`).
+  StatusOr<Value> ReadEdgeValue(const EdgeEntry& edge, size_t slot,
+                                const EdgeAttrColumn* column,
+                                const ElementAttr& attr,
+                                QueryContext* ctx) const {
+    if (column != nullptr) {
+      Value v;
+      if (column->Read(slot, &v) != EdgeAttrColumn::Cell::kTuple) return v;
+    }
+    if (attr.field == ElementField::kSourceColumn) {
+      ++ctx->stats().attr_tuple_reads;
+    }
+    return ExtractEdgeValue(*spec_->gv, edge, attr);
+  }
+
+  /// ReadEdgeValue for arithmetic (sum bounds, SPScan weights): the value
+  /// as Value::AsNumeric into `*out`, or `*is_null`.
+  Status ReadEdgeNumber(const EdgeEntry& edge, size_t slot,
+                        const EdgeAttrColumn* column, const ElementAttr& attr,
+                        QueryContext* ctx, double* out, bool* is_null) const {
+    if (column != nullptr) {
+      const EdgeAttrColumn::Cell cell = column->Numeric(slot, out);
+      if (cell != EdgeAttrColumn::Cell::kTuple) {
+        *is_null = cell == EdgeAttrColumn::Cell::kNull;
+        return Status::OK();
+      }
+    }
+    GRF_ASSIGN_OR_RETURN(Value v,
+                         ReadEdgeValue(edge, slot, nullptr, attr, ctx));
+    *is_null = v.is_null();
+    if (!*is_null) *out = v.AsNumeric();
+    return Status::OK();
+  }
+
+  /// Adds `attr` of `edge` (unless NULL) to `*sum`; on a failed read stores
+  /// the error in `*status` and returns false.
+  bool AddEdgeNumber(const EdgeEntry& edge, size_t slot,
+                     const EdgeAttrColumn* column, const ElementAttr& attr,
+                     QueryContext* ctx, double* sum, Status* status) const {
+    double x = 0.0;
+    bool is_null = false;
+    Status read = ReadEdgeNumber(edge, slot, column, attr, ctx, &x, &is_null);
+    if (!read.ok()) {
+      *status = std::move(read);
+      return false;
+    }
+    if (!is_null) *sum += x;
+    return true;
+  }
 
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_;
@@ -293,6 +365,13 @@ class PathScanner {
   const ExecRow* outer_row_ = nullptr;
   std::optional<VertexId> target_;
   std::vector<double> sum_bound_values_;  ///< Bounds evaluated per probe.
+
+  /// Flat edge-attribute columns resolved per probe (nullptr: read tuples):
+  /// one per element predicate, one per sum bound, the SPScan weight.
+  std::vector<const EdgeAttrColumn*> pred_columns_;
+  std::vector<const EdgeAttrColumn*> sum_columns_;
+  const EdgeAttrColumn* weight_column_ = nullptr;
+  bool has_columns_ = false;  ///< Any of the above is non-null.
 
   std::deque<Candidate> frontier_;  ///< BFS queue.
   std::unordered_set<VertexId> visited_;      ///< global_visited mode.

@@ -138,6 +138,17 @@ bool MatchSumBound(const Expression& bound, size_t slot,
   return true;
 }
 
+/// Pushed path arithmetic (SUM bounds, SHORTESTPATH costs) reads its edge
+/// attribute as a number. Only BIGINT and DOUBLE attributes are numbers; any
+/// other type fails the statement as the row-level path aggregate would,
+/// rather than being summed as 0 (VARCHAR) or 0/1 (BOOLEAN).
+Status RequireNumericPathAttr(const ElementAttr& attr) {
+  if (attr.type == ValueType::kBigInt || attr.type == ValueType::kDouble) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("path aggregate over non-numeric attribute");
+}
+
 /// True when any node is a relational aggregate call (COUNT(*), SUM(col),
 /// COUNT(P), ... — everything except the per-path SUM(PS.Edges.attr) form).
 StatusOr<bool> HasRelationalAgg(const ParsedExpr& expr, const Binder& binder) {
@@ -497,6 +508,7 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
         // Pushed-down sum bounds (§6.2).
         TraversalSpec::SumBound sum_bound;
         if (MatchSumBound(*bound, spec.path_slot, &sum_bound)) {
+          GRF_RETURN_IF_ERROR(RequireNumericPathAttr(sum_bound.attr));
           spec.sum_bounds.push_back(std::move(sum_bound));
           c.consumed = true;
           continue;
@@ -708,6 +720,7 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       GRF_ASSIGN_OR_RETURN(
           spec.sp_attr,
           binder.ResolveEdgeAttr(*binding.gv, binding.hint_attribute));
+      GRF_RETURN_IF_ERROR(RequireNumericPathAttr(spec.sp_attr));
       int64_t k = stmt.top >= 0 ? stmt.top : stmt.limit;
       if (k > 0) spec.sp_expansion_cap = static_cast<size_t>(k);
     } else if (binding.hint == TraversalHint::kDfs) {

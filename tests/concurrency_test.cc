@@ -362,5 +362,127 @@ TEST(ConcurrencyTest, SystemTableReadersRaceWriterChurn) {
   EXPECT_EQ(calls->rows[0][0].AsBigInt(), 4 * 150);
 }
 
+// Two sessions race the first SHORTESTPATH and the first constrained reach
+// on a fresh view — the lazy build of the weight and rank columns — while a
+// writer swaps weights and ranks between two committed states and crosses
+// maintenance boundaries that drop the columns for rebuilding. Every answer
+// must be the answer of one committed state.
+TEST(EdgeColumnRaceTest, FirstTraversalsRaceWeightWriter) {
+  Database db;
+  ASSERT_TRUE(ExecScript(db, R"sql(
+    CREATE TABLE v (id BIGINT PRIMARY KEY);
+    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                    w DOUBLE, rank BIGINT);
+    CREATE TABLE pad (id BIGINT);
+    INSERT INTO v VALUES (1), (2), (3), (4);
+    INSERT INTO e VALUES (10, 1, 2, 1.0, 10), (11, 2, 4, 1.0, 10),
+                         (12, 1, 3, 1.0, 10), (13, 3, 4, 5.0, 90);
+    CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v
+      EDGES (ID = id, FROM = src, TO = dst, w = w, rank = rank) FROM e;
+  )sql")
+                  .ok());
+  const std::string shortest =
+      "SELECT TOP 1 PS.Cost, PS.PathString FROM g.Paths PS "
+      "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 1 AND "
+      "PS.EndVertex.Id = 4";
+  const std::string reach =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 1 AND "
+      "P.EndVertex.Id = 4 AND P.Edges[0..*].rank < 50 LIMIT 1";
+  const std::string via_two = "1 -[10]-> 2 -[11]-> 4";
+  const std::string via_three = "1 -[12]-> 3 -[13]-> 4";
+  // Either committed state costs 2: the cheap, low-rank route alternates.
+  const std::set<std::string> shortest_ok = {"2|" + via_two,
+                                             "2|" + via_three};
+  const std::set<std::string> reach_ok = {via_two, via_three};
+
+  auto first_row = [](Session& s, const std::string& sql, std::string* out) {
+    auto r = s.Execute(sql);
+    if (!r.ok()) return false;
+    out->clear();
+    if (r->rows.empty()) return true;
+    for (size_t i = 0; i < r->rows[0].size(); ++i) {
+      if (i > 0) *out += "|";
+      *out += r->rows[0][i].ToString();
+    }
+    return true;
+  };
+
+  constexpr int kSwaps = 200;
+  std::atomic<int> ready{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<int> violations{0};
+  auto wait_for_start = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < 3) std::this_thread::yield();
+  };
+
+  std::thread writer([&] {
+    Session s(db);
+    wait_for_start();
+    std::vector<std::vector<Value>> pad(128, {Value::BigInt(0)});
+    for (int i = 0; i < kSwaps; ++i) {
+      const bool to_three = i % 2 == 0;
+      if (!s.Execute("BEGIN").ok()) ++errors;
+      if (!s.Execute(StrFormat("UPDATE e SET w = %s, rank = %s WHERE id = 11",
+                               to_three ? "5.0" : "1.0",
+                               to_three ? "90" : "10"))
+               .ok()) {
+        ++errors;
+      }
+      if (!s.Execute(StrFormat("UPDATE e SET w = %s, rank = %s WHERE id = 13",
+                               to_three ? "1.0" : "5.0",
+                               to_three ? "10" : "90"))
+               .ok()) {
+        ++errors;
+      }
+      if (!s.Execute("COMMIT").ok()) ++errors;
+      // Crosses the maintenance batch: stale columns are dropped at this
+      // commit boundary (or a later one if readers hold the lock).
+      if (i % 8 == 7 && !db.BulkInsert("pad", pad).ok()) ++errors;
+    }
+    done.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Session s(db);
+      wait_for_start();
+      // Reader 0 opens with SHORTESTPATH, reader 1 with the constrained
+      // reach: both race to build their columns on the fresh view.
+      bool shortest_turn = r == 0;
+      do {
+        std::string row;
+        const std::string& sql = shortest_turn ? shortest : reach;
+        if (!first_row(s, sql, &row)) {
+          ++errors;
+        } else if ((shortest_turn ? shortest_ok : reach_ok).count(row) == 0) {
+          ++violations;
+          ADD_FAILURE() << sql << " returned '" << row << "'";
+        }
+        shortest_turn = !shortest_turn;
+      } while (!done.load());
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(violations.load(), 0);
+
+  // Quiesced: the last swap (to the route via 2) committed; after a
+  // boundary the rebuilt columns serve it.
+  std::vector<std::vector<Value>> pad(128, {Value::BigInt(0)});
+  ASSERT_TRUE(db.BulkInsert("pad", pad).ok());
+  Session s(db);
+  std::string row;
+  ASSERT_TRUE(first_row(s, shortest, &row));
+  EXPECT_EQ(row, "2|" + via_two);
+  EXPECT_EQ(s.last_stats().attr_tuple_reads, 0u);
+  ASSERT_TRUE(first_row(s, reach, &row));
+  EXPECT_EQ(row, via_two);
+  EXPECT_EQ(s.last_stats().attr_tuple_reads, 0u);
+}
+
 }  // namespace
 }  // namespace grfusion

@@ -320,5 +320,57 @@ TEST_F(GraphSqlTest, SysGraphViewsDescribesTopology) {
   EXPECT_EQ(r.rows[0][3].AsBigInt(), 7);
 }
 
+TEST_F(GraphSqlTest, NonNumericPathArithmeticIsRejected) {
+  // A BOOLEAN edge attribute beside the VARCHAR `tag`, on a second view over
+  // the same vertexes.
+  ASSERT_TRUE(ExecScript(db_, R"sql(
+    CREATE TABLE flag (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                       rel BOOLEAN);
+    INSERT INTO flag VALUES (20, 1, 2, true), (21, 2, 4, false);
+    CREATE DIRECTED GRAPH VIEW flagged
+      VERTEXES (ID = id) FROM node
+      EDGES (ID = id, FROM = src, TO = dst, rel = rel) FROM flag;
+  )sql")
+                  .ok());
+  // SHORTESTPATH costs and pushed SUM bounds read their attribute as a
+  // number. A VARCHAR would read as 0 and a BOOLEAN as 0/1, so the planner
+  // refuses both, with the message the row-level path aggregate fails with.
+  const char* kStatements[] = {
+      "SELECT TOP 1 PS.Cost FROM cite.Paths PS HINT(SHORTESTPATH(tag)) "
+      "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 4",
+      "SELECT COUNT(*) FROM cite.Paths PS WHERE PS.StartVertex.Id = 1 "
+      "AND SUM(PS.Edges.tag) < 1 AND PS.Length <= 3",
+      "SELECT TOP 1 PS.Cost FROM flagged.Paths PS HINT(SHORTESTPATH(rel)) "
+      "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 4",
+      "SELECT COUNT(*) FROM flagged.Paths PS WHERE PS.StartVertex.Id = 1 "
+      "AND SUM(PS.Edges.rel) <= 1 AND PS.Length <= 2",
+  };
+  for (const char* sql : kStatements) {
+    auto result = Exec(db_, sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(result.status().message(),
+              "path aggregate over non-numeric attribute")
+        << sql;
+  }
+  // The row-level aggregate keeps failing the same way, and numeric
+  // attributes keep working.
+  auto projected = Exec(db_,
+                        "SELECT SUM(PS.Edges.tag) FROM cite.Paths PS "
+                        "WHERE PS.StartVertex.Id = 1 AND PS.Length = 1");
+  ASSERT_FALSE(projected.ok());
+  EXPECT_EQ(projected.status().message(),
+            "path aggregate over non-numeric attribute");
+  ResultSet cost = Must(
+      "SELECT TOP 1 PS.Cost FROM cite.Paths PS HINT(SHORTESTPATH(w)) "
+      "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 4");
+  ASSERT_EQ(cost.NumRows(), 1u);
+  EXPECT_EQ(cost.rows[0][0].AsNumeric(), 2.0);
+  ResultSet bounded = Must(
+      "SELECT COUNT(*) FROM cite.Paths PS WHERE PS.StartVertex.Id = 1 "
+      "AND SUM(PS.Edges.w) < 2.5 AND PS.Length <= 3");
+  EXPECT_EQ(bounded.ScalarValue().AsBigInt(), 2);  // 1-2 and 1-2-4.
+}
+
 }  // namespace
 }  // namespace grfusion

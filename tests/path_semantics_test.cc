@@ -982,5 +982,194 @@ TEST_F(DfsScanTest, OrderByKeepsEveryPath) {
   EXPECT_EQ(distinct.size(), sorted.NumRows());
 }
 
+// ---------------------------------------------------------------------------
+// Flat edge-attribute columns
+//
+// Traversals read numeric edge attributes from flat columns aligned with the
+// CSR slots, and from the tuple for everything a column cannot describe.
+// Answers and error statuses must be those of the tuple reads;
+// last_stats().attr_tuple_reads shows which path served them.
+// ---------------------------------------------------------------------------
+
+class EdgeColumnTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+  void SetUp() override {
+    // 0 -> 1 (w 1, tag 2^53+1), 0 -> 2 (w 4, tag 2^53), 1 -> 3 (w 1),
+    // 2 -> 3 (w 1), 3 -> 4 (w 2), 4 -> 0 (w 9). The two tags collapse to
+    // one double. The in-side slot order (by head vertex) differs from the
+    // out-side order, so a misaligned in-side read shows.
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+      CREATE TABLE v (id BIGINT PRIMARY KEY);
+      CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      w DOUBLE, tag BIGINT);
+      CREATE TABLE pad (id BIGINT);
+    )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows;
+    for (int64_t i = 0; i < 5; ++i) vrows.push_back({Value::BigInt(i)});
+    ASSERT_TRUE(db_.BulkInsert("v", vrows).ok());
+    const std::vector<std::tuple<int64_t, int64_t, double, int64_t>> edges = {
+        {0, 1, 1.0, kTwo53 + 1}, {0, 2, 4.0, kTwo53}, {1, 3, 1.0, 7},
+        {2, 3, 1.0, 7},          {3, 4, 2.0, 7},      {4, 0, 9.0, 7}};
+    std::vector<std::vector<Value>> erows;
+    for (const auto& [src, dst, w, tag] : edges) {
+      erows.push_back({Value::BigInt(static_cast<int64_t>(erows.size())),
+                       Value::BigInt(src), Value::BigInt(dst),
+                       Value::Double(w), Value::BigInt(tag)});
+    }
+    ASSERT_TRUE(db_.BulkInsert("e", erows).ok());
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+      CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v
+        EDGES (ID = id, FROM = src, TO = dst, w = w, tag = tag) FROM e;
+      CREATE UNDIRECTED GRAPH VIEW gu VERTEXES (ID = id) FROM v
+        EDGES (ID = id, FROM = src, TO = dst, w = w, tag = tag) FROM e;
+    )sql")
+                    .ok());
+  }
+
+  ResultSet Must(const std::string& sql) {
+    auto result = session_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    return result.ok() ? *std::move(result) : ResultSet();
+  }
+
+  /// Rows as "col|col|" strings.
+  std::vector<std::string> Rows(const std::string& sql) {
+    std::vector<std::string> out;
+    for (const auto& row : Must(sql).rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.push_back(std::move(line));
+    }
+    return out;
+  }
+
+  uint64_t TupleReads() const {
+    return session_.last_stats().attr_tuple_reads;
+  }
+
+  /// Commits enough changes to cross the engine's maintenance batch, so the
+  /// commit boundary folds every view.
+  void CrossMaintenanceBoundary() {
+    std::vector<std::vector<Value>> rows(128, {Value::BigInt(0)});
+    ASSERT_TRUE(db_.BulkInsert("pad", rows).ok());
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+};
+
+TEST_F(EdgeColumnTest, BigIntBeyondDoublePrecisionMatchesOnlyItsEdge) {
+  EXPECT_EQ(Rows("SELECT P.PathString FROM g.Paths P WHERE "
+                 "P.StartVertex.Id = 0 AND P.Length = 1 AND "
+                 "P.Edges[0..*].tag = 9007199254740993"),
+            std::vector<std::string>{"0 -[0]-> 1|"});
+  EXPECT_EQ(TupleReads(), 0u) << "the pushed predicate read tuples";
+  EXPECT_EQ(Rows("SELECT P.PathString FROM g.Paths P WHERE "
+                 "P.StartVertex.Id = 0 AND P.Length = 1 AND "
+                 "P.Edges[0..*].tag = 9007199254740992"),
+            std::vector<std::string>{"0 -[1]-> 2|"});
+  EXPECT_EQ(TupleReads(), 0u);
+  EXPECT_GT(db_.catalog().FindGraphView("g")->AttrBytes(), 0u);
+}
+
+TEST_F(EdgeColumnTest, NullAndNegativeWeightsFailAsBefore) {
+  ASSERT_TRUE(session_.ExecuteScript(R"sql(
+    CREATE TABLE bad (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      w DOUBLE, cost BIGINT);
+    INSERT INTO bad VALUES (0, 0, 1, NULL, 3), (1, 1, 2, -1.0, -3),
+                           (2, 0, 2, 1.0, 1);
+    CREATE DIRECTED GRAPH VIEW gb VERTEXES (ID = id) FROM v
+      EDGES (ID = id, FROM = src, TO = dst, w = w, cost = cost) FROM bad;
+  )sql")
+                  .ok());
+  const char* kStatements[] = {
+      // NULL DOUBLE weight out of the start.
+      "SELECT TOP 1 PS.Cost FROM gb.Paths PS HINT(SHORTESTPATH(w)) "
+      "WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 1",
+      // Negative DOUBLE and BIGINT weights.
+      "SELECT TOP 1 PS.Cost FROM gb.Paths PS HINT(SHORTESTPATH(w)) "
+      "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 2",
+      "SELECT TOP 1 PS.Cost FROM gb.Paths PS HINT(SHORTESTPATH(cost)) "
+      "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 2",
+  };
+  for (const char* sql : kStatements) {
+    auto result = session_.Execute(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(result.status().message(),
+              "SHORTESTPATH requires a non-null, non-negative edge attribute")
+        << sql;
+  }
+  // The failures came from the columns, not from a missing build.
+  EXPECT_GT(db_.catalog().FindGraphView("gb")->AttrBytes(), 0u);
+  // NULL sums as nothing under a pushed bound, as the tuple read does.
+  EXPECT_EQ(Rows("SELECT PS.PathString FROM gb.Paths PS WHERE "
+                 "PS.StartVertex.Id = 0 AND PS.Length = 1 AND "
+                 "SUM(PS.Edges.w) < 0.5"),
+            std::vector<std::string>{"0 -[0]-> 1|"});
+  EXPECT_EQ(TupleReads(), 0u);
+}
+
+TEST_F(EdgeColumnTest, UndirectedViewReadsInSideSlots) {
+  // From 3, every first hop runs against an edge's direction (in-side
+  // slots) except 3 -> 4.
+  EXPECT_EQ(Rows("SELECT TOP 3 PS.Cost, PS.PathString FROM gu.Paths PS "
+                 "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 3 AND "
+                 "PS.EndVertex.Id = 0"),
+            (std::vector<std::string>{"2|3 -[2]-> 1 -[0]-> 0|",
+                                      "5|3 -[3]-> 2 -[1]-> 0|",
+                                      "11|3 -[4]-> 4 -[5]-> 0|"}));
+  EXPECT_EQ(TupleReads(), 0u);
+  EXPECT_EQ(Rows("SELECT P.PathString FROM gu.Paths P WHERE "
+                 "P.StartVertex.Id = 1 AND P.Length = 1 AND "
+                 "P.Edges[0..*].tag = 9007199254740993"),
+            std::vector<std::string>{"1 -[0]-> 0|"});
+  EXPECT_EQ(TupleReads(), 0u);
+  // The undirected column holds both sides; the directed one only out.
+  ASSERT_TRUE(
+      session_.Execute("SELECT TOP 1 PS.Cost FROM g.Paths PS "
+                       "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 0 "
+                       "AND PS.EndVertex.Id = 4")
+          .ok());
+  EXPECT_GT(db_.catalog().FindGraphView("gu")->AttrBytes(),
+            db_.catalog().FindGraphView("g")->AttrBytes());
+}
+
+TEST_F(EdgeColumnTest, EdgeInsertedAfterSnapshotReadsItsTuple) {
+  const std::string shortest =
+      "SELECT TOP 1 PS.Cost, PS.PathString FROM g.Paths PS "
+      "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 0 AND "
+      "PS.EndVertex.Id = 4";
+  EXPECT_EQ(Rows(shortest),
+            std::vector<std::string>{"4|0 -[0]-> 1 -[2]-> 3 -[4]-> 4|"});
+  EXPECT_EQ(TupleReads(), 0u);
+
+  // The new edge lives in the delta overlay, outside every CSR slot: its
+  // weight comes from its tuple, the others still from the column.
+  ASSERT_TRUE(
+      session_.Execute("INSERT INTO e VALUES (6, 0, 4, 3.5, 7)").ok());
+  EXPECT_EQ(Rows(shortest), std::vector<std::string>{"3.5|0 -[6]-> 4|"});
+  EXPECT_EQ(TupleReads(), 1u);
+  ResultSet analyzed = Must("EXPLAIN ANALYZE " + shortest);
+  std::string plan;
+  for (const auto& row : analyzed.rows) plan += row[0].AsVarchar() + "\n";
+  EXPECT_NE(plan.find("attr_tuple_reads=1"), std::string::npos) << plan;
+
+  // The fold re-snapshots the CSR with the edge in a slot.
+  const GraphView* gv = db_.catalog().FindGraphView("g");
+  const size_t folds = gv->Folds();
+  CrossMaintenanceBoundary();
+  ASSERT_GT(gv->Folds(), folds);
+  EXPECT_EQ(Rows(shortest), std::vector<std::string>{"3.5|0 -[6]-> 4|"});
+  EXPECT_EQ(TupleReads(), 0u);
+  analyzed = Must("EXPLAIN ANALYZE " + shortest);
+  plan.clear();
+  for (const auto& row : analyzed.rows) plan += row[0].AsVarchar() + "\n";
+  EXPECT_EQ(plan.find("attr_tuple_reads"), std::string::npos) << plan;
+}
+
 }  // namespace
 }  // namespace grfusion

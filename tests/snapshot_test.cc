@@ -459,6 +459,152 @@ TEST(SnapshotTortureTest, ReadersSeeCommitBoundaryConsistentStates) {
   EXPECT_EQ(Topology(*gv), Topology(**rebuilt));
 }
 
+// --- Edge-attribute columns under attribute writes --------------------------------
+//
+// Traversals read edge weights and pushed-predicate attributes from flat
+// columns built lazily from a snapshot. An UPDATE that leaves topology
+// unchanged marks them stale before it can become visible, so every
+// statement from then on reads tuples at its own snapshot, until the next
+// maintenance boundary drops the columns and a reader rebuilds them.
+
+class EdgeColumnSnapshotTest : public ::testing::Test {
+ protected:
+  // Two routes from 1 to 4: 1 -> 2 -> 4 (w 1 + 1) and 1 -> 3 -> 4 (2 + 2).
+  void SetUp() override {
+    ASSERT_TRUE(ExecScript(db_, R"sql(
+      CREATE TABLE v (id BIGINT PRIMARY KEY);
+      CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      w DOUBLE, rank BIGINT);
+      CREATE TABLE pad (id BIGINT);
+      INSERT INTO v VALUES (1), (2), (3), (4);
+      INSERT INTO e VALUES (10, 1, 2, 1.0, 10), (11, 2, 4, 1.0, 10),
+                           (12, 1, 3, 2.0, 10), (13, 3, 4, 2.0, 10);
+      CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v
+        EDGES (ID = id, FROM = src, TO = dst, w = w, rank = rank) FROM e;
+    )sql")
+                    .ok());
+    gv_ = db_.catalog().FindGraphView("g");
+    ASSERT_NE(gv_, nullptr);
+  }
+
+  /// First row of `sql` as "col|col|".
+  std::string First(Session& s, const std::string& sql) {
+    auto r = s.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok() || r->rows.empty()) return "";
+    std::string line;
+    for (const Value& v : r->rows[0]) line += v.ToString() + "|";
+    return line;
+  }
+  std::string Shortest(Session& s) { return First(s, kShortest); }
+  std::string Reach(Session& s) { return First(s, kReach); }
+
+  static uint64_t TupleReads(const Session& s) {
+    return s.last_stats().attr_tuple_reads;
+  }
+
+  /// Commits enough changes to cross the maintenance batch: the commit
+  /// boundary drops stale columns (there is no topology delta to fold).
+  void CrossMaintenanceBoundary() {
+    std::vector<std::vector<Value>> rows(128, {Value::BigInt(0)});
+    ASSERT_TRUE(db_.BulkInsert("pad", rows).ok());
+  }
+
+  static constexpr const char* kShortest =
+      "SELECT TOP 1 PS.Cost, PS.PathString FROM g.Paths PS "
+      "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 1 AND "
+      "PS.EndVertex.Id = 4";
+  static constexpr const char* kReach =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 1 AND "
+      "P.EndVertex.Id = 4 AND P.Edges[0..*].rank < 50 LIMIT 1";
+  static constexpr const char* kViaTwo = "1 -[10]-> 2 -[11]-> 4|";
+  static constexpr const char* kViaThree = "1 -[12]-> 3 -[13]-> 4|";
+
+  Database db_;
+  const GraphView* gv_ = nullptr;
+};
+
+TEST_F(EdgeColumnSnapshotTest, WeightWriteVisibleAtCommitServedAfterBoundary) {
+  Session reader(db_);
+  Session writer(db_);
+  EXPECT_EQ(Shortest(reader), std::string("2|") + kViaTwo);
+  EXPECT_EQ(TupleReads(reader), 0u) << "a fresh view is served by columns";
+  auto bytes = reader.Execute("SELECT ATTR_BYTES FROM SYS.GRAPH_VIEWS");
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_GT(bytes->ScalarValue().AsBigInt(), 0);
+
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("UPDATE e SET w = 10.0 WHERE id = 11").ok());
+  EXPECT_TRUE(gv_->EdgeColumnsStale());
+  // The writer's own statement sees its write; the reader, whose snapshot
+  // predates the commit, the old weight. Both read tuples now.
+  EXPECT_EQ(Shortest(writer), std::string("4|") + kViaThree);
+  EXPECT_GT(TupleReads(writer), 0u);
+  EXPECT_EQ(Shortest(reader), std::string("2|") + kViaTwo);
+  EXPECT_GT(TupleReads(reader), 0u);
+
+  ASSERT_TRUE(writer.Execute("COMMIT").ok());
+  EXPECT_EQ(Shortest(reader), std::string("4|") + kViaThree);
+  EXPECT_GT(TupleReads(reader), 0u);
+
+  CrossMaintenanceBoundary();
+  EXPECT_FALSE(gv_->EdgeColumnsStale());
+  EXPECT_EQ(gv_->AttrBytes(), 0u);
+  // The rebuilt column serves the committed weight.
+  EXPECT_EQ(Shortest(reader), std::string("4|") + kViaThree);
+  EXPECT_EQ(TupleReads(reader), 0u);
+  EXPECT_GT(gv_->AttrBytes(), 0u);
+}
+
+TEST_F(EdgeColumnSnapshotTest, AbortedWeightWriteKeepsOldCost) {
+  Session reader(db_);
+  Session writer(db_);
+  EXPECT_EQ(Shortest(reader), std::string("2|") + kViaTwo);
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("UPDATE e SET w = 10.0 WHERE id = 11").ok());
+  EXPECT_EQ(Shortest(writer), std::string("4|") + kViaThree);
+  ASSERT_TRUE(writer.Execute("ABORT").ok());
+  // The mark outlives the abort: reads stay on tuples until the boundary.
+  EXPECT_TRUE(gv_->EdgeColumnsStale());
+  EXPECT_EQ(Shortest(reader), std::string("2|") + kViaTwo);
+  EXPECT_GT(TupleReads(reader), 0u);
+
+  CrossMaintenanceBoundary();
+  EXPECT_EQ(Shortest(reader), std::string("2|") + kViaTwo);
+  EXPECT_EQ(TupleReads(reader), 0u);
+}
+
+TEST_F(EdgeColumnSnapshotTest, RankWriteVisibleAtCommitServedAfterBoundary) {
+  Session reader(db_);
+  Session writer(db_);
+  EXPECT_EQ(Reach(reader), kViaTwo);
+  EXPECT_EQ(TupleReads(reader), 0u);
+
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("UPDATE e SET rank = 90 WHERE id = 11").ok());
+  EXPECT_EQ(Reach(writer), kViaThree);
+  EXPECT_EQ(Reach(reader), kViaTwo);
+  EXPECT_GT(TupleReads(reader), 0u);
+  ASSERT_TRUE(writer.Execute("COMMIT").ok());
+  EXPECT_EQ(Reach(reader), kViaThree);
+  EXPECT_GT(TupleReads(reader), 0u);
+
+  CrossMaintenanceBoundary();
+  EXPECT_EQ(Reach(reader), kViaThree);
+  EXPECT_EQ(TupleReads(reader), 0u);
+
+  // An aborted rank write leaves the committed answer in place.
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("UPDATE e SET rank = 10 WHERE id = 11").ok());
+  EXPECT_EQ(Reach(writer), kViaTwo);
+  ASSERT_TRUE(writer.Execute("ABORT").ok());
+  EXPECT_EQ(Reach(reader), kViaThree);
+  EXPECT_GT(TupleReads(reader), 0u);
+  CrossMaintenanceBoundary();
+  EXPECT_EQ(Reach(reader), kViaThree);
+  EXPECT_EQ(TupleReads(reader), 0u);
+}
+
 // --- Fold/vacuum pressure under pinned readers -------------------------------------
 
 // Readers keep statements pinned at their snapshot epoch while the writer

@@ -693,13 +693,16 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
                               view_body.c_str()))
                   .ok());
 
-  auto run_at = [&](const std::string& sql, size_t parallelism) {
-    session.options().max_parallelism = parallelism;
-    session.options().parallel_min_rows = 1;
-    session.options().parallel_min_starts = 1;
-    auto result = session.Execute(sql);
+  auto run_in = [&](Session& s, const std::string& sql, size_t parallelism) {
+    s.options().max_parallelism = parallelism;
+    s.options().parallel_min_rows = 1;
+    s.options().parallel_min_starts = 1;
+    auto result = s.Execute(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     return result;
+  };
+  auto run_at = [&](const std::string& sql, size_t parallelism) {
+    return run_in(session, sql, parallelism);
   };
 
   std::vector<int64_t> all_vertexes;
@@ -766,8 +769,8 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
         << "parallel-built view diverges";
   }
 
-  int sp_answered = 0;
-  for (int trial = 0; trial < sp_trials; ++trial) {
+  // One random SPScan query: the reference's parameters and the SQL.
+  auto make_sp_query = [&]() {
     SpDiffQuery q;
     q.dst = rng.Uniform(0, graph.n - 1);
     q.k = static_cast<size_t>(rng.Uniform(1, 4));
@@ -800,6 +803,12 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       if (i > 0) sql += " AND ";
       sql += conjuncts[i];
     }
+    return std::make_pair(q, sql);
+  };
+
+  int sp_answered = 0;
+  for (int trial = 0; trial < sp_trials; ++trial) {
+    const auto [q, sql] = make_sp_query();
     SCOPED_TRACE(sql);
 
     const std::vector<std::string> expected = SpDiffReference(graph, q);
@@ -918,6 +927,64 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
   session.options().enable_filter_pushdown = true;
   if (dfs_trials > 0) {
     EXPECT_GT(dfs_answered, 0) << "no DFS trial had an answer";
+  }
+
+  // Weight-update step. The trials above built the view's flat columns
+  // (iw, w, rank). A transaction now rewrites those attributes on a third
+  // of the edges. Until COMMIT a reader's statements must match the old
+  // reference and the writer's the new one; after it every statement
+  // matches the new one, both before the maintenance boundary (tuple reads)
+  // and after it (columns rebuilt from the committed values).
+  if (sp_trials > 0) {
+    std::vector<std::pair<SpDiffQuery, std::string>> step_queries;
+    for (int i = 0; i < 6; ++i) step_queries.push_back(make_sp_query());
+    auto check_step = [&](Session& s, const DiffGraph& ref,
+                          const char* phase, bool expect_columns) {
+      for (const auto& [q, sql] : step_queries) {
+        SCOPED_TRACE(StrFormat("%s: %s", phase, sql.c_str()));
+        const std::vector<std::string> expected = SpDiffReference(ref, q);
+        for (size_t workers : {size_t{1}, size_t{4}}) {
+          auto result = run_in(s, sql, workers);
+          ASSERT_TRUE(result.ok());
+          EXPECT_EQ(DiffOrdered(*result), expected)
+              << "workers=" << workers << " diverges from the reference";
+          if (expect_columns) {
+            EXPECT_EQ(s.last_stats().attr_tuple_reads, 0u);
+          }
+        }
+      }
+    };
+    const GraphView* gv = db.catalog().FindGraphView("g");
+    ASSERT_NE(gv, nullptr);
+    ASSERT_TRUE(session.Execute("CREATE TABLE pad (id BIGINT)").ok());
+    Session reader(db);
+    check_step(reader, graph, "before the update", /*expect_columns=*/true);
+
+    DiffGraph updated = graph;
+    ASSERT_TRUE(session.Execute("BEGIN").ok());
+    for (DiffEdge& e : updated.edges) {
+      if (!rng.Bernoulli(1.0 / 3.0)) continue;
+      e.iw = rng.Uniform(1, 3);
+      e.w = 0.5 + rng.NextDouble() * 4.0;
+      e.rank = rng.Uniform(0, 99);
+      ASSERT_TRUE(session
+                      .Execute(StrFormat(
+                          "UPDATE e SET iw = %lld, w = %.17g, rank = %lld "
+                          "WHERE id = %lld",
+                          static_cast<long long>(e.iw), e.w,
+                          static_cast<long long>(e.rank),
+                          static_cast<long long>(e.id)))
+                      .ok());
+    }
+    check_step(session, updated, "writer before COMMIT", false);
+    check_step(reader, graph, "reader before COMMIT", false);
+    ASSERT_TRUE(session.Execute("COMMIT").ok());
+    check_step(reader, updated, "after COMMIT", false);
+
+    std::vector<std::vector<Value>> pad(128, {Value::BigInt(0)});
+    ASSERT_TRUE(db.BulkInsert("pad", pad).ok());
+    EXPECT_FALSE(gv->EdgeColumnsStale()) << "no maintenance boundary ran";
+    check_step(reader, updated, "after the boundary", true);
   }
   // The `gp` view must actually have been built on the shared pool —
   // otherwise the parallel-build comparison silently ran serial twice. (Path
