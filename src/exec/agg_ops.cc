@@ -2,15 +2,22 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace grfusion {
 
 // --- AggregateOp ------------------------------------------------------------------
 
 AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
                          std::vector<std::string> group_names,
-                         std::vector<AggregateSpec> aggs)
+                         std::vector<AggregateSpec> aggs,
+                         std::vector<bool> path_free_keys)
     : child_(std::move(child)), group_by_(std::move(group_by)),
-      aggs_(std::move(aggs)) {
+      aggs_(std::move(aggs)),
+      reuse_group_(!group_by_.empty() &&
+                   path_free_keys.size() == group_by_.size() &&
+                   std::all_of(path_free_keys.begin(), path_free_keys.end(),
+                               [](bool free) { return free; })) {
   for (size_t i = 0; i < group_by_.size(); ++i) {
     schema_.AddColumn(Column(group_names[i], group_by_[i]->result_type()));
   }
@@ -100,6 +107,7 @@ StatusOr<Value> AggregateOp::Finalize(const AggregateSpec& spec,
 StatusOr<size_t> AggregateOp::GroupFor(const ExecRow& row) {
   // A scalar aggregate has one group and no key.
   if (group_by_.empty() && !groups_.empty()) return 0;
+  if (!group_by_.empty()) ++group_lookups_;
   key_.resize(group_by_.size());
   for (size_t i = 0; i < group_by_.size(); ++i) {
     GRF_ASSIGN_OR_RETURN(key_[i], group_by_[i]->Eval(row));
@@ -127,23 +135,31 @@ Status AggregateOp::OpenImpl(QueryContext* ctx) {
   charged_ = 0;
   cursor_ = 0;
   materialized_ = false;
+  group_lookups_ = 0;
 
   GRF_RETURN_IF_ERROR(child_->Open(ctx));
+  // `row` goes back to the child untouched: the run protocol's promise.
   ExecRow row;
+  bool unchanged = false;
+  size_t group = 0;
   Status result = Status::OK();
   while (true) {
-    auto has = child_->Next(&row);
+    auto has = child_->Next(&row, &unchanged);
     if (!has.ok()) {
       result = has.status();
       break;
     }
     if (!*has) break;
-    auto group = GroupFor(row);
-    if (!group.ok()) {
-      result = group.status();
-      break;
+    // Unchanged columns mean unchanged path-free keys: the same group.
+    if (!reuse_group_ || !unchanged) {
+      auto found = GroupFor(row);
+      if (!found.ok()) {
+        result = found.status();
+        break;
+      }
+      group = *found;  // An index: groups_ may reallocate.
     }
-    result = Accumulate(&groups_[*group], row);
+    result = Accumulate(&groups_[group], row);
     if (!result.ok()) break;
   }
   child_->Close();
@@ -197,6 +213,12 @@ std::string AggregateOp::name() const {
     }
   }
   return out + ")";
+}
+
+std::string AggregateOp::AnalyzeExtra() const {
+  if (group_by_.empty()) return "";
+  return StrFormat(" group_lookups=%llu",
+                   static_cast<unsigned long long>(group_lookups_));
 }
 
 // --- SortOp -----------------------------------------------------------------------

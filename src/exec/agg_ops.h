@@ -23,13 +23,20 @@ struct AggregateSpec {
 /// row layout; everything above an AggregateOp binds against its output
 /// schema. With no group-by keys, emits exactly one row (SQL scalar
 /// aggregate over an empty input produces COUNT 0 / NULL others).
+///
+/// The child is drained in the run protocol (PhysicalOperator::Next). When
+/// every group-by key is path-free (`path_free_keys`, one flag per key), a
+/// row whose columns the child reports unchanged joins the previous row's
+/// group without evaluating or hashing the key.
 class AggregateOp : public PhysicalOperator {
  public:
   AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
               std::vector<std::string> group_names,
-              std::vector<AggregateSpec> aggs);
+              std::vector<AggregateSpec> aggs,
+              std::vector<bool> path_free_keys = {});
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
+  std::string AnalyzeExtra() const override;
   std::vector<const PhysicalOperator*> children() const override {
     return {child_.get()};
   }
@@ -65,6 +72,9 @@ class AggregateOp : public PhysicalOperator {
   std::vector<ExprPtr> group_by_;
   std::vector<AggregateSpec> aggs_;
   Schema schema_;
+  /// Grouped, and no key reads a path: rows with unchanged columns share
+  /// their predecessor's group.
+  bool reuse_group_ = false;
 
   QueryContext* ctx_ = nullptr;
   std::vector<Group> groups_;
@@ -74,6 +84,8 @@ class AggregateOp : public PhysicalOperator {
   size_t charged_ = 0;
   size_t cursor_ = 0;
   bool materialized_ = false;
+  /// GroupFor calls of a grouped aggregate (EXPLAIN ANALYZE).
+  uint64_t group_lookups_ = 0;
 };
 
 /// ORDER BY over pre-computed key columns: the planner projects the sort

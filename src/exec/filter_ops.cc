@@ -5,28 +5,42 @@ namespace grfusion {
 // --- FilterOp ------------------------------------------------------------------
 
 StatusOr<bool> FilterOp::NextImpl(ExecRow* out) {
+  bool* run = run_flag();
+  // The caller last saw the columns of the last row this filter passed, so
+  // they are unchanged only if the child kept them across every rejected
+  // row as well.
+  bool kept = true;
+  bool child_kept = false;
   while (true) {
-    GRF_ASSIGN_OR_RETURN(bool has, child_->Next(out));
+    GRF_ASSIGN_OR_RETURN(bool has,
+                         child_->Next(out, run != nullptr ? &child_kept
+                                                          : nullptr));
     if (!has) return false;
+    kept = kept && child_kept;
     GRF_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out));
-    if (pass) return true;
+    if (pass) {
+      if (run != nullptr) *run = kept;
+      return true;
+    }
   }
 }
 
 // --- ProjectOp -----------------------------------------------------------------
 
 StatusOr<bool> ProjectOp::NextImpl(ExecRow* out) {
-  ExecRow input;
-  GRF_ASSIGN_OR_RETURN(bool has, child_->Next(&input));
+  // Drop the hold on the previous row's paths so a path scanner below may
+  // refill them in place.
+  out->paths.clear();
+  // Pulling into a member row that nothing writes keeps the run protocol's
+  // promise. The answer is not needed: every output column is recomputed.
+  bool unchanged = false;
+  GRF_ASSIGN_OR_RETURN(bool has, child_->Next(&input_, &unchanged));
   if (!has) return false;
-  ExecRow result;
-  result.columns.reserve(exprs_.size());
-  for (const ExprPtr& expr : exprs_) {
-    GRF_ASSIGN_OR_RETURN(Value v, expr->Eval(input));
-    result.columns.push_back(std::move(v));
+  out->columns.resize(exprs_.size());
+  for (size_t i = 0; i < exprs_.size(); ++i) {
+    GRF_ASSIGN_OR_RETURN(out->columns[i], exprs_[i]->Eval(input_));
   }
-  result.paths = std::move(input.paths);
-  *out = std::move(result);
+  out->paths = input_.paths;
   return true;
 }
 

@@ -11,7 +11,9 @@
 
 namespace grfusion {
 
-/// Relational selection: passes rows whose predicate evaluates to true.
+/// Relational selection: passes rows whose predicate evaluates to true. It
+/// never writes columns, so it forwards its caller's run protocol
+/// (PhysicalOperator::Next) to the child.
 class FilterOp : public PhysicalOperator {
  public:
   FilterOp(OperatorPtr child, ExprPtr predicate)
@@ -34,7 +36,10 @@ class FilterOp : public PhysicalOperator {
   ExprPtr predicate_;
 };
 
-/// Relational projection: evaluates one expression per output column.
+/// Relational projection: evaluates one expression per output column. The
+/// child writes into a member row that goes back untouched (the run
+/// protocol of PhysicalOperator::Next), so a path probe below copies its
+/// outer row once per run rather than once per path.
 class ProjectOp : public PhysicalOperator {
  public:
   ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs, Schema schema)
@@ -49,12 +54,16 @@ class ProjectOp : public PhysicalOperator {
  protected:
   Status OpenImpl(QueryContext* ctx) override { return child_->Open(ctx); }
   StatusOr<bool> NextImpl(ExecRow* out) override;
-  void CloseImpl() override { child_->Close(); }
+  void CloseImpl() override {
+    child_->Close();
+    input_ = ExecRow();
+  }
 
  private:
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
   Schema schema_;
+  ExecRow input_;
 };
 
 /// Keeps only the first `keep` columns of each row (used to strip hidden

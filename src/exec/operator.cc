@@ -34,8 +34,10 @@ Status PhysicalOperator::Open(QueryContext* ctx) {
   return status;
 }
 
-StatusOr<bool> PhysicalOperator::Next(ExecRow* out) {
+StatusOr<bool> PhysicalOperator::Next(ExecRow* out, bool* unchanged) {
   ++profile_.next_calls;
+  run_flag_ = unchanged;
+  if (unchanged != nullptr) *unchanged = false;
   // Every operator in the tree passes through this wrapper, which makes it
   // the one choke point for cooperative cancellation: a pipelined plan of
   // any shape observes an interrupt or deadline within a handful of rows.

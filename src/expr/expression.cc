@@ -301,6 +301,22 @@ StatusOr<const PathData*> PathAt(const ExecRow& row, size_t slot) {
 
 }  // namespace
 
+const char* PathPropertyName(PathProperty property) {
+  switch (property) {
+    case PathProperty::kLength:
+      return "Length";
+    case PathProperty::kPathString:
+      return "PathString";
+    case PathProperty::kStartVertexId:
+      return "StartVertex.Id";
+    case PathProperty::kEndVertexId:
+      return "EndVertex.Id";
+    case PathProperty::kCost:
+      return "Cost";
+  }
+  return "?";
+}
+
 StatusOr<Value> PathPropertyExpr::Eval(const ExecRow& row) const {
   GRF_ASSIGN_OR_RETURN(const PathData* path, PathAt(row, slot_));
   switch (property_) {

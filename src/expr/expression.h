@@ -284,6 +284,10 @@ enum class PathProperty {
   kCost,           ///< Accumulated SPScan cost.
 };
 
+/// The property's SQL spelling after `alias.`: "Length", "PathString",
+/// "StartVertex.Id", "EndVertex.Id" or "Cost".
+const char* PathPropertyName(PathProperty property);
+
 /// Special element attributes that live in the topology rather than in the
 /// relational sources.
 enum class ElementField {

@@ -375,6 +375,7 @@ Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   scanner_ = MakePathScanner(spec_, ctx);
   outer_valid_ = false;
   attr_tuple_reads_ = 0;
+  outer_copies_ = 0;
   return outer_->Open(ctx);
 }
 
@@ -398,6 +399,9 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
 }
 
 StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
+  bool* run = run_flag();
+  // A caller outside the run protocol may have changed its row.
+  if (run == nullptr) run_row_ = nullptr;
   while (true) {
     if (outer_valid_) {
       // Drop the caller's hold on the previous path first, so a scanner that
@@ -411,8 +415,14 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
       attr_tuple_reads_ += ctx_->stats().attr_tuple_reads - reads_before;
       GRF_ASSIGN_OR_RETURN(bool has, std::move(next));
       if (has) {
-        // Copy-assignment reuses the caller's row buffers.
-        *out = outer_row_;
+        if (run_row_ == out) {
+          *run = true;  // Same run: the outer columns are already in place.
+        } else {
+          // Copy-assignment reuses the caller's row buffers.
+          *out = outer_row_;
+          ++outer_copies_;
+          run_row_ = run != nullptr ? out : nullptr;
+        }
         if (out->paths.size() <= spec_->path_slot) {
           out->paths.resize(spec_->path_slot + 1);
         }
@@ -422,6 +432,7 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
       }
       outer_valid_ = false;
     }
+    run_row_ = nullptr;  // A new outer row (the first after Open too).
     GRF_ASSIGN_OR_RETURN(bool has_outer, outer_->Next(&outer_row_));
     if (!has_outer) return false;
 
@@ -450,9 +461,11 @@ std::string PathProbeJoinOp::name() const {
 }
 
 std::string PathProbeJoinOp::AnalyzeExtra() const {
-  if (attr_tuple_reads_ == 0) return "";
-  return StrFormat(" attr_tuple_reads=%llu",
-                   static_cast<unsigned long long>(attr_tuple_reads_));
+  std::string out = StrFormat(" outer_copies=%llu",
+                              static_cast<unsigned long long>(outer_copies_));
+  if (attr_tuple_reads_ == 0) return out;
+  return out + StrFormat(" attr_tuple_reads=%llu",
+                         static_cast<unsigned long long>(attr_tuple_reads_));
 }
 
 }  // namespace grfusion

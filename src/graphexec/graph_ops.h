@@ -105,6 +105,12 @@ class EdgeScanOp : public PhysicalOperator {
 /// assigned into the caller's row, whose path slot is released before each
 /// pull, so a pipeline that reuses its row allocates no row per path.
 ///
+/// The paths of one outer row form a run. A caller in the run protocol
+/// (PhysicalOperator::Next) gets the outer row copied once per run; every
+/// later path of the run only swaps the path slot and reports the columns
+/// unchanged. A new outer row, a re-Open, or a call outside the protocol
+/// ends the run.
+///
 /// With no relational FROM items the planner supplies a SingleRowOp outer,
 /// making this the plain PathScan of a pure graph query.
 class PathProbeJoinOp : public PhysicalOperator {
@@ -133,6 +139,13 @@ class PathProbeJoinOp : public PhysicalOperator {
   std::unique_ptr<PathScanner> scanner_;
   ExecRow outer_row_;
   bool outer_valid_ = false;
+  /// The caller row that holds the current outer row's columns under the
+  /// run protocol's promise; null when no run is open. Cleared whenever a
+  /// new outer row is pulled (so a re-Open starts a fresh run) and on every
+  /// call outside the protocol.
+  const ExecRow* run_row_ = nullptr;
+  /// Copies of the outer row into a caller row (EXPLAIN ANALYZE).
+  uint64_t outer_copies_ = 0;
   /// Edge-attribute reads this operator's traversals served from tuples
   /// rather than flat columns (EXPLAIN ANALYZE).
   uint64_t attr_tuple_reads_ = 0;

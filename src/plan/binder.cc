@@ -268,8 +268,7 @@ StatusOr<ExprPtr> Binder::BindPathRef(const PathRef& ref) const {
     case PathRef::Kind::kProperty:
       return ExprPtr(std::make_shared<PathPropertyExpr>(
           slot, ref.property,
-          ref.table_binding->alias + ".<" +
-              std::to_string(static_cast<int>(ref.property)) + ">"));
+          ref.table_binding->alias + "." + PathPropertyName(ref.property)));
     case PathRef::Kind::kEndpointAttr:
       return ExprPtr(std::make_shared<PathEndpointAttrExpr>(slot, ref.start,
                                                             gv, ref.attr));

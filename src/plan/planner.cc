@@ -877,8 +877,11 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
     std::vector<ExprPtr> group_exprs;
     std::vector<std::string> group_names;
     std::vector<std::string> group_texts;
+    std::vector<bool> path_free_keys;  // Lets AggregateOp reuse a run's group.
     for (const ParsedExprPtr& g : stmt.group_by) {
       GRF_ASSIGN_OR_RETURN(ExprPtr bound, binder.Bind(*g));
+      GRF_ASSIGN_OR_RETURN(Binder::RefInfo refs, binder.Analyze(*g));
+      path_free_keys.push_back(!refs.HasPaths());
       group_exprs.push_back(std::move(bound));
       group_texts.push_back(g->ToString());
       group_names.push_back(g->kind == ParsedExpr::Kind::kRef
@@ -907,7 +910,7 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
     }
     auto agg_op = std::make_unique<AggregateOp>(
         std::move(tree), std::move(group_exprs), group_names,
-        std::move(agg_specs));
+        std::move(agg_specs), std::move(path_free_keys));
     const Schema& agg_schema = agg_op->schema();
 
     for (const OutputItem& out : outputs) {

@@ -425,5 +425,78 @@ TEST_F(ExecutorTest, TopAndLimitCompose) {
   EXPECT_EQ(r.NumRows(), 2u);
 }
 
+// --- Consumers above a run-aware path probe ------------------------------------
+//
+// A path probe copies its outer row once per run only into the row of a
+// consumer that promises to hand it back untouched. Consumers that keep or
+// move rows (Sort, DISTINCT above the projection, INSERT ... SELECT) must
+// still see the right outer columns on every path row.
+
+class PathRunConsumerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(session_.ExecuteScript(kPathRunGraphSql).ok());
+    ASSERT_TRUE(session_
+                    .Execute("CREATE TABLE sink (vid BIGINT, vkind VARCHAR, "
+                             "sid BIGINT, skind VARCHAR)")
+                    .ok());
+  }
+
+  ResultSet Must(const std::string& sql) {
+    auto result = session_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    return result.ok() ? *std::move(result) : ResultSet();
+  }
+
+  /// Each row is (V.id, V.kind, P.StartVertex.Id, P.StartVertex.kind): the
+  /// outer columns must be those of the path's start vertex.
+  static void ExpectOuterMatchesStart(const ResultSet& r) {
+    for (size_t i = 0; i < r.NumRows(); ++i) {
+      ASSERT_EQ(r.rows[i].size(), 4u);
+      EXPECT_EQ(r.rows[i][0].AsBigInt(), r.rows[i][2].AsBigInt()) << i;
+      EXPECT_EQ(r.rows[i][1].AsVarchar(), r.rows[i][3].AsVarchar()) << i;
+    }
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+};
+
+TEST_F(PathRunConsumerTest, NonOptingConsumersSeeEveryOuterRow) {
+  const std::string cols =
+      "V.id, V.kind, P.StartVertex.Id, P.StartVertex.kind";
+  const std::string from =
+      " FROM v V, g.Paths P WHERE P.StartVertex.Id = V.id AND P.Length <= 2";
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    session_.options().max_parallelism = workers;
+    const int64_t paths =
+        Must("SELECT COUNT(*) FROM g.Paths P WHERE P.Length <= 2")
+            .ScalarValue()
+            .AsBigInt();
+    ASSERT_GT(paths, 0);
+
+    ResultSet plain = Must("SELECT " + cols + from);
+    EXPECT_EQ(static_cast<int64_t>(plain.NumRows()), paths);
+    ExpectOuterMatchesStart(plain);
+
+    ResultSet sorted = Must("SELECT " + cols + from +
+                            " ORDER BY P.EndVertex.Id DESC, P.PathString");
+    EXPECT_EQ(static_cast<int64_t>(sorted.NumRows()), paths);
+    ExpectOuterMatchesStart(sorted);
+
+    ResultSet distinct = Must("SELECT DISTINCT " + cols + from);
+    EXPECT_EQ(distinct.NumRows(), 6u);  // Vertexes 2 and 5 start no path.
+    ExpectOuterMatchesStart(distinct);
+
+    Must("DELETE FROM sink");
+    Must("INSERT INTO sink SELECT " + cols + from);
+    ResultSet inserted = Must("SELECT vid, vkind, sid, skind FROM sink");
+    EXPECT_EQ(static_cast<int64_t>(inserted.NumRows()), paths);
+    ExpectOuterMatchesStart(inserted);
+  }
+  session_.options().max_parallelism = TestOptions().max_parallelism;
+}
+
 }  // namespace
 }  // namespace grfusion

@@ -196,6 +196,119 @@ TEST(ExplainTraceTest, SerialStatementStillTraces) {
   EXPECT_EQ(plain->rows.size(), 1u);
 }
 
+// --- Path probes in EXPLAIN ANALYZE ------------------------------------------------
+
+/// Runs `sql` (an EXPLAIN) and returns its plan text.
+std::string PlanText(Session& s, const std::string& sql) {
+  auto r = s.Execute(sql);
+  EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  return r.ok() ? JoinRows(*r) : std::string();
+}
+
+/// The EXPLAIN ANALYZE line of the operator whose name starts with `op`.
+std::string AnalyzedLine(const std::string& plan, const std::string& op) {
+  std::istringstream lines(plan);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t indent = line.find_first_not_of(' ');
+    if (indent != std::string::npos &&
+        line.compare(indent, op.size(), op) == 0) {
+      return line;
+    }
+  }
+  ADD_FAILURE() << "no " << op << " line in\n" << plan;
+  return "";
+}
+
+TEST(ExplainPathPropertyTest, RendersPropertiesByName) {
+  Database db(TestOptions());
+  ASSERT_TRUE(ExecScript(db, kPathRunGraphSql).ok());
+  Session s(db);
+  const std::string hybrid = PlanText(
+      s,
+      "EXPLAIN ANALYZE SELECT V.kind, COUNT(*), SUM(P.Length) FROM v V, "
+      "g.Paths P WHERE P.StartVertex.Id = V.id AND P.Length <= 2 "
+      "GROUP BY V.kind");
+  EXPECT_NE(hybrid.find("SUM(P.Length)"), std::string::npos) << hybrid;
+
+  const std::string grouped = PlanText(
+      s,
+      "EXPLAIN SELECT P.PathString, COUNT(*) FROM g.Paths P WHERE "
+      "P.Length <= 2 GROUP BY P.PathString");
+  EXPECT_NE(grouped.find("GROUP BY P.PathString"), std::string::npos)
+      << grouped;
+  const std::string ends = PlanText(
+      s,
+      "EXPLAIN SELECT P.StartVertex.Id, P.EndVertex.Id FROM g.Paths P "
+      "WHERE P.Length <= 2");
+  EXPECT_NE(ends.find("Project(P.StartVertex.Id, P.EndVertex.Id)"),
+            std::string::npos)
+      << ends;
+  const std::string cost = PlanText(
+      s,
+      "EXPLAIN SELECT TOP 1 P.Cost FROM g.Paths P HINT(SHORTESTPATH(w)) "
+      "WHERE P.StartVertex.Id = 0 AND P.EndVertex.Id = 4");
+  EXPECT_NE(cost.find("Project(P.Cost)"), std::string::npos) << cost;
+  for (const std::string* plan : {&hybrid, &grouped, &ends, &cost}) {
+    EXPECT_EQ(plan->find(".<"), std::string::npos) << *plan;
+  }
+}
+
+TEST(RunProtocolObservabilityTest, CopiesAndLookupsFollowRuns) {
+  Database db(TestOptions());
+  ASSERT_TRUE(ExecScript(db, kPathRunGraphSql).ok());
+  Session s(db);
+  auto count = s.Execute("SELECT COUNT(*) FROM g.Paths P WHERE P.Length <= 2");
+  ASSERT_TRUE(count.ok());
+  const long long paths = count->ScalarValue().AsBigInt();
+  ASSERT_EQ(paths, 28);
+  const std::string from =
+      " FROM v V, g.Paths P WHERE P.StartVertex.Id = V.id AND P.Length <= 2";
+  const std::string path_rows =
+      StrFormat("(actual_rows=%lld next_calls=%lld ", paths, paths + 1);
+
+  // Outer-only key: one copy and one group lookup per outer row with paths
+  // (6 of 8). Row and call counts are the Volcano protocol's, as before.
+  std::string plan = PlanText(
+      s, "EXPLAIN ANALYZE SELECT V.kind, COUNT(*), SUM(P.Length)" + from +
+             " GROUP BY V.kind");
+  EXPECT_NE(AnalyzedLine(plan, "Project(").find("(actual_rows=3 next_calls=4 "),
+            std::string::npos);
+  const std::string agg = AnalyzedLine(plan, "Aggregate(");
+  EXPECT_NE(agg.find("(actual_rows=3 next_calls=4 "), std::string::npos);
+  EXPECT_NE(agg.find(" group_lookups=6"), std::string::npos) << agg;
+  const std::string probe = AnalyzedLine(plan, "PathProbeJoin[");
+  EXPECT_NE(probe.find(path_rows), std::string::npos) << probe;
+  EXPECT_NE(probe.find(" outer_copies=6"), std::string::npos) << probe;
+  EXPECT_NE(AnalyzedLine(plan, "SeqScan(v)").find(
+                "(actual_rows=8 next_calls=9 "),
+            std::string::npos);
+  EXPECT_EQ(s.last_stats().rows_joined, static_cast<uint64_t>(paths));
+
+  // A key that reads the path is resolved per row.
+  plan = PlanText(s, "EXPLAIN ANALYZE SELECT V.kind, P.Length, COUNT(*)" +
+                         from + " GROUP BY V.kind, P.Length");
+  EXPECT_NE(AnalyzedLine(plan, "Aggregate(")
+                .find(StrFormat(" group_lookups=%lld", paths)),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(AnalyzedLine(plan, "PathProbeJoin[").find(" outer_copies=6"),
+            std::string::npos)
+      << plan;
+
+  // ORDER BY sorts the projection's rows; the projection below it keeps
+  // the promise, so the probe still copies once per run. (A Sort straight
+  // over a probe, which the planner never builds, gets a copy per row:
+  // PathRunOperatorTest.SortOverProbeCopiesEveryRow.)
+  plan = PlanText(s, "EXPLAIN ANALYZE SELECT V.kind, P.PathString" + from +
+                         " ORDER BY P.PathString");
+  EXPECT_NE(AnalyzedLine(plan, "Sort(").find(path_rows), std::string::npos)
+      << plan;
+  EXPECT_NE(AnalyzedLine(plan, "PathProbeJoin[").find(" outer_copies=6"),
+            std::string::npos)
+      << plan;
+}
+
 // --- SYS.STATEMENTS ----------------------------------------------------------------
 
 TEST(StatementStatsTest, AggregatesAcrossSessions) {

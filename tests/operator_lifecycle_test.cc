@@ -6,11 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <map>
 
+#include "common/string_util.h"
+#include "engine/database.h"
 #include "exec/agg_ops.h"
 #include "exec/filter_ops.h"
 #include "exec/join_ops.h"
 #include "exec/scan_ops.h"
+#include "graphexec/graph_ops.h"
+#include "sql_test_util.h"
 #include "storage/table.h"
 
 namespace grfusion {
@@ -291,6 +297,247 @@ TEST_F(OperatorLifecycleTest, NestedLoopJoinReleasesOnInnerError) {
   }
   join.Close();
   EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+// --- Run protocol ---------------------------------------------------------------
+//
+// A path probe copies its outer row into a run-protocol caller's row once
+// per outer row and reports the columns unchanged for the rest of that run.
+// Callers outside the protocol get a copy per path. Plans the SQL planner
+// never builds (Sort or a HashJoin build side straight over a probe, a
+// Filter between an aggregate and a probe) are assembled by hand here.
+
+class PathRunOperatorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(ExecScript(db_, kPathRunGraphSql).ok());
+  }
+
+  RowLayout Layout() const {
+    RowLayout layout;
+    layout.schema =
+        std::make_shared<Schema>(db_.catalog().FindTable("v")->schema());
+    layout.path_slots = 1;
+    return layout;
+  }
+
+  OperatorPtr Scan() const {
+    return std::make_unique<SeqScanOp>(db_.catalog().FindTable("v"), nullptr,
+                                       Layout(), 0);
+  }
+
+  /// SeqScan(v) probing g.Paths on P.StartVertex.Id = V.id, 1..2 edges, DFS.
+  OperatorPtr Probe() const {
+    auto spec = std::make_shared<TraversalSpec>();
+    spec->gv = db_.catalog().FindGraphView("g");
+    spec->physical = TraversalSpec::Physical::kDfs;
+    spec->max_length = 2;
+    spec->start_vertex_expr =
+        std::make_shared<ColumnRefExpr>(0, ValueType::kBigInt, "V.id");
+    return std::make_unique<PathProbeJoinOp>(Scan(), spec);
+  }
+
+  /// Drains `op`, checking that every row's outer columns are those of its
+  /// path's start vertex. Returns the row count.
+  static size_t DrainChecked(PhysicalOperator* op, QueryContext* ctx) {
+    EXPECT_TRUE(op->Open(ctx).ok());
+    size_t rows = 0;
+    ExecRow row;
+    while (true) {
+      auto has = op->Next(&row);
+      EXPECT_TRUE(has.ok()) << has.status().ToString();
+      if (!has.ok() || !*has) break;
+      ++rows;
+      EXPECT_EQ(row.columns[0].AsBigInt(), row.paths[0]->StartVertex())
+          << "row " << rows;
+    }
+    op->Close();
+    return rows;
+  }
+
+  /// The number of 1..2-edge paths per start vertex and length, from the
+  /// adjacency (edge-simple; vertex-simple except a final edge back to the
+  /// start).
+  std::map<std::pair<int64_t, size_t>, int64_t> ReferencePaths() {
+    std::map<int64_t, std::vector<std::pair<int64_t, int64_t>>> adj;
+    auto edges = Exec(db_, "SELECT id, src, dst FROM e");
+    EXPECT_TRUE(edges.ok());
+    for (const auto& r : edges->rows) {
+      adj[r[1].AsBigInt()].emplace_back(r[0].AsBigInt(), r[2].AsBigInt());
+    }
+    std::map<std::pair<int64_t, size_t>, int64_t> counts;
+    for (int64_t s = 0; s < 8; ++s) {
+      for (auto [e1, a] : adj[s]) {
+        ++counts[{s, 1}];
+        for (auto [e2, b] : adj[a]) {
+          if (e2 != e1 && (b == s || b != a)) ++counts[{s, 2}];
+        }
+      }
+    }
+    return counts;
+  }
+
+  static size_t Copies(const PhysicalOperator* probe) {
+    const std::string extra = probe->AnalyzeExtra();
+    const size_t pos = extra.find("outer_copies=");
+    EXPECT_NE(pos, std::string::npos) << extra;
+    return pos == std::string::npos
+               ? 0
+               : std::strtoull(extra.c_str() + pos + 13, nullptr, 10);
+  }
+
+  Database db_{TestOptions()};
+};
+
+TEST_F(PathRunOperatorTest, ProbeReportsUnchangedOnlyWithinOneRun) {
+  int64_t expected_rows = 0;
+  for (const auto& [key, n] : ReferencePaths()) expected_rows += n;
+  OperatorPtr probe = Probe();
+  QueryContext ctx;
+  // One caller row across both executions: a re-Open must start a fresh run
+  // even though the row already holds vertex 0's columns.
+  ExecRow row;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    ASSERT_TRUE(probe->Open(&ctx).ok());
+    int64_t last_start = -1;
+    int64_t rows = 0;
+    size_t runs = 0;
+    while (true) {
+      bool unchanged = true;
+      auto has = probe->Next(&row, &unchanged);
+      ASSERT_TRUE(has.ok());
+      if (!*has) break;
+      ++rows;
+      const int64_t start = row.paths[0]->StartVertex();
+      EXPECT_EQ(row.columns[0].AsBigInt(), start) << "row " << rows;
+      EXPECT_EQ(unchanged, start == last_start) << "row " << rows;
+      if (start != last_start) ++runs;
+      last_start = start;
+      if (pass == 0 && rows == 3) break;  // Close mid-run.
+    }
+    probe->Close();
+    if (pass == 1) {
+      EXPECT_EQ(rows, expected_rows);
+      EXPECT_EQ(runs, 6u);  // Vertexes 2 and 5 start no path.
+      EXPECT_EQ(Copies(probe.get()), 6u);
+    }
+  }
+
+  // A call outside the protocol ends the run: the next opted-in call gets a
+  // fresh copy.
+  ASSERT_TRUE(probe->Open(&ctx).ok());
+  bool unchanged = true;
+  ASSERT_TRUE(*probe->Next(&row, &unchanged));
+  EXPECT_FALSE(unchanged);
+  ASSERT_TRUE(*probe->Next(&row, &unchanged));
+  EXPECT_TRUE(unchanged);
+  ASSERT_TRUE(*probe->Next(&row));
+  ASSERT_TRUE(*probe->Next(&row, &unchanged));
+  EXPECT_FALSE(unchanged);
+  EXPECT_EQ(row.columns[0].AsBigInt(), row.paths[0]->StartVertex());
+  probe->Close();
+  EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+TEST_F(PathRunOperatorTest, SortOverProbeCopiesEveryRow) {
+  // Sort moves each row into its buffer, so it cannot keep the promise.
+  OperatorPtr probe = Probe();
+  const PhysicalOperator* probe_op = probe.get();
+  SortOp sort(std::move(probe), {SortOp::SortKey{2, true}});
+  QueryContext ctx;
+  const size_t rows = DrainChecked(&sort, &ctx);
+  EXPECT_EQ(rows, ctx.stats().rows_joined);
+  EXPECT_EQ(Copies(probe_op), rows);
+  EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+TEST_F(PathRunOperatorTest, HashJoinBuildSideKeepsEveryOuterRow) {
+  // The build side moves each probe row into a bucket.
+  OperatorPtr probe = Probe();
+  const PhysicalOperator* probe_op = probe.get();
+  std::vector<ExprPtr> lk{std::make_shared<PathPropertyExpr>(
+      0, PathProperty::kStartVertexId, "P.StartVertex.Id")};
+  std::vector<ExprPtr> rk{
+      std::make_shared<ColumnRefExpr>(0, ValueType::kBigInt, "W.id")};
+  HashJoinOp join(std::move(probe), Scan(), std::move(lk), std::move(rk),
+                  nullptr, 0, 0);
+  QueryContext ctx;
+  const size_t rows = DrainChecked(&join, &ctx);
+  int64_t expected_rows = 0;
+  for (const auto& [key, n] : ReferencePaths()) expected_rows += n;
+  EXPECT_EQ(static_cast<int64_t>(rows), expected_rows);
+  EXPECT_EQ(Copies(probe_op), rows);
+  EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+TEST_F(PathRunOperatorTest, ProjectCopiesOncePerRun) {
+  OperatorPtr probe = Probe();
+  const PhysicalOperator* probe_op = probe.get();
+  Schema schema({Column("id", ValueType::kBigInt),
+                 Column("start", ValueType::kBigInt)});
+  ProjectOp project(
+      std::move(probe),
+      {std::make_shared<ColumnRefExpr>(0, ValueType::kBigInt, "V.id"),
+       std::make_shared<PathPropertyExpr>(0, PathProperty::kStartVertexId,
+                                          "P.StartVertex.Id")},
+      schema);
+  QueryContext ctx;
+  ASSERT_TRUE(project.Open(&ctx).ok());
+  ExecRow row;
+  size_t rows = 0;
+  while (*project.Next(&row)) {
+    ++rows;
+    ASSERT_EQ(row.columns.size(), 2u);
+    EXPECT_EQ(row.columns[0].AsBigInt(), row.columns[1].AsBigInt());
+  }
+  project.Close();
+  EXPECT_EQ(rows, ctx.stats().rows_joined);
+  EXPECT_EQ(Copies(probe_op), 6u);
+}
+
+TEST_F(PathRunOperatorTest, FilterBetweenAggregateAndProbeKeepsGroupsRight) {
+  // GROUP BY V.kind over the length-2 paths. Each outer row's first path has
+  // length 1 and is rejected, so the filter must not report the next passing
+  // row unchanged: the aggregate last saw the previous outer row.
+  std::map<std::string, int64_t> expected;
+  const char* kinds = "abacbacb";
+  for (const auto& [key, n] : ReferencePaths()) {
+    if (key.second == 2) expected[std::string(1, kinds[key.first])] += n;
+  }
+  for (bool path_free : {true, false}) {
+    SCOPED_TRACE(path_free);
+    auto filter = std::make_unique<FilterOp>(
+        Probe(), std::make_shared<CompareExpr>(
+                     CompareOp::kEq,
+                     std::make_shared<PathPropertyExpr>(
+                         0, PathProperty::kLength, "P.Length"),
+                     std::make_shared<ConstantExpr>(Value::BigInt(2))));
+    std::vector<ExprPtr> keys{
+        std::make_shared<ColumnRefExpr>(1, ValueType::kVarchar, "V.kind")};
+    AggregateSpec count_star;
+    count_star.func = AggFunc::kCount;
+    count_star.output_name = "n";
+    AggregateOp agg(std::move(filter), std::move(keys), {"kind"},
+                    {count_star}, {path_free});
+    QueryContext ctx;
+    ASSERT_TRUE(agg.Open(&ctx).ok());
+    std::map<std::string, int64_t> got;
+    ExecRow row;
+    while (*agg.Next(&row)) {
+      got[row.columns[0].AsVarchar()] = row.columns[1].AsBigInt();
+    }
+    agg.Close();
+    EXPECT_EQ(got, expected);
+    // One lookup per outer row with a length-2 path when the key is
+    // path-free; one per passing row otherwise.
+    int64_t passing = 0;
+    for (const auto& [kind, n] : expected) passing += n;
+    EXPECT_EQ(agg.AnalyzeExtra(),
+              StrFormat(" group_lookups=%lld",
+                        static_cast<long long>(path_free ? 6 : passing)));
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+  }
 }
 
 TEST(SharedMemoryBudgetTest, EnforcesAggregateLimitAcrossContexts) {

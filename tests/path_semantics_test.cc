@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <map>
 #include <queue>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "common/random.h"
@@ -1169,6 +1174,214 @@ TEST_F(EdgeColumnTest, EdgeInsertedAfterSnapshotReadsItsTuple) {
   plan.clear();
   for (const auto& row : analyzed.rows) plan += row[0].AsVarchar() + "\n";
   EXPECT_EQ(plan.find("attr_tuple_reads"), std::string::npos) << plan;
+}
+
+// ---------------------------------------------------------------------------
+// Run-aware path probe
+//
+// The probe copies an outer row into an aggregate's row once per run of
+// paths, and an aggregate whose keys read no path resolves its group once
+// per run. GROUP BYs over the hybrid must still equal a reference built from
+// the adjacency, at 1 and 4 workers, whatever the keys read, and the
+// per-row interrupt check must still stop the statement.
+// ---------------------------------------------------------------------------
+
+class PathRunTest : public ::testing::Test {
+ protected:
+  struct RefPath {
+    int64_t start, end, length;
+  };
+  /// kPathRunGraphSql's data: vertex i has kind kKinds[i] and score
+  /// kScores[i]; edge i is kEdges[i].
+  static constexpr const char* kKinds[] = {"a", "b", "a", "c",
+                                           "b", "a", "c", "b"};
+  static constexpr int64_t kScores[] = {5, 3, 9, 1, 7, 2, 8, 4};
+  static constexpr std::pair<int64_t, int64_t> kEdges[] = {
+      {0, 1}, {0, 3}, {1, 3}, {1, 4}, {3, 0}, {3, 6},
+      {4, 7}, {6, 1}, {7, 4}, {6, 2}, {4, 5}};
+
+  void SetUp() override {
+    ASSERT_TRUE(session_.ExecuteScript(kPathRunGraphSql).ok());
+  }
+
+  /// Every path of 1..2 edges (edge-simple; vertex-simple except a final
+  /// edge back to the start), by start vertex in the outer scan's order.
+  static std::vector<RefPath> Reference() {
+    std::vector<RefPath> out;
+    for (int64_t s = 0; s < 8; ++s) {
+      for (size_t i = 0; i < std::size(kEdges); ++i) {
+        if (kEdges[i].first != s) continue;
+        const int64_t a = kEdges[i].second;
+        out.push_back({s, a, 1});
+        for (size_t j = 0; j < std::size(kEdges); ++j) {
+          if (j != i && kEdges[j].first == a && kEdges[j].second != a) {
+            out.push_back({s, kEdges[j].second, 2});
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  static std::string Render(const std::vector<Value>& row) {
+    std::string out;
+    for (const Value& v : row) out += v.ToString() + "|";
+    return out;
+  }
+
+  using KeyFn = std::function<std::vector<Value>(const RefPath&)>;
+
+  /// Runs `sql`, which selects (keys..., COUNT(*), SUM(P.Length),
+  /// MAX(P.EndVertex.score)), at 1 and 4 workers. Both must equal the
+  /// reference: the paths `keep` admits, grouped by `key`, groups of at most
+  /// `min_count` paths dropped. With `outer_order`, groups must also come
+  /// in the order their first outer row was scanned.
+  void ExpectGroups(const std::string& sql, const KeyFn& key,
+                    const std::function<bool(const RefPath&)>& keep,
+                    int64_t min_count, bool outer_order) {
+    SCOPED_TRACE(sql);
+    struct Agg {
+      int64_t count = 0, sum = 0, max = 0;
+    };
+    std::vector<std::vector<Value>> order;
+    std::map<std::string, Agg> groups;
+    for (const RefPath& p : Reference()) {
+      if (!keep(p)) continue;
+      const std::vector<Value> k = key(p);
+      auto [it, fresh] = groups.try_emplace(Render(k));
+      if (fresh) order.push_back(k);
+      it->second.count += 1;
+      it->second.sum += p.length;
+      it->second.max = std::max(it->second.max, kScores[p.end]);
+    }
+    std::vector<std::string> expected;
+    for (std::vector<Value> k : order) {
+      const Agg& a = groups.at(Render(k));
+      if (a.count <= min_count) continue;
+      k.push_back(Value::BigInt(a.count));
+      k.push_back(Value::BigInt(a.sum));
+      k.push_back(Value::BigInt(a.max));
+      expected.push_back(Render(k));
+    }
+    ASSERT_FALSE(expected.empty());
+    std::vector<std::string> serial;
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      session_.options().max_parallelism = workers;
+      auto result = session_.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::vector<std::string> got;
+      for (const auto& row : result->rows) got.push_back(Render(row));
+      if (workers == 1) {
+        serial = got;
+      } else {
+        EXPECT_EQ(got, serial) << "4 workers differ from 1";
+      }
+      if (!outer_order) {
+        std::sort(got.begin(), got.end());
+        std::sort(expected.begin(), expected.end());
+      }
+      EXPECT_EQ(got, expected) << "workers=" << workers;
+    }
+    session_.options().max_parallelism = TestOptions().max_parallelism;
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+};
+
+TEST_F(PathRunTest, HybridGroupByMatchesAdjacencyReference) {
+  const std::string aggs = "COUNT(*), SUM(P.Length), MAX(P.EndVertex.score)";
+  const std::string from =
+      " FROM v V, g.Paths P WHERE P.StartVertex.Id = V.id AND P.Length <= 2";
+  auto all = [](const RefPath&) { return true; };
+  auto start_kind = [](const RefPath& p) {
+    return std::vector<Value>{Value::Varchar(kKinds[p.start])};
+  };
+  // Outer-only keys: one group lookup per run.
+  ExpectGroups("SELECT V.kind, " + aggs + from + " GROUP BY V.kind",
+               start_kind, all, 0, /*outer_order=*/true);
+  ExpectGroups("SELECT V.id, " + aggs + from + " GROUP BY V.id",
+               [](const RefPath& p) {
+                 return std::vector<Value>{Value::BigInt(p.start)};
+               },
+               all, 0, true);
+  // Path-only and mixed keys: resolved per row.
+  ExpectGroups("SELECT P.EndVertex.kind, " + aggs + from +
+                   " GROUP BY P.EndVertex.kind",
+               [](const RefPath& p) {
+                 return std::vector<Value>{Value::Varchar(kKinds[p.end])};
+               },
+               all, 0, false);
+  ExpectGroups("SELECT V.kind, P.Length, " + aggs + from +
+                   " GROUP BY V.kind, P.Length",
+               [](const RefPath& p) {
+                 return std::vector<Value>{Value::Varchar(kKinds[p.start]),
+                                           Value::BigInt(p.length)};
+               },
+               all, 0, false);
+  // HAVING filters groups above the aggregate.
+  ExpectGroups("SELECT V.kind, " + aggs + from +
+                   " GROUP BY V.kind HAVING COUNT(*) > 8",
+               start_kind, all, 8, true);
+  // A residual path predicate that cannot be pushed rejects paths inside
+  // runs, including a run's first path.
+  ExpectGroups("SELECT V.kind, " + aggs + from +
+                   " AND P.EndVertex.score > V.score GROUP BY V.kind",
+               start_kind,
+               [](const RefPath& p) {
+                 return kScores[p.end] > kScores[p.start];
+               },
+               0, true);
+}
+
+TEST_F(PathRunTest, TimeoutAndCancelStopTheHybridMidRun) {
+  // A ring with chords: paths of up to 30 edges are far too many to finish.
+  ASSERT_TRUE(session_.ExecuteScript(R"sql(
+      CREATE TABLE rv (id BIGINT PRIMARY KEY, kind VARCHAR);
+      CREATE TABLE re (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT);
+    )sql")
+                  .ok());
+  constexpr int64_t kRing = 32;
+  std::vector<std::vector<Value>> vrows, erows;
+  for (int64_t i = 0; i < kRing; ++i) {
+    vrows.push_back({Value::BigInt(i), Value::Varchar(i % 2 ? "odd" : "even")});
+    for (int64_t step : {1, 3}) {
+      erows.push_back({Value::BigInt(static_cast<int64_t>(erows.size())),
+                       Value::BigInt(i), Value::BigInt((i + step) % kRing)});
+    }
+  }
+  ASSERT_TRUE(db_.BulkInsert("rv", vrows).ok());
+  ASSERT_TRUE(db_.BulkInsert("re", erows).ok());
+  ASSERT_TRUE(session_
+                  .ExecuteScript("CREATE DIRECTED GRAPH VIEW ring VERTEXES "
+                                 "(ID = id) FROM rv EDGES (ID = id, FROM = "
+                                 "src, TO = dst) FROM re;")
+                  .ok());
+  const std::string hybrid =
+      "SELECT V.kind, COUNT(*) FROM rv V, ring.Paths P HINT(DFS) WHERE "
+      "P.StartVertex.Id = V.id AND P.Length <= 30 GROUP BY V.kind";
+
+  session_.options().statement_timeout_us = 10'000;
+  auto timed = session_.Execute(hybrid);
+  session_.options().statement_timeout_us = -1;
+  ASSERT_FALSE(timed.ok());
+  EXPECT_EQ(timed.status().code(), StatusCode::kDeadlineExceeded);
+
+  InterruptHandle handle = session_.interrupt_handle();
+  Status status = Status::OK();
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    status = session_.Execute(hybrid).status();
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    handle.Interrupt();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  runner.join();
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
 }
 
 }  // namespace

@@ -624,13 +624,14 @@ std::vector<std::string> DfsDiffReference(const DiffGraph& g,
 
 /// Builds one random graph (tables v/e + graph view g), then runs
 /// `enum_trials` random enumeration queries, `sp_trials` random
-/// SHORTESTPATH queries and `dfs_trials` random HINT(DFS) queries,
-/// differentially: 1 worker vs 4 vs reference. SHORTESTPATH and DFS answers
-/// must match the reference's exact row sequence.
+/// SHORTESTPATH queries, `dfs_trials` random HINT(DFS) queries and
+/// `agg_trials` hybrid GROUP BY queries, differentially: 1 worker vs 4 vs
+/// reference. SHORTESTPATH, DFS and GROUP BY answers must match the
+/// reference's exact row sequence.
 /// The graph view itself is built once serially and once through the
 /// parallel morsel path; both must answer identically.
 void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
-                               int dfs_trials) {
+                               int dfs_trials, int agg_trials) {
   SCOPED_TRACE(StrFormat("graph-diff seed=%llu",
                          static_cast<unsigned long long>(seed)));
   const uint64_t tasks_before =
@@ -650,8 +651,11 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
   )sql")
                   .ok());
   std::vector<std::vector<Value>> vrows;
+  // Three vertex names, so a GROUP BY V.name changes group between
+  // consecutive outer rows.
+  auto name_of = [](int64_t v) { return "k" + std::to_string(v % 3); };
   for (int64_t i = 0; i < graph.n; ++i) {
-    vrows.push_back({Value::BigInt(i), Value::Varchar("v")});
+    vrows.push_back({Value::BigInt(i), Value::Varchar(name_of(i))});
   }
   ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
   std::set<std::pair<int64_t, int64_t>> used;
@@ -929,6 +933,86 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     EXPECT_GT(dfs_answered, 0) << "no DFS trial had an answer";
   }
 
+  // Hybrid GROUP BY trials: each vertex's relational row probes its paths
+  // and the aggregate groups by the outer row's name, so it resolves one
+  // group per run of paths. Groups come in the order their first outer row
+  // is scanned (vertex id order). An optional residual predicate reading
+  // both sides rejects paths inside runs.
+  int agg_answered = 0;
+  for (int trial = 0; trial < agg_trials; ++trial) {
+    const size_t max_len = static_cast<size_t>(rng.Uniform(1, 3));
+    std::optional<int64_t> rank_below;
+    if (rng.Bernoulli(0.4)) rank_below = rng.Uniform(20, 90);
+    const bool residual = rng.Bernoulli(0.4);
+    std::string sql = StrFormat(
+        "SELECT V.name, COUNT(*), SUM(P.Length), MAX(P.EndVertex.Id) "
+        "FROM v V, g.Paths P HINT(DFS) WHERE P.StartVertex.Id = V.id AND "
+        "P.Length <= %zu",
+        max_len);
+    if (rank_below.has_value()) {
+      sql += StrFormat(" AND P.Edges[0..*].rank < %lld",
+                       static_cast<long long>(*rank_below));
+    }
+    if (residual) sql += " AND P.EndVertex.Id > V.id";
+    sql += " GROUP BY V.name";
+    SCOPED_TRACE(sql);
+
+    struct Group {
+      int64_t count = 0, length_sum = 0, max_end = -1;
+    };
+    std::vector<std::string> order;
+    std::map<std::string, Group> groups;
+    std::vector<int64_t> vs, es;
+    std::function<void(int64_t)> walk = [&](int64_t v) {
+      for (auto [eid, nbr] : adj.at(v)) {
+        if (rank_below.has_value() &&
+            graph.edges[static_cast<size_t>(eid)].rank >= *rank_below) {
+          continue;
+        }
+        if (std::find(es.begin(), es.end(), eid) != es.end()) continue;
+        const bool closing = nbr == vs.front();
+        if (!closing && std::find(vs.begin(), vs.end(), nbr) != vs.end()) {
+          continue;
+        }
+        es.push_back(eid);
+        vs.push_back(nbr);
+        if (!residual || nbr > vs.front()) {
+          const std::string name = name_of(vs.front());
+          auto [it, fresh] = groups.try_emplace(name);
+          if (fresh) order.push_back(name);
+          it->second.count += 1;
+          it->second.length_sum += static_cast<int64_t>(es.size());
+          it->second.max_end = std::max(it->second.max_end, nbr);
+        }
+        if (!closing && es.size() < max_len) walk(nbr);
+        es.pop_back();
+        vs.pop_back();
+      }
+    };
+    for (int64_t s = 0; s < graph.n; ++s) {
+      vs = {s};
+      walk(s);
+    }
+    std::vector<std::string> expected;
+    for (const std::string& name : order) {
+      const Group& g = groups.at(name);
+      expected.push_back(Value::Varchar(name).ToString() + "|" +
+                         Value::BigInt(g.count).ToString() + "|" +
+                         Value::BigInt(g.length_sum).ToString() + "|" +
+                         Value::BigInt(g.max_end).ToString() + "|");
+    }
+    if (expected.size() > 1) ++agg_answered;
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      auto result = run_at(sql, workers);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(DiffOrdered(*result), expected)
+          << "workers=" << workers << " diverges from the reference";
+    }
+  }
+  if (agg_trials > 0) {
+    EXPECT_GT(agg_answered, 0) << "no GROUP BY trial had two groups";
+  }
+
   // Weight-update step. The trials above built the view's flat columns
   // (iw, w, rank). A transaction now rewrites those attributes on a third
   // of the edges. Until COMMIT a reader's statements must match the old
@@ -1002,10 +1086,10 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
 class GraphDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GraphDiffFuzzTest, SerialParallelAndReferenceAgree) {
-  // 8 seeds x (20 enumeration + 30 shortest-path + 30 DFS) = 640
-  // differential cases.
+  // 8 seeds x (20 enumeration + 30 shortest-path + 30 DFS + 8 GROUP BY) =
+  // 704 differential cases.
   RunGraphDifferentialSweep(GetParam(), /*enum_trials=*/20, /*sp_trials=*/30,
-                            /*dfs_trials=*/30);
+                            /*dfs_trials=*/30, /*agg_trials=*/8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphDiffFuzzTest,
@@ -1023,7 +1107,7 @@ TEST(GraphDiffFuzzEnvTest, EnvironmentSeedSweep) {
     seed = std::strtoull(env, nullptr, 10);
   }
   RunGraphDifferentialSweep(seed, /*enum_trials=*/10, /*sp_trials=*/16,
-                            /*dfs_trials=*/16);
+                            /*dfs_trials=*/16, /*agg_trials=*/6);
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,8 +1148,11 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
   )sql")
                   .ok());
   std::vector<std::vector<Value>> vrows;
+  // Three vertex names, so a GROUP BY V.name changes group between
+  // consecutive outer rows.
+  auto name_of = [](int64_t v) { return "k" + std::to_string(v % 3); };
   for (int64_t i = 0; i < graph.n; ++i) {
-    vrows.push_back({Value::BigInt(i), Value::Varchar("v")});
+    vrows.push_back({Value::BigInt(i), Value::Varchar(name_of(i))});
   }
   ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
   std::set<std::pair<int64_t, int64_t>> used;

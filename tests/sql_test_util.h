@@ -49,4 +49,22 @@ inline Status ExecScript(Database& db, std::string_view sql) {
   return session.ExecuteScript(sql);
 }
 
+/// A small fixed graph for path-probe tests: vertexes 0..7 with a kind
+/// (a/b/c) and a score, unit-weight directed edges. Vertexes 2 and 5 have
+/// no out-edges, so outer rows without paths sit between rows with paths.
+/// It has 28 paths of 1..2 edges, starting at 6 of the 8 vertexes.
+inline constexpr const char* kPathRunGraphSql = R"sql(
+  CREATE TABLE v (id BIGINT PRIMARY KEY, kind VARCHAR, score BIGINT);
+  CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE);
+  INSERT INTO v VALUES (0, 'a', 5), (1, 'b', 3), (2, 'a', 9), (3, 'c', 1),
+                       (4, 'b', 7), (5, 'a', 2), (6, 'c', 8), (7, 'b', 4);
+  INSERT INTO e VALUES (0, 0, 1, 1.0), (1, 0, 3, 1.0), (2, 1, 3, 1.0),
+                       (3, 1, 4, 1.0), (4, 3, 0, 1.0), (5, 3, 6, 1.0),
+                       (6, 4, 7, 1.0), (7, 6, 1, 1.0), (8, 7, 4, 1.0),
+                       (9, 6, 2, 1.0), (10, 4, 5, 1.0);
+  CREATE DIRECTED GRAPH VIEW g
+    VERTEXES (ID = id, kind = kind, score = score) FROM v
+    EDGES (ID = id, FROM = src, TO = dst, w = w) FROM e;
+)sql";
+
 }  // namespace grfusion
