@@ -1,8 +1,13 @@
 #include "exec/agg_ops.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 
 #include "common/string_util.h"
+#include "common/task_pool.h"
+#include "common/tracer.h"
+#include "graph/graph_view.h"
 
 namespace grfusion {
 
@@ -20,6 +25,18 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
                                [](bool free) { return free; })) {
   for (size_t i = 0; i < group_by_.size(); ++i) {
     schema_.AddColumn(Column(group_names[i], group_by_[i]->result_type()));
+  }
+  // Morsel-eligible input: a morsel source under filters only.
+  PhysicalOperator* op = child_.get();
+  while (auto* filter = dynamic_cast<FilterOp*>(op)) {
+    morsel_stages_.push_back(filter);
+    op = filter->input();
+  }
+  morsel_source_ = op->morsel_source();
+  if (morsel_source_ != nullptr) {
+    morsel_op_ = op;
+  } else {
+    morsel_stages_.clear();
   }
   for (const AggregateSpec& spec : aggs_) {
     ValueType type;
@@ -39,7 +56,34 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
   }
 }
 
-Status AggregateOp::Accumulate(Group* group, const ExecRow& row) {
+namespace {
+
+/// Shared-budget reservation step of a morsel worker's context: its DFS
+/// stack charges a few bytes per hop, which would otherwise contend on the
+/// budget's counter.
+constexpr size_t kWorkerBudgetStep = 8 << 10;
+
+Status SumOverflow(AggFunc func) {
+  return Status::OutOfRange(std::string(AggFuncToString(func)) +
+                            " overflows BIGINT");
+}
+
+/// Merges a partial MIN (`min`) or MAX into `*best`: only a strictly
+/// better value replaces it, so a tie keeps the earlier morsel's value, as
+/// a serial scan keeps the first value it saw.
+Status MergeBest(const Value& partial, bool min, Value* best) {
+  if (partial.is_null()) return Status::OK();
+  if (!best->is_null()) {
+    GRF_ASSIGN_OR_RETURN(int cmp, partial.Compare(*best));
+    if (min ? cmp >= 0 : cmp <= 0) return Status::OK();
+  }
+  *best = partial;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status AggregateOp::Accumulate(Group* group, const ExecRow& row) const {
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggregateSpec& spec = aggs_[i];
     AggState& state = group->states[i];
@@ -70,14 +114,19 @@ Status AggregateOp::Accumulate(Group* group, const ExecRow& row) {
         break;
       }
       default:  // SUM, AVG.
-        if (v.type() != ValueType::kBigInt &&
-            v.type() != ValueType::kDouble) {
+        if (v.type() == ValueType::kBigInt) {
+          if (__builtin_add_overflow(state.int_sum, v.AsBigInt(),
+                                     &state.int_sum)) {
+            return SumOverflow(spec.func);
+          }
+        } else if (v.type() == ValueType::kDouble) {
+          state.integral = false;
+          state.double_sum += v.AsDouble();
+        } else {
           return Status::InvalidArgument(
               "cannot " + std::string(AggFuncToString(spec.func)) +
               " non-numeric value " + v.ToString());
         }
-        if (v.type() == ValueType::kDouble) state.integral = false;
-        state.sum += v.AsNumeric();
         break;
     }
   }
@@ -91,11 +140,15 @@ StatusOr<Value> AggregateOp::Finalize(const AggregateSpec& spec,
       return Value::BigInt(state.count);
     case AggFunc::kSum:
       if (state.count == 0) return Value::Null();
-      return state.integral ? Value::BigInt(static_cast<int64_t>(state.sum))
-                            : Value::Double(state.sum);
+      return state.integral
+                 ? Value::BigInt(state.int_sum)
+                 : Value::Double(static_cast<double>(state.int_sum) +
+                                 state.double_sum);
     case AggFunc::kAvg:
       if (state.count == 0) return Value::Null();
-      return Value::Double(state.sum / static_cast<double>(state.count));
+      return Value::Double(
+          (static_cast<double>(state.int_sum) + state.double_sum) /
+          static_cast<double>(state.count));
     case AggFunc::kMin:
       return state.min;
     case AggFunc::kMax:
@@ -104,80 +157,240 @@ StatusOr<Value> AggregateOp::Finalize(const AggregateSpec& spec,
   return Status::Internal("bad aggregate function");
 }
 
-StatusOr<size_t> AggregateOp::GroupFor(const ExecRow& row) {
+Status AggregateOp::AddGroup(std::vector<Value> keys, QueryContext* ctx,
+                             Table* table) const {
+  Group group;
+  group.keys = std::move(keys);
+  group.states.resize(aggs_.size());
+  const size_t bytes = 64 + group.keys.size() * sizeof(Value) +
+                       group.states.size() * sizeof(AggState);
+  table->charged += bytes;
+  GRF_RETURN_IF_ERROR(ctx->ChargeBytes(bytes));
+  if (!group_by_.empty()) {
+    table->index.emplace(group.keys, table->groups.size());
+  }
+  table->groups.push_back(std::move(group));
+  return Status::OK();
+}
+
+StatusOr<size_t> AggregateOp::GroupFor(const ExecRow& row, QueryContext* ctx,
+                                       Table* table) const {
   // A scalar aggregate has one group and no key.
-  if (group_by_.empty() && !groups_.empty()) return 0;
-  if (!group_by_.empty()) ++group_lookups_;
-  key_.resize(group_by_.size());
+  if (group_by_.empty() && !table->groups.empty()) return 0;
+  if (!group_by_.empty()) ++table->lookups;
+  table->key.resize(group_by_.size());
   for (size_t i = 0; i < group_by_.size(); ++i) {
-    GRF_ASSIGN_OR_RETURN(key_[i], group_by_[i]->Eval(row));
+    GRF_ASSIGN_OR_RETURN(table->key[i], group_by_[i]->Eval(row));
   }
   if (!group_by_.empty()) {
-    auto it = group_index_.find(key_);
-    if (it != group_index_.end()) return it->second;
+    auto it = table->index.find(table->key);
+    if (it != table->index.end()) return it->second;
   }
-  Group group;
-  group.keys = key_;
-  group.states.resize(aggs_.size());
-  size_t bytes = 64 + group.keys.size() * sizeof(Value) +
-                 group.states.size() * sizeof(AggState);
-  charged_ += bytes;
-  GRF_RETURN_IF_ERROR(ctx_->ChargeBytes(bytes));
-  if (!group_by_.empty()) group_index_.emplace(key_, groups_.size());
-  groups_.push_back(std::move(group));
-  return groups_.size() - 1;
+  GRF_RETURN_IF_ERROR(AddGroup(table->key, ctx, table));
+  return table->groups.size() - 1;
+}
+
+Status AggregateOp::Drain(PhysicalOperator* input, QueryContext* ctx,
+                          Table* table) const {
+  // `row` goes back to the input untouched: the run protocol's promise.
+  ExecRow row;
+  bool unchanged = false;
+  size_t group = 0;
+  while (true) {
+    GRF_ASSIGN_OR_RETURN(bool has, input->Next(&row, &unchanged));
+    if (!has) return Status::OK();
+    // Unchanged columns mean unchanged path-free keys: the same group.
+    if (!reuse_group_ || !unchanged) {
+      // An index: the groups may reallocate.
+      GRF_ASSIGN_OR_RETURN(group, GroupFor(row, ctx, table));
+    }
+    GRF_RETURN_IF_ERROR(Accumulate(&table->groups[group], row));
+  }
+}
+
+Status AggregateOp::Merge(const Table& partial) {
+  table_.lookups += partial.lookups;
+  for (const Group& part : partial.groups) {
+    size_t g = 0;
+    if (group_by_.empty()) {
+      if (table_.groups.empty()) {
+        GRF_RETURN_IF_ERROR(AddGroup({}, ctx_, &table_));
+      }
+    } else {
+      auto it = table_.index.find(part.keys);
+      if (it != table_.index.end()) {
+        g = it->second;
+      } else {
+        GRF_RETURN_IF_ERROR(AddGroup(part.keys, ctx_, &table_));
+        g = table_.groups.size() - 1;
+      }
+    }
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      AggState& into = table_.groups[g].states[i];
+      const AggState& from = part.states[i];
+      into.count += from.count;
+      if (__builtin_add_overflow(into.int_sum, from.int_sum, &into.int_sum)) {
+        return SumOverflow(aggs_[i].func);
+      }
+      into.double_sum += from.double_sum;
+      into.integral = into.integral && from.integral;
+      GRF_RETURN_IF_ERROR(MergeBest(from.min, /*min=*/true, &into.min));
+      GRF_RETURN_IF_ERROR(MergeBest(from.max, /*min=*/false, &into.max));
+    }
+  }
+  return Status::OK();
+}
+
+Status AggregateOp::RunMorsels() {
+  MorselSource* source = morsel_source_;
+  const size_t n = source->morsel_count();
+  size_t workers = 1;
+  if (ctx_->parallel_enabled()) {
+    workers = std::max<size_t>(
+        1, std::min({ctx_->max_parallelism(),
+                     ctx_->task_pool()->num_workers(), n}));
+  }
+  // The source and its filters, top-down: the operators the workers copy.
+  std::vector<PhysicalOperator*> originals(morsel_stages_.begin(),
+                                           morsel_stages_.end());
+  originals.push_back(morsel_op_);
+
+  struct Worker {
+    OperatorPtr top;
+    std::vector<PhysicalOperator*> copies;  ///< Mirrors `originals`.
+    std::vector<OperatorProfile> profiles;  ///< Summed over its morsels.
+    ExecStats stats;  ///< Sums (and a max) over its morsels: any order.
+    uint64_t ns = 0;
+    size_t peak = 0;
+  };
+  struct Morsel {
+    Table partial;
+    Status status = Status::OK();
+  };
+  while (true) {
+    // One pipeline per worker: a reader of the source under copies of the
+    // filters.
+    std::vector<Worker> pipelines(workers);
+    std::vector<const PhysicalOperator*> readers;
+    for (Worker& w : pipelines) {
+      w.top = source->NewReader();
+      readers.push_back(w.top.get());
+      w.copies.assign(originals.size(), nullptr);
+      w.copies.back() = w.top.get();
+      for (size_t k = morsel_stages_.size(); k-- > 0;) {
+        w.top = morsel_stages_[k]->CopyOver(std::move(w.top));
+        w.copies[k] = w.top.get();
+      }
+      w.profiles.resize(originals.size());
+    }
+
+    std::vector<Morsel> morsels(n);
+    SharedMemoryBudget budget(ctx_->remaining_budget());
+    std::atomic<size_t> next{0};
+    std::atomic<bool> failed{false};
+    Status result = ParallelFor(
+        workers > 1 ? ctx_->task_pool() : nullptr, workers, 1,
+        [&](size_t w, size_t) {
+          const auto t0 = std::chrono::steady_clock::now();
+          Worker& worker = pipelines[w];
+          TraceSpan span(ctx_->trace(), "worker",
+                         "morsels.worker." + std::to_string(w));
+          QueryContext wctx(ctx_->memory_cap());
+          wctx.set_shared_budget(&budget, kWorkerBudgetStep);
+          wctx.set_cancellation(ctx_->cancellation());
+          wctx.set_profile_timing(ctx_->profile_timing());
+          wctx.set_snapshot_epoch(ctx_->snapshot_epoch());
+          wctx.set_include_open(ctx_->include_open());
+          // The graph snapshot scope is thread-local: pin this thread to the
+          // statement's snapshot for its morsels.
+          GraphReadScope graph_scope(ctx_->snapshot_epoch(),
+                                     ctx_->include_open());
+          size_t done = 0;
+          while (!failed.load(std::memory_order_relaxed)) {
+            const size_t m = next.fetch_add(1, std::memory_order_relaxed);
+            if (m >= n) break;
+            Morsel& morsel = morsels[m];
+            source->SelectMorsel(worker.copies.back(), m);
+            Status status = worker.top->Open(&wctx);
+            if (status.ok()) {
+              status = Drain(worker.top.get(), &wctx, &morsel.partial);
+            }
+            worker.top->Close();
+            for (size_t k = 0; k < worker.copies.size(); ++k) {
+              worker.profiles[k].Add(worker.copies[k]->profile());
+            }
+            ++done;
+            if (!status.ok()) {
+              morsel.status = std::move(status);
+              failed.store(true, std::memory_order_relaxed);
+            }
+          }
+          span.AddArg("morsels", std::to_string(done));
+          worker.stats = wctx.stats();
+          worker.peak = wctx.peak_bytes();
+          worker.ns = static_cast<uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count());
+        });
+
+    // Statuses and partials are taken in morsel order, so the outcome does
+    // not depend on which worker ran which morsel.
+    for (const Morsel& morsel : morsels) {
+      if (result.ok()) result = morsel.status;
+    }
+    if (workers > 1 && result.code() == StatusCode::kResourceExhausted) {
+      // Concurrent workers hold more at once than one does. As with the
+      // parallel scans, a statement that fits at one worker must not fail
+      // at more: rerun the same morsels inline. Nothing was merged yet.
+      workers = 1;
+      continue;
+    }
+    for (Morsel& morsel : morsels) {
+      if (result.ok()) result = Merge(morsel.partial);
+      morsel.partial = Table{};
+    }
+    std::vector<uint64_t> worker_ns;
+    for (Worker& w : pipelines) {
+      ctx_->stats().MergeFrom(w.stats);
+      for (size_t k = 0; k < originals.size(); ++k) {
+        originals[k]->AddProfile(w.profiles[k]);
+      }
+      worker_ns.push_back(w.ns);
+      ctx_->FoldChildPeak(w.peak);
+    }
+    source->FinishMorsels(readers, std::move(worker_ns));
+    return result;
+  }
 }
 
 Status AggregateOp::OpenImpl(QueryContext* ctx) {
   ctx_ = ctx;
-  groups_.clear();
-  group_index_.clear();
-  charged_ = 0;
+  table_ = Table{};
   cursor_ = 0;
   materialized_ = false;
-  group_lookups_ = 0;
 
-  GRF_RETURN_IF_ERROR(child_->Open(ctx));
-  // `row` goes back to the child untouched: the run protocol's promise.
-  ExecRow row;
-  bool unchanged = false;
-  size_t group = 0;
-  Status result = Status::OK();
-  while (true) {
-    auto has = child_->Next(&row, &unchanged);
-    if (!has.ok()) {
-      result = has.status();
-      break;
-    }
-    if (!*has) break;
-    // Unchanged columns mean unchanged path-free keys: the same group.
-    if (!reuse_group_ || !unchanged) {
-      auto found = GroupFor(row);
-      if (!found.ok()) {
-        result = found.status();
-        break;
-      }
-      group = *found;  // An index: groups_ may reallocate.
-    }
-    result = Accumulate(&groups_[group], row);
-    if (!result.ok()) break;
+  if (morsel_source_ != nullptr) morsel_source_->set_morsel_mode(true);
+  Status result = child_->Open(ctx);
+  if (result.ok()) {
+    result = morsel_source_ != nullptr ? RunMorsels()
+                                       : Drain(child_.get(), ctx, &table_);
   }
   child_->Close();
+  group_lookups_ = table_.lookups;
   GRF_RETURN_IF_ERROR(result);
 
   // Scalar aggregate over empty input still yields one row.
-  if (group_by_.empty() && groups_.empty()) {
-    Group group;
-    group.states.resize(aggs_.size());
-    groups_.push_back(std::move(group));
+  if (group_by_.empty() && table_.groups.empty()) {
+    table_.groups.emplace_back().states.resize(aggs_.size());
   }
   materialized_ = true;
   return Status::OK();
 }
 
 StatusOr<bool> AggregateOp::NextImpl(ExecRow* out) {
-  if (!materialized_ || cursor_ >= groups_.size()) return false;
-  const Group& group = groups_[cursor_++];
+  if (!materialized_ || cursor_ >= table_.groups.size()) return false;
+  const Group& group = table_.groups[cursor_++];
   ExecRow row;
   row.columns = group.keys;
   for (size_t i = 0; i < aggs_.size(); ++i) {
@@ -189,10 +402,8 @@ StatusOr<bool> AggregateOp::NextImpl(ExecRow* out) {
 }
 
 void AggregateOp::CloseImpl() {
-  groups_.clear();
-  group_index_.clear();
-  if (ctx_ != nullptr) ctx_->ReleaseBytes(charged_);
-  charged_ = 0;
+  if (ctx_ != nullptr) ctx_->ReleaseBytes(table_.charged);
+  table_ = Table{};
   materialized_ = false;
 }
 

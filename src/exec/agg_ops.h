@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "exec/filter_ops.h"
+#include "exec/morsel.h"
 #include "exec/operator.h"
 #include "expr/expression.h"
 
@@ -22,12 +24,21 @@ struct AggregateSpec {
 /// Hash aggregation. Output rows are (group keys..., aggregates...) — a NEW
 /// row layout; everything above an AggregateOp binds against its output
 /// schema. With no group-by keys, emits exactly one row (SQL scalar
-/// aggregate over an empty input produces COUNT 0 / NULL others).
+/// aggregate over an empty input produces COUNT 0 / NULL others). SUM and
+/// AVG add BIGINT inputs exactly in 64 bits and fail with OutOfRange when
+/// the sum overflows.
 ///
 /// The child is drained in the run protocol (PhysicalOperator::Next). When
 /// every group-by key is path-free (`path_free_keys`, one flag per key), a
 /// row whose columns the child reports unchanged joins the previous row's
 /// group without evaluating or hashing the key.
+///
+/// When the child is a morsel source (a DFS path probe), reached through
+/// filters only, the input runs as fixed morsels (DESIGN.md §20): each
+/// morsel drains a private copy of the filters and a reader of the source
+/// into its own partial groups, on up to max_parallelism pool workers (inline
+/// at one), and the partials merge in morsel order. Group order, sums and
+/// counters are therefore the same at any worker count.
 class AggregateOp : public PhysicalOperator {
  public:
   AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
@@ -49,24 +60,47 @@ class AggregateOp : public PhysicalOperator {
  private:
   struct AggState {
     int64_t count = 0;
-    double sum = 0.0;
+    int64_t int_sum = 0;       ///< SUM/AVG over the BIGINT inputs, exact.
+    double double_sum = 0.0;   ///< SUM/AVG over the DOUBLE inputs.
     Value min;
     Value max;
-    bool integral = true;  ///< SUM/MIN/MAX stay BIGINT when all inputs are.
+    bool integral = true;  ///< SUM stays BIGINT when all inputs are.
   };
   struct Group {
     std::vector<Value> keys;
     std::vector<AggState> states;
   };
+  /// Groups in first-seen order with their index: the aggregate's result,
+  /// or one morsel's partial. `charged` bytes are held in the context that
+  /// built it.
+  struct Table {
+    std::vector<Group> groups;
+    std::unordered_map<std::vector<Value>, size_t, ValuesHash, ValuesEqual>
+        index;
+    std::vector<Value> key;  ///< The current row's group key, reused.
+    size_t charged = 0;
+    uint64_t lookups = 0;  ///< GroupFor calls of a grouped aggregate.
+  };
 
-  /// The index in groups_ of `row`'s group, created (and charged) on first
-  /// use.
-  StatusOr<size_t> GroupFor(const ExecRow& row);
+  /// Drains `input` into `table`, charging `ctx`. Touches no member state,
+  /// so morsel workers run it concurrently on private tables.
+  Status Drain(PhysicalOperator* input, QueryContext* ctx,
+               Table* table) const;
+  /// The index in `table` of `row`'s group, created on first use.
+  StatusOr<size_t> GroupFor(const ExecRow& row, QueryContext* ctx,
+                            Table* table) const;
+  /// Appends a group with `keys` and empty states, charged to `ctx`.
+  Status AddGroup(std::vector<Value> keys, QueryContext* ctx,
+                  Table* table) const;
   /// Updates each aggregate's state from `row`, touching only the state its
   /// function reads.
-  Status Accumulate(Group* group, const ExecRow& row);
+  Status Accumulate(Group* group, const ExecRow& row) const;
+  /// Folds a morsel's partial groups into table_, in their first-seen order.
+  Status Merge(const Table& partial);
   StatusOr<Value> Finalize(const AggregateSpec& spec,
                            const AggState& state) const;
+  /// Runs the morsels of morsel_source_ (already open) into table_.
+  Status RunMorsels();
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_by_;
@@ -75,13 +109,14 @@ class AggregateOp : public PhysicalOperator {
   /// Grouped, and no key reads a path: rows with unchanged columns share
   /// their predecessor's group.
   bool reuse_group_ = false;
+  /// The morsel source under the child (`morsel_op_` as an operator) and
+  /// the filters between, top-down; null when the input is not eligible.
+  MorselSource* morsel_source_ = nullptr;
+  PhysicalOperator* morsel_op_ = nullptr;
+  std::vector<FilterOp*> morsel_stages_;
 
   QueryContext* ctx_ = nullptr;
-  std::vector<Group> groups_;
-  std::unordered_map<std::vector<Value>, size_t, ValuesHash, ValuesEqual>
-      group_index_;
-  std::vector<Value> key_;  ///< The current row's group key, reused.
-  size_t charged_ = 0;
+  Table table_;
   size_t cursor_ = 0;
   bool materialized_ = false;
   /// GroupFor calls of a grouped aggregate (EXPLAIN ANALYZE).

@@ -26,6 +26,12 @@ class FilterOp : public PhysicalOperator {
     return {child_.get()};
   }
 
+  PhysicalOperator* input() const { return child_.get(); }
+  /// The same filter over `input`: a stage of a morsel pipeline.
+  OperatorPtr CopyOver(OperatorPtr input) const {
+    return std::make_unique<FilterOp>(std::move(input), predicate_);
+  }
+
  protected:
   Status OpenImpl(QueryContext* ctx) override { return child_->Open(ctx); }
   StatusOr<bool> NextImpl(ExecRow* out) override;

@@ -27,7 +27,18 @@ struct OperatorProfile {
   uint64_t close_ns = 0;
 
   uint64_t total_ns() const { return open_ns + next_ns + close_ns; }
+
+  /// Adds another execution's calls, rows and times (not its open_calls).
+  void Add(const OperatorProfile& other) {
+    next_calls += other.next_calls;
+    rows_emitted += other.rows_emitted;
+    open_ns += other.open_ns;
+    next_ns += other.next_ns;
+    close_ns += other.close_ns;
+  }
 };
+
+class MorselSource;
 
 /// Volcano-model physical operator (paper §5: "the PathScan operator is a
 /// lazy operator following the iterator model"). Both relational and graph
@@ -84,6 +95,15 @@ class PhysicalOperator {
   /// parallel operators report their worker fan-out here (per-worker rows
   /// and wall time). Empty for operators with nothing to add.
   virtual std::string AnalyzeExtra() const { return ""; }
+
+  /// This operator as the source of a morsel pipeline (exec/morsel.h), or
+  /// null when its input cannot run as fixed morsels.
+  virtual MorselSource* morsel_source() { return nullptr; }
+
+  /// Adds the calls, rows and times of a morsel pipeline's copy of this
+  /// operator to its profile, so EXPLAIN ANALYZE shows the work the copies
+  /// did (their times summed over workers).
+  void AddProfile(const OperatorProfile& copy) { profile_.Add(copy); }
 
  protected:
   virtual Status OpenImpl(QueryContext* ctx) = 0;

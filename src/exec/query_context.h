@@ -123,8 +123,8 @@ class QueryContext {
           std::to_string(current_bytes_) + " > " +
           std::to_string(memory_cap_) + " bytes)");
     }
-    if (shared_budget_ != nullptr) {
-      GRF_RETURN_IF_ERROR(shared_budget_->Charge(bytes));
+    if (shared_budget_ != nullptr && current_bytes_ > reserved_bytes_) {
+      GRF_RETURN_IF_ERROR(Reserve());
     }
     // Fires after accounting so an injected failure looks exactly like a cap
     // trip (charge-then-check): ignore-status callers stay balanced on
@@ -138,7 +138,14 @@ class QueryContext {
     // under-charged; the release-build clamp hides the bug, so trap it here.
     GRF_DCHECK(bytes <= current_bytes_);
     current_bytes_ = bytes > current_bytes_ ? 0 : current_bytes_ - bytes;
-    if (shared_budget_ != nullptr) shared_budget_->Release(bytes);
+    if (shared_budget_ != nullptr &&
+        reserved_bytes_ > current_bytes_ + 2 * reserve_step_) {
+      // Keep one step in hand, so charges that oscillate around a step
+      // boundary do not touch the shared counter each time.
+      const size_t keep = current_bytes_ + reserve_step_;
+      shared_budget_->Release(reserved_bytes_ - keep);
+      reserved_bytes_ = keep;
+    }
   }
 
   /// Headroom left under the cap; a parallel fan-out seeds its workers'
@@ -150,9 +157,25 @@ class QueryContext {
 
   /// Worker contexts of a parallel fan-out additionally charge/release
   /// against this cross-worker budget (not owned; must outlive the context's
-  /// last charge/release).
-  void set_shared_budget(SharedMemoryBudget* budget) {
+  /// last charge/release). With `step` 0 every charge and release reaches
+  /// the budget. A positive `step` batches them for workers whose hot loops
+  /// charge a few bytes at a time (traversal stacks): the context reserves
+  /// the budget in multiples of `step` and hands back only what lies more
+  /// than two steps above its usage, so at most 2 x `step` per context is
+  /// reserved but unused. A reservation the budget cannot grant in whole
+  /// steps falls back to the exact bytes needed.
+  void set_shared_budget(SharedMemoryBudget* budget, size_t step = 0) {
     shared_budget_ = budget;
+    reserve_step_ = step;
+  }
+
+  /// Whether this context, or the fan-out budget it shares, holds more than
+  /// its limit. Callers that charge without checking each status (traversal
+  /// stacks) test this after a batch of charges.
+  bool over_budget() const {
+    return current_bytes_ > memory_cap_ ||
+           (shared_budget_ != nullptr &&
+            shared_budget_->used() > shared_budget_->limit());
   }
 
   size_t current_bytes() const { return current_bytes_; }
@@ -251,6 +274,27 @@ class QueryContext {
   }
 
  private:
+  /// Takes from the shared budget what current_bytes_ needs beyond the
+  /// reservation, rounded up to whole steps when they fit.
+  Status Reserve() {
+    const size_t need = current_bytes_ - reserved_bytes_;
+    size_t grant = need;
+    if (reserve_step_ > 0) {
+      grant = (need + reserve_step_ - 1) / reserve_step_ * reserve_step_;
+    }
+    Status status = shared_budget_->Charge(grant);
+    reserved_bytes_ += grant;
+    if (!status.ok() && grant > need) {
+      // The rounding may be what tipped the budget: keep only the need.
+      shared_budget_->Release(grant - need);
+      reserved_bytes_ -= grant - need;
+      if (shared_budget_->used() <= shared_budget_->limit()) {
+        status = Status::OK();
+      }
+    }
+    return status;
+  }
+
   Status CheckInterruptSlow(uint32_t state) {
     if (state & CancellationToken::kDeadlineExceededBit) {
       return Status::DeadlineExceeded("statement deadline exceeded");
@@ -283,6 +327,8 @@ class QueryContext {
   size_t parallel_min_rows_ = 2048;
   size_t parallel_min_starts_ = 8;
   SharedMemoryBudget* shared_budget_ = nullptr;
+  size_t reserve_step_ = 0;
+  size_t reserved_bytes_ = 0;  ///< Held in shared_budget_ for this context.
   QueryTrace* trace_ = nullptr;
   CancellationToken* cancel_token_ = nullptr;
   int deadline_skip_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -370,13 +371,98 @@ PathProbeJoinOp::PathProbeJoinOp(OperatorPtr outer,
                                  std::shared_ptr<const TraversalSpec> spec)
     : outer_(std::move(outer)), spec_(std::move(spec)) {}
 
+PathProbeJoinOp::PathProbeJoinOp(const PathProbeJoinOp* source)
+    : spec_(source->spec_), source_(source) {}
+
 Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
-  ctx_ = ctx;
-  scanner_ = MakePathScanner(spec_, ctx);
   outer_valid_ = false;
+  if (source_ != nullptr) {
+    // A reader re-opens per morsel under one worker context; its scanner
+    // and counters live across its morsels.
+    if (scanner_ == nullptr || ctx != ctx_) {
+      scanner_ = MakePathScanner(spec_, ctx);
+    }
+    ctx_ = ctx;
+    return Status::OK();
+  }
+  ctx_ = ctx;
   attr_tuple_reads_ = 0;
   outer_copies_ = 0;
-  return outer_->Open(ctx);
+  morsel_count_ = 0;
+  worker_ns_.clear();
+  // In morsel mode only the readers traverse.
+  scanner_ = morsel_mode_ ? nullptr : MakePathScanner(spec_, ctx);
+  GRF_RETURN_IF_ERROR(outer_->Open(ctx));
+  return morsel_mode_ ? BufferMorsels() : Status::OK();
+}
+
+Status PathProbeJoinOp::BufferMorsels() {
+  ExecRow row;
+  while (true) {
+    GRF_ASSIGN_OR_RETURN(bool has, outer_->Next(&row));
+    if (!has) break;
+    const size_t bytes = row.ByteSize();
+    buffered_bytes_ += bytes;
+    GRF_RETURN_IF_ERROR(ctx_->ChargeBytes(bytes));
+    buffered_rows_.push_back(std::move(row));
+    row = ExecRow();
+  }
+  constexpr size_t kSize = kMorselSize;
+  if (spec_->start_vertex_expr != nullptr) {
+    morsel_count_ = (buffered_rows_.size() + kSize - 1) / kSize;
+    return Status::OK();
+  }
+  spec_->gv->ForEachVertex([&](const VertexEntry& v) {
+    morsel_starts_.push_back(v.id);
+    return true;
+  });
+  std::sort(morsel_starts_.begin(), morsel_starts_.end(),
+            std::greater<VertexId>());
+  const size_t bytes = morsel_starts_.size() * sizeof(VertexId);
+  buffered_bytes_ += bytes;
+  GRF_RETURN_IF_ERROR(ctx_->ChargeBytes(bytes));
+  morsel_count_ =
+      buffered_rows_.size() * ((morsel_starts_.size() + kSize - 1) / kSize);
+  return Status::OK();
+}
+
+MorselSource* PathProbeJoinOp::morsel_source() {
+  const bool eligible = source_ == nullptr &&
+                        spec_->physical == TraversalSpec::Physical::kDfs &&
+                        !spec_->global_visited;
+  return eligible ? this : nullptr;
+}
+
+OperatorPtr PathProbeJoinOp::NewReader() const {
+  return OperatorPtr(new PathProbeJoinOp(this));
+}
+
+void PathProbeJoinOp::SelectMorsel(PhysicalOperator* reader,
+                                   size_t morsel) const {
+  auto* r = static_cast<PathProbeJoinOp*>(reader);
+  constexpr size_t kSize = kMorselSize;
+  if (spec_->start_vertex_expr != nullptr) {
+    r->row_next_ = morsel * kSize;
+    r->row_end_ = std::min(buffered_rows_.size(), r->row_next_ + kSize);
+    return;
+  }
+  // An unbound start: one outer row, one slice of its starts.
+  const size_t per_row = (morsel_starts_.size() + kSize - 1) / kSize;
+  r->row_next_ = morsel / per_row;
+  r->row_end_ = r->row_next_ + 1;
+  r->start_begin_ = (morsel % per_row) * kSize;
+  r->start_end_ = std::min(morsel_starts_.size(), r->start_begin_ + kSize);
+}
+
+void PathProbeJoinOp::FinishMorsels(
+    const std::vector<const PhysicalOperator*>& readers,
+    std::vector<uint64_t> worker_ns) {
+  for (const PhysicalOperator* reader : readers) {
+    const auto* r = static_cast<const PathProbeJoinOp*>(reader);
+    outer_copies_ += r->outer_copies_;
+    attr_tuple_reads_ += r->attr_tuple_reads_;
+  }
+  worker_ns_ = std::move(worker_ns);
 }
 
 StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
@@ -389,6 +475,11 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
     starts.push_back(id.AsBigInt());
     return starts;
   }
+  if (source_ != nullptr) {
+    const std::vector<VertexId>& all = source_->morsel_starts_;
+    return std::vector<VertexId>(all.begin() + start_begin_,
+                                 all.begin() + start_end_);
+  }
   // Unbound start: all vertexes of the view (paper §5.1.2).
   starts.reserve(spec_->gv->NumVertexes());
   spec_->gv->ForEachVertex([&](const VertexEntry& v) {
@@ -398,7 +489,20 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
   return starts;
 }
 
+StatusOr<bool> PathProbeJoinOp::NextOuterRow() {
+  if (source_ == nullptr) {
+    probe_row_ = &outer_row_;
+    return outer_->Next(&outer_row_);
+  }
+  if (row_next_ >= row_end_) return false;
+  probe_row_ = &source_->buffered_rows_[row_next_++];
+  return true;
+}
+
 StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
+  if (morsel_mode_) {
+    return Status::Internal("a morsel-mode probe is read through its readers");
+  }
   bool* run = run_flag();
   // A caller outside the run protocol may have changed its row.
   if (run == nullptr) run_row_ = nullptr;
@@ -419,7 +523,7 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
           *run = true;  // Same run: the outer columns are already in place.
         } else {
           // Copy-assignment reuses the caller's row buffers.
-          *out = outer_row_;
+          *out = *probe_row_;
           ++outer_copies_;
           run_row_ = run != nullptr ? out : nullptr;
         }
@@ -433,27 +537,33 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
       outer_valid_ = false;
     }
     run_row_ = nullptr;  // A new outer row (the first after Open too).
-    GRF_ASSIGN_OR_RETURN(bool has_outer, outer_->Next(&outer_row_));
+    GRF_ASSIGN_OR_RETURN(bool has_outer, NextOuterRow());
     if (!has_outer) return false;
 
-    GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(outer_row_));
+    GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(*probe_row_));
     std::optional<VertexId> target;
     if (spec_->end_vertex_expr != nullptr) {
-      GRF_ASSIGN_OR_RETURN(Value v, spec_->end_vertex_expr->Eval(outer_row_));
+      GRF_ASSIGN_OR_RETURN(Value v, spec_->end_vertex_expr->Eval(*probe_row_));
       if (v.is_null()) continue;  // NULL target joins nothing.
       GRF_ASSIGN_OR_RETURN(Value id, v.CastTo(ValueType::kBigInt));
       target = id.AsBigInt();
     }
     GRF_RETURN_IF_ERROR(scanner_->Reset(std::move(starts), target,
-                                        &outer_row_));
+                                        probe_row_));
     outer_valid_ = true;
   }
 }
 
 void PathProbeJoinOp::CloseImpl() {
-  outer_->Close();
+  if (outer_ != nullptr) outer_->Close();
   if (scanner_ != nullptr) scanner_->Release();
   outer_valid_ = false;
+  buffered_rows_.clear();
+  morsel_starts_.clear();
+  if (buffered_bytes_ > 0) {
+    ctx_->ReleaseBytes(buffered_bytes_);
+    buffered_bytes_ = 0;
+  }
 }
 
 std::string PathProbeJoinOp::name() const {
@@ -463,9 +573,20 @@ std::string PathProbeJoinOp::name() const {
 std::string PathProbeJoinOp::AnalyzeExtra() const {
   std::string out = StrFormat(" outer_copies=%llu",
                               static_cast<unsigned long long>(outer_copies_));
-  if (attr_tuple_reads_ == 0) return out;
-  return out + StrFormat(" attr_tuple_reads=%llu",
-                         static_cast<unsigned long long>(attr_tuple_reads_));
+  if (attr_tuple_reads_ > 0) {
+    out += StrFormat(" attr_tuple_reads=%llu",
+                     static_cast<unsigned long long>(attr_tuple_reads_));
+  }
+  if (!morsel_mode_) return out;
+  out += StrFormat(" morsels=%zu", morsel_count_);
+  // One worker runs its morsels inline; nothing fanned out.
+  if (worker_ns_.size() <= 1) return out;
+  out += " workers=[";
+  for (size_t i = 0; i < worker_ns_.size(); ++i) {
+    if (i > 0) out += " ";
+    out += StrFormat("time_ms=%.3f", static_cast<double>(worker_ns_[i]) / 1e6);
+  }
+  return out + "]";
 }
 
 }  // namespace grfusion

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/morsel.h"
 #include "exec/operator.h"
 #include "exec/row_layout.h"
 #include "expr/expression.h"
@@ -111,17 +112,33 @@ class EdgeScanOp : public PhysicalOperator {
 /// unchanged. A new outer row, a re-Open, or a call outside the protocol
 /// ends the run.
 ///
+/// A DFS probe without visited-once search is a morsel source: under an
+/// AggregateOp, Open buffers the outer rows (and, for an unbound start, the
+/// view's vertexes in the order DFS visits them) and readers probe one
+/// morsel each (DESIGN.md §20).
+///
 /// With no relational FROM items the planner supplies a SingleRowOp outer,
 /// making this the plain PathScan of a pure graph query.
-class PathProbeJoinOp : public PhysicalOperator {
+class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
  public:
   PathProbeJoinOp(OperatorPtr outer, std::shared_ptr<const TraversalSpec> spec);
-  const Schema& schema() const override { return outer_->schema(); }
+  const Schema& schema() const override {
+    return source_ != nullptr ? source_->schema() : outer_->schema();
+  }
   std::string name() const override;
   std::string AnalyzeExtra() const override;
   std::vector<const PhysicalOperator*> children() const override {
+    if (outer_ == nullptr) return {};
     return {outer_.get()};
   }
+
+  MorselSource* morsel_source() override;
+  void set_morsel_mode(bool on) override { morsel_mode_ = on; }
+  size_t morsel_count() const override { return morsel_count_; }
+  OperatorPtr NewReader() const override;
+  void SelectMorsel(PhysicalOperator* reader, size_t morsel) const override;
+  void FinishMorsels(const std::vector<const PhysicalOperator*>& readers,
+                     std::vector<uint64_t> worker_ns) override;
 
  protected:
   Status OpenImpl(QueryContext* ctx) override;
@@ -129,26 +146,57 @@ class PathProbeJoinOp : public PhysicalOperator {
   void CloseImpl() override;
 
  private:
-  /// Computes the start set for one outer row: the bound start expression's
-  /// value, or every vertex of the graph view when unbound (paper §5.1.2).
-  StatusOr<std::vector<VertexId>> StartsFor(const ExecRow& outer_row);
+  /// A reader of `source`'s morsels (NewReader).
+  explicit PathProbeJoinOp(const PathProbeJoinOp* source);
 
-  OperatorPtr outer_;
+  /// Computes the start set for one outer row: the bound start expression's
+  /// value, or every vertex of the graph view when unbound (paper §5.1.2) —
+  /// a reader's share of them.
+  StatusOr<std::vector<VertexId>> StartsFor(const ExecRow& outer_row);
+  /// Points probe_row_ at the next outer row: pulled from the outer child,
+  /// or a reader's next buffered row.
+  StatusOr<bool> NextOuterRow();
+  /// Morsel-mode Open: drains the outer child into the buffer, charged to
+  /// the statement, and cuts the morsels.
+  Status BufferMorsels();
+
+  OperatorPtr outer_;  ///< Null for a reader.
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_ = nullptr;
   std::unique_ptr<PathScanner> scanner_;
   ExecRow outer_row_;
+  /// The outer row being probed: outer_row_, or a reader's buffered row.
+  const ExecRow* probe_row_ = nullptr;
   bool outer_valid_ = false;
   /// The caller row that holds the current outer row's columns under the
   /// run protocol's promise; null when no run is open. Cleared whenever a
   /// new outer row is pulled (so a re-Open starts a fresh run) and on every
   /// call outside the protocol.
   const ExecRow* run_row_ = nullptr;
-  /// Copies of the outer row into a caller row (EXPLAIN ANALYZE).
+  /// Copies of the outer row into a caller row (EXPLAIN ANALYZE). A reader
+  /// accumulates these across its morsels; FinishMorsels folds them.
   uint64_t outer_copies_ = 0;
   /// Edge-attribute reads this operator's traversals served from tuples
   /// rather than flat columns (EXPLAIN ANALYZE).
   uint64_t attr_tuple_reads_ = 0;
+
+  // Morsel source (set_morsel_mode).
+  bool morsel_mode_ = false;
+  std::vector<ExecRow> buffered_rows_;
+  /// Unbound start: the view's vertexes by descending id, the order a
+  /// multi-source DFS pops its roots in, so morsel order is serial order.
+  std::vector<VertexId> morsel_starts_;
+  size_t buffered_bytes_ = 0;
+  size_t morsel_count_ = 0;
+  std::vector<uint64_t> worker_ns_;  ///< Busy time per worker of the run.
+
+  // Reader: `source_`'s rows [row_next_, row_end_) and, for an unbound
+  // start, its starts [start_begin_, start_end_).
+  const PathProbeJoinOp* source_ = nullptr;
+  size_t row_next_ = 0;
+  size_t row_end_ = 0;
+  size_t start_begin_ = 0;
+  size_t start_end_ = 0;
 };
 
 }  // namespace grfusion

@@ -121,7 +121,7 @@ class PathScanner {
     }
   }
   Status CheckMemoryCap() const {
-    if (ctx_->current_bytes() > ctx_->memory_cap()) {
+    if (ctx_->over_budget()) {
       return Status::ResourceExhausted(
           "traversal frontier exceeded the query memory cap");
     }

@@ -115,6 +115,35 @@ TEST_F(ExecutorTest, AggregateOverEmptyInput) {
   EXPECT_TRUE(r.rows[0][1].is_null());
 }
 
+TEST_F(ExecutorTest, BigIntSumIsExactAndOverflowFails) {
+  // 2^53 + 1 has no double: a SUM kept in a double returned ...992.
+  ASSERT_TRUE(session_.ExecuteScript(R"sql(
+    CREATE TABLE big (g BIGINT, x BIGINT);
+    INSERT INTO big VALUES (1, 9007199254740993), (1, 0), (2, 3), (2, -5);
+  )sql")
+                  .ok());
+  ResultSet r = Must("SELECT g, SUM(x) FROM big GROUP BY g");
+  ASSERT_EQ(r.NumRows(), 2u);
+  EXPECT_EQ(r.rows[0][1].type(), ValueType::kBigInt);
+  EXPECT_EQ(r.rows[0][1].AsBigInt(), 9007199254740993);
+  EXPECT_EQ(r.rows[1][1].AsBigInt(), -2);
+  r = Must("SELECT SUM(x), AVG(x) FROM big WHERE g = 2");
+  EXPECT_EQ(r.rows[0][0].AsBigInt(), -2);
+  EXPECT_DOUBLE_EQ(r.rows[0][1].AsDouble(), -1.0);
+
+  // A sum past 2^63 - 1 is an error, not a wrapped or converted value.
+  ASSERT_TRUE(session_.ExecuteScript(R"sql(
+    INSERT INTO big VALUES (3, 9223372036854775807), (3, 1);
+  )sql")
+                  .ok());
+  for (const char* sql : {"SELECT SUM(x) FROM big WHERE g = 3",
+                          "SELECT AVG(x) FROM big WHERE g = 3"}) {
+    auto over = session_.Execute(sql);
+    ASSERT_FALSE(over.ok()) << sql;
+    EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange) << sql;
+  }
+}
+
 TEST_F(ExecutorTest, CountSkipsNulls) {
   ResultSet r = Must("SELECT COUNT(boss) FROM emp");
   EXPECT_EQ(r.ScalarValue().AsBigInt(), 5);  // ann's boss is NULL.

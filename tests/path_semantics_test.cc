@@ -15,11 +15,14 @@
 #include <thread>
 #include <tuple>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/task_pool.h"
 #include "engine/database.h"
 #include "graphexec/path_scanner.h"
+#include "parser/parser.h"
+#include "plan/planner.h"
 #include "sql_test_util.h"
 
 namespace grfusion {
@@ -1361,27 +1364,242 @@ TEST_F(PathRunTest, TimeoutAndCancelStopTheHybridMidRun) {
       "SELECT V.kind, COUNT(*) FROM rv V, ring.Paths P HINT(DFS) WHERE "
       "P.StartVertex.Id = V.id AND P.Length <= 30 GROUP BY V.kind";
 
-  session_.options().statement_timeout_us = 10'000;
-  auto timed = session_.Execute(hybrid);
-  session_.options().statement_timeout_us = -1;
-  ASSERT_FALSE(timed.ok());
-  EXPECT_EQ(timed.status().code(), StatusCode::kDeadlineExceeded);
+  // The 32 outer rows are two morsels: at 4 workers the interrupt lands
+  // inside a running morsel, on a pool thread.
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    session_.options().max_parallelism = workers;
+    session_.options().statement_timeout_us = 10'000;
+    auto timed = session_.Execute(hybrid);
+    session_.options().statement_timeout_us = -1;
+    ASSERT_FALSE(timed.ok());
+    EXPECT_EQ(timed.status().code(), StatusCode::kDeadlineExceeded);
 
-  InterruptHandle handle = session_.interrupt_handle();
-  Status status = Status::OK();
+    InterruptHandle handle = session_.interrupt_handle();
+    Status status = Status::OK();
+    std::atomic<bool> done{false};
+    std::thread runner([&] {
+      status = session_.Execute(hybrid).status();
+      done.store(true);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+      handle.Interrupt();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    runner.join();
+    EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+  }
+}
+
+// --- Morsel-parallel path aggregation ----------------------------------------
+
+/// A directed ring of kRing vertexes with chords, i -> i+1 and i -> i+3:
+/// four 16-row morsels of outer rows (or starts), and a path count that
+/// doubles with each hop.
+class MorselAggTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRing = 64;
+
+  void SetUp() override {
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+        CREATE TABLE mv (id BIGINT PRIMARY KEY, kind VARCHAR, score BIGINT);
+        CREATE TABLE me (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT);
+      )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows, erows;
+    for (int64_t i = 0; i < kRing; ++i) {
+      vrows.push_back({Value::BigInt(i), Value::Varchar(i % 2 ? "odd" : "even"),
+                       Value::BigInt(i % 7)});
+      for (int64_t step : {1, 3}) {
+        erows.push_back({Value::BigInt(static_cast<int64_t>(erows.size())),
+                         Value::BigInt(i), Value::BigInt((i + step) % kRing)});
+      }
+    }
+    ASSERT_TRUE(db_.BulkInsert("mv", vrows).ok());
+    ASSERT_TRUE(db_.BulkInsert("me", erows).ok());
+    ASSERT_TRUE(session_
+                    .ExecuteScript("CREATE DIRECTED GRAPH VIEW mring VERTEXES "
+                                   "(ID = id, kind = kind, score = score) "
+                                   "FROM mv EDGES (ID = id, FROM = src, TO = "
+                                   "dst) FROM me;")
+                    .ok());
+  }
+
+  void TearDown() override { FailpointRegistry::Global().DisarmAll(); }
+
+  static std::string Hybrid(size_t max_length) {
+    return StrFormat(
+        "SELECT V.kind, COUNT(*), SUM(P.EndVertex.score) FROM mv V, "
+        "mring.Paths P HINT(DFS) WHERE P.StartVertex.Id = V.id AND "
+        "P.Length <= %zu GROUP BY V.kind",
+        max_length);
+  }
+
+  /// Plans `sql` and drives it at `workers` under `cap` with an explicit
+  /// context, checking that unwinding left no byte charged.
+  StatusOr<std::vector<std::string>> RunPlanned(const std::string& sql,
+                                                size_t workers, size_t cap) {
+    auto stmt = Parser::ParseSingle(sql);
+    if (!stmt.ok()) return stmt.status();
+    PlannerOptions options = session_.options();
+    options.max_parallelism = workers;
+    Planner planner(&db_.catalog(), options);
+    auto planned = planner.PlanSelect(std::get<SelectStmt>(*stmt));
+    if (!planned.ok()) return planned.status();
+    QueryContext ctx(cap);
+    if (workers > 1) {
+      ctx.set_task_pool(&TaskPool::Shared());
+      ctx.set_max_parallelism(workers);
+    }
+    std::vector<std::string> rows;
+    Status status = planned->root->Open(&ctx);
+    ExecRow row;
+    while (status.ok()) {
+      auto has = planned->root->Next(&row);
+      if (!has.ok()) status = has.status();
+      if (!has.ok() || !*has) break;
+      std::string text;
+      for (const Value& v : row.columns) text += v.ToString() + "|";
+      rows.push_back(std::move(text));
+    }
+    planned->root->Close();
+    EXPECT_EQ(ctx.current_bytes(), 0u) << "cap=" << cap;
+    if (!status.ok()) return status;
+    return rows;
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+};
+
+TEST_F(MorselAggTest, SmallCapIsResourceExhaustedAndLeavesNoCharge) {
+  // Both shapes, over a sweep of caps: a cap the 1-worker run cannot meet
+  // fails at 4 workers too, with ResourceExhausted and nothing left
+  // charged; a cap it meets is met at 4 workers with the same rows (four
+  // concurrent stacks that do not fit rerun the morsels inline).
+  const std::vector<std::string> shapes = {
+      Hybrid(6),
+      "SELECT COUNT(*), MAX(P.EndVertex.score) FROM mring.Paths P HINT(DFS) "
+      "WHERE P.Length <= 6"};
+  for (const std::string& sql : shapes) {
+    SCOPED_TRACE(sql);
+    int failed = 0, succeeded = 0;
+    for (size_t cap : {size_t{64}, size_t{512}, size_t{1024}, size_t{1536},
+                       size_t{2048}, size_t{4096}, size_t{16384},
+                       QueryContext::kDefaultMemoryCap}) {
+      SCOPED_TRACE(cap);
+      auto serial = RunPlanned(sql, 1, cap);
+      auto parallel = RunPlanned(sql, 4, cap);
+      if (!serial.ok()) {
+        ++failed;
+        EXPECT_EQ(serial.status().code(), StatusCode::kResourceExhausted);
+        ASSERT_FALSE(parallel.ok());
+        EXPECT_EQ(parallel.status().code(), StatusCode::kResourceExhausted);
+        continue;
+      }
+      ++succeeded;
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      EXPECT_EQ(*parallel, *serial);
+    }
+    EXPECT_GT(failed, 0);
+    EXPECT_GT(succeeded, 0);
+  }
+}
+
+TEST_F(MorselAggTest, TaskPoolAndExecNextFailpointsFireMidStatement) {
+  FailpointRegistry& failpoints = FailpointRegistry::Global();
+  const std::string sql = Hybrid(4);
+  session_.options().max_parallelism = 4;
+  auto clean = session_.Execute(sql);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  // taskpool.submit fires after the outer rows are buffered, before any
+  // morsel runs.
+  failpoints.Arm("taskpool.submit", FailpointRegistry::Spec{});
+  auto submit = session_.Execute(sql);
+  EXPECT_GT(failpoints.Hits("taskpool.submit"), 0u);
+  failpoints.DisarmAll();
+  ASSERT_FALSE(submit.ok());
+  EXPECT_TRUE(FailpointRegistry::IsInjected(submit.status()))
+      << submit.status().ToString();
+
+  // exec.next: count one run's hits, then fire once at a hit past the
+  // outer scan's kRing + 1, i.e. inside a worker's morsel pipeline. The
+  // probability mode's generator is seeded, so the firing hit is known.
+  FailpointRegistry::Spec never;
+  never.mode = FailpointRegistry::Spec::Mode::kProbability;
+  never.probability = 0.0;
+  failpoints.Arm("exec.next", never);
+  ASSERT_TRUE(session_.Execute(sql).ok());
+  const uint64_t hits = failpoints.Hits("exec.next");
+  failpoints.DisarmAll();
+  ASSERT_GT(hits, 4u * kRing);
+  FailpointRegistry::Spec mid = never;
+  mid.probability = 4.0 / static_cast<double>(hits);
+  uint64_t firing = 0;
+  for (mid.seed = 1; mid.seed < 1000; ++mid.seed) {
+    Random draws(mid.seed);
+    firing = 1;
+    while (draws.NextDouble() >= mid.probability) ++firing;
+    if (firing > 2 * kRing && firing < hits / 2) break;
+  }
+  ASSERT_GT(firing, 2u * kRing);
+  failpoints.Arm("exec.next", mid);
+  auto next = session_.Execute(sql);
+  EXPECT_GE(failpoints.Hits("exec.next"), firing);
+  failpoints.DisarmAll();
+  ASSERT_FALSE(next.ok());
+  EXPECT_TRUE(FailpointRegistry::IsInjected(next.status()))
+      << next.status().ToString();
+
+  // The cached plan runs clean again, with the same answer.
+  auto again = session_.Execute(sql);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->rows, clean->rows);
+}
+
+TEST_F(MorselAggTest, WorkersReadTheSnapshotAcrossAConcurrentCommit) {
+  // A writer commits while a 4-worker statement runs: it rescores every
+  // vertex and deletes edges. Every worker must still read the statement's
+  // snapshot, so the answer equals the one taken before the writer began.
+  const std::string sql = Hybrid(11);
+  Session reader(db_);
+  reader.options().max_parallelism = 4;
+  auto before = reader.Execute(sql);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  Session writer(db_);
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("UPDATE mv SET score = score + 100").ok());
+  ASSERT_TRUE(writer.Execute("DELETE FROM me WHERE id < 8").ok());
+
+  StatusOr<ResultSet> during = Status::Internal("not run");
   std::atomic<bool> done{false};
   std::thread runner([&] {
-    status = session_.Execute(hybrid).status();
+    during = reader.Execute(sql);
     done.store(true);
   });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
-    handle.Interrupt();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  // Commit once the reader's statement is registered, i.e. after it took
+  // its snapshot.
+  auto running = [&] {
+    for (const auto& q : db_.active_queries().Snapshot()) {
+      if (q.session_id == reader.id()) return true;
+    }
+    return false;
+  };
+  while (!done.load() && !running()) std::this_thread::yield();
+  ASSERT_TRUE(writer.Execute("COMMIT").ok());
+  const bool mid_statement = running();
   runner.join();
-  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+  EXPECT_TRUE(mid_statement) << "the statement ended before the commit";
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_EQ(during->rows, before->rows);
+
+  auto after = reader.Execute(sql);
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(after->rows, before->rows) << "the commit changed nothing";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -625,9 +626,9 @@ std::vector<std::string> DfsDiffReference(const DiffGraph& g,
 /// Builds one random graph (tables v/e + graph view g), then runs
 /// `enum_trials` random enumeration queries, `sp_trials` random
 /// SHORTESTPATH queries, `dfs_trials` random HINT(DFS) queries and
-/// `agg_trials` hybrid GROUP BY queries, differentially: 1 worker vs 4 vs
-/// reference. SHORTESTPATH, DFS and GROUP BY answers must match the
-/// reference's exact row sequence.
+/// `agg_trials` aggregates over DFS probes (on a larger graph `ga`),
+/// differentially: 1 worker vs 4 vs reference. SHORTESTPATH, DFS and
+/// aggregate answers must match the reference's exact row sequence.
 /// The graph view itself is built once serially and once through the
 /// parallel morsel path; both must answer identically.
 void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
@@ -933,84 +934,249 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     EXPECT_GT(dfs_answered, 0) << "no DFS trial had an answer";
   }
 
-  // Hybrid GROUP BY trials: each vertex's relational row probes its paths
-  // and the aggregate groups by the outer row's name, so it resolves one
-  // group per run of paths. Groups come in the order their first outer row
-  // is scanned (vertex id order). An optional residual predicate reading
-  // both sides rejects paths inside runs.
-  int agg_answered = 0;
-  for (int trial = 0; trial < agg_trials; ++trial) {
-    const size_t max_len = static_cast<size_t>(rng.Uniform(1, 3));
-    std::optional<int64_t> rank_below;
-    if (rng.Bernoulli(0.4)) rank_below = rng.Uniform(20, 90);
-    const bool residual = rng.Bernoulli(0.4);
-    std::string sql = StrFormat(
-        "SELECT V.name, COUNT(*), SUM(P.Length), MAX(P.EndVertex.Id) "
-        "FROM v V, g.Paths P HINT(DFS) WHERE P.StartVertex.Id = V.id AND "
-        "P.Length <= %zu",
-        max_len);
-    if (rank_below.has_value()) {
-      sql += StrFormat(" AND P.Edges[0..*].rank < %lld",
-                       static_cast<long long>(*rank_below));
+  // Aggregate trials. The planner runs a DFS probe under an aggregate as
+  // fixed 16-row (or 16-start) morsels with partial aggregates merged in
+  // morsel order, so these trials use a larger graph `ga` whose outer rows
+  // and starts span several morsels. Shapes: the hybrid (each vertex's
+  // relational row probes its paths) and the unbound multi-source scan;
+  // scalar, outer-keyed and path-keyed groups; DOUBLE SUM/AVG and MIN over
+  // a vertex attribute; a residual filter between the aggregate and the
+  // probe; empty input; HAVING. The reference enumerates paths on an
+  // explicit stack in DFScan's order (roots pushed ascending, so an unbound
+  // scan starts at the highest id), which fixes first-seen group order. 1
+  // and 4 workers must agree exactly, floating sums and traversal counters
+  // included; against the reference, sequential floating sums are compared
+  // to 1e-9 relative, everything else exactly.
+  const int64_t an = rng.Uniform(40, 72);
+  {
+    ASSERT_TRUE(session.ExecuteScript(R"sql(
+      CREATE TABLE av (id BIGINT PRIMARY KEY, name VARCHAR, score DOUBLE);
+      CREATE TABLE ae (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                       rank BIGINT);
+    )sql")
+                    .ok());
+    std::vector<std::vector<Value>> avrows, aerows;
+    for (int64_t i = 0; i < an; ++i) {
+      avrows.push_back({Value::BigInt(i), Value::Varchar(name_of(i)),
+                        Value::Double(rng.NextDouble() * 10.0)});
     }
-    if (residual) sql += " AND P.EndVertex.Id > V.id";
-    sql += " GROUP BY V.name";
-    SCOPED_TRACE(sql);
-
-    struct Group {
-      int64_t count = 0, length_sum = 0, max_end = -1;
+    std::set<std::pair<int64_t, int64_t>> aused;
+    const int64_t aedges = rng.Uniform(2 * an, 3 * an);
+    while (static_cast<int64_t>(aerows.size()) < aedges) {
+      const int64_t s = rng.Uniform(0, an - 1);
+      const int64_t d = rng.Uniform(0, an - 1);
+      if (s == d || !aused.insert({s, d}).second) continue;
+      aerows.push_back({Value::BigInt(static_cast<int64_t>(aerows.size())),
+                        Value::BigInt(s), Value::BigInt(d),
+                        Value::BigInt(rng.Uniform(0, 99))});
+    }
+    ASSERT_TRUE(db.BulkInsert("av", avrows).ok());
+    ASSERT_TRUE(db.BulkInsert("ae", aerows).ok());
+    ASSERT_TRUE(session.ExecuteScript(
+                        StrFormat("CREATE %s GRAPH VIEW ga VERTEXES (ID = id, "
+                                  "name = name, score = score) FROM av EDGES "
+                                  "(ID = id, FROM = src, TO = dst, rank = "
+                                  "rank) FROM ae;",
+                                  kind))
+                    .ok());
+    struct AggPath {
+      std::vector<int64_t> vs, es;
     };
-    std::vector<std::string> order;
-    std::map<std::string, Group> groups;
-    std::vector<int64_t> vs, es;
-    std::function<void(int64_t)> walk = [&](int64_t v) {
-      for (auto [eid, nbr] : adj.at(v)) {
-        if (rank_below.has_value() &&
-            graph.edges[static_cast<size_t>(eid)].rank >= *rank_below) {
-          continue;
+    std::vector<double> ascore;
+    std::vector<int64_t> arank;
+    for (const auto& row : avrows) ascore.push_back(row[2].AsDouble());
+    for (const auto& row : aerows) arank.push_back(row[3].AsBigInt());
+    DiffAdjacency aadj;
+    const GraphView* agv = db.catalog().FindGraphView("ga");
+    ASSERT_NE(agv, nullptr);
+    for (int64_t v = 0; v < an; ++v) {
+      const VertexEntry* entry = agv->FindVertex(v);
+      ASSERT_NE(entry, nullptr);
+      auto& list = aadj[v];
+      agv->ForEachNeighbor(*entry, [&](const EdgeEntry& e, VertexId nbr) {
+        list.emplace_back(e.id, nbr);
+        return true;
+      });
+    }
+    // DFScan's emission order over `starts` (pushed ascending, popped
+    // last-first), with the rank filter pruning edges.
+    auto enumerate = [&](const std::vector<int64_t>& starts, size_t max_len,
+                         std::optional<int64_t> rank_below) {
+      std::vector<AggPath> stack, out;
+      for (int64_t s : starts) stack.push_back(AggPath{{s}, {}});
+      while (!stack.empty()) {
+        AggPath p = std::move(stack.back());
+        stack.pop_back();
+        const bool closing = p.es.size() >= 1 && p.vs.back() == p.vs.front();
+        if (!closing && p.es.size() < max_len) {
+          for (auto [eid, nbr] : aadj.at(p.vs.back())) {
+            if (std::find(p.es.begin(), p.es.end(), eid) != p.es.end()) {
+              continue;
+            }
+            if (nbr != p.vs.front() &&
+                std::find(p.vs.begin(), p.vs.end(), nbr) != p.vs.end()) {
+              continue;
+            }
+            if (rank_below.has_value() &&
+                arank[static_cast<size_t>(eid)] >= *rank_below) {
+              continue;
+            }
+            AggPath next = p;
+            next.vs.push_back(nbr);
+            next.es.push_back(eid);
+            stack.push_back(std::move(next));
+          }
         }
-        if (std::find(es.begin(), es.end(), eid) != es.end()) continue;
-        const bool closing = nbr == vs.front();
-        if (!closing && std::find(vs.begin(), vs.end(), nbr) != vs.end()) {
-          continue;
+        if (!p.es.empty()) out.push_back(std::move(p));
+      }
+      return out;
+    };
+    auto same_value = [](const Value& a, const Value& b, bool exact) {
+      if (a.type() != b.type()) return false;
+      if (a.type() != ValueType::kDouble) return a.ToString() == b.ToString();
+      if (exact) return a.AsDouble() == b.AsDouble();
+      return std::abs(a.AsDouble() - b.AsDouble()) <=
+             1e-9 * std::max(1.0, std::abs(b.AsDouble()));
+    };
+    auto expect_rows = [&](const ResultSet& got,
+                           const std::vector<std::vector<Value>>& want,
+                           bool exact, const char* what) {
+      ASSERT_EQ(got.rows.size(), want.size()) << what;
+      for (size_t r = 0; r < want.size(); ++r) {
+        ASSERT_EQ(got.rows[r].size(), want[r].size()) << what;
+        for (size_t c = 0; c < want[r].size(); ++c) {
+          EXPECT_TRUE(same_value(got.rows[r][c], want[r][c], exact))
+              << what << ": row " << r << " column " << c << ": "
+              << got.rows[r][c].ToString() << " vs "
+              << want[r][c].ToString();
         }
-        es.push_back(eid);
-        vs.push_back(nbr);
-        if (!residual || nbr > vs.front()) {
-          const std::string name = name_of(vs.front());
-          auto [it, fresh] = groups.try_emplace(name);
-          if (fresh) order.push_back(name);
-          it->second.count += 1;
-          it->second.length_sum += static_cast<int64_t>(es.size());
-          it->second.max_end = std::max(it->second.max_end, nbr);
-        }
-        if (!closing && es.size() < max_len) walk(nbr);
-        es.pop_back();
-        vs.pop_back();
       }
     };
-    for (int64_t s = 0; s < graph.n; ++s) {
-      vs = {s};
-      walk(s);
+
+    int agg_answered = 0;
+    int agg_fanned = 0;
+    for (int trial = 0; trial < agg_trials; ++trial) {
+      const bool hybrid = rng.Bernoulli(0.5);
+      const size_t max_len = static_cast<size_t>(rng.Uniform(1, 3));
+      std::optional<int64_t> rank_below;
+      if (rng.Bernoulli(0.4)) rank_below = rng.Uniform(20, 90);
+      // 0: scalar, 1: GROUP BY P.EndVertex.name, 2: GROUP BY V.name.
+      const int key = static_cast<int>(rng.Uniform(0, hybrid ? 2 : 1));
+      const bool residual = hybrid && rng.Bernoulli(0.3);
+      const bool empty = rng.Bernoulli(0.15);
+      std::optional<int64_t> having;
+      if (key != 0 && rng.Bernoulli(0.3)) having = rng.Uniform(0, 40);
+
+      static constexpr const char* kKeys[] = {"", "P.EndVertex.name",
+                                              "V.name"};
+      std::string sql = "SELECT ";
+      if (key != 0) sql += std::string(kKeys[key]) + ", ";
+      sql +=
+          "COUNT(*), SUM(P.Length), MIN(P.EndVertex.score), "
+          "MAX(P.EndVertex.Id), SUM(P.EndVertex.score), "
+          "AVG(P.EndVertex.score) FROM ";
+      sql += hybrid ? "av V, ga.Paths P HINT(DFS) WHERE P.StartVertex.Id = "
+                      "V.id AND "
+                    : "ga.Paths P HINT(DFS) WHERE ";
+      sql += StrFormat("P.Length <= %zu", max_len);
+      if (rank_below.has_value()) {
+        sql += StrFormat(" AND P.Edges[0..*].rank < %lld",
+                         static_cast<long long>(*rank_below));
+      }
+      if (residual) sql += " AND P.EndVertex.Id > V.id";
+      if (empty) sql += " AND P.EndVertex.score < 0";
+      if (key != 0) sql += std::string(" GROUP BY ") + kKeys[key];
+      if (having.has_value()) {
+        sql += StrFormat(" HAVING COUNT(*) > %lld",
+                         static_cast<long long>(*having));
+      }
+      SCOPED_TRACE(sql);
+
+      std::vector<AggPath> paths;
+      if (hybrid) {
+        for (int64_t s = 0; s < an; ++s) {
+          for (AggPath& p : enumerate({s}, max_len, rank_below)) {
+            paths.push_back(std::move(p));
+          }
+        }
+      } else {
+        std::vector<int64_t> starts;
+        for (int64_t s = 0; s < an; ++s) starts.push_back(s);
+        paths = enumerate(starts, max_len, rank_below);
+      }
+      struct Agg {
+        int64_t count = 0, length_sum = 0, max_end = -1;
+        double min_score = 0, score_sum = 0;
+      };
+      std::vector<std::string> order;
+      std::map<std::string, Agg> groups;
+      for (const AggPath& p : paths) {
+        const int64_t start = p.vs.front(), end = p.vs.back();
+        if (residual && end <= start) continue;
+        if (empty) continue;  // Every score is >= 0.
+        const std::string group = key == 0   ? ""
+                                  : key == 1 ? name_of(end)
+                                             : name_of(start);
+        auto [it, fresh] = groups.try_emplace(group);
+        if (fresh) order.push_back(group);
+        Agg& g = it->second;
+        const double score = ascore[static_cast<size_t>(end)];
+        g.min_score = g.count == 0 ? score : std::min(g.min_score, score);
+        g.count += 1;
+        g.length_sum += static_cast<int64_t>(p.es.size());
+        g.max_end = std::max(g.max_end, end);
+        g.score_sum += score;
+      }
+      if (key == 0 && order.empty()) {
+        order.push_back("");
+        groups[""];
+      }
+      std::vector<std::vector<Value>> expected;
+      for (const std::string& group : order) {
+        const Agg& g = groups.at(group);
+        if (having.has_value() && g.count <= *having) continue;
+        std::vector<Value> row;
+        if (key != 0) row.push_back(Value::Varchar(group));
+        row.push_back(Value::BigInt(g.count));
+        if (g.count == 0) {
+          row.insert(row.end(), 5, Value::Null());
+        } else {
+          row.push_back(Value::BigInt(g.length_sum));
+          row.push_back(Value::Double(g.min_score));
+          row.push_back(Value::BigInt(g.max_end));
+          row.push_back(Value::Double(g.score_sum));
+          row.push_back(Value::Double(g.score_sum /
+                                      static_cast<double>(g.count)));
+        }
+        expected.push_back(std::move(row));
+      }
+      if (expected.size() > 1) ++agg_answered;
+
+      auto serial = run_at(sql, 1);
+      ASSERT_TRUE(serial.ok());
+      const ExecStats serial_stats = session.last_stats();
+      auto par = run_at(sql, 4);
+      ASSERT_TRUE(par.ok());
+      const ExecStats par_stats = session.last_stats();
+      expect_rows(*serial, expected, /*exact=*/false, "1 worker vs reference");
+      expect_rows(*par, serial->rows, /*exact=*/true, "4 workers vs 1");
+      EXPECT_EQ(par_stats.paths_emitted, serial_stats.paths_emitted);
+      EXPECT_EQ(par_stats.edges_examined, serial_stats.edges_examined);
+      EXPECT_EQ(par_stats.rows_joined, serial_stats.rows_joined);
+      EXPECT_EQ(par_stats.paths_pruned, serial_stats.paths_pruned);
+
+      session.options().max_parallelism = 4;
+      auto explained = session.Execute("EXPLAIN ANALYZE " + sql);
+      ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+      std::string text;
+      for (const auto& row : explained->rows) text += row[0].ToString() + "\n";
+      EXPECT_NE(text.find(" morsels="), std::string::npos) << text;
+      if (text.find(" workers=[") != std::string::npos) ++agg_fanned;
     }
-    std::vector<std::string> expected;
-    for (const std::string& name : order) {
-      const Group& g = groups.at(name);
-      expected.push_back(Value::Varchar(name).ToString() + "|" +
-                         Value::BigInt(g.count).ToString() + "|" +
-                         Value::BigInt(g.length_sum).ToString() + "|" +
-                         Value::BigInt(g.max_end).ToString() + "|");
+    if (agg_trials > 0) {
+      EXPECT_GT(agg_answered, 0) << "no aggregate trial had two groups";
+      EXPECT_GT(agg_fanned, 0) << "no aggregate trial ran on several workers";
     }
-    if (expected.size() > 1) ++agg_answered;
-    for (size_t workers : {size_t{1}, size_t{4}}) {
-      auto result = run_at(sql, workers);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(DiffOrdered(*result), expected)
-          << "workers=" << workers << " diverges from the reference";
-    }
-  }
-  if (agg_trials > 0) {
-    EXPECT_GT(agg_answered, 0) << "no GROUP BY trial had two groups";
   }
 
   // Weight-update step. The trials above built the view's flat columns
@@ -1071,9 +1237,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     check_step(reader, updated, "after the boundary", true);
   }
   // The `gp` view must actually have been built on the shared pool —
-  // otherwise the parallel-build comparison silently ran serial twice. (Path
-  // probes never use the pool, and these graphs are too small for the
-  // frontier kernel.)
+  // otherwise the parallel-build comparison silently ran serial twice.
   const uint64_t tasks_after =
       MetricsRegistry::Global().GetCounter("taskpool_tasks_total")->value();
   EXPECT_GT(tasks_after, tasks_before)
