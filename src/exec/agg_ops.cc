@@ -39,6 +39,7 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
     morsel_stages_.clear();
   }
   for (const AggregateSpec& spec : aggs_) {
+    inputs_.push_back(ResolveInput(spec));
     ValueType type;
     switch (spec.func) {
       case AggFunc::kCount:
@@ -58,70 +59,178 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
 
 namespace {
 
-/// Shared-budget reservation step of a morsel worker's context: its DFS
-/// stack charges a few bytes per hop, which would otherwise contend on the
-/// budget's counter.
-constexpr size_t kWorkerBudgetStep = 8 << 10;
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 Status SumOverflow(AggFunc func) {
   return Status::OutOfRange(std::string(AggFuncToString(func)) +
                             " overflows BIGINT");
 }
 
-/// Merges a partial MIN (`min`) or MAX into `*best`: only a strictly
-/// better value replaces it, so a tie keeps the earlier morsel's value, as
-/// a serial scan keeps the first value it saw.
-Status MergeBest(const Value& partial, bool min, Value* best) {
-  if (partial.is_null()) return Status::OK();
+/// Folds `v` into a MIN (`min`) or MAX `*best`: only a strictly better
+/// value replaces it, so a tie keeps the value seen first (or the earlier
+/// morsel's, when merging partials).
+Status MergeBest(const Value& v, bool min, Value* best) {
+  if (v.is_null()) return Status::OK();
   if (!best->is_null()) {
-    GRF_ASSIGN_OR_RETURN(int cmp, partial.Compare(*best));
+    GRF_ASSIGN_OR_RETURN(int cmp, v.Compare(*best));
     if (min ? cmp >= 0 : cmp <= 0) return Status::OK();
   }
-  *best = partial;
+  *best = v;
   return Status::OK();
 }
 
 }  // namespace
 
+AggregateOp::Input AggregateOp::ResolveInput(const AggregateSpec& spec) {
+  Input in;
+  if (spec.arg == nullptr) {
+    in.kind = Input::Kind::kCountStar;
+    return in;
+  }
+  if (const auto* prop =
+          dynamic_cast<const PathPropertyExpr*>(spec.arg.get())) {
+    in.slot = prop->slot();
+    switch (prop->property()) {
+      case PathProperty::kLength:
+        in.kind = Input::Kind::kLength;
+        break;
+      case PathProperty::kStartVertexId:
+        in.kind = Input::Kind::kStartId;
+        break;
+      case PathProperty::kEndVertexId:
+        in.kind = Input::Kind::kEndId;
+        break;
+      default:
+        break;
+    }
+    return in;
+  }
+  if (const auto* endpoint =
+          dynamic_cast<const PathEndpointAttrExpr*>(spec.arg.get())) {
+    const ElementAttr& attr = endpoint->attr();
+    if (attr.field == ElementField::kSourceColumn && attr.column >= 0 &&
+        (attr.type == ValueType::kBigInt || attr.type == ValueType::kDouble)) {
+      in.kind = endpoint->start() ? Input::Kind::kStartColumn
+                                  : Input::Kind::kEndColumn;
+      in.slot = endpoint->slot();
+      in.gv = endpoint->gv();
+      in.column = static_cast<size_t>(attr.column);
+    }
+  }
+  return in;
+}
+
+AggregateOp::Read AggregateOp::ReadInput(const Input& in, const ExecRow& row,
+                                         int64_t* i, double* d) {
+  // An unpopulated slot, a dangling endpoint or an unexpected value type
+  // goes to Eval, which reports it exactly as before.
+  if (in.slot >= row.paths.size() || row.paths[in.slot] == nullptr) {
+    return Read::kEval;
+  }
+  const PathData& path = *row.paths[in.slot];
+  switch (in.kind) {
+    case Input::Kind::kLength:
+      *i = static_cast<int64_t>(path.Length());
+      return Read::kInt;
+    case Input::Kind::kStartId:
+      *i = path.StartVertex();
+      return Read::kInt;
+    case Input::Kind::kEndId:
+      *i = path.EndVertex();
+      return Read::kInt;
+    default:
+      break;
+  }
+  const VertexEntry* vertex = in.gv->FindVertex(
+      in.kind == Input::Kind::kStartColumn ? path.StartVertex()
+                                           : path.EndVertex());
+  const Tuple* tuple = vertex == nullptr ? nullptr : in.gv->VertexTuple(*vertex);
+  if (tuple == nullptr) return Read::kEval;
+  const Value& value = tuple->value(in.column);
+  switch (value.type()) {
+    case ValueType::kNull:
+      return Read::kNull;
+    case ValueType::kBigInt:
+      *i = value.AsBigInt();
+      return Read::kInt;
+    case ValueType::kDouble:
+      *d = value.AsDouble();
+      return Read::kDouble;
+    default:
+      return Read::kEval;
+  }
+}
+
 Status AggregateOp::Accumulate(Group* group, const ExecRow& row) const {
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggregateSpec& spec = aggs_[i];
-    AggState& state = group->states[i];
-    if (spec.arg == nullptr) {  // COUNT(*)
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    const AggregateSpec& spec = aggs_[a];
+    const Input& in = inputs_[a];
+    AggState& state = group->states[a];
+    if (in.kind == Input::Kind::kCountStar) {
       ++state.count;
       continue;
     }
-    if (spec.func == AggFunc::kCount) {
-      GRF_ASSIGN_OR_RETURN(bool counted, spec.arg->EvalIsNotNull(row));
-      if (counted) ++state.count;
-      continue;
+    int64_t i = 0;
+    double d = 0.0;
+    Read read = in.kind == Input::Kind::kEval ? Read::kEval
+                                              : ReadInput(in, row, &i, &d);
+    if (read == Read::kNull) continue;  // Aggregates skip NULLs.
+    Value v;
+    if (read == Read::kEval) {
+      if (spec.func == AggFunc::kCount) {
+        GRF_ASSIGN_OR_RETURN(bool counted, spec.arg->EvalIsNotNull(row));
+        if (counted) ++state.count;
+        continue;
+      }
+      GRF_ASSIGN_OR_RETURN(v, spec.arg->Eval(row));
+      if (v.is_null()) continue;
+      if (v.type() == ValueType::kBigInt) {
+        read = Read::kInt;
+        i = v.AsBigInt();
+      } else if (v.type() == ValueType::kDouble) {
+        read = Read::kDouble;
+        d = v.AsDouble();
+      }
     }
-    GRF_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(row));
-    if (v.is_null()) continue;  // Aggregates skip NULLs.
     ++state.count;
     switch (spec.func) {
+      case AggFunc::kCount:
+        break;
       case AggFunc::kMin:
       case AggFunc::kMax: {
-        Value& best = spec.func == AggFunc::kMin ? state.min : state.max;
-        if (best.is_null()) {
-          best = std::move(v);
-          break;
-        }
-        GRF_ASSIGN_OR_RETURN(int cmp, v.Compare(best));
-        if (spec.func == AggFunc::kMin ? cmp < 0 : cmp > 0) {
-          best = std::move(v);
+        const bool min = spec.func == AggFunc::kMin;
+        Value& best = min ? state.min : state.max;
+        // Typed compares, with Value::Compare's outcome, where the best so
+        // far has the input's type; the first value, mixed types and
+        // non-numeric values go through MergeBest.
+        if (read == Read::kInt && best.type() == ValueType::kBigInt) {
+          if (min ? i < best.AsBigInt() : i > best.AsBigInt()) {
+            best = Value::BigInt(i);
+          }
+        } else if (read == Read::kDouble &&
+                   best.type() == ValueType::kDouble) {
+          const double diff = d - best.AsDouble();
+          if (min ? diff < 0 : diff > 0) best = Value::Double(d);
+        } else {
+          if (read == Read::kInt) v = Value::BigInt(i);
+          if (read == Read::kDouble) v = Value::Double(d);
+          GRF_RETURN_IF_ERROR(MergeBest(v, min, &best));
         }
         break;
       }
       default:  // SUM, AVG.
-        if (v.type() == ValueType::kBigInt) {
-          if (__builtin_add_overflow(state.int_sum, v.AsBigInt(),
-                                     &state.int_sum)) {
+        if (read == Read::kInt) {
+          if (__builtin_add_overflow(state.int_sum, i, &state.int_sum)) {
             return SumOverflow(spec.func);
           }
-        } else if (v.type() == ValueType::kDouble) {
+        } else if (read == Read::kDouble) {
           state.integral = false;
-          state.double_sum += v.AsDouble();
+          state.double_sum += d;
         } else {
           return Status::InvalidArgument(
               "cannot " + std::string(AggFuncToString(spec.func)) +
@@ -250,15 +359,21 @@ Status AggregateOp::RunMorsels() {
         1, std::min({ctx_->max_parallelism(),
                      ctx_->task_pool()->num_workers(), n}));
   }
-  // The source and its filters, top-down: the operators the workers copy.
-  std::vector<PhysicalOperator*> originals(morsel_stages_.begin(),
-                                           morsel_stages_.end());
-  originals.push_back(morsel_op_);
+  // The filters top-down, then the source: the operators whose work the
+  // drain does, and whose EXPLAIN ANALYZE counters it keeps.
+  std::vector<PhysicalOperator*> ops(morsel_stages_.begin(),
+                                     morsel_stages_.end());
+  ops.push_back(morsel_op_);
+  const size_t stages = morsel_stages_.size();
+  const bool timed = ctx_->profile_timing();
 
   struct Worker {
-    OperatorPtr top;
-    std::vector<PhysicalOperator*> copies;  ///< Mirrors `originals`.
-    std::vector<OperatorProfile> profiles;  ///< Summed over its morsels.
+    std::unique_ptr<MorselReader> reader;
+    /// Mirrors `ops`: rows each passed up over this worker's morsels and,
+    /// when timed, its self time (predicate time of a filter, traversal
+    /// time of the source).
+    std::vector<OperatorProfile> profiles;
+    uint64_t morsels = 0;
     ExecStats stats;  ///< Sums (and a max) over its morsels: any order.
     uint64_t ns = 0;
     size_t peak = 0;
@@ -268,20 +383,12 @@ Status AggregateOp::RunMorsels() {
     Status status = Status::OK();
   };
   while (true) {
-    // One pipeline per worker: a reader of the source under copies of the
-    // filters.
     std::vector<Worker> pipelines(workers);
-    std::vector<const PhysicalOperator*> readers;
+    std::vector<const MorselReader*> readers;
     for (Worker& w : pipelines) {
-      w.top = source->NewReader();
-      readers.push_back(w.top.get());
-      w.copies.assign(originals.size(), nullptr);
-      w.copies.back() = w.top.get();
-      for (size_t k = morsel_stages_.size(); k-- > 0;) {
-        w.top = morsel_stages_[k]->CopyOver(std::move(w.top));
-        w.copies[k] = w.top.get();
-      }
-      w.profiles.resize(originals.size());
+      w.reader = source->NewReader();
+      readers.push_back(w.reader.get());
+      w.profiles.resize(ops.size());
     }
 
     std::vector<Morsel> morsels(n);
@@ -291,7 +398,7 @@ Status AggregateOp::RunMorsels() {
     Status result = ParallelFor(
         workers > 1 ? ctx_->task_pool() : nullptr, workers, 1,
         [&](size_t w, size_t) {
-          const auto t0 = std::chrono::steady_clock::now();
+          const uint64_t t0 = NowNs();
           Worker& worker = pipelines[w];
           TraceSpan span(ctx_->trace(), "worker",
                          "morsels.worker." + std::to_string(w));
@@ -305,33 +412,65 @@ Status AggregateOp::RunMorsels() {
           // statement's snapshot for its morsels.
           GraphReadScope graph_scope(ctx_->snapshot_epoch(),
                                      ctx_->include_open());
-          size_t done = 0;
+          std::vector<OperatorProfile>& profiles = worker.profiles;
+          OperatorProfile& probe = profiles[stages];
+          Table* partial = nullptr;
+          size_t group = 0;
+          bool grouped = false;  // `group` is the current outer row's.
+          uint64_t mark = 0;     // Timed: when the drain last left the sink.
+          const MorselSink sink = [&](const ExecRow& row,
+                                      bool new_run) -> Status {
+            GRF_FAILPOINT("exec.next");
+            uint64_t t = 0;
+            if (timed) {
+              t = NowNs();
+              probe.next_ns += t - mark;
+            }
+            ++probe.rows_emitted;
+            if (new_run) grouped = false;
+            // The filters bottom-up, as the operator tree applies them.
+            for (size_t k = stages; k-- > 0;) {
+              GRF_ASSIGN_OR_RETURN(
+                  bool pass, EvalPredicate(morsel_stages_[k]->predicate(), row));
+              if (timed) {
+                const uint64_t now = NowNs();
+                profiles[k].next_ns += now - t;
+                t = now;
+              }
+              if (!pass) {
+                mark = t;
+                return Status::OK();
+              }
+              ++profiles[k].rows_emitted;
+            }
+            // The same outer row means the same path-free keys.
+            if (!reuse_group_ || !grouped) {
+              GRF_ASSIGN_OR_RETURN(group, GroupFor(row, &wctx, partial));
+              grouped = true;
+            }
+            GRF_RETURN_IF_ERROR(Accumulate(&partial->groups[group], row));
+            if (timed) mark = NowNs();
+            return Status::OK();
+          };
           while (!failed.load(std::memory_order_relaxed)) {
             const size_t m = next.fetch_add(1, std::memory_order_relaxed);
             if (m >= n) break;
             Morsel& morsel = morsels[m];
-            source->SelectMorsel(worker.copies.back(), m);
-            Status status = worker.top->Open(&wctx);
-            if (status.ok()) {
-              status = Drain(worker.top.get(), &wctx, &morsel.partial);
-            }
-            worker.top->Close();
-            for (size_t k = 0; k < worker.copies.size(); ++k) {
-              worker.profiles[k].Add(worker.copies[k]->profile());
-            }
-            ++done;
+            partial = &morsel.partial;
+            if (timed) mark = NowNs();
+            Status status =
+                source->DrainMorsel(worker.reader.get(), m, &wctx, sink);
+            if (timed) probe.next_ns += NowNs() - mark;
+            ++worker.morsels;
             if (!status.ok()) {
               morsel.status = std::move(status);
               failed.store(true, std::memory_order_relaxed);
             }
           }
-          span.AddArg("morsels", std::to_string(done));
+          span.AddArg("morsels", std::to_string(worker.morsels));
           worker.stats = wctx.stats();
           worker.peak = wctx.peak_bytes();
-          worker.ns = static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count());
+          worker.ns = NowNs() - t0;
         });
 
     // Statuses and partials are taken in morsel order, so the outcome does
@@ -353,8 +492,13 @@ Status AggregateOp::RunMorsels() {
     std::vector<uint64_t> worker_ns;
     for (Worker& w : pipelines) {
       ctx_->stats().MergeFrom(w.stats);
-      for (size_t k = 0; k < originals.size(); ++k) {
-        originals[k]->AddProfile(w.profiles[k]);
+      // Bottom-up: inclusive times, and the calls a pull pipeline makes,
+      // one per row passed up plus one per morsel to end it.
+      for (size_t k = ops.size(); k-- > 0;) {
+        OperatorProfile& profile = w.profiles[k];
+        profile.next_calls = profile.rows_emitted + w.morsels;
+        if (k < stages) profile.next_ns += w.profiles[k + 1].next_ns;
+        ops[k]->AddProfile(profile);
       }
       worker_ns.push_back(w.ns);
       ctx_->FoldChildPeak(w.peak);

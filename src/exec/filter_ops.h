@@ -27,10 +27,7 @@ class FilterOp : public PhysicalOperator {
   }
 
   PhysicalOperator* input() const { return child_.get(); }
-  /// The same filter over `input`: a stage of a morsel pipeline.
-  OperatorPtr CopyOver(OperatorPtr input) const {
-    return std::make_unique<FilterOp>(std::move(input), predicate_);
-  }
+  const Expression& predicate() const { return *predicate_; }
 
  protected:
   Status OpenImpl(QueryContext* ctx) override { return child_->Open(ctx); }

@@ -3,27 +3,41 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "exec/operator.h"
 
 namespace grfusion {
 
-/// The source of a morsel pipeline (DESIGN.md §20): an operator whose input
-/// is cut into fixed morsels that private readers run, on any worker and in
-/// any order. A morsel holds kMorselSize input rows, or kMorselSize starts
-/// of an unbound path probe. The boundaries depend only on the input, never
-/// on the worker count, so a consumer that merges per-morsel results in
-/// morsel order gets the same answer at any worker count.
+/// A worker's private state for draining a MorselSource's morsels (its
+/// traversal engine and counters); opaque to the consumer.
+class MorselReader {
+ public:
+  virtual ~MorselReader() = default;
+};
+
+/// Receives one row of a morsel. `new_run` is true for the first row of
+/// each outer row, so false promises that `row.columns` equal the previous
+/// row's. The row, and any path it holds, is valid only during the call:
+/// nothing may keep a reference to it or a copy of its path slots.
+using MorselSink = std::function<Status(const ExecRow& row, bool new_run)>;
+
+/// The source of a morsel drain (DESIGN.md §20): an operator whose input is
+/// cut into fixed morsels that workers drain, in any order, straight into a
+/// consumer's sink. A morsel holds kMorselSize input rows, or kMorselSize
+/// starts of an unbound path probe. The boundaries depend only on the input,
+/// never on the worker count, so a consumer that merges per-morsel results
+/// in morsel order gets the same answer at any worker count.
 ///
 /// The interface lets AggregateOp (exec) drive PathProbeJoinOp (graphexec),
 /// which sits a layer above it. The consumer drives it:
 ///  1. set_morsel_mode(true), then Open the operator: it runs its input once
 ///     on the calling thread and buffers it under the statement budget;
 ///  2. one NewReader() per worker;
-///  3. per morsel, SelectMorsel(reader, m), then Open/drain/Close the reader
-///     (or a pipeline over it) under the worker's context;
-///  4. FinishMorsels once every reader is done, then Close the operator.
+///  3. per morsel, DrainMorsel under the worker's context;
+///  4. FinishMorsels once every worker is done, then Close the operator.
 class MorselSource {
  public:
   /// Input rows (or unbound starts) per morsel. A constant, so a statement's
@@ -39,18 +53,23 @@ class MorselSource {
   /// Morsels cut by the last Open in morsel mode.
   virtual size_t morsel_count() const = 0;
 
-  /// A private operator that yields the rows of the morsel SelectMorsel last
-  /// chose, once per Open. It reads this operator's buffer, which must stay
+  /// A worker's reader. It reads this operator's buffer, which must stay
   /// open while the reader runs; readers may run concurrently.
-  virtual OperatorPtr NewReader() const = 0;
-  virtual void SelectMorsel(PhysicalOperator* reader, size_t morsel) const = 0;
+  virtual std::unique_ptr<MorselReader> NewReader() const = 0;
+
+  /// Feeds every row of morsel `morsel` to `sink`, in the order the
+  /// operator would stream them, with `ctx` (the worker's context) charged
+  /// and checked for interrupts. Stops at the first error of the source or
+  /// of the sink.
+  virtual Status DrainMorsel(MorselReader* reader, size_t morsel,
+                             QueryContext* ctx,
+                             const MorselSink& sink) const = 0;
 
   /// Folds the finished readers' counters into this operator and records
   /// each worker's busy time (EXPLAIN ANALYZE). Called on the calling
   /// thread after every worker has joined.
-  virtual void FinishMorsels(
-      const std::vector<const PhysicalOperator*>& readers,
-      std::vector<uint64_t> worker_ns) = 0;
+  virtual void FinishMorsels(const std::vector<const MorselReader*>& readers,
+                             std::vector<uint64_t> worker_ns) = 0;
 };
 
 }  // namespace grfusion

@@ -96,13 +96,13 @@ class PhysicalOperator {
   /// and wall time). Empty for operators with nothing to add.
   virtual std::string AnalyzeExtra() const { return ""; }
 
-  /// This operator as the source of a morsel pipeline (exec/morsel.h), or
+  /// This operator as the source of a morsel drain (exec/morsel.h), or
   /// null when its input cannot run as fixed morsels.
   virtual MorselSource* morsel_source() { return nullptr; }
 
-  /// Adds the calls, rows and times of a morsel pipeline's copy of this
-  /// operator to its profile, so EXPLAIN ANALYZE shows the work the copies
-  /// did (their times summed over workers).
+  /// Adds calls, rows and times that a morsel drain did on this operator's
+  /// behalf to its profile, so EXPLAIN ANALYZE shows that work (its times
+  /// summed over workers).
   void AddProfile(const OperatorProfile& copy) { profile_.Add(copy); }
 
  protected:

@@ -360,6 +360,7 @@ class PathEndpointAttrExpr : public Expression {
   std::string ToString() const override;
   size_t slot() const { return slot_; }
   bool start() const { return start_; }
+  const GraphView* gv() const { return gv_; }
   const ElementAttr& attr() const { return attr_; }
 
  private:

@@ -584,6 +584,8 @@ Status GraphView::FoldDeltas() {
   // An injected failure defers the fold: the published chain stays intact
   // and readers keep resolving it, so this is never fatal to a commit.
   GRF_FAILPOINT("graph_view.fold");
+  // The base changes under the snapshot from here until RebuildCsr.
+  csr_dirty_ = true;
 
   // Phase 1: edges. Shadowed base entries are killed without adjacency
   // detach — any vertex whose adjacency changed is itself in the overlay
@@ -659,6 +661,13 @@ Status GraphView::FoldDeltas() {
 // --- Lookup -----------------------------------------------------------------
 
 const VertexEntry* GraphView::BaseFindVertex(VertexId id) const {
+  if (csr_ != nullptr && !csr_dirty_) {
+    // A clean snapshot lists exactly the live base vertexes, and its id map
+    // is a direct-mapped array for compact id ranges: no hash probe.
+    const size_t i = csr_->IndexOf(id);
+    if (i == CsrTopology::kAbsent) return nullptr;
+    return &vertexes_[csr_->vertex_pos[i]];
+  }
   auto it = vertex_index_.find(id);
   if (it == vertex_index_.end()) return nullptr;
   const VertexEntry& v = vertexes_[it->second];

@@ -186,7 +186,8 @@ class GraphView {
   }
 
   /// O(1) lookup of a vertex by id; nullptr when absent (at the calling
-  /// scope's snapshot).
+  /// scope's snapshot). Base entries resolve through the CSR snapshot's id
+  /// map while it is clean, else through the id hash map.
   const VertexEntry* FindVertex(VertexId id) const;
   /// O(1) lookup of an edge by id; nullptr when absent.
   const EdgeEntry* FindEdge(EdgeId id) const;
@@ -597,9 +598,11 @@ class GraphView {
   size_t num_live_edges_ = 0;
 
   /// CSR snapshot state. csr_dirty_ marks any base mutation after the last
-  /// rebuild (standalone views mutating directly): the snapshot stays valid
-  /// as the substrate for edit-vector resolution, but PureCsr() — the gate
-  /// for index-addressed kernels — turns off until the next rebuild.
+  /// rebuild (standalone views mutating directly, and FoldDeltas until its
+  /// rebuild): the snapshot stays valid as the substrate for edit-vector
+  /// resolution, but PureCsr() — the gate for index-addressed kernels — turns
+  /// off, and BaseFindVertex resolves ids through vertex_index_ instead of
+  /// the snapshot's id map, until the next rebuild.
   std::unique_ptr<CsrTopology> csr_;
   bool csr_dirty_ = false;
   size_t folds_ = 0;

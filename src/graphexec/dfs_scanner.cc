@@ -115,7 +115,7 @@ PathPtr DfsScanner::Emit() {
   return emitted_;
 }
 
-StatusOr<bool> DfsScanner::Next(PathPtr* out) {
+StatusOr<bool> DfsScanner::Advance() {
   while (!stack_.empty()) {
     const Hop hop = Pop();
     // Path enumeration can be combinatorially unbounded, so a runaway
@@ -131,11 +131,16 @@ StatusOr<bool> DfsScanner::Next(PathPtr* out) {
     GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(path_, sums_.data()));
     if (qualifies) {
       ++ctx_->stats().paths_emitted;
-      *out = Emit();
       return true;
     }
   }
   return false;
+}
+
+StatusOr<bool> DfsScanner::Next(PathPtr* out) {
+  GRF_ASSIGN_OR_RETURN(bool found, Advance());
+  if (found) *out = Emit();
+  return found;
 }
 
 }  // namespace grfusion

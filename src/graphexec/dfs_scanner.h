@@ -11,7 +11,8 @@
 namespace grfusion {
 
 /// DFScan (paper §5.1.2): depth-first enumeration of simple paths, emitting
-/// each qualifying path in pre-order, one per Next().
+/// each qualifying path in pre-order, one per Next() or, without emitting
+/// anything, one per ForEachPath sink call.
 ///
 /// The stack holds one-hop records {vertex, edge, depth, closing} instead of
 /// copied prefixes, with the sum-bound totals in a flat side array, and the
@@ -41,6 +42,21 @@ class DfsScanner : public PathScanner {
   StatusOr<bool> Next(PathPtr* out) override;
   void Release() override;
 
+  /// Runs the armed probe to its end, calling `sink(const PathData&)` (which
+  /// returns Status) for each qualifying path in Next()'s order. The sink
+  /// sees the scanner's own path buffer: nothing is emitted, so there is no
+  /// PathData copy and no shared_ptr traffic per path. The reference is
+  /// valid only during the call. Stops at the first error of the traversal
+  /// or of the sink.
+  template <typename Sink>
+  Status ForEachPath(Sink&& sink) {
+    while (true) {
+      GRF_ASSIGN_OR_RETURN(bool found, Advance());
+      if (!found) return Status::OK();
+      GRF_RETURN_IF_ERROR(sink(static_cast<const PathData&>(path_)));
+    }
+  }
+
  private:
   /// One stack entry: a root (depth 0, no edge) or the hop by `edge` to
   /// `vertex` that extends its parent's path to `depth` edges.
@@ -63,6 +79,10 @@ class DfsScanner : public PathScanner {
   Hop Pop();
   /// Pushes every admissible extension of the buffered path.
   Status Expand();
+  /// Pops, checks for interrupts, expands and checks the memory cap until
+  /// the buffer holds a qualifying path (true) or the stack is empty
+  /// (false): the body of Next() and ForEachPath().
+  StatusOr<bool> Advance();
   /// The emission handle for the buffered path (see the class comment).
   PathPtr Emit();
   void ClearStack();

@@ -368,15 +368,17 @@ Status FrontierScanner::FastExpandLevel() {
             sums[b] = fast_sums_[u * bounds + b];
           }
           if (spec_->push_filters) {
-            auto edge_ok =
-                EdgeAdmissible(edge, slot, edge_index, columns, ctx_);
-            if (!edge_ok.ok()) {
-              status = edge_ok.status();
-              return false;
-            }
-            if (!*edge_ok) {
-              ++ctx_->stats().paths_pruned;
-              return true;
+            if (has_edge_preds_) {
+              auto edge_ok =
+                  EdgeAdmissible(edge, slot, edge_index, columns, ctx_);
+              if (!edge_ok.ok()) {
+                status = edge_ok.status();
+                return false;
+              }
+              if (!*edge_ok) {
+                ++ctx_->stats().paths_pruned;
+                return true;
+              }
             }
             const size_t nj = closing ? csr_->IndexOf(nbr) : j;
             if (has_vertex_preds_ && nj != CsrTopology::kAbsent) {

@@ -8,6 +8,7 @@
 #include "common/string_util.h"
 #include "common/task_pool.h"
 #include "common/tracer.h"
+#include "graphexec/dfs_scanner.h"
 
 namespace grfusion {
 
@@ -126,7 +127,7 @@ Status VertexScanOp::ParallelFilterOpen() {
     TraceSpan morsel_span(ctx_->trace(), "worker",
                           "scan.morsel." + std::to_string(m));
     QueryContext wctx(ctx_->memory_cap());
-    wctx.set_shared_budget(&budget);
+    wctx.set_shared_budget(&budget, kWorkerBudgetStep);
     wctx.set_cancellation(ctx_->cancellation());
     // Pin the worker to the statement's MVCC snapshot: the GraphReadScope is
     // thread-local, so each pool thread re-installs it for its morsels.
@@ -290,7 +291,7 @@ Status EdgeScanOp::ParallelFilterOpen() {
     TraceSpan morsel_span(ctx_->trace(), "worker",
                           "scan.morsel." + std::to_string(m));
     QueryContext wctx(ctx_->memory_cap());
-    wctx.set_shared_budget(&budget);
+    wctx.set_shared_budget(&budget, kWorkerBudgetStep);
     wctx.set_cancellation(ctx_->cancellation());
     // Pin the worker to the statement's MVCC snapshot: the GraphReadScope is
     // thread-local, so each pool thread re-installs it for its morsels.
@@ -371,20 +372,8 @@ PathProbeJoinOp::PathProbeJoinOp(OperatorPtr outer,
                                  std::shared_ptr<const TraversalSpec> spec)
     : outer_(std::move(outer)), spec_(std::move(spec)) {}
 
-PathProbeJoinOp::PathProbeJoinOp(const PathProbeJoinOp* source)
-    : spec_(source->spec_), source_(source) {}
-
 Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   outer_valid_ = false;
-  if (source_ != nullptr) {
-    // A reader re-opens per morsel under one worker context; its scanner
-    // and counters live across its morsels.
-    if (scanner_ == nullptr || ctx != ctx_) {
-      scanner_ = MakePathScanner(spec_, ctx);
-    }
-    ctx_ = ctx;
-    return Status::OK();
-  }
   ctx_ = ctx;
   attr_tuple_reads_ = 0;
   outer_copies_ = 0;
@@ -427,46 +416,102 @@ Status PathProbeJoinOp::BufferMorsels() {
 }
 
 MorselSource* PathProbeJoinOp::morsel_source() {
-  const bool eligible = source_ == nullptr &&
-                        spec_->physical == TraversalSpec::Physical::kDfs &&
+  const bool eligible = spec_->physical == TraversalSpec::Physical::kDfs &&
                         !spec_->global_visited;
   return eligible ? this : nullptr;
 }
 
-OperatorPtr PathProbeJoinOp::NewReader() const {
-  return OperatorPtr(new PathProbeJoinOp(this));
+/// A worker's DFS engine, the row it hands the sink, and its counters
+/// across its morsels.
+class PathProbeJoinOp::Reader : public MorselReader {
+ public:
+  std::unique_ptr<DfsScanner> scanner;
+  QueryContext* ctx = nullptr;  ///< The context `scanner` charges.
+  ExecRow row;
+  uint64_t outer_copies = 0;
+  uint64_t attr_tuple_reads = 0;
+};
+
+std::unique_ptr<MorselReader> PathProbeJoinOp::NewReader() const {
+  return std::make_unique<Reader>();
 }
 
-void PathProbeJoinOp::SelectMorsel(PhysicalOperator* reader,
-                                   size_t morsel) const {
-  auto* r = static_cast<PathProbeJoinOp*>(reader);
-  constexpr size_t kSize = kMorselSize;
-  if (spec_->start_vertex_expr != nullptr) {
-    r->row_next_ = morsel * kSize;
-    r->row_end_ = std::min(buffered_rows_.size(), r->row_next_ + kSize);
-    return;
+Status PathProbeJoinOp::DrainMorsel(MorselReader* base, size_t morsel,
+                                    QueryContext* ctx,
+                                    const MorselSink& sink) const {
+  auto* reader = static_cast<Reader*>(base);
+  if (reader->scanner == nullptr || reader->ctx != ctx) {
+    // morsel_source() admits DFS specs only.
+    reader->scanner = std::make_unique<DfsScanner>(spec_, ctx);
+    reader->ctx = ctx;
   }
-  // An unbound start: one outer row, one slice of its starts.
-  const size_t per_row = (morsel_starts_.size() + kSize - 1) / kSize;
-  r->row_next_ = morsel / per_row;
-  r->row_end_ = r->row_next_ + 1;
-  r->start_begin_ = (morsel % per_row) * kSize;
-  r->start_end_ = std::min(morsel_starts_.size(), r->start_begin_ + kSize);
+  DfsScanner& scanner = *reader->scanner;
+  constexpr size_t kSize = kMorselSize;
+  const bool bound = spec_->start_vertex_expr != nullptr;
+  size_t row_begin = morsel * kSize;
+  size_t row_end = std::min(buffered_rows_.size(), row_begin + kSize);
+  size_t start_begin = 0, start_end = 0;
+  if (!bound) {
+    // An unbound start: one outer row, one slice of its starts.
+    const size_t per_row = (morsel_starts_.size() + kSize - 1) / kSize;
+    row_begin = morsel / per_row;
+    row_end = row_begin + 1;
+    start_begin = (morsel % per_row) * kSize;
+    start_end = std::min(morsel_starts_.size(), start_begin + kSize);
+  }
+  const size_t slot = spec_->path_slot;
+  ExecRow& row = reader->row;
+  const uint64_t reads_before = ctx->stats().attr_tuple_reads;
+  Status status = Status::OK();
+  for (size_t r = row_begin; r < row_end && status.ok(); ++r) {
+    const ExecRow& outer = buffered_rows_[r];
+    StatusOr<std::vector<VertexId>> starts =
+        bound ? StartsFor(outer)
+              : std::vector<VertexId>(morsel_starts_.begin() + start_begin,
+                                      morsel_starts_.begin() + start_end);
+    StatusOr<bool> armed = starts.ok()
+                               ? Arm(&scanner, outer, std::move(*starts))
+                               : StatusOr<bool>(starts.status());
+    if (!armed.ok() || !*armed) {
+      status = armed.status();
+      continue;
+    }
+    bool copied = false;
+    status = scanner.ForEachPath([&](const PathData& path) {
+      const bool first = !copied;
+      if (first) {
+        // Copy-assignment reuses the row's buffers across outer rows.
+        row = outer;
+        if (row.paths.size() <= slot) row.paths.resize(slot + 1);
+        ++reader->outer_copies;
+        copied = true;
+      }
+      // Aliasing an empty owner: a non-owning handle, no reference count.
+      row.paths[slot] = PathPtr(PathPtr(), &path);
+      ++ctx->stats().rows_joined;
+      return sink(row, first);
+    });
+    // The buffer changes once the sink returns: drop the alias.
+    if (copied) row.paths[slot].reset();
+  }
+  scanner.Release();
+  reader->attr_tuple_reads += ctx->stats().attr_tuple_reads - reads_before;
+  return status;
 }
 
 void PathProbeJoinOp::FinishMorsels(
-    const std::vector<const PhysicalOperator*>& readers,
+    const std::vector<const MorselReader*>& readers,
     std::vector<uint64_t> worker_ns) {
-  for (const PhysicalOperator* reader : readers) {
-    const auto* r = static_cast<const PathProbeJoinOp*>(reader);
-    outer_copies_ += r->outer_copies_;
-    attr_tuple_reads_ += r->attr_tuple_reads_;
+  for (const MorselReader* base : readers) {
+    const auto* reader = static_cast<const Reader*>(base);
+    outer_copies_ += reader->outer_copies;
+    attr_tuple_reads_ += reader->attr_tuple_reads;
   }
   worker_ns_ = std::move(worker_ns);
 }
 
 StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
-    const ExecRow& outer_row) {
+    const ExecRow& outer_row) const {
   std::vector<VertexId> starts;
   if (spec_->start_vertex_expr != nullptr) {
     GRF_ASSIGN_OR_RETURN(Value v, spec_->start_vertex_expr->Eval(outer_row));
@@ -474,11 +519,6 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
     GRF_ASSIGN_OR_RETURN(Value id, v.CastTo(ValueType::kBigInt));
     starts.push_back(id.AsBigInt());
     return starts;
-  }
-  if (source_ != nullptr) {
-    const std::vector<VertexId>& all = source_->morsel_starts_;
-    return std::vector<VertexId>(all.begin() + start_begin_,
-                                 all.begin() + start_end_);
   }
   // Unbound start: all vertexes of the view (paper §5.1.2).
   starts.reserve(spec_->gv->NumVertexes());
@@ -489,19 +529,23 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
   return starts;
 }
 
-StatusOr<bool> PathProbeJoinOp::NextOuterRow() {
-  if (source_ == nullptr) {
-    probe_row_ = &outer_row_;
-    return outer_->Next(&outer_row_);
+StatusOr<bool> PathProbeJoinOp::Arm(PathScanner* scanner,
+                                    const ExecRow& outer_row,
+                                    std::vector<VertexId> starts) const {
+  std::optional<VertexId> target;
+  if (spec_->end_vertex_expr != nullptr) {
+    GRF_ASSIGN_OR_RETURN(Value v, spec_->end_vertex_expr->Eval(outer_row));
+    if (v.is_null()) return false;  // NULL target joins nothing.
+    GRF_ASSIGN_OR_RETURN(Value id, v.CastTo(ValueType::kBigInt));
+    target = id.AsBigInt();
   }
-  if (row_next_ >= row_end_) return false;
-  probe_row_ = &source_->buffered_rows_[row_next_++];
+  GRF_RETURN_IF_ERROR(scanner->Reset(std::move(starts), target, &outer_row));
   return true;
 }
 
 StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
   if (morsel_mode_) {
-    return Status::Internal("a morsel-mode probe is read through its readers");
+    return Status::Internal("a morsel-mode probe is drained through readers");
   }
   bool* run = run_flag();
   // A caller outside the run protocol may have changed its row.
@@ -523,7 +567,7 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
           *run = true;  // Same run: the outer columns are already in place.
         } else {
           // Copy-assignment reuses the caller's row buffers.
-          *out = *probe_row_;
+          *out = outer_row_;
           ++outer_copies_;
           run_row_ = run != nullptr ? out : nullptr;
         }
@@ -537,25 +581,16 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
       outer_valid_ = false;
     }
     run_row_ = nullptr;  // A new outer row (the first after Open too).
-    GRF_ASSIGN_OR_RETURN(bool has_outer, NextOuterRow());
+    GRF_ASSIGN_OR_RETURN(bool has_outer, outer_->Next(&outer_row_));
     if (!has_outer) return false;
-
-    GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(*probe_row_));
-    std::optional<VertexId> target;
-    if (spec_->end_vertex_expr != nullptr) {
-      GRF_ASSIGN_OR_RETURN(Value v, spec_->end_vertex_expr->Eval(*probe_row_));
-      if (v.is_null()) continue;  // NULL target joins nothing.
-      GRF_ASSIGN_OR_RETURN(Value id, v.CastTo(ValueType::kBigInt));
-      target = id.AsBigInt();
-    }
-    GRF_RETURN_IF_ERROR(scanner_->Reset(std::move(starts), target,
-                                        probe_row_));
-    outer_valid_ = true;
+    GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(outer_row_));
+    GRF_ASSIGN_OR_RETURN(outer_valid_,
+                         Arm(scanner_.get(), outer_row_, std::move(starts)));
   }
 }
 
 void PathProbeJoinOp::CloseImpl() {
-  if (outer_ != nullptr) outer_->Close();
+  outer_->Close();
   if (scanner_ != nullptr) scanner_->Release();
   outer_valid_ = false;
   buffered_rows_.clear();

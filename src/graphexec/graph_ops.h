@@ -114,30 +114,32 @@ class EdgeScanOp : public PhysicalOperator {
 ///
 /// A DFS probe without visited-once search is a morsel source: under an
 /// AggregateOp, Open buffers the outer rows (and, for an unbound start, the
-/// view's vertexes in the order DFS visits them) and readers probe one
-/// morsel each (DESIGN.md §20).
+/// view's vertexes in the order DFS visits them), and workers drain one
+/// morsel at a time straight into the aggregate's sink (DESIGN.md §20).
 ///
 /// With no relational FROM items the planner supplies a SingleRowOp outer,
 /// making this the plain PathScan of a pure graph query.
 class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
  public:
   PathProbeJoinOp(OperatorPtr outer, std::shared_ptr<const TraversalSpec> spec);
-  const Schema& schema() const override {
-    return source_ != nullptr ? source_->schema() : outer_->schema();
-  }
+  const Schema& schema() const override { return outer_->schema(); }
   std::string name() const override;
   std::string AnalyzeExtra() const override;
   std::vector<const PhysicalOperator*> children() const override {
-    if (outer_ == nullptr) return {};
     return {outer_.get()};
   }
 
   MorselSource* morsel_source() override;
   void set_morsel_mode(bool on) override { morsel_mode_ = on; }
   size_t morsel_count() const override { return morsel_count_; }
-  OperatorPtr NewReader() const override;
-  void SelectMorsel(PhysicalOperator* reader, size_t morsel) const override;
-  void FinishMorsels(const std::vector<const PhysicalOperator*>& readers,
+  std::unique_ptr<MorselReader> NewReader() const override;
+  /// Per outer row of the morsel: re-arms the reader's DFS, copies the outer
+  /// row into the reader's row once (at its first path), and hands the sink
+  /// that row with the path slot pointing, without ownership, at the
+  /// scanner's path buffer.
+  Status DrainMorsel(MorselReader* reader, size_t morsel, QueryContext* ctx,
+                     const MorselSink& sink) const override;
+  void FinishMorsels(const std::vector<const MorselReader*>& readers,
                      std::vector<uint64_t> worker_ns) override;
 
  protected:
@@ -146,35 +148,32 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   void CloseImpl() override;
 
  private:
-  /// A reader of `source`'s morsels (NewReader).
-  explicit PathProbeJoinOp(const PathProbeJoinOp* source);
+  class Reader;
 
   /// Computes the start set for one outer row: the bound start expression's
-  /// value, or every vertex of the graph view when unbound (paper §5.1.2) —
-  /// a reader's share of them.
-  StatusOr<std::vector<VertexId>> StartsFor(const ExecRow& outer_row);
-  /// Points probe_row_ at the next outer row: pulled from the outer child,
-  /// or a reader's next buffered row.
-  StatusOr<bool> NextOuterRow();
+  /// value, or every vertex of the graph view when unbound (paper §5.1.2).
+  StatusOr<std::vector<VertexId>> StartsFor(const ExecRow& outer_row) const;
+  /// Re-arms `scanner` for `outer_row` from `starts`; false when the row
+  /// joins nothing (a NULL end vertex).
+  StatusOr<bool> Arm(PathScanner* scanner, const ExecRow& outer_row,
+                     std::vector<VertexId> starts) const;
   /// Morsel-mode Open: drains the outer child into the buffer, charged to
   /// the statement, and cuts the morsels.
   Status BufferMorsels();
 
-  OperatorPtr outer_;  ///< Null for a reader.
+  OperatorPtr outer_;
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_ = nullptr;
   std::unique_ptr<PathScanner> scanner_;
-  ExecRow outer_row_;
-  /// The outer row being probed: outer_row_, or a reader's buffered row.
-  const ExecRow* probe_row_ = nullptr;
+  ExecRow outer_row_;  ///< The outer row being probed.
   bool outer_valid_ = false;
   /// The caller row that holds the current outer row's columns under the
   /// run protocol's promise; null when no run is open. Cleared whenever a
   /// new outer row is pulled (so a re-Open starts a fresh run) and on every
   /// call outside the protocol.
   const ExecRow* run_row_ = nullptr;
-  /// Copies of the outer row into a caller row (EXPLAIN ANALYZE). A reader
-  /// accumulates these across its morsels; FinishMorsels folds them.
+  /// Copies of the outer row into a caller row (EXPLAIN ANALYZE), readers'
+  /// included (FinishMorsels).
   uint64_t outer_copies_ = 0;
   /// Edge-attribute reads this operator's traversals served from tuples
   /// rather than flat columns (EXPLAIN ANALYZE).
@@ -189,14 +188,6 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   size_t buffered_bytes_ = 0;
   size_t morsel_count_ = 0;
   std::vector<uint64_t> worker_ns_;  ///< Busy time per worker of the run.
-
-  // Reader: `source_`'s rows [row_next_, row_end_) and, for an unbound
-  // start, its starts [start_begin_, start_end_).
-  const PathProbeJoinOp* source_ = nullptr;
-  size_t row_next_ = 0;
-  size_t row_end_ = 0;
-  size_t start_begin_ = 0;
-  size_t start_end_ = 0;
 };
 
 }  // namespace grfusion

@@ -40,11 +40,11 @@ std::string TraversalSpec::DebugString() const {
 PathScanner::PathScanner(std::shared_ptr<const TraversalSpec> spec,
                          QueryContext* ctx)
     : spec_(std::move(spec)), ctx_(ctx) {
-  has_vertex_preds_ = std::any_of(
-      spec_->element_preds.begin(), spec_->element_preds.end(),
-      [](const auto& pred) {
-        return pred->attr().kind == PathElementKind::kVertexes;
-      });
+  for (const auto& pred : spec_->element_preds) {
+    const bool vertex = pred->attr().kind == PathElementKind::kVertexes;
+    has_vertex_preds_ = has_vertex_preds_ || vertex;
+    has_edge_preds_ = has_edge_preds_ || !vertex;
+  }
 }
 
 std::unique_ptr<PathScanner> MakePathScanner(

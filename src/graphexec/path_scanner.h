@@ -209,14 +209,16 @@ class PathScanner {
 
       std::copy_n(prefix.sums(), bounds, sums.begin());
       if (spec_->push_filters) {
-        auto edge_ok = EdgeAdmissible(edge, slot, edge_index, columns, ctx);
-        if (!edge_ok.ok()) {
-          status = edge_ok.status();
-          return false;
-        }
-        if (!*edge_ok) {
-          ++ctx->stats().paths_pruned;
-          return true;
+        if (has_edge_preds_) {
+          auto edge_ok = EdgeAdmissible(edge, slot, edge_index, columns, ctx);
+          if (!edge_ok.ok()) {
+            status = edge_ok.status();
+            return false;
+          }
+          if (!*edge_ok) {
+            ++ctx->stats().paths_pruned;
+            return true;
+          }
         }
         if (has_vertex_preds_) {
           const VertexEntry* nv = spec_->gv->FindVertex(nbr);
@@ -358,9 +360,11 @@ class PathScanner {
 
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_;
-  /// Whether any pushed element predicate tests vertexes; without one the
-  /// per-edge neighbor lookup for VertexAdmissible is skipped.
+  /// Whether any pushed element predicate tests vertexes (edges); without
+  /// one the per-edge neighbor lookup for VertexAdmissible (the per-edge
+  /// EdgeAdmissible call) is skipped.
   bool has_vertex_preds_ = false;
+  bool has_edge_preds_ = false;
 
   const ExecRow* outer_row_ = nullptr;
   std::optional<VertexId> target_;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "graph/csr_topology.h"
 #include "graph/graph_view.h"
 #include "graph/path.h"
 
@@ -364,6 +365,47 @@ TEST_F(GraphViewTest, CsrSnapshotBuiltAtCreate) {
   // Degrees resolve through CSR slice lengths (no edit vectors yet).
   EXPECT_EQ(gv->FanOut(*gv->FindVertex(1)), 1u);
   EXPECT_EQ(gv->FanIn(*gv->FindVertex(3)), 1u);
+}
+
+TEST_F(GraphViewTest, CsrVertexLookupDirtySnapshotAndSparseIds) {
+  // Ids too spread out for a dense map: the snapshot resolves them through
+  // its sparse map.
+  const std::vector<int64_t> ids = {-7, 3, 1000000007, int64_t{1} << 40};
+  for (int64_t id : ids) AddVertexRow(id, "v" + std::to_string(id));
+  ASSERT_TRUE(AddEdgeRow(1, 3, -7).ok());
+  GraphView* gv = Create(true);
+  ASSERT_NE(gv, nullptr);
+  ASSERT_TRUE(gv->PureCsr());
+  auto name_of = [&](int64_t id) -> std::string {
+    const VertexEntry* v = gv->FindVertex(id);
+    if (v == nullptr) return "<absent>";
+    EXPECT_EQ(v->id, id);
+    return gv->VertexTuple(*v)->value(1).AsVarchar();
+  };
+  for (int64_t id : ids) {
+    EXPECT_NE(gv->csr()->IndexOf(id), CsrTopology::kAbsent) << id;
+    EXPECT_EQ(name_of(id), "v" + std::to_string(id));
+  }
+  for (int64_t absent : {int64_t{0}, int64_t{4}, int64_t{-8},
+                         int64_t{1000000006}}) {
+    EXPECT_EQ(gv->FindVertex(absent), nullptr) << absent;
+  }
+
+  // A vertex added after the snapshot dirties it: lookups fall back to the
+  // id hash map, which has the new vertex...
+  AddVertexRow(5, "late");
+  EXPECT_FALSE(gv->PureCsr());
+  EXPECT_EQ(gv->csr()->IndexOf(5), CsrTopology::kAbsent);
+  EXPECT_EQ(name_of(5), "late");
+  // ...and drops a deleted one that the stale snapshot still lists.
+  const int64_t gone = int64_t{1} << 40;
+  ASSERT_TRUE(vertex_table_->Delete(gv->FindVertex(gone)->tuple).ok());
+  EXPECT_NE(gv->csr()->IndexOf(gone), CsrTopology::kAbsent);
+  EXPECT_EQ(gv->FindVertex(gone), nullptr);
+  for (int64_t id : {int64_t{-7}, int64_t{3}, int64_t{1000000007}}) {
+    EXPECT_EQ(name_of(id), "v" + std::to_string(id));
+  }
+  EXPECT_EQ(gv->FanOut(*gv->FindVertex(3)), 1u);
 }
 
 TEST_F(GraphViewTest, CsrWithEditVectorsMatchesRebuild) {

@@ -518,6 +518,8 @@ TEST_F(PathRunOperatorTest, FilterBetweenAggregateAndProbeKeepsGroupsRight) {
     AggregateSpec count_star;
     count_star.func = AggFunc::kCount;
     count_star.output_name = "n";
+    const PhysicalOperator* filter_op = filter.get();
+    const PhysicalOperator* probe_op = filter->input();
     AggregateOp agg(std::move(filter), std::move(keys), {"kind"},
                     {count_star}, {path_free});
     QueryContext ctx;
@@ -533,6 +535,17 @@ TEST_F(PathRunOperatorTest, FilterBetweenAggregateAndProbeKeepsGroupsRight) {
     // path-free; one per passing row otherwise.
     int64_t passing = 0;
     for (const auto& [kind, n] : expected) passing += n;
+    // The eight outer rows are one morsel. The drain keeps the counters a
+    // pull pipeline reports: each operator's rows, plus one closing call.
+    int64_t paths = 0;
+    for (const auto& [key, n] : ReferencePaths()) paths += n;
+    EXPECT_EQ(filter_op->profile().rows_emitted,
+              static_cast<uint64_t>(passing));
+    EXPECT_EQ(filter_op->profile().next_calls,
+              static_cast<uint64_t>(passing) + 1);
+    EXPECT_EQ(probe_op->profile().rows_emitted, static_cast<uint64_t>(paths));
+    EXPECT_EQ(probe_op->profile().next_calls,
+              static_cast<uint64_t>(paths) + 1);
     EXPECT_EQ(agg.AnalyzeExtra(),
               StrFormat(" group_lookups=%lld",
                         static_cast<long long>(path_free ? 6 : passing)));

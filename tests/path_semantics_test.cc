@@ -1508,6 +1508,40 @@ TEST_F(MorselAggTest, SmallCapIsResourceExhaustedAndLeavesNoCharge) {
   }
 }
 
+TEST_F(MorselAggTest, TypedBigintSumOverflowIsOutOfRange) {
+  // SUM over a BIGINT endpoint column is read as a typed int64 and added
+  // exactly: 2^62 per path overflows on a morsel's second path, and the
+  // statement fails with OutOfRange at any worker count, hybrid or not.
+  ASSERT_TRUE(session_.Execute("UPDATE mv SET score = 4611686018427387904")
+                  .ok());
+  for (const std::string& sql :
+       {Hybrid(2),
+        std::string("SELECT SUM(P.EndVertex.score) FROM mring.Paths P "
+                    "HINT(DFS) WHERE P.Length <= 2"),
+        std::string("SELECT AVG(P.StartVertex.score) FROM mring.Paths P "
+                    "HINT(DFS) WHERE P.Length <= 2")}) {
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(sql + " workers=" + std::to_string(workers));
+      session_.options().max_parallelism = workers;
+      auto result = session_.Execute(sql);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+          << result.status().ToString();
+      EXPECT_NE(result.status().message().find("overflows BIGINT"),
+                std::string::npos)
+          << result.status().ToString();
+    }
+  }
+  // MIN/MAX over the same column do not add, so they answer.
+  session_.options().max_parallelism = 4;
+  auto best = session_.Execute(
+      "SELECT MIN(P.EndVertex.score), MAX(P.EndVertex.score) FROM "
+      "mring.Paths P HINT(DFS) WHERE P.Length <= 2");
+  ASSERT_TRUE(best.ok()) << best.status().ToString();
+  EXPECT_EQ(best->rows[0][0].AsBigInt(), int64_t{1} << 62);
+  EXPECT_EQ(best->rows[0][1].AsBigInt(), int64_t{1} << 62);
+}
+
 TEST_F(MorselAggTest, TaskPoolAndExecNextFailpointsFireMidStatement) {
   FailpointRegistry& failpoints = FailpointRegistry::Global();
   const std::string sql = Hybrid(4);

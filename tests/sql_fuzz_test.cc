@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <queue>
+#include <regex>
 #include <set>
 #include <thread>
 
@@ -940,17 +941,22 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
   // and starts span several morsels. Shapes: the hybrid (each vertex's
   // relational row probes its paths) and the unbound multi-source scan;
   // scalar, outer-keyed and path-keyed groups; DOUBLE SUM/AVG and MIN over
-  // a vertex attribute; a residual filter between the aggregate and the
-  // probe; empty input; HAVING. The reference enumerates paths on an
-  // explicit stack in DFScan's order (roots pushed ascending, so an unbound
-  // scan starts at the highest id), which fixes first-seen group order. 1
-  // and 4 workers must agree exactly, floating sums and traversal counters
-  // included; against the reference, sequential floating sums are compared
-  // to 1e-9 relative, everything else exactly.
+  // a vertex attribute; random extra COUNT/SUM/AVG/MIN/MAX over the typed
+  // inputs (P.Length, P.StartVertex.Id, a BIGINT and a DOUBLE endpoint
+  // column with NULLs) and over a VARCHAR endpoint column (read through
+  // Eval); residual predicates, which the traversal tests per path, one of
+  // them on P.PathString; empty input; HAVING. The reference enumerates
+  // paths on an explicit stack in DFScan's order (roots pushed ascending, so
+  // an unbound scan starts at the highest id), which fixes first-seen group
+  // order. 1 and 4 workers must agree exactly, floating sums, traversal
+  // counters and EXPLAIN ANALYZE row/call counters included; against the
+  // reference, sequential floating sums are compared to 1e-9 relative,
+  // everything else exactly.
   const int64_t an = rng.Uniform(40, 72);
   {
     ASSERT_TRUE(session.ExecuteScript(R"sql(
-      CREATE TABLE av (id BIGINT PRIMARY KEY, name VARCHAR, score DOUBLE);
+      CREATE TABLE av (id BIGINT PRIMARY KEY, name VARCHAR, score DOUBLE,
+                       big BIGINT, wt DOUBLE);
       CREATE TABLE ae (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
                        rank BIGINT);
     )sql")
@@ -959,6 +965,13 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     for (int64_t i = 0; i < an; ++i) {
       avrows.push_back({Value::BigInt(i), Value::Varchar(name_of(i)),
                         Value::Double(rng.NextDouble() * 10.0)});
+      // A quarter NULL each, so typed reads meet NULL endpoints.
+      avrows.back().push_back(rng.Bernoulli(0.25)
+                                  ? Value::Null()
+                                  : Value::BigInt(rng.Uniform(-1000, 1000)));
+      avrows.back().push_back(rng.Bernoulli(0.25)
+                                  ? Value::Null()
+                                  : Value::Double(rng.NextDouble() * 5.0));
     }
     std::set<std::pair<int64_t, int64_t>> aused;
     const int64_t aedges = rng.Uniform(2 * an, 3 * an);
@@ -974,7 +987,8 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     ASSERT_TRUE(db.BulkInsert("ae", aerows).ok());
     ASSERT_TRUE(session.ExecuteScript(
                         StrFormat("CREATE %s GRAPH VIEW ga VERTEXES (ID = id, "
-                                  "name = name, score = score) FROM av EDGES "
+                                  "name = name, score = score, big = big, "
+                                  "wt = wt) FROM av EDGES "
                                   "(ID = id, FROM = src, TO = dst, rank = "
                                   "rank) FROM ae;",
                                   kind))
@@ -985,6 +999,66 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     std::vector<double> ascore;
     std::vector<int64_t> arank;
     for (const auto& row : avrows) ascore.push_back(row[2].AsDouble());
+    // Extra aggregates: an input (its SQL and its value on a path of
+    // length `len` from `start` to `end`) under a function.
+    struct ExtraInput {
+      const char* sql;
+      std::function<Value(int64_t start, int64_t end, size_t len)> value;
+      bool varchar;
+    };
+    const std::vector<ExtraInput> extra_inputs = {
+        {"P.Length",
+         [](int64_t, int64_t, size_t len) {
+           return Value::BigInt(static_cast<int64_t>(len));
+         },
+         false},
+        {"P.StartVertex.Id",
+         [](int64_t start, int64_t, size_t) { return Value::BigInt(start); },
+         false},
+        {"P.EndVertex.big",
+         [&](int64_t, int64_t end, size_t) {
+           return avrows[static_cast<size_t>(end)][3];
+         },
+         false},
+        {"P.StartVertex.wt",
+         [&](int64_t start, int64_t, size_t) {
+           return avrows[static_cast<size_t>(start)][4];
+         },
+         false},
+        {"P.EndVertex.wt",
+         [&](int64_t, int64_t end, size_t) {
+           return avrows[static_cast<size_t>(end)][4];
+         },
+         false},
+        {"P.EndVertex.name",
+         [&](int64_t, int64_t end, size_t) {
+           return Value::Varchar(name_of(end));
+         },
+         true},
+    };
+    struct Extra {
+      AggFunc func;
+      const ExtraInput* input;
+    };
+    struct ExtraState {
+      int64_t count = 0, int_sum = 0;
+      double double_sum = 0;
+      bool integral = true;
+      Value min, max;
+    };
+    // EXPLAIN ANALYZE's operator lines without times or worker fan-out:
+    // the row, call, copy and lookup counters.
+    auto analyzed_counters = [](const ResultSet& explained) {
+      static const std::regex kTimes(
+          R"( time_ms=[0-9.]+| pct=[0-9.]+| workers=\[[^\]]*\])");
+      std::string out;
+      for (const auto& row : explained.rows) {
+        const std::string line = row[0].ToString();
+        if (line.find("actual_rows=") == std::string::npos) continue;
+        out += std::regex_replace(line, kTimes, "") + "\n";
+      }
+      return out;
+    };
     for (const auto& row : aerows) arank.push_back(row[3].AsBigInt());
     DiffAdjacency aadj;
     const GraphView* agv = db.catalog().FindGraphView("ga");
@@ -1066,6 +1140,23 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       const bool empty = rng.Bernoulli(0.15);
       std::optional<int64_t> having;
       if (key != 0 && rng.Bernoulli(0.3)) having = rng.Uniform(0, 40);
+      // A residual filter the traversal cannot take: some hop reaches a
+      // vertex whose id starts with 1.
+      const bool like = rng.Bernoulli(0.3);
+      std::vector<Extra> extras;
+      for (int k = 0; k < 4; ++k) {
+        static constexpr AggFunc kFuncs[] = {AggFunc::kCount, AggFunc::kSum,
+                                             AggFunc::kAvg, AggFunc::kMin,
+                                             AggFunc::kMax};
+        const ExtraInput* input =
+            &extra_inputs[static_cast<size_t>(rng.Uniform(0, 5))];
+        // VARCHAR inputs take COUNT, MIN and MAX only.
+        const AggFunc func =
+            input->varchar
+                ? kFuncs[rng.Bernoulli(0.2) ? 0 : rng.Uniform(3, 4)]
+                : kFuncs[rng.Uniform(0, 4)];
+        extras.push_back(Extra{func, input});
+      }
 
       static constexpr const char* kKeys[] = {"", "P.EndVertex.name",
                                               "V.name"};
@@ -1074,7 +1165,12 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       sql +=
           "COUNT(*), SUM(P.Length), MIN(P.EndVertex.score), "
           "MAX(P.EndVertex.Id), SUM(P.EndVertex.score), "
-          "AVG(P.EndVertex.score) FROM ";
+          "AVG(P.EndVertex.score)";
+      for (const Extra& extra : extras) {
+        sql += StrFormat(", %s(%s)", AggFuncToString(extra.func),
+                         extra.input->sql);
+      }
+      sql += " FROM ";
       sql += hybrid ? "av V, ga.Paths P HINT(DFS) WHERE P.StartVertex.Id = "
                       "V.id AND "
                     : "ga.Paths P HINT(DFS) WHERE ";
@@ -1084,6 +1180,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
                          static_cast<long long>(*rank_below));
       }
       if (residual) sql += " AND P.EndVertex.Id > V.id";
+      if (like) sql += " AND P.PathString LIKE '%-> 1%'";
       if (empty) sql += " AND P.EndVertex.score < 0";
       if (key != 0) sql += std::string(" GROUP BY ") + kKeys[key];
       if (having.has_value()) {
@@ -1107,12 +1204,17 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       struct Agg {
         int64_t count = 0, length_sum = 0, max_end = -1;
         double min_score = 0, score_sum = 0;
+        std::vector<ExtraState> extras;
       };
       std::vector<std::string> order;
       std::map<std::string, Agg> groups;
       for (const AggPath& p : paths) {
         const int64_t start = p.vs.front(), end = p.vs.back();
         if (residual && end <= start) continue;
+        if (like && DiffPathString(p.vs, p.es).find("-> 1") ==
+                        std::string::npos) {
+          continue;
+        }
         if (empty) continue;  // Every score is >= 0.
         const std::string group = key == 0   ? ""
                                   : key == 1 ? name_of(end)
@@ -1126,6 +1228,21 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
         g.length_sum += static_cast<int64_t>(p.es.size());
         g.max_end = std::max(g.max_end, end);
         g.score_sum += score;
+        g.extras.resize(extras.size());
+        for (size_t k = 0; k < extras.size(); ++k) {
+          const Value v = extras[k].input->value(start, end, p.es.size());
+          if (v.is_null()) continue;
+          ExtraState& e = g.extras[k];
+          ++e.count;
+          if (v.type() == ValueType::kBigInt) {
+            e.int_sum += v.AsBigInt();
+          } else if (v.type() == ValueType::kDouble) {
+            e.integral = false;
+            e.double_sum += v.AsDouble();
+          }
+          if (e.min.is_null() || *v.Compare(e.min) < 0) e.min = v;
+          if (e.max.is_null() || *v.Compare(e.max) > 0) e.max = v;
+        }
       }
       if (key == 0 && order.empty()) {
         order.push_back("");
@@ -1148,6 +1265,34 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
           row.push_back(Value::Double(g.score_sum /
                                       static_cast<double>(g.count)));
         }
+        for (size_t k = 0; k < extras.size(); ++k) {
+          const ExtraState e =
+              k < g.extras.size() ? g.extras[k] : ExtraState{};
+          const double sum =
+              static_cast<double>(e.int_sum) + e.double_sum;
+          switch (extras[k].func) {
+            case AggFunc::kCount:
+              row.push_back(Value::BigInt(e.count));
+              break;
+            case AggFunc::kSum:
+              row.push_back(e.count == 0 ? Value::Null()
+                            : e.integral ? Value::BigInt(e.int_sum)
+                                         : Value::Double(sum));
+              break;
+            case AggFunc::kAvg:
+              row.push_back(e.count == 0
+                                ? Value::Null()
+                                : Value::Double(
+                                      sum / static_cast<double>(e.count)));
+              break;
+            case AggFunc::kMin:
+              row.push_back(e.min);
+              break;
+            case AggFunc::kMax:
+              row.push_back(e.max);
+              break;
+          }
+        }
         expected.push_back(std::move(row));
       }
       if (expected.size() > 1) ++agg_answered;
@@ -1165,6 +1310,10 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       EXPECT_EQ(par_stats.rows_joined, serial_stats.rows_joined);
       EXPECT_EQ(par_stats.paths_pruned, serial_stats.paths_pruned);
 
+      session.options().max_parallelism = 1;
+      auto explained_serial = session.Execute("EXPLAIN ANALYZE " + sql);
+      ASSERT_TRUE(explained_serial.ok())
+          << explained_serial.status().ToString();
       session.options().max_parallelism = 4;
       auto explained = session.Execute("EXPLAIN ANALYZE " + sql);
       ASSERT_TRUE(explained.ok()) << explained.status().ToString();
@@ -1172,6 +1321,9 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       for (const auto& row : explained->rows) text += row[0].ToString() + "\n";
       EXPECT_NE(text.find(" morsels="), std::string::npos) << text;
       if (text.find(" workers=[") != std::string::npos) ++agg_fanned;
+      EXPECT_EQ(analyzed_counters(*explained),
+                analyzed_counters(*explained_serial))
+          << "EXPLAIN ANALYZE counters differ at 1 and 4 workers";
     }
     if (agg_trials > 0) {
       EXPECT_GT(agg_answered, 0) << "no aggregate trial had two groups";
