@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "common/task_pool.h"
 #include "common/tracer.h"
-#include "graph/graph_view.h"
 
 namespace grfusion {
 
@@ -39,7 +38,6 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
     morsel_stages_.clear();
   }
   for (const AggregateSpec& spec : aggs_) {
-    inputs_.push_back(ResolveInput(spec));
     ValueType type;
     switch (spec.func) {
       case AggFunc::kCount:
@@ -58,6 +56,11 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
 }
 
 namespace {
+
+/// Shared-budget reservation step of a morsel worker's context: its DFS
+/// stack charges a few bytes per hop, which would otherwise contend on the
+/// budget's counter.
+constexpr size_t kWorkerBudgetStep = 8 << 10;
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -84,157 +87,66 @@ Status MergeBest(const Value& v, bool min, Value* best) {
   return Status::OK();
 }
 
+/// MergeBest for a non-NULL `n`. A number of the best's own type compares
+/// in place: for two BIGINTs or two DOUBLEs, `<` and `>` are
+/// Value::Compare's outcome.
+Status MergeBest(const NumericValue& n, bool min, Value* best) {
+  if (n.kind == NumericValue::Kind::kInt &&
+      best->type() == ValueType::kBigInt) {
+    if (min ? n.i < best->AsBigInt() : n.i > best->AsBigInt()) {
+      *best = Value::BigInt(n.i);
+    }
+    return Status::OK();
+  }
+  if (n.kind == NumericValue::Kind::kDouble &&
+      best->type() == ValueType::kDouble) {
+    if (min ? n.d < best->AsDouble() : n.d > best->AsDouble()) {
+      *best = Value::Double(n.d);
+    }
+    return Status::OK();
+  }
+  return MergeBest(n.ToValue(), min, best);
+}
+
 }  // namespace
 
-AggregateOp::Input AggregateOp::ResolveInput(const AggregateSpec& spec) {
-  Input in;
-  if (spec.arg == nullptr) {
-    in.kind = Input::Kind::kCountStar;
-    return in;
-  }
-  if (const auto* prop =
-          dynamic_cast<const PathPropertyExpr*>(spec.arg.get())) {
-    in.slot = prop->slot();
-    switch (prop->property()) {
-      case PathProperty::kLength:
-        in.kind = Input::Kind::kLength;
-        break;
-      case PathProperty::kStartVertexId:
-        in.kind = Input::Kind::kStartId;
-        break;
-      case PathProperty::kEndVertexId:
-        in.kind = Input::Kind::kEndId;
-        break;
-      default:
-        break;
-    }
-    return in;
-  }
-  if (const auto* endpoint =
-          dynamic_cast<const PathEndpointAttrExpr*>(spec.arg.get())) {
-    const ElementAttr& attr = endpoint->attr();
-    if (attr.field == ElementField::kSourceColumn && attr.column >= 0 &&
-        (attr.type == ValueType::kBigInt || attr.type == ValueType::kDouble)) {
-      in.kind = endpoint->start() ? Input::Kind::kStartColumn
-                                  : Input::Kind::kEndColumn;
-      in.slot = endpoint->slot();
-      in.gv = endpoint->gv();
-      in.column = static_cast<size_t>(attr.column);
-    }
-  }
-  return in;
-}
-
-AggregateOp::Read AggregateOp::ReadInput(const Input& in, const ExecRow& row,
-                                         int64_t* i, double* d) {
-  // An unpopulated slot, a dangling endpoint or an unexpected value type
-  // goes to Eval, which reports it exactly as before.
-  if (in.slot >= row.paths.size() || row.paths[in.slot] == nullptr) {
-    return Read::kEval;
-  }
-  const PathData& path = *row.paths[in.slot];
-  switch (in.kind) {
-    case Input::Kind::kLength:
-      *i = static_cast<int64_t>(path.Length());
-      return Read::kInt;
-    case Input::Kind::kStartId:
-      *i = path.StartVertex();
-      return Read::kInt;
-    case Input::Kind::kEndId:
-      *i = path.EndVertex();
-      return Read::kInt;
-    default:
-      break;
-  }
-  const VertexEntry* vertex = in.gv->FindVertex(
-      in.kind == Input::Kind::kStartColumn ? path.StartVertex()
-                                           : path.EndVertex());
-  const Tuple* tuple = vertex == nullptr ? nullptr : in.gv->VertexTuple(*vertex);
-  if (tuple == nullptr) return Read::kEval;
-  const Value& value = tuple->value(in.column);
-  switch (value.type()) {
-    case ValueType::kNull:
-      return Read::kNull;
-    case ValueType::kBigInt:
-      *i = value.AsBigInt();
-      return Read::kInt;
-    case ValueType::kDouble:
-      *d = value.AsDouble();
-      return Read::kDouble;
-    default:
-      return Read::kEval;
-  }
-}
-
 Status AggregateOp::Accumulate(Group* group, const ExecRow& row) const {
+  NumericValue n;
   for (size_t a = 0; a < aggs_.size(); ++a) {
     const AggregateSpec& spec = aggs_[a];
-    const Input& in = inputs_[a];
     AggState& state = group->states[a];
-    if (in.kind == Input::Kind::kCountStar) {
+    if (spec.arg == nullptr) {
       ++state.count;
       continue;
     }
-    int64_t i = 0;
-    double d = 0.0;
-    Read read = in.kind == Input::Kind::kEval ? Read::kEval
-                                              : ReadInput(in, row, &i, &d);
-    if (read == Read::kNull) continue;  // Aggregates skip NULLs.
-    Value v;
-    if (read == Read::kEval) {
-      if (spec.func == AggFunc::kCount) {
-        GRF_ASSIGN_OR_RETURN(bool counted, spec.arg->EvalIsNotNull(row));
-        if (counted) ++state.count;
-        continue;
-      }
-      GRF_ASSIGN_OR_RETURN(v, spec.arg->Eval(row));
-      if (v.is_null()) continue;
-      if (v.type() == ValueType::kBigInt) {
-        read = Read::kInt;
-        i = v.AsBigInt();
-      } else if (v.type() == ValueType::kDouble) {
-        read = Read::kDouble;
-        d = v.AsDouble();
-      }
+    if (spec.func == AggFunc::kCount) {
+      GRF_ASSIGN_OR_RETURN(bool counted, spec.arg->EvalIsNotNull(row));
+      if (counted) ++state.count;
+      continue;
     }
+    GRF_RETURN_IF_ERROR(spec.arg->EvalNumeric(row, &n));
+    // Aggregates skip NULLs.
+    if (n.kind == NumericValue::Kind::kNull) continue;
     ++state.count;
     switch (spec.func) {
-      case AggFunc::kCount:
-        break;
       case AggFunc::kMin:
       case AggFunc::kMax: {
         const bool min = spec.func == AggFunc::kMin;
-        Value& best = min ? state.min : state.max;
-        // Typed compares, with Value::Compare's outcome, where the best so
-        // far has the input's type; the first value, mixed types and
-        // non-numeric values go through MergeBest.
-        if (read == Read::kInt && best.type() == ValueType::kBigInt) {
-          if (min ? i < best.AsBigInt() : i > best.AsBigInt()) {
-            best = Value::BigInt(i);
-          }
-        } else if (read == Read::kDouble &&
-                   best.type() == ValueType::kDouble) {
-          const double diff = d - best.AsDouble();
-          if (min ? diff < 0 : diff > 0) best = Value::Double(d);
-        } else {
-          if (read == Read::kInt) v = Value::BigInt(i);
-          if (read == Read::kDouble) v = Value::Double(d);
-          GRF_RETURN_IF_ERROR(MergeBest(v, min, &best));
-        }
+        GRF_RETURN_IF_ERROR(MergeBest(n, min, min ? &state.min : &state.max));
         break;
       }
       default:  // SUM, AVG.
-        if (read == Read::kInt) {
-          if (__builtin_add_overflow(state.int_sum, i, &state.int_sum)) {
+        if (n.kind == NumericValue::Kind::kInt) {
+          if (__builtin_add_overflow(state.int_sum, n.i, &state.int_sum)) {
             return SumOverflow(spec.func);
           }
-        } else if (read == Read::kDouble) {
+        } else if (n.kind == NumericValue::Kind::kDouble) {
           state.integral = false;
-          state.double_sum += d;
+          state.double_sum += n.d;
         } else {
           return Status::InvalidArgument(
               "cannot " + std::string(AggFuncToString(spec.func)) +
-              " non-numeric value " + v.ToString());
+              " non-numeric value " + n.other.ToString());
         }
         break;
     }

@@ -41,10 +41,8 @@ struct AggregateSpec {
 /// morsel order. Group order, sums and counters are therefore the same at
 /// any worker count.
 ///
-/// Arguments that are a path's length or endpoint id, or a BIGINT/DOUBLE
-/// column of its start or end vertex, are read as typed numbers straight
-/// from the path and the vertex tuple; every other argument goes through
-/// Eval.
+/// Arguments are read through Expression::EvalNumeric, which path lengths
+/// and endpoint columns answer without building a Value.
 class AggregateOp : public PhysicalOperator {
  public:
   AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
@@ -76,26 +74,6 @@ class AggregateOp : public PhysicalOperator {
     std::vector<Value> keys;
     std::vector<AggState> states;
   };
-  /// How Accumulate reads one aggregate's argument, resolved once from its
-  /// expression.
-  struct Input {
-    enum class Kind {
-      kCountStar,
-      kEval,         ///< Any other argument: Expression::Eval.
-      kLength,       ///< P.Length.
-      kStartId,      ///< P.StartVertex.Id.
-      kEndId,        ///< P.EndVertex.Id.
-      kStartColumn,  ///< P.StartVertex.<BIGINT or DOUBLE column>.
-      kEndColumn,    ///< P.EndVertex.<BIGINT or DOUBLE column>.
-    };
-    Kind kind = Kind::kEval;
-    size_t slot = 0;               ///< Path slot of the typed kinds.
-    const GraphView* gv = nullptr;  ///< Endpoint columns: their view ...
-    size_t column = 0;              ///< ... and vertex source column.
-  };
-  /// The outcome of a typed read: a NULL, an int64, a double, or a case
-  /// the typed read leaves to Eval (which reports errors as it always has).
-  enum class Read { kNull, kInt, kDouble, kEval };
   /// Groups in first-seen order with their index: the aggregate's result,
   /// or one morsel's partial. `charged` bytes are held in the context that
   /// built it.
@@ -121,12 +99,6 @@ class AggregateOp : public PhysicalOperator {
   /// Updates each aggregate's state from `row`, touching only the state its
   /// function reads.
   Status Accumulate(Group* group, const ExecRow& row) const;
-  /// How `spec`'s argument is read: a typed kind where one applies.
-  static Input ResolveInput(const AggregateSpec& spec);
-  /// Reads a typed input (not kCountStar or kEval) of `row` into `*i` or
-  /// `*d`.
-  static Read ReadInput(const Input& in, const ExecRow& row, int64_t* i,
-                        double* d);
   /// Folds a morsel's partial groups into table_, in their first-seen order.
   Status Merge(const Table& partial);
   StatusOr<Value> Finalize(const AggregateSpec& spec,
@@ -137,7 +109,6 @@ class AggregateOp : public PhysicalOperator {
   OperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<AggregateSpec> aggs_;
-  std::vector<Input> inputs_;  ///< One per aggregate.
   Schema schema_;
   /// Grouped, and no key reads a path: rows with unchanged columns share
   /// their predecessor's group.

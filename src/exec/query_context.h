@@ -56,12 +56,6 @@ class SharedMemoryBudget {
   std::atomic<size_t> used_{0};
 };
 
-/// Reservation step (QueryContext::set_shared_budget) of a parallel
-/// worker's context. Workers charge a few bytes at a time (a traversal stack
-/// per hop, a scan per buffered row), so charging the shared budget's
-/// counter on each would make every worker contend on one cache line.
-constexpr size_t kWorkerBudgetStep = 8 << 10;
-
 /// Execution statistics collected per query. Benches read these to report
 /// the *work* an approach performs (e.g., vertexes expanded by a traversal
 /// vs. rows joined by the relational baseline).

@@ -251,6 +251,18 @@ StatusOr<Value> ExtractEdgeValue(const GraphView& gv, const EdgeEntry& edge,
   }
 }
 
+namespace {
+
+/// The source-tuple value at `column` of `vertex`, by reference; null when
+/// the tuple is gone.
+const Value* VertexColumnValue(const GraphView& gv, const VertexEntry& vertex,
+                               int column) {
+  const Tuple* t = gv.VertexTuple(vertex);
+  return t == nullptr ? nullptr : &t->value(static_cast<size_t>(column));
+}
+
+}  // namespace
+
 StatusOr<Value> ExtractVertexValue(const GraphView& gv,
                                    const VertexEntry& vertex,
                                    const ElementAttr& attr) {
@@ -262,9 +274,9 @@ StatusOr<Value> ExtractVertexValue(const GraphView& gv,
     case ElementField::kVertexFanIn:
       return Value::BigInt(static_cast<int64_t>(gv.FanIn(vertex)));
     case ElementField::kSourceColumn: {
-      const Tuple* t = gv.VertexTuple(vertex);
-      if (t == nullptr) return Status::Internal("dangling vertex tuple");
-      return t->value(static_cast<size_t>(attr.column));
+      const Value* v = VertexColumnValue(gv, vertex, attr.column);
+      if (v == nullptr) return Status::Internal("dangling vertex tuple");
+      return *v;
     }
     default:
       return Status::Internal("bad vertex field");
@@ -291,12 +303,18 @@ StatusOr<Value> FetchElementValue(const GraphView& gv, const PathData& path,
 
 namespace {
 
+/// The path in `slot` of `row`, or null when the slot is not populated.
+const PathData* SlotPath(const ExecRow& row, size_t slot) {
+  return slot < row.paths.size() ? row.paths[slot].get() : nullptr;
+}
+
 StatusOr<const PathData*> PathAt(const ExecRow& row, size_t slot) {
-  if (slot >= row.paths.size() || row.paths[slot] == nullptr) {
+  const PathData* path = SlotPath(row, slot);
+  if (path == nullptr) {
     return Status::Internal("path slot " + std::to_string(slot) +
                             " not populated");
   }
-  return row.paths[slot].get();
+  return path;
 }
 
 }  // namespace
@@ -319,19 +337,39 @@ const char* PathPropertyName(PathProperty property) {
 
 StatusOr<Value> PathPropertyExpr::Eval(const ExecRow& row) const {
   GRF_ASSIGN_OR_RETURN(const PathData* path, PathAt(row, slot_));
+  if (property_ == PathProperty::kPathString) {
+    return Value::Varchar(PathToString(*path));
+  }
+  NumericValue n;
+  GRF_RETURN_IF_ERROR(EvalNumeric(row, &n));
+  return n.ToValue();
+}
+
+Status PathPropertyExpr::EvalNumeric(const ExecRow& row,
+                                     NumericValue* out) const {
+  const PathData* path = SlotPath(row, slot_);
+  if (path == nullptr || property_ == PathProperty::kPathString) {
+    return Expression::EvalNumeric(row, out);
+  }
+  out->kind = NumericValue::Kind::kInt;
   switch (property_) {
     case PathProperty::kLength:
-      return Value::BigInt(static_cast<int64_t>(path->Length()));
-    case PathProperty::kPathString:
-      return Value::Varchar(PathToString(*path));
+      out->i = static_cast<int64_t>(path->Length());
+      break;
     case PathProperty::kStartVertexId:
-      return Value::BigInt(path->StartVertex());
+      out->i = path->StartVertex();
+      break;
     case PathProperty::kEndVertexId:
-      return Value::BigInt(path->EndVertex());
+      out->i = path->EndVertex();
+      break;
     case PathProperty::kCost:
-      return Value::Double(path->accumulated_cost);
+      out->kind = NumericValue::Kind::kDouble;
+      out->d = path->accumulated_cost;
+      break;
+    case PathProperty::kPathString:
+      break;
   }
-  return Status::Internal("bad path property");
+  return Status::OK();
 }
 
 StatusOr<bool> PathPropertyExpr::EvalIsNotNull(const ExecRow& row) const {
@@ -343,6 +381,25 @@ StatusOr<Value> PathEndpointAttrExpr::Eval(const ExecRow& row) const {
   GRF_ASSIGN_OR_RETURN(const PathData* path, PathAt(row, slot_));
   size_t index = start_ ? 0 : path->vertexes.size() - 1;
   return FetchElementValue(*gv_, *path, attr_, index);
+}
+
+Status PathEndpointAttrExpr::EvalNumeric(const ExecRow& row,
+                                         NumericValue* out) const {
+  // A source column of a live endpoint is read in place; anything else,
+  // errors included, goes through Eval.
+  const PathData* path = SlotPath(row, slot_);
+  if (path != nullptr && !path->vertexes.empty() &&
+      attr_.field == ElementField::kSourceColumn) {
+    const VertexEntry* v = gv_->FindVertex(start_ ? path->vertexes.front()
+                                                  : path->vertexes.back());
+    const Value* value =
+        v == nullptr ? nullptr : VertexColumnValue(*gv_, *v, attr_.column);
+    if (value != nullptr) {
+      out->Set(*value);
+      return Status::OK();
+    }
+  }
+  return Expression::EvalNumeric(row, out);
 }
 
 std::string PathEndpointAttrExpr::ToString() const {

@@ -29,6 +29,51 @@ const char* ArithOpToString(ArithOp op);
 StatusOr<Value> EvalCompare(CompareOp op, const Value& left,
                             const Value& right);
 
+/// A value as an aggregate reads it: NULL, a BIGINT in `i`, a DOUBLE in
+/// `d`, or any other value in `other`.
+struct NumericValue {
+  enum class Kind { kNull, kInt, kDouble, kOther };
+  Kind kind = Kind::kNull;
+  int64_t i = 0;
+  double d = 0.0;
+  Value other;
+
+  /// Unpacks `v`, copying it only when it is not NULL or a number.
+  void Set(const Value& v) {
+    switch (v.type()) {
+      case ValueType::kNull:
+        kind = Kind::kNull;
+        break;
+      case ValueType::kBigInt:
+        kind = Kind::kInt;
+        i = v.AsBigInt();
+        break;
+      case ValueType::kDouble:
+        kind = Kind::kDouble;
+        d = v.AsDouble();
+        break;
+      default:
+        kind = Kind::kOther;
+        other = v;
+        break;
+    }
+  }
+  /// The value Set unpacked.
+  Value ToValue() const {
+    switch (kind) {
+      case Kind::kNull:
+        return Value::Null();
+      case Kind::kInt:
+        return Value::BigInt(i);
+      case Kind::kDouble:
+        return Value::Double(d);
+      case Kind::kOther:
+        break;
+    }
+    return other;
+  }
+};
+
 /// Bound, executable expression. Expressions are immutable after
 /// construction; Eval is const and re-entrant.
 class Expression {
@@ -46,6 +91,15 @@ class Expression {
   virtual StatusOr<bool> EvalIsNotNull(const ExecRow& row) const {
     GRF_ASSIGN_OR_RETURN(Value v, Eval(row));
     return !v.is_null();
+  }
+
+  /// Eval(row) unpacked into `*out`, with Eval's error statuses. Overridden
+  /// where the number is read without building a Value: aggregates over a
+  /// path's length or an endpoint's column read one per path.
+  virtual Status EvalNumeric(const ExecRow& row, NumericValue* out) const {
+    GRF_ASSIGN_OR_RETURN(Value v, Eval(row));
+    out->Set(v);
+    return Status::OK();
   }
 
   /// Static result type (kNull when unknown/polymorphic).
@@ -333,6 +387,8 @@ class PathPropertyExpr : public Expression {
   StatusOr<Value> Eval(const ExecRow& row) const override;
   /// Every property of a populated path slot is non-NULL.
   StatusOr<bool> EvalIsNotNull(const ExecRow& row) const override;
+  /// Every property but PathString, read straight from the path.
+  Status EvalNumeric(const ExecRow& row, NumericValue* out) const override;
   ValueType result_type() const override {
     return property_ == PathProperty::kPathString ? ValueType::kVarchar
            : property_ == PathProperty::kCost     ? ValueType::kDouble
@@ -356,11 +412,12 @@ class PathEndpointAttrExpr : public Expression {
                        ElementAttr attr)
       : slot_(slot), start_(start), gv_(gv), attr_(std::move(attr)) {}
   StatusOr<Value> Eval(const ExecRow& row) const override;
+  /// A source column is read from the vertex tuple by reference.
+  Status EvalNumeric(const ExecRow& row, NumericValue* out) const override;
   ValueType result_type() const override { return attr_.type; }
   std::string ToString() const override;
   size_t slot() const { return slot_; }
   bool start() const { return start_; }
-  const GraphView* gv() const { return gv_; }
   const ElementAttr& attr() const { return attr_; }
 
  private:

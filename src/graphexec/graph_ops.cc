@@ -127,7 +127,7 @@ Status VertexScanOp::ParallelFilterOpen() {
     TraceSpan morsel_span(ctx_->trace(), "worker",
                           "scan.morsel." + std::to_string(m));
     QueryContext wctx(ctx_->memory_cap());
-    wctx.set_shared_budget(&budget, kWorkerBudgetStep);
+    wctx.set_shared_budget(&budget);
     wctx.set_cancellation(ctx_->cancellation());
     // Pin the worker to the statement's MVCC snapshot: the GraphReadScope is
     // thread-local, so each pool thread re-installs it for its morsels.
@@ -291,7 +291,7 @@ Status EdgeScanOp::ParallelFilterOpen() {
     TraceSpan morsel_span(ctx_->trace(), "worker",
                           "scan.morsel." + std::to_string(m));
     QueryContext wctx(ctx_->memory_cap());
-    wctx.set_shared_budget(&budget, kWorkerBudgetStep);
+    wctx.set_shared_budget(&budget);
     wctx.set_cancellation(ctx_->cancellation());
     // Pin the worker to the statement's MVCC snapshot: the GraphReadScope is
     // thread-local, so each pool thread re-installs it for its morsels.
