@@ -298,6 +298,79 @@ TEST_F(PathExprTest, PathAggregates) {
   EXPECT_EQ(MustEval(cnt, row_).AsBigInt(), 3);
 }
 
+// EvalNumeric gives Eval's value, unpacked, or Eval's error status.
+void ExpectNumericMatchesEval(const Expression& expr, const ExecRow& row) {
+  SCOPED_TRACE(expr.ToString());
+  StatusOr<Value> value = expr.Eval(row);
+  NumericValue n;
+  Status status = expr.EvalNumeric(row, &n);
+  ASSERT_EQ(status.ok(), value.ok()) << status.ToString();
+  if (!status.ok()) {
+    EXPECT_EQ(status, value.status());
+    return;
+  }
+  Value got = n.ToValue();
+  ASSERT_EQ(got.type(), value->type());
+  if (!got.is_null()) {
+    EXPECT_TRUE(got.SqlEquals(*value));
+  }
+}
+
+TEST_F(PathExprTest, EvalNumericAgreesWithEval) {
+  ElementAttr vid;
+  vid.kind = PathElementKind::kVertexes;
+  vid.field = ElementField::kSourceColumn;
+  vid.column = 0;
+  vid.type = ValueType::kBigInt;
+  vid.display_name = "vid";
+  ElementAttr tag = vid;
+  tag.column = 1;
+  tag.type = ValueType::kVarchar;
+  tag.display_name = "tag";
+  ElementAttr id = vid;
+  id.field = ElementField::kVertexId;
+  id.column = -1;
+  id.display_name = "Id";
+
+  std::vector<std::unique_ptr<Expression>> exprs;
+  for (PathProperty property :
+       {PathProperty::kLength, PathProperty::kPathString,
+        PathProperty::kStartVertexId, PathProperty::kEndVertexId,
+        PathProperty::kCost}) {
+    exprs.push_back(std::make_unique<PathPropertyExpr>(
+        0, property, PathPropertyName(property)));
+  }
+  for (bool start : {true, false}) {
+    for (const ElementAttr& attr : {vid, tag, id}) {
+      exprs.push_back(
+          std::make_unique<PathEndpointAttrExpr>(0, start, gv_, attr));
+    }
+  }
+
+  // A populated slot, an endpoint that is not in the view, and an
+  // unpopulated slot.
+  ExecRow dangling;
+  auto path = std::make_shared<PathData>();
+  path->vertexes = {1, 99};
+  path->edges = {10};
+  dangling.paths.push_back(path);
+  for (const ExecRow* row : {&row_, &dangling}) {
+    for (const auto& expr : exprs) ExpectNumericMatchesEval(*expr, *row);
+  }
+  ExecRow unpopulated;
+  for (const auto& expr : exprs) ExpectNumericMatchesEval(*expr, unpopulated);
+
+  NumericValue n;
+  PathEndpointAttrExpr end_vid(0, false, gv_, vid);
+  ASSERT_TRUE(end_vid.EvalNumeric(row_, &n).ok());
+  EXPECT_EQ(n.kind, NumericValue::Kind::kInt);
+  EXPECT_EQ(n.i, 4);
+  PathPropertyExpr cost(0, PathProperty::kCost, "c");
+  ASSERT_TRUE(cost.EvalNumeric(row_, &n).ok());
+  EXPECT_EQ(n.kind, NumericValue::Kind::kDouble);
+  EXPECT_DOUBLE_EQ(n.d, 7.0);
+}
+
 TEST_F(PathExprTest, MissingPathSlotErrors) {
   ExecRow empty;
   PathPropertyExpr length(0, PathProperty::kLength, "len");
