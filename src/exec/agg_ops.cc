@@ -62,6 +62,17 @@ namespace {
 /// budget's counter.
 constexpr size_t kWorkerBudgetStep = 8 << 10;
 
+/// A timed morsel drain reads the clock around each morsel and, inside the
+/// sink, only for every kTimingStride-th row delivered: a clock read costs
+/// about as much as delivering a path, so timing every row tripled the
+/// statement. The sampled sink times are scaled up by rows / sampled rows.
+constexpr uint64_t kTimingStride = 64;
+
+/// `interval` less `overhead` (the clock reads it includes), at least 0.
+uint64_t NetOf(uint64_t interval, uint64_t overhead) {
+  return interval > overhead ? interval - overhead : 0;
+}
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -329,28 +340,45 @@ Status AggregateOp::RunMorsels() {
           Table* partial = nullptr;
           size_t group = 0;
           bool grouped = false;  // `group` is the current outer row's.
-          uint64_t mark = 0;     // Timed: when the drain last left the sink.
+          // Timed: the morsels' drain time, and the sink's time (and each
+          // filter's) over the sampled rows only, less the cost of the clock
+          // reads inside them (one per interval; without this the scaled-up
+          // sink time would take a clock read per row from the traversal).
+          uint64_t drain_ns = 0;
+          uint64_t sink_sampled_ns = 0;
+          uint64_t sampled = 0;
+          uint64_t clock_ns = 0;  // The least of a few back-to-back pairs.
+          for (int i = 0; timed && i < 8; ++i) {
+            const uint64_t before = NowNs();
+            const uint64_t pair = NowNs() - before;
+            if (i == 0 || pair < clock_ns) clock_ns = pair;
+          }
           const MorselSink sink = [&](const ExecRow& row,
                                       bool new_run) -> Status {
             GRF_FAILPOINT("exec.next");
-            uint64_t t = 0;
-            if (timed) {
-              t = NowNs();
-              probe.next_ns += t - mark;
-            }
+            const bool sample =
+                timed && probe.rows_emitted % kTimingStride == 0;
             ++probe.rows_emitted;
+            uint64_t entered = 0;
+            uint64_t reads = 0;  // Clock reads since `entered`.
+            if (sample) {
+              entered = NowNs();
+              ++sampled;
+            }
+            uint64_t t = entered;
             if (new_run) grouped = false;
             // The filters bottom-up, as the operator tree applies them.
             for (size_t k = stages; k-- > 0;) {
               GRF_ASSIGN_OR_RETURN(
                   bool pass, EvalPredicate(morsel_stages_[k]->predicate(), row));
-              if (timed) {
+              if (sample) {
                 const uint64_t now = NowNs();
-                profiles[k].next_ns += now - t;
+                ++reads;
+                profiles[k].next_ns += NetOf(now - t, clock_ns);
                 t = now;
               }
               if (!pass) {
-                mark = t;
+                sink_sampled_ns += NetOf(t - entered, reads * clock_ns);
                 return Status::OK();
               }
               ++profiles[k].rows_emitted;
@@ -361,7 +389,10 @@ Status AggregateOp::RunMorsels() {
               grouped = true;
             }
             GRF_RETURN_IF_ERROR(Accumulate(&partial->groups[group], row));
-            if (timed) mark = NowNs();
+            if (sample) {
+              sink_sampled_ns +=
+                  NetOf(NowNs() - entered, (reads + 1) * clock_ns);
+            }
             return Status::OK();
           };
           while (!failed.load(std::memory_order_relaxed)) {
@@ -369,15 +400,30 @@ Status AggregateOp::RunMorsels() {
             if (m >= n) break;
             Morsel& morsel = morsels[m];
             partial = &morsel.partial;
-            if (timed) mark = NowNs();
+            const uint64_t started = timed ? NowNs() : 0;
             Status status =
                 source->DrainMorsel(worker.reader.get(), m, &wctx, sink);
-            if (timed) probe.next_ns += NowNs() - mark;
+            if (timed) drain_ns += NowNs() - started;
             ++worker.morsels;
             if (!status.ok()) {
               morsel.status = std::move(status);
               failed.store(true, std::memory_order_relaxed);
             }
+          }
+          if (timed) {
+            // Scale the samples to every row; the traversal's self time is
+            // the drain time the sink did not take.
+            const double scale =
+                sampled == 0 ? 0.0
+                             : static_cast<double>(probe.rows_emitted) /
+                                   static_cast<double>(sampled);
+            for (size_t k = 0; k < stages; ++k) {
+              profiles[k].next_ns = static_cast<uint64_t>(
+                  static_cast<double>(profiles[k].next_ns) * scale);
+            }
+            const auto sink_ns = static_cast<uint64_t>(
+                static_cast<double>(sink_sampled_ns) * scale);
+            probe.next_ns = drain_ns > sink_ns ? drain_ns - sink_ns : 0;
           }
           span.AddArg("morsels", std::to_string(worker.morsels));
           worker.stats = wctx.stats();

@@ -315,6 +315,10 @@ class GraphView {
     return vertexes_[csr_->vertex_pos[i]];
   }
 
+  /// Base edge entry at `pos`, a value of the snapshot's out_edge_pos or
+  /// in_edge_pos (valid while the snapshot is): the edge a slice slot names.
+  const EdgeEntry& CsrEdge(size_t pos) const { return edges_[pos]; }
+
   /// True when the CSR arrays alone describe the calling scope's visible
   /// topology exactly: a snapshot exists, no base mutation landed since it
   /// was produced, and no delta overlay is visible. Batch kernels and

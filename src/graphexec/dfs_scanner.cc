@@ -12,7 +12,7 @@ class DfsScanner::BufferPrefix {
   VertexId start() const { return s_.path_.StartVertex(); }
   VertexId end() const { return s_.path_.EndVertex(); }
   size_t len() const { return s_.path_.Length(); }
-  bool MayContain(VertexId) const { return true; }
+  Touch Screen(VertexId, size_t) const { return Touch::kMay; }
   bool HasEdge(EdgeId e) const {
     const std::vector<EdgeId>& edges = s_.path_.edges;
     return std::find(edges.begin(), edges.end(), e) != edges.end();

@@ -14,10 +14,7 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
   current_.clear();
   next_.clear();
   qualify_cursor_ = 0;
-  csr_ = nullptr;
-  visited_map_.clear();
   fast_ = false;
-  fast_level_ = 0;
   fast_current_.clear();
   fast_next_.clear();
   GRF_RETURN_IF_ERROR(
@@ -27,47 +24,32 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
   current_.assign(std::make_move_iterator(frontier_.begin()),
                   std::make_move_iterator(frontier_.end()));
   frontier_.clear();
-  if (spec_->global_visited && spec_->gv->PureCsr() &&
-      spec_->gv->csr()->NumVertexes() < static_cast<size_t>(kNoParent)) {
+  if (spec_->global_visited && spec_->sum_bounds.empty() &&
+      spec_->gv->PureCsr() &&
+      spec_->gv->csr()->NumVertexes() < static_cast<size_t>(kRoot)) {
+    // Arm the BFS forest: seeds become level-0 claim events (qualified
+    // before any expansion), the Candidate buffer and the hash set are
+    // retired, and forest pages replace per-candidate path prefixes in the
+    // memory charge.
     csr_ = spec_->gv->csr();
-    visited_map_.assign(csr_->NumVertexes(), 0);
-    for (VertexId id : visited_) {
-      const size_t i = csr_->IndexOf(id);
-      if (i != CsrTopology::kAbsent) visited_map_[i] = 1;
-    }
-    visited_.clear();
-
-    // Arm the BFS-forest fast path: seeds become level-0 claim events, the
-    // Candidate buffer is retired, and the per-vertex parent/root/sum arrays
-    // replace per-candidate path prefixes in the memory charge.
     fast_ = true;
     fast_level_ = 0;
-    const size_t v_count = csr_->NumVertexes();
-    const size_t bounds = spec_->sum_bounds.size();
-    fast_parent_.assign(v_count, kNoParent);
-    fast_parent_edge_.assign(v_count, 0);
-    fast_root_.assign(v_count, 0);
-    fast_sums_.assign(v_count * bounds, 0.0);
-    fast_current_.clear();
-    fast_next_.clear();
+    expand_cursor_ = 0;
+    edge_cursor_ = 0;
+    ResetForest();
     for (const Candidate& seed : current_) {
       const size_t i = csr_->IndexOf(seed.path.StartVertex());
       if (i == CsrTopology::kAbsent) continue;
-      fast_root_[i] = seed.path.StartVertex();
-      for (size_t b = 0; b < bounds; ++b) {
-        fast_sums_[i * bounds + b] = seed.sums[b];
-      }
+      Claim(i, kRoot, static_cast<uint32_t>(i), 0);
       FastEvent ev;
       ev.vertex = static_cast<uint32_t>(i);
-      fast_current_.push_back(std::move(ev));
+      fast_next_.push_back(ev);
     }
     for (const Candidate& seed : current_) Uncharge(CandidateBytes(seed.path));
     current_.clear();
-    const size_t array_bytes =
-        v_count * (sizeof(uint32_t) + sizeof(EdgeId) + sizeof(VertexId) + 1 +
-                   bounds * sizeof(double)) +
-        fast_current_.size() * FastEventBytes(bounds);
-    Charge(array_bytes);
+    visited_.clear();
+    Charge(pages_.size() * sizeof(ForestPage*) +
+           fast_next_.size() * sizeof(FastEvent));
   }
   return Status::OK();
 }
@@ -77,36 +59,14 @@ void FrontierScanner::Release() {
   next_.clear();
   qualify_cursor_ = 0;
   csr_ = nullptr;
-  visited_map_.clear();
   fast_ = false;
   fast_level_ = 0;
   fast_current_.clear();
   fast_next_.clear();
-  fast_parent_.clear();
-  fast_parent_edge_.clear();
-  fast_root_.clear();
-  fast_sums_.clear();
+  pages_.clear();
+  page_store_.clear();
+  mapped_slots_.clear();
   PathScanner::Release();
-}
-
-bool FrontierScanner::AlreadyVisited(VertexId id) const {
-  if (csr_ != nullptr) {
-    const size_t i = csr_->IndexOf(id);
-    return i != CsrTopology::kAbsent && visited_map_[i] != 0;
-  }
-  return visited_.count(id) > 0;
-}
-
-bool FrontierScanner::ClaimVisited(VertexId id) {
-  if (csr_ != nullptr) {
-    const size_t i = csr_->IndexOf(id);
-    if (i == CsrTopology::kAbsent) return true;
-    char& bit = visited_map_[i];
-    if (bit != 0) return false;
-    bit = 1;
-    return true;
-  }
-  return visited_.insert(id).second;
 }
 
 StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
@@ -173,10 +133,10 @@ Status FrontierScanner::ExpandLevelSerial() {
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     GRF_RETURN_IF_ERROR(ExpandCore(
         CandidatePrefix(candidate), ctx_,
-        [this](VertexId nbr) { return AlreadyVisited(nbr); },
+        [this](VertexId nbr) { return visited_.count(nbr) > 0; },
         [&](const EdgeEntry& edge, VertexId nbr, bool closing,
             const double* sums, double cost) {
-          if (spec_->global_visited && !closing) ClaimVisited(nbr);
+          if (spec_->global_visited && !closing) visited_.insert(nbr);
           Candidate next = Extend(candidate, edge, nbr, closing, sums, cost);
           Charge(CandidateBytes(next.path));
           next_.push_back(std::move(next));
@@ -236,7 +196,7 @@ Status FrontierScanner::ExpandLevelParallel() {
             st = ExpandCore(
                 CandidatePrefix(candidate), &wctx,
                 [&](VertexId nbr) {
-                  return AlreadyVisited(nbr) ||
+                  return visited_.count(nbr) > 0 ||
                          std::find(local.begin(), local.end(), nbr) !=
                              local.end();
                 },
@@ -276,7 +236,7 @@ Status FrontierScanner::ExpandLevelParallel() {
   for (size_t i = 0; i < n; ++i) {
     for (Candidate& next : children[i]) {
       if (spec_->global_visited && !next.closing &&
-          !ClaimVisited(next.path.EndVertex())) {
+          !visited_.insert(next.path.EndVertex()).second) {
         continue;
       }
       Charge(CandidateBytes(next.path));
@@ -287,13 +247,42 @@ Status FrontierScanner::ExpandLevelParallel() {
   return CheckMemoryCap();
 }
 
-// --- BFS-forest fast path --------------------------------------------------
+// --- BFS forest ------------------------------------------------------------
+
+void FrontierScanner::ResetForest() {
+  for (size_t slot : mapped_slots_) pages_[slot] = nullptr;
+  mapped_slots_.clear();
+  const size_t slots = (csr_->NumVertexes() + kPageSize - 1) >> kPageShift;
+  if (pages_.size() != slots) pages_.assign(slots, nullptr);
+}
+
+void FrontierScanner::Claim(size_t i, uint32_t parent, uint32_t root,
+                            EdgeId edge) {
+  ForestPage*& page = pages_[i >> kPageShift];
+  if (page == nullptr) {
+    // First claim in this page this probe: map a page (reusing one an
+    // earlier probe allocated) with every vertex unclaimed.
+    if (mapped_slots_.size() == page_store_.size()) {
+      page_store_.push_back(std::make_unique<ForestPage>());
+    }
+    page = page_store_[mapped_slots_.size()].get();
+    mapped_slots_.push_back(i >> kPageShift);
+    std::fill(std::begin(page->parent), std::end(page->parent), kUnclaimed);
+    Charge(sizeof(ForestPage));
+  }
+  const size_t k = i & (kPageSize - 1);
+  page->parent[k] = parent;
+  page->root[k] = root;
+  page->edge[k] = edge;
+}
 
 StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
   while (true) {
-    while (qualify_cursor_ < fast_current_.size()) {
+    // Qualify the claims of level fast_level_ in claim order, each before
+    // the next edge is examined: LIMIT 1 stops at the target's claim.
+    while (qualify_cursor_ < fast_next_.size()) {
       GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      const FastEvent& ev = fast_current_[qualify_cursor_];
+      const FastEvent& ev = fast_next_[qualify_cursor_];
       ++qualify_cursor_;
       ++ctx_->stats().vertexes_expanded;
       // Cheap pre-filters replicating Qualifies' first two rejections, so a
@@ -302,178 +291,156 @@ StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
       const size_t len = fast_level_;
       if (len < spec_->min_length || len > spec_->max_length) continue;
       if (target_.has_value()) {
-        const VertexId endv = ev.closing ? fast_root_[ev.vertex]
-                                         : csr_->vertex_ids[ev.vertex];
-        if (endv != *target_) continue;
+        const size_t end =
+            ev.closing ? PageOf(ev.vertex).root[ev.vertex & (kPageSize - 1)]
+                       : ev.vertex;
+        if (csr_->vertex_ids[end] != *target_) continue;
       }
-      Candidate candidate = FastMaterialize(ev);
-      GRF_ASSIGN_OR_RETURN(bool qualifies,
-                           Qualifies(candidate.path, candidate.sums.data()));
+      PathData path = FastMaterialize(ev);
+      GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(path, nullptr));
       if (qualifies) {
         ++ctx_->stats().paths_emitted;
-        *out = std::make_shared<const PathData>(std::move(candidate.path));
+        ctx_->stats().NoteFrontier(fast_current_.size() + fast_next_.size());
+        *out = std::make_shared<const PathData>(std::move(path));
         return true;
       }
     }
-    if (fast_current_.empty()) return false;
-
-    GRF_RETURN_IF_ERROR(FastExpandLevel());
-    const size_t bounds = spec_->sum_bounds.size();
-    const size_t retired = fast_current_.size() * FastEventBytes(bounds);
-    Uncharge(retired);
-    fast_current_ = std::move(fast_next_);
+    if (expand_cursor_ < fast_current_.size()) {
+      GRF_RETURN_IF_ERROR(FastExpandStep());
+      continue;
+    }
+    // Level fast_level_ is complete and qualified: retire its parents and
+    // expand it next.
+    ctx_->stats().NoteFrontier(fast_current_.size() + fast_next_.size());
+    Uncharge(fast_current_.size() * sizeof(FastEvent));
+    fast_current_.swap(fast_next_);
     fast_next_.clear();
     qualify_cursor_ = 0;
+    expand_cursor_ = 0;
+    edge_cursor_ = 0;
+    if (fast_current_.empty()) return false;
     ++fast_level_;
   }
 }
 
-Status FrontierScanner::FastExpandLevel() {
-  fast_next_.clear();
-  const size_t bounds = spec_->sum_bounds.size();
-  std::vector<double> sums(bounds);
-  for (const FastEvent& ev : fast_current_) {
-    if (ev.closing || fast_level_ >= spec_->max_length) continue;
-    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-    const uint32_t u = ev.vertex;
-    const VertexId root = fast_root_[u];
-    const size_t edge_index = fast_level_;
-    const bool columns = ColumnsUsable();
-    Status status = Status::OK();
-    spec_->gv->ForEachNeighborSlot(
-        spec_->gv->CsrVertex(u),
-        [&](const EdgeEntry& edge, VertexId nbr, size_t slot) {
-          ++ctx_->stats().edges_examined;
-
-          // The admission pipeline below mirrors ExpandCore under the fast
-          // path's preconditions. Edge-simple and vertex-simple collapse:
-          // every vertex on a tree path is globally claimed, so any edge
-          // already on the path leads to a claimed vertex; the one edge the
-          // visited test cannot see is a depth-1 cycle reusing the claiming
-          // edge itself, rejected explicitly.
-          const bool closing = nbr == root && fast_level_ >= 1;
-          size_t j = CsrTopology::kAbsent;
-          if (closing) {
-            if (fast_level_ == 1 && fast_parent_edge_[u] == edge.id) {
-              return true;
-            }
-          } else {
-            j = csr_->IndexOf(nbr);
-            if (j == CsrTopology::kAbsent || visited_map_[j] != 0) {
-              return true;
-            }
-          }
-
-          for (size_t b = 0; b < bounds; ++b) {
-            sums[b] = fast_sums_[u * bounds + b];
-          }
-          if (spec_->push_filters) {
-            if (has_edge_preds_) {
-              auto edge_ok =
-                  EdgeAdmissible(edge, slot, edge_index, columns, ctx_);
-              if (!edge_ok.ok()) {
-                status = edge_ok.status();
-                return false;
-              }
-              if (!*edge_ok) {
-                ++ctx_->stats().paths_pruned;
-                return true;
-              }
-            }
-            const size_t nj = closing ? csr_->IndexOf(nbr) : j;
-            if (has_vertex_preds_ && nj != CsrTopology::kAbsent) {
-              auto vertex_ok =
-                  VertexAdmissible(spec_->gv->CsrVertex(nj), edge_index + 1);
-              if (!vertex_ok.ok()) {
-                status = vertex_ok.status();
-                return false;
-              }
-              if (!*vertex_ok) {
-                ++ctx_->stats().paths_pruned;
-                return true;
-              }
-            }
-            for (size_t b = 0; b < bounds; ++b) {
-              if (!AddEdgeNumber(edge, slot, SumColumn(b, columns),
-                                 spec_->sum_bounds[b].attr, ctx_, &sums[b],
-                                 &status)) {
-                return false;
-              }
-              const CompareOp op = spec_->sum_bounds[b].op;
-              const double bound = sum_bound_values_[b];
-              const bool prune =
-                  (op == CompareOp::kLt && sums[b] >= bound) ||
-                  (op == CompareOp::kLe && sums[b] > bound);
-              if (prune) {
-                ++ctx_->stats().paths_pruned;
-                return true;
-              }
-            }
-          } else {
-            for (size_t b = 0; b < bounds; ++b) {
-              if (!AddEdgeNumber(edge, slot, SumColumn(b, columns),
-                                 spec_->sum_bounds[b].attr, ctx_, &sums[b],
-                                 &status)) {
-                return false;
-              }
-            }
-          }
-
-          FastEvent next;
-          if (closing) {
-            next.vertex = u;
-            next.closing_edge = edge.id;
-            next.closing = true;
-            next.sums.assign(sums.begin(), sums.end());
-          } else {
-            visited_map_[j] = 1;
-            fast_parent_[j] = u;
-            fast_parent_edge_[j] = edge.id;
-            fast_root_[j] = root;
-            for (size_t b = 0; b < bounds; ++b) {
-              fast_sums_[j * bounds + b] = sums[b];
-            }
-            next.vertex = static_cast<uint32_t>(j);
-          }
-          Charge(FastEventBytes(bounds));
-          fast_next_.push_back(std::move(next));
-          return true;
-        });
-    GRF_RETURN_IF_ERROR(status);
-    GRF_RETURN_IF_ERROR(CheckMemoryCap());
+Status FrontierScanner::FastExpandStep() {
+  const FastEvent& ev = fast_current_[expand_cursor_];
+  const size_t edge_index = fast_level_ - 1;  // The parent's length.
+  if (ev.closing || edge_index >= spec_->max_length) {
+    ++expand_cursor_;
+    return Status::OK();
   }
-  ctx_->stats().NoteFrontier(fast_current_.size() + fast_next_.size());
-  return Status::OK();
+  const GraphView& gv = *spec_->gv;
+  const CsrTopology& c = *csr_;
+  const uint32_t u = ev.vertex;
+  // A pure-CSR vertex's neighbors are exactly its slices: enumerate them in
+  // ForEachNeighborSlot's order (out, then in for an undirected view) by a
+  // position that survives a return to the caller.
+  const size_t out_begin = c.OutBegin(u);
+  const size_t out_degree = c.OutEnd(u) - out_begin;
+  const size_t degree =
+      out_degree + (gv.directed() ? 0 : c.InEnd(u) - c.InBegin(u));
+  if (edge_cursor_ == 0) {
+    const VertexEntry& v = gv.CsrVertex(u);
+    GRF_DCHECK(v.out_edges.empty() && v.in_edges.empty() &&
+               v.out_removed.empty() && v.in_removed.empty());
+    (void)v;
+    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
+    fast_columns_ = ColumnsUsable();
+  }
+  const ForestPage& page = PageOf(u);
+  const uint32_t root = page.root[u & (kPageSize - 1)];
+  const EdgeId parent_edge = page.edge[u & (kPageSize - 1)];
+
+  while (edge_cursor_ < degree) {
+    const size_t k = edge_cursor_++;
+    size_t slot;
+    size_t pos;
+    VertexId nbr;
+    if (k < out_degree) {
+      slot = out_begin + k;
+      pos = c.out_edge_pos[slot];
+      nbr = c.out_nbr[slot];
+    } else {
+      const size_t i = c.InBegin(u) + (k - out_degree);
+      slot = c.NumEdges() + i;
+      pos = c.in_edge_pos[i];
+      nbr = c.in_nbr[i];
+    }
+    const EdgeEntry& edge = gv.CsrEdge(pos);
+    ++ctx_->stats().edges_examined;
+
+    // The admission pipeline below mirrors ExpandCore under the forest's
+    // preconditions. Edge-simple and vertex-simple collapse: every vertex
+    // on a tree path is globally claimed, so any edge already on the path
+    // leads to a claimed vertex; the one edge the claim test cannot see is
+    // a depth-1 cycle reusing the claiming edge itself, rejected explicitly.
+    const size_t j = c.IndexOf(nbr);
+    const bool closing = j == root && edge_index >= 1;
+    if (closing) {
+      if (edge_index == 1 && parent_edge == edge.id) continue;
+    } else if (j == CsrTopology::kAbsent || Claimed(j)) {
+      continue;
+    }
+    if (spec_->push_filters) {
+      if (has_edge_preds_) {
+        GRF_ASSIGN_OR_RETURN(
+            bool edge_ok,
+            EdgeAdmissible(edge, slot, edge_index, fast_columns_, ctx_));
+        if (!edge_ok) {
+          ++ctx_->stats().paths_pruned;
+          continue;
+        }
+      }
+      if (has_vertex_preds_ && j != CsrTopology::kAbsent) {
+        GRF_ASSIGN_OR_RETURN(
+            bool vertex_ok, VertexAdmissible(gv.CsrVertex(j), edge_index + 1));
+        if (!vertex_ok) {
+          ++ctx_->stats().paths_pruned;
+          continue;
+        }
+      }
+    }
+
+    FastEvent next;
+    if (closing) {
+      next.vertex = u;
+      next.closing = true;
+      next.closing_edge = edge.id;
+    } else {
+      Claim(j, u, root, edge.id);
+      next.vertex = static_cast<uint32_t>(j);
+    }
+    Charge(sizeof(FastEvent));
+    fast_next_.push_back(next);
+    return Status::OK();
+  }
+  ++expand_cursor_;
+  edge_cursor_ = 0;
+  return CheckMemoryCap();
 }
 
-PathScanner::Candidate FrontierScanner::FastMaterialize(
-    const FastEvent& ev) const {
-  Candidate candidate;
-  candidate.closing = ev.closing;
-  std::vector<VertexId>& vs = candidate.path.vertexes;
-  std::vector<EdgeId>& es = candidate.path.edges;
+PathData FrontierScanner::FastMaterialize(const FastEvent& ev) const {
+  PathData path;
+  std::vector<VertexId>& vs = path.vertexes;
+  std::vector<EdgeId>& es = path.edges;
+  uint32_t root = 0;
   for (uint32_t v = ev.vertex;;) {
     vs.push_back(csr_->vertex_ids[v]);
-    const uint32_t parent = fast_parent_[v];
-    if (parent == kNoParent) break;
-    es.push_back(fast_parent_edge_[v]);
-    v = parent;
+    const ForestPage& page = PageOf(v);
+    const size_t k = v & (kPageSize - 1);
+    root = page.root[k];
+    if (page.parent[k] == kRoot) break;
+    es.push_back(page.edge[k]);
+    v = page.parent[k];
   }
   std::reverse(vs.begin(), vs.end());
   std::reverse(es.begin(), es.end());
-  const size_t bounds = spec_->sum_bounds.size();
   if (ev.closing) {
     es.push_back(ev.closing_edge);
-    vs.push_back(fast_root_[ev.vertex]);
-    candidate.sums = ev.sums;
-  } else {
-    candidate.sums.assign(
-        fast_sums_.begin() +
-            static_cast<std::ptrdiff_t>(ev.vertex * bounds),
-        fast_sums_.begin() +
-            static_cast<std::ptrdiff_t>((ev.vertex + 1) * bounds));
+    vs.push_back(csr_->vertex_ids[root]);
   }
-  return candidate;
+  return path;
 }
 
 }  // namespace grfusion

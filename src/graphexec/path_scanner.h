@@ -65,6 +65,15 @@ class PathScanner {
     bool closing = false;      ///< Cycle back to start: emit but never extend.
   };
 
+  /// What a prefix accessor's Screen(v, slot) knows about extending the
+  /// prefix to neighbor `v` over the edge at CSR `slot` (see ExpandCore).
+  enum class Touch : uint8_t {
+    kOff,   ///< v, and so every edge into v, is certainly off the prefix.
+    kMay,   ///< v or the edge may be on the prefix: walk it.
+    kDrop,  ///< The sink would drop the extension, and no check before it
+            ///< could fail or count: skip the edge now.
+  };
+
   /// ExpandCore's view of a Candidate prefix (see ExpandCore for the
   /// accessor contract).
   class CandidatePrefix {
@@ -73,7 +82,7 @@ class PathScanner {
     VertexId start() const { return c_.path.StartVertex(); }
     VertexId end() const { return c_.path.EndVertex(); }
     size_t len() const { return c_.path.Length(); }
-    bool MayContain(VertexId) const { return true; }
+    Touch Screen(VertexId, size_t) const { return Touch::kMay; }
     bool HasEdge(EdgeId e) const {
       return std::find(c_.path.edges.begin(), c_.path.edges.end(), e) !=
              c_.path.edges.end();
@@ -154,9 +163,9 @@ class PathScanner {
   /// `prefix` is an accessor over the path being extended:
   ///   start() / end() / len()       endpoints and length in edges;
   ///   HasEdge(e) / HasVertex(v)     membership (may walk the prefix);
-  ///   MayContain(v)                 false only when v — and so every edge
-  ///                                 into v — is certainly off the prefix,
-  ///                                 which skips both walks;
+  ///   Screen(v, slot)               the Touch of the extension to v over
+  ///                                 the edge at `slot`: kOff skips both
+  ///                                 walks, kDrop the whole edge;
   ///   sums() / cost()               running sum-bound totals and SPScan
   ///                                 cost. sums() is re-read per edge, so an
   ///                                 engine whose sink grows the storage
@@ -195,8 +204,10 @@ class PathScanner {
                                              VertexId nbr, size_t slot) {
       ++ctx->stats().edges_examined;
 
+      const Touch touch = prefix.Screen(nbr, slot);
+      if (touch == Touch::kDrop) return true;
       // Edge-simple: never reuse an edge within one path.
-      const bool touches = prefix.MayContain(nbr);
+      const bool touches = touch == Touch::kMay;
       if (touches && prefix.HasEdge(edge.id)) return true;
       // Vertex-simple, with one exception: an edge closing a cycle back to
       // the start vertex is emitted (that is how sub-graph patterns like

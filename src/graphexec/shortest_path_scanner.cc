@@ -8,16 +8,36 @@ namespace grfusion {
 class ShortestPathScanner::RecordPrefix {
  public:
   RecordPrefix(const ShortestPathScanner& scanner, uint32_t r)
-      : s_(scanner), r_(r), rec_(scanner.records_[r]) {}
+      : s_(scanner),
+        r_(r),
+        rec_(scanner.records_[r]),
+        drop_(scanner.early_drop_spec_ && scanner.target_.has_value() &&
+              scanner.weight_column_ != nullptr && scanner.ColumnsUsable()) {}
 
   VertexId start() const { return rec_.start; }
   VertexId end() const { return rec_.vertex; }
   size_t len() const { return rec_.len; }
-  /// Every vertex on the prefix has been popped for expansion (its end
-  /// just now), so a (start, v) count of 0 proves v is off the prefix.
-  bool MayContain(VertexId v) const {
-    const ExpansionSlot* slot = s_.FindSlot(rec_.start, v);
-    return slot != nullptr && slot->count > 0;
+  /// Looks up (start, v) once; the sink reuses the position (found()).
+  /// Every vertex on the prefix has been popped for expansion (its end just
+  /// now), so a count of 0 proves v is off the prefix. A count at the cap
+  /// means the sink drops the extension (rule (a)) unless v is the target;
+  /// with no pushed filter or sum bound the only check before the sink that
+  /// can fail is the weight's, so a column cell holding a valid weight lets
+  /// the edge go before the prefix walks and the rest of the pipeline.
+  Touch Screen(VertexId v, size_t slot) const {
+    found_ = s_.FindSlot(rec_.start, v);
+    const ExpansionSlot& entry = s_.slots_[found_];
+    if (!entry.used || entry.count == 0) return Touch::kOff;
+    if (drop_ && entry.count >= s_.spec_->sp_expansion_cap &&
+        v != *s_.target_) {
+      double w = 0.0;
+      if (s_.weight_column_->Numeric(slot, &w) ==
+              EdgeAttrColumn::Cell::kValue &&
+          !(w < 0)) {
+        return Touch::kDrop;
+      }
+    }
+    return Touch::kMay;
   }
   bool HasEdge(EdgeId e) const {
     for (uint32_t i = r_; s_.records_[i].parent != kNoRecord;
@@ -34,11 +54,15 @@ class ShortestPathScanner::RecordPrefix {
   }
   const double* sums() const { return s_.SumsOf(r_); }
   double cost() const { return rec_.cost; }
+  /// The slot-table position the last Screen found.
+  size_t found() const { return found_; }
 
  private:
   const ShortestPathScanner& s_;
   uint32_t r_;
   Record rec_;  ///< A copy: the sink appends to records_.
+  bool drop_;   ///< Early drops allowed for this expansion.
+  mutable size_t found_ = 0;
 };
 
 Status ShortestPathScanner::Reset(std::vector<VertexId> starts,
@@ -68,27 +92,51 @@ void ShortestPathScanner::ClearArena() {
   record_sums_.clear();
   queue_.clear();
   slots_.clear();
+  slots_used_ = 0;
   arena_full_ = false;
+}
+
+size_t ShortestPathScanner::FindSlot(VertexId start, VertexId v) const {
+  const uint64_t hash = (static_cast<uint64_t>(start) * 0x9E3779B97F4A7C15ull +
+                         static_cast<uint64_t>(v)) *
+                        0xC2B2AE3D27D4EB4Full;
+  const size_t mask = slots_.size() - 1;
+  size_t pos = static_cast<size_t>(hash >> 32) & mask;
+  while (slots_[pos].used &&
+         (slots_[pos].vertex != v || slots_[pos].start != start)) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+ShortestPathScanner::ExpansionSlot& ShortestPathScanner::SlotAt(
+    size_t pos, VertexId start, VertexId v) {
+  if (slots_[pos].used) return slots_[pos];
+  // Grow at a 1/2 load, so probe runs stay short.
+  if (2 * (slots_used_ + 1) > slots_.size()) {
+    const std::vector<ExpansionSlot> old = std::move(slots_);
+    slots_.assign(2 * old.size(), ExpansionSlot{});
+    Charge(old.size() * sizeof(ExpansionSlot));  // The table doubled.
+    for (const ExpansionSlot& entry : old) {
+      if (entry.used) slots_[FindSlot(entry.start, entry.vertex)] = entry;
+    }
+    pos = FindSlot(start, v);
+  }
+  ExpansionSlot& entry = slots_[pos];
+  entry.start = start;
+  entry.vertex = v;
+  entry.used = true;
+  ++slots_used_;
+  return entry;
 }
 
 ShortestPathScanner::ExpansionSlot& ShortestPathScanner::Slot(VertexId start,
                                                               VertexId v) {
-  auto [it, inserted] = slots_.try_emplace({start, v});
-  if (inserted) Charge(kSlotBytes);
-  return it->second;
-}
-
-const ShortestPathScanner::ExpansionSlot* ShortestPathScanner::FindSlot(
-    VertexId start, VertexId v) const {
-  auto it = slots_.find({start, v});
-  return it == slots_.end() ? nullptr : &it->second;
-}
-
-bool ShortestPathScanner::PopsAfter(uint32_t a, uint32_t b) const {
-  const double ca = records_[a].cost;
-  const double cb = records_[b].cost;
-  if (ca != cb) return ca > cb;
-  return CompareChains(a, b) > 0;
+  if (slots_.empty()) {
+    slots_.assign(kInitialSlots, ExpansionSlot{});
+    Charge(slots_.size() * sizeof(ExpansionSlot));
+  }
+  return SlotAt(FindSlot(start, v), start, v);
 }
 
 int ShortestPathScanner::CompareChains(uint32_t a, uint32_t b) const {
@@ -142,9 +190,11 @@ void ShortestPathScanner::Push(const Record& record, const double* sums) {
   records_.push_back(record);
   record_sums_.insert(record_sums_.end(), sums,
                       sums + spec_->sum_bounds.size());
-  queue_.push_back(r);
+  queue_.push_back({record.cost, r});
   std::push_heap(queue_.begin(), queue_.end(),
-                 [this](uint32_t a, uint32_t b) { return PopsAfter(a, b); });
+                 [this](const QueueEntry& a, const QueueEntry& b) {
+                   return PopsAfter(a, b);
+                 });
   Charge(RecordBytes());
   ctx_->stats().NoteFrontier(queue_.size());
 }
@@ -152,8 +202,9 @@ void ShortestPathScanner::Push(const Record& record, const double* sums) {
 Status ShortestPathScanner::Expand(uint32_t r) {
   const Record parent = records_[r];
   const size_t cap = spec_->sp_expansion_cap;
+  const RecordPrefix prefix(*this, r);
   return ExpandCore(
-      RecordPrefix(*this, r), ctx_, [](VertexId) { return false; },
+      prefix, ctx_, [](VertexId) { return false; },
       [&](const EdgeEntry& edge, VertexId nbr, bool closing,
           const double* sums, double cost) {
         Record next;
@@ -169,7 +220,7 @@ Status ShortestPathScanner::Expand(uint32_t r) {
         if (target_.has_value() && nbr != *target_) {
           // (b) A closing or length-capped record is never expanded.
           if (closing || next.len >= spec_->max_length) return;
-          ExpansionSlot& slot = Slot(parent.start, nbr);
+          ExpansionSlot& slot = SlotAt(prefix.found(), parent.start, nbr);
           // (a) Counts only grow, so a (start, nbr) already at the cap
           // refuses every later expansion.
           if (slot.count >= cap) return;
@@ -187,8 +238,10 @@ Status ShortestPathScanner::Expand(uint32_t r) {
 StatusOr<bool> ShortestPathScanner::Next(PathPtr* out) {
   while (!queue_.empty()) {
     std::pop_heap(queue_.begin(), queue_.end(),
-                  [this](uint32_t a, uint32_t b) { return PopsAfter(a, b); });
-    const uint32_t r = queue_.back();
+                  [this](const QueueEntry& a, const QueueEntry& b) {
+                    return PopsAfter(a, b);
+                  });
+    const uint32_t r = queue_.back().record;
     queue_.pop_back();
     // Path enumeration can be combinatorially unbounded, so a runaway
     // traversal must notice cancellation/deadline per expansion, not only at
@@ -200,7 +253,7 @@ StatusOr<bool> ShortestPathScanner::Next(PathPtr* out) {
       // K-shortest-paths expansion cap (classic pruning), counted per
       // (start, vertex) so every start enumerates its own k shortest paths
       // independently — identical under serial and per-morsel parallel
-      // execution. Counted without a cap too: MayContain relies on it.
+      // execution. Counted without a cap too, for RecordPrefix::Screen.
       if (++Slot(rec.start, rec.vertex).count <= spec_->sp_expansion_cap) {
         GRF_RETURN_IF_ERROR(Expand(r));
       }

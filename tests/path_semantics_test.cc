@@ -10,6 +10,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <optional>
 #include <queue>
 #include <set>
 #include <thread>
@@ -807,6 +808,275 @@ TEST_F(SpScanInvariantTest, ArenaBytesReturnToZeroAfterClose) {
 }
 
 // ---------------------------------------------------------------------------
+// SPScan early drop
+//
+// SPScan drops an edge into a vertex already at its expansion cap before
+// the prefix walks and the weight read, but only when the weight column
+// holds a valid weight for that edge. In each case below the weight of
+// 1 -> 2 decides the statement while vertex 2 is at its cap (the
+// SpScanInvariantTest graph), so the statement must fail exactly as the
+// full admission pipeline fails it.
+// ---------------------------------------------------------------------------
+
+class SpScanEarlyDropTest : public ::testing::Test {
+ protected:
+  /// The SpScanInvariantTest graph with weight `w12` on 1 -> 2 (edge 3),
+  /// inserted after the view was created when `append` is set (the edge then
+  /// sits outside the CSR snapshot, so no column cell describes it).
+  void Build(std::optional<double> w12, bool append) {
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+      CREATE TABLE v (id BIGINT PRIMARY KEY);
+      CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      w DOUBLE);
+    )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows;
+    for (int64_t i = 0; i < 5; ++i) vrows.push_back({Value::BigInt(i)});
+    ASSERT_TRUE(db_.BulkInsert("v", vrows).ok());
+    const Value w = w12.has_value() ? Value::Double(*w12) : Value::Null();
+    const std::vector<std::tuple<int64_t, int64_t, int64_t, Value>> edges = {
+        {0, 0, 2, Value::Double(1.0)}, {1, 0, 1, Value::Double(2.0)},
+        {2, 2, 3, Value::Double(5.0)}, {3, 1, 2, w},
+        {4, 1, 4, Value::Double(1.0)}, {5, 4, 3, Value::Double(9.0)}};
+    std::vector<std::vector<Value>> erows;
+    for (const auto& [id, src, dst, weight] : edges) {
+      if (append && id == 3) continue;
+      erows.push_back({Value::BigInt(id), Value::BigInt(src),
+                       Value::BigInt(dst), weight});
+    }
+    ASSERT_TRUE(db_.BulkInsert("e", erows).ok());
+    ASSERT_TRUE(session_.ExecuteScript(
+                    "CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v "
+                    "EDGES (ID = id, FROM = src, TO = dst, w = w) FROM e;")
+                    .ok());
+    if (append) {
+      ASSERT_TRUE(session_
+                      .Execute(StrFormat("INSERT INTO e VALUES (3, 1, 2, %s)",
+                                         w.ToString().c_str()))
+                      .ok());
+    }
+  }
+
+  StatusOr<ResultSet> TopOne() {
+    return session_.Execute(
+        "SELECT TOP 1 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+        "WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 3");
+  }
+
+  static void ExpectWeightError(const StatusOr<ResultSet>& result) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("non-null, non-negative"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+};
+
+TEST_F(SpScanEarlyDropTest, ValidWeightIntoSettledVertexKeepsTheAnswer) {
+  Build(3.0, /*append=*/false);
+  auto result = TopOne();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRows(), 1u);
+  EXPECT_EQ(result->rows[0][0].AsNumeric(), 6.0);
+}
+
+TEST_F(SpScanEarlyDropTest, NegativeWeightIntoSettledVertexFails) {
+  Build(-1.0, /*append=*/false);
+  ExpectWeightError(TopOne());
+}
+
+TEST_F(SpScanEarlyDropTest, NullWeightOnAppendedEdgeIntoSettledVertexFails) {
+  Build(std::nullopt, /*append=*/true);
+  ExpectWeightError(TopOne());
+}
+
+TEST_F(SpScanEarlyDropTest, StaleColumnsAfterAttributeUpdateStillFail) {
+  // The first run builds the weight column from a valid 1 -> 2; the UPDATE
+  // then makes every column stale, so the column's valid cell must not
+  // vouch for the edge's NULL weight.
+  Build(3.0, /*append=*/false);
+  auto before = TopOne();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->rows[0][0].AsNumeric(), 6.0);
+  ASSERT_TRUE(session_.Execute("UPDATE e SET w = NULL WHERE id = 3").ok());
+  EXPECT_TRUE(db_.catalog().FindGraphView("g")->EdgeColumnsStale());
+  ExpectWeightError(TopOne());
+}
+
+TEST_F(SpScanEarlyDropTest, AttributeUpdateMidProbeStillFails) {
+  // The probe resolves the weight column while it is fresh; the UPDATE then
+  // lands before the first expansion, which must see the columns stale and
+  // read 1 -> 2's tuple (NULL, as a scope-less read sees the newest state).
+  Build(3.0, /*append=*/false);
+  auto spec = std::make_shared<TraversalSpec>();
+  spec->gv = db_.catalog().FindGraphView("g");
+  spec->physical = TraversalSpec::Physical::kShortestPath;
+  spec->sp_attr.kind = PathElementKind::kEdges;
+  spec->sp_attr.column = spec->gv->ResolveEdgeAttribute("w");
+  spec->sp_attr.type = ValueType::kDouble;
+  spec->sp_attr.display_name = "w";
+  spec->sp_expansion_cap = 1;
+  QueryContext ctx;
+  std::unique_ptr<PathScanner> scanner = MakePathScanner(spec, &ctx);
+  ASSERT_TRUE(scanner->Reset({0}, VertexId{3}, nullptr).ok());
+  ASSERT_TRUE(session_.Execute("UPDATE e SET w = NULL WHERE id = 3").ok());
+  ASSERT_TRUE(spec->gv->EdgeColumnsStale());
+  PathPtr path;
+  auto has = scanner->Next(&path);
+  ASSERT_FALSE(has.ok());
+  EXPECT_EQ(has.status().code(), StatusCode::kInvalidArgument)
+      << has.status().ToString();
+  scanner->Release();
+  EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// BFS forest: early emission and memory
+//
+// The visited-once BFS forest qualifies each claim as it is made, so a
+// LIMIT 1 reach probe stops at its target's claim, and it keeps per-vertex
+// state in pages charged on first touch, so a probe's charge follows the
+// region it explores.
+// ---------------------------------------------------------------------------
+
+/// A directed view g over vertexes 0..n-1 with `edges` (ids in list order).
+void MakeForestView(Database* db, Session* session, int64_t n,
+                    const std::vector<std::pair<int64_t, int64_t>>& edges) {
+  ASSERT_TRUE(session->ExecuteScript(R"sql(
+    CREATE TABLE v (id BIGINT PRIMARY KEY);
+    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT);
+  )sql")
+                  .ok());
+  std::vector<std::vector<Value>> vrows;
+  for (int64_t i = 0; i < n; ++i) vrows.push_back({Value::BigInt(i)});
+  ASSERT_TRUE(db->BulkInsert("v", vrows).ok());
+  std::vector<std::vector<Value>> erows;
+  for (const auto& [src, dst] : edges) {
+    erows.push_back({Value::BigInt(static_cast<int64_t>(erows.size())),
+                     Value::BigInt(src), Value::BigInt(dst)});
+  }
+  ASSERT_TRUE(db->BulkInsert("e", erows).ok());
+  ASSERT_TRUE(session->ExecuteScript(
+                    "CREATE DIRECTED GRAPH VIEW g VERTEXES (ID = id) FROM v "
+                    "EDGES (ID = id, FROM = src, TO = dst) FROM e;")
+                  .ok());
+}
+
+/// The EXPLAIN text of `sql`.
+std::string ExplainText(Session* session, const std::string& sql) {
+  auto plan = session->Execute("EXPLAIN " + sql);
+  std::string text;
+  if (plan.ok()) {
+    for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
+  }
+  return text;
+}
+
+TEST(FrontierEarlyEmitTest, LimitOneStopsAtTheClaim) {
+  // 0 -> 1..10 (edges 0..9), then i -> 10 + i (edges 10..19). From 0, the
+  // forest claims 1..10 in edge order; expanding 1, 2, 3 claims 11, 12, 13.
+  Database db(TestOptions());
+  Session session(db);
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 1; i <= 10; ++i) edges.emplace_back(0, i);
+  for (int64_t i = 1; i <= 10; ++i) edges.emplace_back(i, 10 + i);
+  MakeForestView(&db, &session, 21, edges);
+  session.options().default_traversal = PlannerOptions::Traversal::kBfs;
+  session.options().frontier_min_batch = 1;
+
+  struct Case {
+    int64_t target;
+    const char* path;
+    uint64_t edges_examined, vertexes_expanded, max_frontier;
+  };
+  // Target 3 is claimed by the third edge of level 1: 3 edges examined,
+  // 0..3 qualified, a frontier of 1 + 3 (expanding the level whole first
+  // examined all 10 edges and noted 1 + 10). Target 13: level 1's 10 edges,
+  // then one edge each from 1, 2 and 3 (13, not 20), 0..13 qualified, and
+  // the frontier peaks at level 1 plus level 2's 3 claims (not 10 + 10).
+  const Case cases[] = {{3, "0 -[2]-> 3", 3, 4, 4},
+                        {13, "0 -[2]-> 3 -[12]-> 13", 13, 14, 13}};
+  for (const Case& c : cases) {
+    const std::string sql = StrFormat(
+        "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
+        "P.EndVertex.Id = %lld LIMIT 1",
+        static_cast<long long>(c.target));
+    SCOPED_TRACE(sql);
+    const std::string plan = ExplainText(&session, sql);
+    ASSERT_NE(plan.find("visited-once"), std::string::npos) << plan;
+    ASSERT_NE(plan.find(", frontier"), std::string::npos) << plan;
+    auto result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->NumRows(), 1u);
+    EXPECT_EQ(result->rows[0][0].AsVarchar(), c.path);
+    const ExecStats& stats = session.last_stats();
+    EXPECT_EQ(stats.edges_examined, c.edges_examined);
+    EXPECT_EQ(stats.vertexes_expanded, c.vertexes_expanded);
+    EXPECT_EQ(stats.max_frontier, c.max_frontier);
+  }
+}
+
+TEST(FrontierMemoryTest, ChargeFollowsExploredRegionNotViewSize) {
+  // A 1-hop LIMIT 1 reach probe on a view of 20000 vertexes, under a cap far
+  // below any per-vertex table (21 B x V = 420 KB): the probe claims two
+  // vertexes, so it must fit.
+  Database db(TestOptions());
+  Session session(db);
+  MakeForestView(&db, &session, 20000, {{0, 1}, {1, 2}});
+  const std::string sql =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
+      "P.EndVertex.Id = 1 LIMIT 1";
+  const std::string plan = ExplainText(&session, sql);
+  ASSERT_NE(plan.find("BFScan"), std::string::npos) << plan;
+  ASSERT_NE(plan.find("visited-once"), std::string::npos) << plan;
+  ASSERT_NE(plan.find(", frontier"), std::string::npos) << plan;
+  session.options().memory_cap = 16 << 10;
+  auto result = session.Execute(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRows(), 1u);
+  EXPECT_EQ(result->rows[0][0].AsVarchar(), "0 -[0]-> 1");
+}
+
+TEST(FrontierMemoryTest, ForestPagesChargeOnFirstClaimAndRelease) {
+  // Two probes on one scanner: the second claims a vertex in a page the
+  // first never touched, and a third repeats the first. Each re-arm settles
+  // the previous probe's pages, and Release returns every byte.
+  Database db(TestOptions());
+  Session session(db);
+  MakeForestView(&db, &session, 20000, {{0, 1}, {1, 2}, {0, 12345}});
+  auto spec = std::make_shared<TraversalSpec>();
+  spec->gv = db.catalog().FindGraphView("g");
+  spec->physical = TraversalSpec::Physical::kBfs;
+  spec->global_visited = true;
+  spec->frontier = true;
+  QueryContext ctx;
+  std::unique_ptr<PathScanner> scanner = MakePathScanner(spec, &ctx);
+
+  auto probe = [&](VertexId target) {
+    EXPECT_TRUE(scanner->Reset({0}, target, nullptr).ok());
+    PathPtr path;
+    auto has = scanner->Next(&path);
+    EXPECT_TRUE(has.ok() && *has);
+    return has.ok() && *has ? PathToString(*path) : std::string();
+  };
+  EXPECT_EQ(probe(1), "0 -[0]-> 1");
+  const size_t near = ctx.current_bytes();
+  EXPECT_GT(near, 0u);
+  EXPECT_LT(near, size_t{16} << 10);
+  // Vertex 12345 sits in another page: one more page charged.
+  EXPECT_EQ(probe(12345), "0 -[2]-> 12345");
+  const size_t far = ctx.current_bytes();
+  EXPECT_GT(far, near);
+  EXPECT_EQ(probe(1), "0 -[0]-> 1");
+  EXPECT_EQ(ctx.current_bytes(), near);
+  scanner->Release();
+  EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // DFScan memory and emission invariants
 //
 // DFScan keeps one-hop stack records and one path buffer, and recycles the
@@ -1540,6 +1810,45 @@ TEST_F(MorselAggTest, TypedBigintSumOverflowIsOutOfRange) {
   ASSERT_TRUE(best.ok()) << best.status().ToString();
   EXPECT_EQ(best->rows[0][0].AsBigInt(), int64_t{1} << 62);
   EXPECT_EQ(best->rows[0][1].AsBigInt(), int64_t{1} << 62);
+}
+
+TEST_F(MorselAggTest, TimedDrainKeepsAnswersAndReportsTimes) {
+  // A timed statement (EXPLAIN ANALYZE, or any statement under a slow-query
+  // threshold) samples the clock inside the drain instead of reading it per
+  // path. Timing must not change an answer at any worker count, and EXPLAIN
+  // ANALYZE must still time the probe and the aggregate.
+  const std::string multi =
+      "SELECT COUNT(*), SUM(P.EndVertex.score) FROM mring.Paths P HINT(DFS) "
+      "WHERE P.Length <= 4 AND P.PathString LIKE '%1%'";
+  for (const std::string& sql : {Hybrid(4), multi}) {
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(sql + " workers=" + std::to_string(workers));
+      session_.options().max_parallelism = workers;
+      session_.options().slow_query_threshold_us = -1;
+      auto untimed = session_.Execute(sql);
+      ASSERT_TRUE(untimed.ok()) << untimed.status().ToString();
+      session_.options().slow_query_threshold_us = 0;
+      auto timed = session_.Execute(sql);
+      session_.options().slow_query_threshold_us = -1;
+      ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+      EXPECT_EQ(timed->rows, untimed->rows);
+
+      auto analyzed = session_.Execute("EXPLAIN ANALYZE " + sql);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+      std::string plan;
+      for (const auto& row : analyzed->rows) {
+        plan += row[0].AsVarchar() + "\n";
+      }
+      for (const char* op : {"Aggregate", "PathProbeJoin["}) {
+        const size_t at = plan.find(op);
+        ASSERT_NE(at, std::string::npos) << op << "\n" << plan;
+        const std::string line = plan.substr(at, plan.find('\n', at) - at);
+        EXPECT_NE(line.find("time_ms="), std::string::npos) << line;
+        EXPECT_NE(line.find("actual_rows="), std::string::npos) << line;
+      }
+      EXPECT_NE(plan.find("morsels="), std::string::npos) << plan;
+    }
+  }
 }
 
 TEST_F(MorselAggTest, TaskPoolAndExecNextFailpointsFireMidStatement) {

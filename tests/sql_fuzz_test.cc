@@ -9,6 +9,7 @@
 #include <cmath>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -624,6 +625,169 @@ std::vector<std::string> DfsDiffReference(const DiffGraph& g,
   return out;
 }
 
+/// One generated BFS reach probe: `limit` rows (LIMIT or TOP) of the paths
+/// from each start to `target`, optionally under a uniform rank filter and
+/// a length bound; from the bound start, from every vertex (one multi-root
+/// probe), or from each outer row of a join (one probe per row, ids >=
+/// `min_start`).
+struct ReachDiffQuery {
+  std::string sql;
+  enum class Shape { kSingle, kAllStarts, kJoin } shape = Shape::kSingle;
+  int64_t start = 0;
+  int64_t min_start = 0;
+  int64_t target = 0;
+  size_t limit = 1;
+  size_t max_len = kNoMaxLength;
+  std::optional<int64_t> rank_below;  // P.Edges[0..*].rank < R
+};
+
+/// Reference per-path BFS with the engine's semantics over one probe's
+/// starts: a FIFO of copied candidate paths, each popped one expanded (in
+/// neighbor order) and then emitted if it qualifies. With `visited_once`
+/// (the planner's LIMIT 1 reachability rule) every vertex is claimed by the
+/// first extension reaching it. Stops after `limit` rows.
+void BfsReachReference(const DiffGraph& g, const DiffAdjacency& adj,
+                       const ReachDiffQuery& q,
+                       const std::set<int64_t>& starts, bool visited_once,
+                       std::vector<std::string>* out) {
+  struct RefPath {
+    std::vector<int64_t> vs, es;
+    bool closing = false;
+  };
+  std::map<int64_t, const DiffEdge*> by_id;
+  for (const DiffEdge& e : g.edges) by_id[e.id] = &e;
+  std::set<int64_t> visited;
+  std::deque<RefPath> queue;
+  for (int64_t s : starts) {
+    if (visited_once) visited.insert(s);
+    queue.push_back(RefPath{{s}, {}, false});
+  }
+  while (!queue.empty() && out->size() < q.limit) {
+    const RefPath p = std::move(queue.front());
+    queue.pop_front();
+    if (!p.closing && p.es.size() < q.max_len) {
+      for (auto [eid, nbr] : adj.at(p.vs.back())) {
+        if (std::find(p.es.begin(), p.es.end(), eid) != p.es.end()) continue;
+        const bool closing = nbr == p.vs.front() && !p.es.empty();
+        if (!closing) {
+          if (std::find(p.vs.begin(), p.vs.end(), nbr) != p.vs.end()) {
+            continue;
+          }
+          if (visited_once && visited.count(nbr) > 0) continue;
+        }
+        if (q.rank_below.has_value() && by_id.at(eid)->rank >= *q.rank_below) {
+          continue;
+        }
+        if (visited_once && !closing) visited.insert(nbr);
+        RefPath next = p;
+        next.vs.push_back(nbr);
+        next.es.push_back(eid);
+        next.closing = closing;
+        queue.push_back(std::move(next));
+      }
+    }
+    if (p.es.empty() || p.es.size() > q.max_len) continue;
+    if (p.vs.back() != q.target) continue;
+    out->push_back(std::to_string(p.vs.front()) + "|" +
+                   DiffPathString(p.vs, p.es) + "|");
+  }
+}
+
+/// A random BFS reach probe over `g` (vertexes 0..n-1) and its expected rows
+/// in emission order. Unbounded probes use LIMIT 1, whose visited-once
+/// search is linear; LIMIT 2..3 probes enumerate every simple path, so they
+/// carry a length bound.
+ReachDiffQuery MakeReachProbe(const DiffGraph& g, const DiffAdjacency& adj,
+                              Random& rng, std::vector<std::string>* expected) {
+  ReachDiffQuery q;
+  const double shape = rng.NextDouble();
+  q.shape = shape < 0.6   ? ReachDiffQuery::Shape::kSingle
+            : shape < 0.8 ? ReachDiffQuery::Shape::kAllStarts
+                          : ReachDiffQuery::Shape::kJoin;
+  q.start = rng.Uniform(0, g.n - 1);
+  q.min_start = rng.Uniform(0, g.n - 1);
+  // A target equal to the start asks for a cycle closing back to it.
+  q.target = rng.Bernoulli(0.2) ? q.start : rng.Uniform(0, g.n - 1);
+  q.limit = static_cast<size_t>(rng.Bernoulli(0.6) ? 1 : rng.Uniform(2, 3));
+  if (q.limit > 1 || rng.Bernoulli(0.3)) {
+    q.max_len = static_cast<size_t>(rng.Uniform(1, 4));
+  }
+  if (rng.Bernoulli(0.4)) q.rank_below = rng.Uniform(20, 90);
+
+  std::vector<std::string> conjuncts;
+  switch (q.shape) {
+    case ReachDiffQuery::Shape::kSingle:
+      conjuncts.push_back(StrFormat("P.StartVertex.Id = %lld",
+                                    static_cast<long long>(q.start)));
+      break;
+    case ReachDiffQuery::Shape::kAllStarts:
+      break;
+    case ReachDiffQuery::Shape::kJoin:
+      conjuncts.push_back("P.StartVertex.Id = V.id");
+      conjuncts.push_back(StrFormat("V.id >= %lld",
+                                    static_cast<long long>(q.min_start)));
+      break;
+  }
+  conjuncts.push_back(
+      StrFormat("P.EndVertex.Id = %lld", static_cast<long long>(q.target)));
+  if (q.max_len != kNoMaxLength) {
+    conjuncts.push_back(StrFormat("P.Length <= %zu", q.max_len));
+  }
+  if (q.rank_below.has_value()) {
+    conjuncts.push_back(StrFormat("P.Edges[0..*].rank < %lld",
+                                  static_cast<long long>(*q.rank_below)));
+  }
+  const bool top = rng.Bernoulli(0.5);
+  const bool join = q.shape == ReachDiffQuery::Shape::kJoin;
+  q.sql = StrFormat("SELECT %s%s, P.PathString FROM %sg.Paths P WHERE ",
+                    top ? StrFormat("TOP %zu ", q.limit).c_str() : "",
+                    join ? "V.id" : "P.StartVertex.Id",
+                    join ? "v V, " : "");
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (i > 0) q.sql += " AND ";
+    q.sql += conjuncts[i];
+  }
+  if (!top) q.sql += StrFormat(" LIMIT %zu", q.limit);
+
+  const bool visited_once = q.limit == 1;
+  expected->clear();
+  switch (q.shape) {
+    case ReachDiffQuery::Shape::kSingle:
+      BfsReachReference(g, adj, q, {q.start}, visited_once, expected);
+      break;
+    case ReachDiffQuery::Shape::kAllStarts: {
+      std::set<int64_t> all;
+      for (int64_t v = 0; v < g.n; ++v) all.insert(v);
+      BfsReachReference(g, adj, q, all, visited_once, expected);
+      break;
+    }
+    case ReachDiffQuery::Shape::kJoin:
+      for (int64_t v = q.min_start; v < g.n && expected->size() < q.limit;
+           ++v) {
+        BfsReachReference(g, adj, q, {v}, visited_once, expected);
+      }
+      break;
+  }
+  return q;
+}
+
+/// The view's adjacency in its own neighbor order (a quiesced, scope-less
+/// read sees the newest state).
+DiffAdjacency ViewAdjacency(const Database& db, const DiffGraph& g) {
+  DiffAdjacency adj;
+  const GraphView* gv = db.catalog().FindGraphView("g");
+  for (int64_t v = 0; v < g.n; ++v) {
+    auto& list = adj[v];
+    const VertexEntry* entry = gv->FindVertex(v);
+    if (entry == nullptr) continue;
+    gv->ForEachNeighbor(*entry, [&](const EdgeEntry& e, VertexId nbr) {
+      list.emplace_back(e.id, nbr);
+      return true;
+    });
+  }
+  return adj;
+}
+
 /// Builds one random graph (tables v/e + graph view g), then runs
 /// `enum_trials` random enumeration queries, `sp_trials` random
 /// SHORTESTPATH queries, `dfs_trials` random HINT(DFS) queries and
@@ -633,7 +797,8 @@ std::vector<std::string> DfsDiffReference(const DiffGraph& g,
 /// The graph view itself is built once serially and once through the
 /// parallel morsel path; both must answer identically.
 void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
-                               int dfs_trials, int agg_trials) {
+                               int dfs_trials, int agg_trials,
+                               int reach_trials) {
   SCOPED_TRACE(StrFormat("graph-diff seed=%llu",
                          static_cast<unsigned long long>(seed)));
   const uint64_t tasks_before =
@@ -933,6 +1098,42 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
   session.options().enable_filter_pushdown = true;
   if (dfs_trials > 0) {
     EXPECT_GT(dfs_answered, 0) << "no DFS trial had an answer";
+  }
+
+  // BFS reach probes through the frontier kernel: LIMIT 1 runs the
+  // visited-once BFS forest, which emits a claim before it examines the
+  // next edge. Rows must equal the reference's sequence at 1 and 4 workers.
+  // Their own random stream leaves the other trials' draws unchanged.
+  {
+    Random reach_rng(seed * 31 + 7);
+    session.options().default_traversal = PlannerOptions::Traversal::kBfs;
+    session.options().frontier_min_batch = 1;
+    int reach_answered = 0;
+    for (int trial = 0; trial < reach_trials; ++trial) {
+      std::vector<std::string> expected;
+      const ReachDiffQuery q = MakeReachProbe(graph, adj, reach_rng, &expected);
+      SCOPED_TRACE(q.sql);
+      auto plan = session.Execute("EXPLAIN " + q.sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      std::string plan_text;
+      for (const auto& row : plan->rows) plan_text += row[0].ToString() + "\n";
+      ASSERT_NE(plan_text.find(", frontier"), std::string::npos) << plan_text;
+      ASSERT_EQ(plan_text.find("visited-once") != std::string::npos,
+                q.limit == 1)
+          << plan_text;
+      if (!expected.empty()) ++reach_answered;
+      for (size_t workers : {size_t{1}, size_t{4}}) {
+        auto result = run_at(q.sql, workers);
+        ASSERT_TRUE(result.ok());
+        EXPECT_EQ(DiffOrdered(*result), expected)
+            << "workers=" << workers << " diverges from the reference";
+      }
+    }
+    session.options().default_traversal = PlannerOptions().default_traversal;
+    session.options().frontier_min_batch = PlannerOptions().frontier_min_batch;
+    if (reach_trials > 0) {
+      EXPECT_GT(reach_answered, 0) << "no reach trial had an answer";
+    }
   }
 
   // Aggregate trials. The planner runs a DFS probe under an aggregate as
@@ -1402,10 +1603,11 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
 class GraphDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GraphDiffFuzzTest, SerialParallelAndReferenceAgree) {
-  // 8 seeds x (20 enumeration + 30 shortest-path + 30 DFS + 8 GROUP BY) =
-  // 704 differential cases.
+  // 8 seeds x (20 enumeration + 30 shortest-path + 30 DFS + 8 GROUP BY +
+  // 24 BFS reach) = 896 differential cases.
   RunGraphDifferentialSweep(GetParam(), /*enum_trials=*/20, /*sp_trials=*/30,
-                            /*dfs_trials=*/30, /*agg_trials=*/8);
+                            /*dfs_trials=*/30, /*agg_trials=*/8,
+                            /*reach_trials=*/24);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphDiffFuzzTest,
@@ -1423,7 +1625,8 @@ TEST(GraphDiffFuzzEnvTest, EnvironmentSeedSweep) {
     seed = std::strtoull(env, nullptr, 10);
   }
   RunGraphDifferentialSweep(seed, /*enum_trials=*/10, /*sp_trials=*/16,
-                            /*dfs_trials=*/16, /*agg_trials=*/6);
+                            /*dfs_trials=*/16, /*agg_trials=*/6,
+                            /*reach_trials=*/12);
 }
 
 // ---------------------------------------------------------------------------
@@ -1522,6 +1725,9 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
 
   std::vector<int64_t> all_vertexes;
   for (int64_t i = 0; i < graph.n; ++i) all_vertexes.push_back(i);
+  // The reach probes draw from their own stream, so the other draws do not
+  // depend on them.
+  Random reach_rng(seed * 31 + 7);
 
   for (int trial = 0; trial < trials; ++trial) {
     SCOPED_TRACE(StrFormat("trial=%d", trial));
@@ -1620,6 +1826,24 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
       EXPECT_EQ(DiffCanon(*off), DiffReference(graph, q))
           << "per-path BFS diverges from reference";
     }
+
+    // A reach probe (LIMIT/TOP 1..3, cycles back to the start, multi-start
+    // and join probes, rank filters), whose answer the frontier kernel may
+    // claim mid-level: every kernel must return the reference's sequence.
+    std::vector<std::string> expected;
+    const ReachDiffQuery reach = MakeReachProbe(
+        graph, ViewAdjacency(db, graph), reach_rng, &expected);
+    SCOPED_TRACE(reach.sql);
+    auto reach_off = run(reach.sql, /*frontier=*/false, /*parallelism=*/1);
+    auto reach_on1 = run(reach.sql, /*frontier=*/true, /*parallelism=*/1);
+    auto reach_on4 = run(reach.sql, /*frontier=*/true, /*parallelism=*/4);
+    ASSERT_TRUE(reach_off.ok() && reach_on1.ok() && reach_on4.ok());
+    EXPECT_EQ(DiffOrdered(*reach_off), expected)
+        << "per-path BFS diverges from the reference";
+    EXPECT_EQ(DiffOrdered(*reach_on1), expected)
+        << "frontier kernel diverges from the reference";
+    EXPECT_EQ(DiffOrdered(*reach_on4), expected)
+        << "parallel frontier diverges from the reference";
   }
 
   session.options() = PlannerOptions();
