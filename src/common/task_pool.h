@@ -21,7 +21,7 @@ class Counter;
 class Gauge;
 
 /// Work-stealing worker pool shared by all morsel-driven parallel paths in
-/// the engine (frontier BFS level expansion, parallel Vertex/EdgeScan,
+/// the engine (DFS path aggregation morsels, parallel Vertex/EdgeScan,
 /// parallel graph-view construction).
 ///
 /// Design (Leis et al., "Morsel-Driven Parallelism", SIGMOD 2014):

@@ -1349,7 +1349,6 @@ StatusOr<ResultSet> Session::RunPlan(const PlannedQuery& planned,
     ctx.set_task_pool(&TaskPool::Shared());
     ctx.set_max_parallelism(parallelism);
     ctx.set_parallel_min_rows(options_.parallel_min_rows);
-    ctx.set_parallel_min_starts(options_.parallel_min_starts);
   }
 
   // Statement cancellation token. Left off the context (bench baseline)

@@ -62,11 +62,13 @@ class SharedMemoryBudget {
 struct ExecStats {
   uint64_t rows_scanned = 0;        ///< Rows pulled from base tables.
   uint64_t rows_joined = 0;         ///< Rows emitted by join operators.
-  uint64_t vertexes_expanded = 0;   ///< Traversal frontier expansions.
+  /// Traversal records popped (or claims qualified); an iterative-deepening
+  /// BFScan counts each pass's re-expansions.
+  uint64_t vertexes_expanded = 0;
   uint64_t edges_examined = 0;      ///< Edges considered by traversals.
   uint64_t paths_emitted = 0;       ///< Paths produced by PathScan.
   uint64_t paths_pruned = 0;        ///< Branches cut by pushed-down filters.
-  uint64_t max_frontier = 0;        ///< Peak traversal stack/queue size.
+  uint64_t max_frontier = 0;        ///< Peak traversal stack/level size.
   /// Traversal-time edge-attribute reads served by the tuple pointer rather
   /// than a flat column (appended edges, stale or undescribed slots).
   uint64_t attr_tuple_reads = 0;
@@ -241,13 +243,6 @@ class QueryContext {
   void set_parallel_min_rows(size_t n) { parallel_min_rows_ = n; }
   size_t parallel_min_rows() const { return parallel_min_rows_; }
 
-  /// Minimum frontier candidates before the frontier BFS kernel expands a
-  /// level morsel-parallel. Distinct from parallel_min_rows: each candidate
-  /// expands a whole adjacency list, so the useful threshold is far lower
-  /// than for per-row scan work. Smaller levels (always < 2) run serial.
-  void set_parallel_min_starts(size_t n) { parallel_min_starts_ = n; }
-  size_t parallel_min_starts() const { return parallel_min_starts_; }
-
   bool parallel_enabled() const {
     return task_pool_ != nullptr && max_parallelism_ > 1;
   }
@@ -325,7 +320,6 @@ class QueryContext {
   TaskPool* task_pool_ = nullptr;
   size_t max_parallelism_ = 1;
   size_t parallel_min_rows_ = 2048;
-  size_t parallel_min_starts_ = 8;
   SharedMemoryBudget* shared_budget_ = nullptr;
   size_t reserve_step_ = 0;
   size_t reserved_bytes_ = 0;  ///< Held in shared_budget_ for this context.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace grfusion {
 
-/// ExpandCore's view of the path buffer (see PathScanner::ExpandCore).
+/// ExpandCore's view of the path buffer (see PathScanner::AdmitEdge).
 class DfsScanner::BufferPrefix {
  public:
   explicit BufferPrefix(const DfsScanner& scanner) : s_(scanner) {}
@@ -28,25 +30,38 @@ class DfsScanner::BufferPrefix {
   const DfsScanner& s_;
 };
 
+DfsScanner::DfsScanner(std::shared_ptr<const TraversalSpec> spec,
+                       QueryContext* ctx)
+    : PathScanner(std::move(spec), ctx),
+      deepening_(spec_->physical == TraversalSpec::Physical::kBfs) {
+  // Visited-once BFS runs on FrontierScanner (MakePathScanner).
+  GRF_DCHECK(!deepening_ || !spec_->global_visited);
+}
+
 Status DfsScanner::Reset(std::vector<VertexId> starts,
                          std::optional<VertexId> target,
                          const ExecRow* outer_row) {
   ClearStack();
   visited_.clear();
-  GRF_ASSIGN_OR_RETURN(std::vector<VertexId> seeds,
-                       ArmProbe(std::move(starts), target, outer_row));
+  GRF_ASSIGN_OR_RETURN(seeds_, ArmProbe(std::move(starts), target, outer_row));
   sums_.assign(spec_->sum_bounds.size(), 0.0);
-  for (VertexId start : seeds) {
-    Hop root;
-    root.vertex = start;
-    if (spec_->global_visited) visited_.insert(start);
-    Push(root, sums_.data());
+  if (deepening_) {
+    pass_ = spec_->min_length;
+    // The seeds are pass 0's depth-0 records.
+    pass_extendable_ = pass_ == 0;
+    if (pass_ > spec_->max_length) seeds_.clear();  // Empty length window.
+    if (!seeds_.empty()) ++passes_;
+  } else {
+    std::reverse(seeds_.begin(), seeds_.end());
+    if (spec_->global_visited) visited_.insert(seeds_.begin(), seeds_.end());
   }
+  Charge(seeds_.size() * sizeof(VertexId));
   return Status::OK();
 }
 
 void DfsScanner::Release() {
   ClearStack();
+  visited_.clear();
   emitted_.reset();
   PathScanner::Release();
 }
@@ -56,6 +71,8 @@ void DfsScanner::ClearStack() {
   stack_sums_.clear();
   path_.edges.clear();
   path_.vertexes.clear();
+  seeds_.clear();
+  next_seed_ = 0;
 }
 
 void DfsScanner::Push(const Hop& hop, const double* sums) {
@@ -79,30 +96,65 @@ DfsScanner::Hop DfsScanner::Pop() {
   // comment); replace whatever lies past them with this hop.
   path_.vertexes.resize(hop.depth);
   path_.vertexes.push_back(hop.vertex);
-  if (hop.depth == 0) {
-    path_.edges.clear();
-  } else {
-    path_.edges.resize(hop.depth - 1);
-    path_.edges.push_back(hop.edge);
-  }
+  path_.edges.resize(hop.depth - 1);
+  path_.edges.push_back(hop.edge);
   return hop;
 }
 
+DfsScanner::Hop DfsScanner::LoadSeed() {
+  Hop hop;
+  hop.vertex = seeds_[next_seed_++];
+  path_.vertexes.assign(1, hop.vertex);
+  path_.edges.clear();
+  std::fill(sums_.begin(), sums_.end(), 0.0);
+  return hop;
+}
+
+template <bool kDeepen>
 Status DfsScanner::Expand() {
   const uint32_t depth = static_cast<uint32_t>(path_.Length()) + 1;
-  return ExpandCore(
+  const size_t first = stack_.size();
+  GRF_RETURN_IF_ERROR(ExpandCore(
       BufferPrefix(*this), ctx_,
       [this](VertexId nbr) { return visited_.count(nbr) > 0; },
       [&](const EdgeEntry& edge, VertexId nbr, bool closing,
           const double* sums, double /*cost*/) {
-        if (spec_->global_visited && !closing) visited_.insert(nbr);
+        if constexpr (kDeepen) {
+          // A closing record is emitted only by the pass of its depth.
+          if (closing && depth != pass_) return;
+          if (!closing && depth == pass_) pass_extendable_ = true;
+        } else if (spec_->global_visited && !closing) {
+          visited_.insert(nbr);
+        }
         Hop hop;
         hop.vertex = nbr;
         hop.edge = edge.id;
         hop.depth = depth;
         hop.closing = closing;
         Push(hop, sums);
-      });
+      }));
+  if constexpr (kDeepen) {
+    // Pop the children in neighbor order (class comment).
+    std::reverse(stack_.begin() + static_cast<std::ptrdiff_t>(first),
+                 stack_.end());
+    const size_t bounds = spec_->sum_bounds.size();
+    for (size_t i = first, j = stack_.size(); bounds > 0 && i + 1 < j;
+         ++i, --j) {
+      std::swap_ranges(stack_sums_.begin() + i * bounds,
+                       stack_sums_.begin() + (i + 1) * bounds,
+                       stack_sums_.begin() + (j - 1) * bounds);
+    }
+  }
+  return Status::OK();
+}
+
+bool DfsScanner::NextPass() {
+  if (!pass_extendable_ || pass_ >= spec_->max_length) return false;
+  ++pass_;
+  ++passes_;
+  pass_extendable_ = false;
+  next_seed_ = 0;
+  return true;
 }
 
 PathPtr DfsScanner::Emit() {
@@ -115,16 +167,33 @@ PathPtr DfsScanner::Emit() {
   return emitted_;
 }
 
-StatusOr<bool> DfsScanner::Advance() {
-  while (!stack_.empty()) {
-    const Hop hop = Pop();
+template <bool kDeepen>
+StatusOr<bool> DfsScanner::AdvanceImpl() {
+  while (true) {
+    Hop hop;
+    if (!stack_.empty()) {
+      hop = Pop();
+    } else if (next_seed_ < seeds_.size()) {
+      hop = LoadSeed();
+    } else if (kDeepen && NextPass()) {
+      continue;
+    } else {
+      return false;
+    }
     // Path enumeration can be combinatorially unbounded, so a runaway
     // traversal must notice cancellation/deadline per expansion, not only at
     // the operator boundary (which it may never reach before emitting).
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     ++ctx_->stats().vertexes_expanded;
-    if (!hop.closing && hop.depth < spec_->max_length) {
-      GRF_RETURN_IF_ERROR(Expand());
+    if constexpr (kDeepen) {
+      // Shallower than the pass (never closing): expand, emit nothing.
+      if (hop.depth < pass_) {
+        GRF_RETURN_IF_ERROR(Expand<true>());
+        GRF_RETURN_IF_ERROR(CheckMemoryCap());
+        continue;
+      }
+    } else if (!hop.closing && hop.depth < spec_->max_length) {
+      GRF_RETURN_IF_ERROR(Expand<false>());
       // Stack growth may have tripped the memory cap.
       GRF_RETURN_IF_ERROR(CheckMemoryCap());
     }
@@ -134,7 +203,10 @@ StatusOr<bool> DfsScanner::Advance() {
       return true;
     }
   }
-  return false;
+}
+
+StatusOr<bool> DfsScanner::Advance() {
+  return deepening_ ? AdvanceImpl<true>() : AdvanceImpl<false>();
 }
 
 StatusOr<bool> DfsScanner::Next(PathPtr* out) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "graphexec/path_scanner.h"
@@ -12,7 +13,8 @@ namespace grfusion {
 
 /// DFScan (paper §5.1.2): depth-first enumeration of simple paths, emitting
 /// each qualifying path in pre-order, one per Next() or, without emitting
-/// anything, one per ForEachPath sink call.
+/// anything, one per ForEachPath sink call. The same stack also runs BFScan
+/// without visited-once search, as iterative deepening (below).
 ///
 /// The stack holds one-hop records {vertex, edge, depth, closing} instead of
 /// copied prefixes, with the sum-bound totals in a flat side array, and the
@@ -24,8 +26,23 @@ namespace grfusion {
 /// the popped record's path. That buffer is ExpandCore's prefix and the
 /// input to Qualifies, so extension and emission allocate nothing per path.
 ///
-/// Each stack record is charged to the query budget from its push until it
-/// is popped or Release() runs.
+/// The seeds are kept in a list and loaded into the buffer one at a time,
+/// when the stack runs empty: DFScan takes them by descending id (the order
+/// of a stack the ascending seeds were pushed onto). The list is charged to
+/// the query budget for the probe, and each stack record from its push until
+/// it is popped or Release() runs.
+///
+/// Iterative deepening (BFScan): pass d, for d from min_length up, walks the
+/// seeds by ascending id and reverses each expansion's pushed records, so
+/// children pop in neighbor order. It expands records shallower than d,
+/// pushes closing hops only at depth d (the only pass that can emit them),
+/// and emits only depth-d records. Pushing children in reverse pops them in
+/// neighbor order, so the pre-order of a pass restricted to depth d is the
+/// lexicographic (seed, neighbor slot...) order, which is the order in
+/// which a FIFO BFS emits its level d: the passes reproduce BFS row for row
+/// with the stack's memory. After a pass that pushed no non-closing depth-d
+/// record, or at max_length, the probe ends. Each pass re-expands the
+/// levels above it; edges_examined and vertexes_expanded count that work.
 ///
 /// Emission recycles: the scanner keeps the PathData it last emitted and,
 /// when it holds the only reference, refills that object in place instead of
@@ -34,8 +51,7 @@ namespace grfusion {
 /// overwritten; it just costs the next emission a fresh object.
 class DfsScanner : public PathScanner {
  public:
-  DfsScanner(std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx)
-      : PathScanner(std::move(spec), ctx) {}
+  DfsScanner(std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx);
 
   Status Reset(std::vector<VertexId> starts, std::optional<VertexId> target,
                const ExecRow* outer_row) override;
@@ -57,9 +73,14 @@ class DfsScanner : public PathScanner {
     }
   }
 
+  /// Iterative-deepening passes started since construction, over every
+  /// probe (EXPLAIN ANALYZE); always 0 for DFScan.
+  uint64_t passes() const { return passes_; }
+
  private:
-  /// One stack entry: a root (depth 0, no edge) or the hop by `edge` to
-  /// `vertex` that extends its parent's path to `depth` edges.
+  /// One stack entry: the hop by `edge` to `vertex` that extends its
+  /// parent's path to `depth` edges (a seed, loaded from the list, is the
+  /// depth-0 hop with no edge).
   struct Hop {
     VertexId vertex = 0;
     EdgeId edge = kInvalidEdgeId;
@@ -77,21 +98,43 @@ class DfsScanner : public PathScanner {
   void Push(const Hop& hop, const double* sums);
   /// Pops the top record into the path buffer and `sums_`.
   Hop Pop();
-  /// Pushes every admissible extension of the buffered path.
+  /// Loads the next seed into the path buffer as a depth-0 hop.
+  Hop LoadSeed();
+  /// Pushes every admissible extension of the buffered path; under
+  /// kDeepen, only those pass_ needs, reversed.
+  template <bool kDeepen>
   Status Expand();
-  /// Pops, checks for interrupts, expands and checks the memory cap until
-  /// the buffer holds a qualifying path (true) or the stack is empty
-  /// (false): the body of Next() and ForEachPath().
+  /// Starts the next iterative-deepening pass, or returns false when the
+  /// last one found nothing to deepen.
+  bool NextPass();
+  /// Pops (or loads a seed), checks for interrupts, expands and checks the
+  /// memory cap until the buffer holds a qualifying path (true) or the
+  /// traversal is exhausted (false): the body of Next() and ForEachPath().
   StatusOr<bool> Advance();
+  /// Advance() for one engine, inlined into it so the pass check costs
+  /// DFScan no call.
+  template <bool kDeepen>
+  [[gnu::always_inline]] inline StatusOr<bool> AdvanceImpl();
   /// The emission handle for the buffered path (see the class comment).
   PathPtr Emit();
   void ClearStack();
 
+  const bool deepening_;  ///< BFScan: iterative deepening.
   std::vector<Hop> stack_;
   std::vector<double> stack_sums_;  ///< sum_bounds.size() per stack record.
   PathData path_;                   ///< The last popped record's path.
   std::vector<double> sums_;        ///< The last popped record's sums.
   std::shared_ptr<PathData> emitted_;  ///< The last emitted path.
+
+  /// The probe's seeds in load order, and the next one to load.
+  std::vector<VertexId> seeds_;
+  size_t next_seed_ = 0;
+  std::unordered_set<VertexId> visited_;  ///< global_visited mode (DFScan).
+
+  size_t pass_ = 0;  ///< The depth the current pass emits.
+  /// Whether the current pass pushed a non-closing depth-pass_ record.
+  bool pass_extendable_ = false;
+  uint64_t passes_ = 0;
 };
 
 }  // namespace grfusion

@@ -1,259 +1,92 @@
 #include "graphexec/frontier_scanner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
-#include "common/task_pool.h"
+#include "common/logging.h"
 
 namespace grfusion {
+
+FrontierScanner::TreePrefix::TreePrefix(const FrontierScanner& s, uint32_t u,
+                                        size_t len)
+    : root_(s.PageOf(u).root[u & (kPageSize - 1)]),
+      parent_edge_(s.PageOf(u).edge[u & (kPageSize - 1)]),
+      start_(s.IdOf(root_)),
+      end_(s.IdOf(u)),
+      len_(len) {}
 
 Status FrontierScanner::Reset(std::vector<VertexId> starts,
                               std::optional<VertexId> target,
                               const ExecRow* outer_row) {
   current_.clear();
   next_.clear();
+  level_ = 0;
   qualify_cursor_ = 0;
-  fast_ = false;
-  fast_current_.clear();
-  fast_next_.clear();
-  GRF_RETURN_IF_ERROR(
-      PathScanner::Reset(std::move(starts), target, outer_row));
-  // The base Reset seeded the BFS deque (and, in global_visited mode, the
-  // hash set); adopt the seeds as level 0.
-  current_.assign(std::make_move_iterator(frontier_.begin()),
-                  std::make_move_iterator(frontier_.end()));
-  frontier_.clear();
-  if (spec_->global_visited && spec_->sum_bounds.empty() &&
-      spec_->gv->PureCsr() &&
-      spec_->gv->csr()->NumVertexes() < static_cast<size_t>(kRoot)) {
-    // Arm the BFS forest: seeds become level-0 claim events (qualified
-    // before any expansion), the Candidate buffer and the hash set are
-    // retired, and forest pages replace per-candidate path prefixes in the
-    // memory charge.
-    csr_ = spec_->gv->csr();
-    fast_ = true;
-    fast_level_ = 0;
-    expand_cursor_ = 0;
-    edge_cursor_ = 0;
-    ResetForest();
-    for (const Candidate& seed : current_) {
-      const size_t i = csr_->IndexOf(seed.path.StartVertex());
-      if (i == CsrTopology::kAbsent) continue;
-      Claim(i, kRoot, static_cast<uint32_t>(i), 0);
-      FastEvent ev;
-      ev.vertex = static_cast<uint32_t>(i);
-      fast_next_.push_back(ev);
-    }
-    for (const Candidate& seed : current_) Uncharge(CandidateBytes(seed.path));
-    current_.clear();
-    visited_.clear();
-    Charge(pages_.size() * sizeof(ForestPage*) +
-           fast_next_.size() * sizeof(FastEvent));
+  expand_cursor_ = 0;
+  edge_cursor_ = 0;
+  overflow_.clear();
+  overflow_ids_.clear();
+  GRF_ASSIGN_OR_RETURN(std::vector<VertexId> seeds,
+                       ArmProbe(std::move(starts), target, outer_row));
+  GRF_DCHECK(spec_->sum_bounds.empty());
+  const GraphView& gv = *spec_->gv;
+  csr_ = gv.csr();
+  csr_size_ = csr_ != nullptr ? csr_->NumVertexes() : 0;
+  pure_csr_ = gv.PureCsr();
+  ResetForest();
+  // The seeds are level 0's claim events, qualified before any expansion.
+  for (VertexId start : seeds) {
+    const size_t i = IndexOf(start);
+    Claim(i, kRoot, static_cast<uint32_t>(i), 0);
+    Event ev;
+    ev.vertex = static_cast<uint32_t>(i);
+    next_.push_back(ev);
   }
+  Charge(pages_.size() * sizeof(ForestPage*) + next_.size() * sizeof(Event));
   return Status::OK();
 }
 
 void FrontierScanner::Release() {
+  csr_ = nullptr;
+  csr_size_ = 0;
+  level_ = 0;
   current_.clear();
   next_.clear();
-  qualify_cursor_ = 0;
-  csr_ = nullptr;
-  fast_ = false;
-  fast_level_ = 0;
-  fast_current_.clear();
-  fast_next_.clear();
   pages_.clear();
   page_store_.clear();
   mapped_slots_.clear();
+  overflow_.clear();
+  overflow_ids_.clear();
   PathScanner::Release();
 }
-
-StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
-  if (fast_) return FastNext(out);
-  while (true) {
-    // Phase A: qualify and emit the current level, in frontier order, before
-    // any deeper expansion. A LIMIT-k consumer that stops pulling here never
-    // pays for the next level.
-    while (qualify_cursor_ < current_.size()) {
-      GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      Candidate& candidate = current_[qualify_cursor_];
-      ++qualify_cursor_;
-      ++ctx_->stats().vertexes_expanded;
-      GRF_ASSIGN_OR_RETURN(bool qualifies,
-                           Qualifies(candidate.path, candidate.sums.data()));
-      if (qualifies) {
-        ++ctx_->stats().paths_emitted;
-        if (candidate.closing ||
-            candidate.path.Length() >= spec_->max_length) {
-          // Phase B never touches this candidate again — hand the path over
-          // instead of copying it, and settle its charge now (retirement
-          // releases the empty husk's 64 bytes).
-          const size_t bytes = CandidateBytes(candidate.path);
-          *out = std::make_shared<const PathData>(std::move(candidate.path));
-          candidate.path = PathData();
-          candidate.closing = true;  // Keep it out of Phase B expansion.
-          Uncharge(bytes - CandidateBytes(candidate.path));
-        } else {
-          *out = std::make_shared<const PathData>(candidate.path);
-        }
-        return true;
-      }
-    }
-    if (current_.empty()) return false;
-
-    // Phase B: batch-expand the whole level, then retire it.
-    GRF_RETURN_IF_ERROR(ExpandLevel());
-    for (const Candidate& candidate : current_) {
-      Uncharge(CandidateBytes(candidate.path));
-    }
-    current_ = std::move(next_);
-    next_.clear();
-    qualify_cursor_ = 0;
-  }
-}
-
-Status FrontierScanner::ExpandLevel() {
-  next_.clear();
-  // Morsel-parallel expansion pays task dispatch plus a merge; small levels
-  // run serially. The switch never changes results (the merge reproduces
-  // the serial claim order), so the threshold is purely a cost knob.
-  if (ctx_->parallel_enabled() &&
-      current_.size() >= std::max<size_t>(2, ctx_->parallel_min_starts())) {
-    return ExpandLevelParallel();
-  }
-  return ExpandLevelSerial();
-}
-
-Status FrontierScanner::ExpandLevelSerial() {
-  for (const Candidate& candidate : current_) {
-    if (candidate.closing || candidate.path.Length() >= spec_->max_length) {
-      continue;
-    }
-    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-    GRF_RETURN_IF_ERROR(ExpandCore(
-        CandidatePrefix(candidate), ctx_,
-        [this](VertexId nbr) { return visited_.count(nbr) > 0; },
-        [&](const EdgeEntry& edge, VertexId nbr, bool closing,
-            const double* sums, double cost) {
-          if (spec_->global_visited && !closing) visited_.insert(nbr);
-          Candidate next = Extend(candidate, edge, nbr, closing, sums, cost);
-          Charge(CandidateBytes(next.path));
-          next_.push_back(std::move(next));
-        }));
-    GRF_RETURN_IF_ERROR(CheckMemoryCap());
-  }
-  ctx_->stats().NoteFrontier(current_.size() + next_.size());
-  return Status::OK();
-}
-
-Status FrontierScanner::ExpandLevelParallel() {
-  const size_t n = current_.size();
-  const size_t k = ctx_->max_parallelism();
-  // ~4 morsels per worker so stealing can rebalance degree skew, capped so
-  // small levels still split.
-  const size_t morsel_size =
-      std::max<size_t>(1, std::min<size_t>(64, (n + 4 * k - 1) / (4 * k)));
-  const size_t num_morsels = (n + morsel_size - 1) / morsel_size;
-
-  std::vector<std::vector<Candidate>> children(n);
-  std::vector<Status> statuses(num_morsels, Status::OK());
-  std::vector<ExecStats> worker_stats(num_morsels);
-  std::vector<size_t> worker_peaks(num_morsels, 0);
-  std::atomic<bool> abort{false};
-  // Workers charge against the query's remaining headroom so the memory cap
-  // stays a per-query guarantee (same protocol as the parallel scans).
-  SharedMemoryBudget budget(ctx_->remaining_budget());
-
-  Status submitted = ParallelFor(
-      ctx_->task_pool(), n, morsel_size, [&](size_t begin, size_t end) {
-        const size_t m = begin / morsel_size;
-        QueryContext wctx(ctx_->memory_cap());
-        wctx.set_shared_budget(&budget);
-        wctx.set_trace(ctx_->trace());
-        wctx.set_cancellation(ctx_->cancellation());
-        wctx.set_snapshot_epoch(ctx_->snapshot_epoch());
-        wctx.set_include_open(ctx_->include_open());
-        // Pin the pool thread to the statement's MVCC snapshot
-        // (GraphReadScope is thread-local and does not propagate here).
-        GraphReadScope graph_scope(ctx_->snapshot_epoch(),
-                                   ctx_->include_open());
-        for (size_t i = begin;
-             i < end && !abort.load(std::memory_order_relaxed); ++i) {
-          const Candidate& candidate = current_[i];
-          if (candidate.closing ||
-              candidate.path.Length() >= spec_->max_length) {
-            continue;
-          }
-          Status st = wctx.CheckInterrupt();
-          if (st.ok()) {
-            // The shared visited state is frozen for the level; `local`
-            // replicates the serial rule that the candidate's own earlier
-            // extension already claimed the vertex. Cross-candidate claims
-            // are resolved deterministically at merge time.
-            std::vector<VertexId> local;
-            Status charge_failure;
-            st = ExpandCore(
-                CandidatePrefix(candidate), &wctx,
-                [&](VertexId nbr) {
-                  return visited_.count(nbr) > 0 ||
-                         std::find(local.begin(), local.end(), nbr) !=
-                             local.end();
-                },
-                [&](const EdgeEntry& edge, VertexId nbr, bool closing,
-                    const double* sums, double cost) {
-                  if (spec_->global_visited && !closing) {
-                    local.push_back(nbr);
-                  }
-                  Candidate next =
-                      Extend(candidate, edge, nbr, closing, sums, cost);
-                  Status charge =
-                      wctx.ChargeBytes(CandidateBytes(next.path));
-                  if (!charge.ok() && charge_failure.ok()) {
-                    charge_failure = charge;
-                  }
-                  children[i].push_back(std::move(next));
-                });
-            if (st.ok()) st = charge_failure;
-          }
-          if (!st.ok()) {
-            statuses[m] = st;
-            abort.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-        worker_stats[m] = wctx.stats();
-        worker_peaks[m] = wctx.peak_bytes();
-      });
-  for (const ExecStats& s : worker_stats) ctx_->stats().MergeFrom(s);
-  for (size_t p : worker_peaks) ctx_->FoldChildPeak(p);
-  GRF_RETURN_IF_ERROR(submitted);
-  for (const Status& st : statuses) GRF_RETURN_IF_ERROR(st);
-
-  // Deterministic merge: apply visited claims in (candidate, neighbor)
-  // order — exactly the order the serial loop would have claimed them — so
-  // the surviving set and its sequence do not depend on the worker count.
-  for (size_t i = 0; i < n; ++i) {
-    for (Candidate& next : children[i]) {
-      if (spec_->global_visited && !next.closing &&
-          !visited_.insert(next.path.EndVertex()).second) {
-        continue;
-      }
-      Charge(CandidateBytes(next.path));
-      next_.push_back(std::move(next));
-    }
-  }
-  ctx_->stats().NoteFrontier(current_.size() + next_.size());
-  return CheckMemoryCap();
-}
-
-// --- BFS forest ------------------------------------------------------------
 
 void FrontierScanner::ResetForest() {
   for (size_t slot : mapped_slots_) pages_[slot] = nullptr;
   mapped_slots_.clear();
-  const size_t slots = (csr_->NumVertexes() + kPageSize - 1) >> kPageShift;
+  // Each overflow index names a distinct live vertex, so the overflow range
+  // stays below the view's vertex count.
+  const size_t indexes =
+      csr_size_ + (pure_csr_ ? 0 : spec_->gv->NumVertexes());
+  GRF_DCHECK(indexes < static_cast<size_t>(kRoot));
+  const size_t slots = (indexes + kPageSize - 1) >> kPageShift;
   if (pages_.size() != slots) pages_.assign(slots, nullptr);
+}
+
+size_t FrontierScanner::IndexOf(VertexId id) {
+  if (csr_ != nullptr) {
+    const size_t i = csr_->IndexOf(id);
+    if (i != CsrTopology::kAbsent) return i;
+  }
+  // Only a view the CSR does not fully describe has vertexes outside it.
+  GRF_DCHECK(!pure_csr_);
+  const auto [it, fresh] = overflow_.try_emplace(
+      id, static_cast<uint32_t>(csr_size_ + overflow_ids_.size()));
+  if (fresh) {
+    overflow_ids_.push_back(id);
+    // The map node and bucket, and the id.
+    Charge(sizeof(*it) + 2 * sizeof(void*) + sizeof(VertexId));
+  }
+  return it->second;
 }
 
 void FrontierScanner::Claim(size_t i, uint32_t parent, uint32_t root,
@@ -276,84 +109,104 @@ void FrontierScanner::Claim(size_t i, uint32_t parent, uint32_t root,
   page->edge[k] = edge;
 }
 
-StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
+StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
   while (true) {
-    // Qualify the claims of level fast_level_ in claim order, each before
-    // the next edge is examined: LIMIT 1 stops at the target's claim.
-    while (qualify_cursor_ < fast_next_.size()) {
+    // Qualify the claims of level level_ in claim order, each before the
+    // next edge is examined: LIMIT 1 stops at the target's claim.
+    while (qualify_cursor_ < next_.size()) {
       GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      const FastEvent& ev = fast_next_[qualify_cursor_];
+      const Event& ev = next_[qualify_cursor_];
       ++qualify_cursor_;
       ++ctx_->stats().vertexes_expanded;
       // Cheap pre-filters replicating Qualifies' first two rejections, so a
       // path is materialized only for plausible emissions (a reachability
       // probe materializes exactly one).
-      const size_t len = fast_level_;
+      const size_t len = level_;
       if (len < spec_->min_length || len > spec_->max_length) continue;
       if (target_.has_value()) {
         const size_t end =
             ev.closing ? PageOf(ev.vertex).root[ev.vertex & (kPageSize - 1)]
                        : ev.vertex;
-        if (csr_->vertex_ids[end] != *target_) continue;
+        if (IdOf(end) != *target_) continue;
       }
-      PathData path = FastMaterialize(ev);
+      PathData path = Materialize(ev);
       GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(path, nullptr));
       if (qualifies) {
         ++ctx_->stats().paths_emitted;
-        ctx_->stats().NoteFrontier(fast_current_.size() + fast_next_.size());
+        ctx_->stats().NoteFrontier(current_.size() + next_.size());
         *out = std::make_shared<const PathData>(std::move(path));
         return true;
       }
     }
-    if (expand_cursor_ < fast_current_.size()) {
-      GRF_RETURN_IF_ERROR(FastExpandStep());
+    if (expand_cursor_ < current_.size()) {
+      GRF_RETURN_IF_ERROR(ExpandStep());
       continue;
     }
-    // Level fast_level_ is complete and qualified: retire its parents and
+    // Level level_ is complete and qualified: retire its parents and
     // expand it next.
-    ctx_->stats().NoteFrontier(fast_current_.size() + fast_next_.size());
-    Uncharge(fast_current_.size() * sizeof(FastEvent));
-    fast_current_.swap(fast_next_);
-    fast_next_.clear();
+    ctx_->stats().NoteFrontier(current_.size() + next_.size());
+    Uncharge(current_.size() * sizeof(Event));
+    current_.swap(next_);
+    next_.clear();
     qualify_cursor_ = 0;
     expand_cursor_ = 0;
     edge_cursor_ = 0;
-    if (fast_current_.empty()) return false;
-    ++fast_level_;
+    if (current_.empty()) return false;
+    ++level_;
   }
 }
 
-Status FrontierScanner::FastExpandStep() {
-  const FastEvent& ev = fast_current_[expand_cursor_];
-  const size_t edge_index = fast_level_ - 1;  // The parent's length.
-  if (ev.closing || edge_index >= spec_->max_length) {
-    ++expand_cursor_;
-    return Status::OK();
+void FrontierScanner::Append(uint32_t u, const EdgeEntry& edge, size_t j,
+                             bool closing, uint32_t root) {
+  Event next;
+  if (closing) {
+    next.vertex = u;
+    next.closing = true;
+    next.closing_edge = edge.id;
+  } else {
+    Claim(j, u, root, edge.id);
+    next.vertex = static_cast<uint32_t>(j);
   }
-  const GraphView& gv = *spec_->gv;
-  const CsrTopology& c = *csr_;
-  const uint32_t u = ev.vertex;
+  Charge(sizeof(Event));
+  next_.push_back(next);
+}
+
+Status FrontierScanner::ExpandStep() {
+  const uint32_t u = current_[expand_cursor_].vertex;
+  if (edge_cursor_ == 0) {
+    // A new parent.
+    const size_t edge_index = level_ - 1;  // Its length.
+    if (current_[expand_cursor_].closing || edge_index >= spec_->max_length) {
+      ++expand_cursor_;
+      return Status::OK();
+    }
+    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
+    parent_ = TreePrefix(*this, u, edge_index);
+    if (!pure_csr_) return ExpandWhole(u);
+    expansion_ = ExpansionOf(parent_.start(), edge_index);
+  }
+
   // A pure-CSR vertex's neighbors are exactly its slices: enumerate them in
   // ForEachNeighborSlot's order (out, then in for an undirected view) by a
   // position that survives a return to the caller.
+  const GraphView& gv = *spec_->gv;
+  const CsrTopology& c = *csr_;
+  GRF_DCHECK(gv.CsrVertex(u).out_edges.empty() &&
+             gv.CsrVertex(u).in_edges.empty() &&
+             gv.CsrVertex(u).out_removed.empty() &&
+             gv.CsrVertex(u).in_removed.empty());
   const size_t out_begin = c.OutBegin(u);
   const size_t out_degree = c.OutEnd(u) - out_begin;
   const size_t degree =
       out_degree + (gv.directed() ? 0 : c.InEnd(u) - c.InBegin(u));
-  if (edge_cursor_ == 0) {
-    const VertexEntry& v = gv.CsrVertex(u);
-    GRF_DCHECK(v.out_edges.empty() && v.in_edges.empty() &&
-               v.out_removed.empty() && v.in_removed.empty());
-    (void)v;
-    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-    fast_columns_ = ColumnsUsable();
-  }
-  const ForestPage& page = PageOf(u);
-  const uint32_t root = page.root[u & (kPageSize - 1)];
-  const EdgeId parent_edge = page.edge[u & (kPageSize - 1)];
-
-  while (edge_cursor_ < degree) {
-    const size_t k = edge_cursor_++;
+  // Locals, so the per-edge counter stores cannot force reloads.
+  const TreePrefix prefix = parent_;
+  const Expansion x = expansion_;
+  bool closing = false;
+  double sums = 0.0;  // No sum bounds: never written.
+  double cost = 0.0;
+  Status status;
+  for (size_t k = edge_cursor_; k < degree; ++k) {
     size_t slot;
     size_t pos;
     VertexId nbr;
@@ -368,51 +221,16 @@ Status FrontierScanner::FastExpandStep() {
       nbr = c.in_nbr[i];
     }
     const EdgeEntry& edge = gv.CsrEdge(pos);
-    ++ctx_->stats().edges_examined;
-
-    // The admission pipeline below mirrors ExpandCore under the forest's
-    // preconditions. Edge-simple and vertex-simple collapse: every vertex
-    // on a tree path is globally claimed, so any edge already on the path
-    // leads to a claimed vertex; the one edge the claim test cannot see is
-    // a depth-1 cycle reusing the claiming edge itself, rejected explicitly.
     const size_t j = c.IndexOf(nbr);
-    const bool closing = j == root && edge_index >= 1;
-    if (closing) {
-      if (edge_index == 1 && parent_edge == edge.id) continue;
-    } else if (j == CsrTopology::kAbsent || Claimed(j)) {
-      continue;
-    }
-    if (spec_->push_filters) {
-      if (has_edge_preds_) {
-        GRF_ASSIGN_OR_RETURN(
-            bool edge_ok,
-            EdgeAdmissible(edge, slot, edge_index, fast_columns_, ctx_));
-        if (!edge_ok) {
-          ++ctx_->stats().paths_pruned;
-          continue;
-        }
-      }
-      if (has_vertex_preds_ && j != CsrTopology::kAbsent) {
-        GRF_ASSIGN_OR_RETURN(
-            bool vertex_ok, VertexAdmissible(gv.CsrVertex(j), edge_index + 1));
-        if (!vertex_ok) {
-          ++ctx_->stats().paths_pruned;
-          continue;
-        }
-      }
-    }
-
-    FastEvent next;
-    if (closing) {
-      next.vertex = u;
-      next.closing = true;
-      next.closing_edge = edge.id;
-    } else {
-      Claim(j, u, root, edge.id);
-      next.vertex = static_cast<uint32_t>(j);
-    }
-    Charge(sizeof(FastEvent));
-    fast_next_.push_back(next);
+    GRF_DCHECK(j != CsrTopology::kAbsent);
+    const Admit admit = AdmitEdge(
+        prefix, x, edge, nbr, slot, ctx_, [&] { return Claimed(j); },
+        [&] { return &gv.CsrVertex(j); }, &closing, &sums, &cost, &status);
+    if (admit == Admit::kSkip) continue;
+    edge_cursor_ = k + 1;
+    if (admit == Admit::kFail) return status;
+    // Return, so the claim is qualified before the next edge is examined.
+    Append(u, edge, j, closing, prefix.root());
     return Status::OK();
   }
   ++expand_cursor_;
@@ -420,13 +238,29 @@ Status FrontierScanner::FastExpandStep() {
   return CheckMemoryCap();
 }
 
-PathData FrontierScanner::FastMaterialize(const FastEvent& ev) const {
+Status FrontierScanner::ExpandWhole(uint32_t u) {
+  size_t j = 0;  // The index the claim test resolved for the edge.
+  GRF_RETURN_IF_ERROR(ExpandCore(
+      parent_, ctx_,
+      [&](VertexId nbr) {
+        j = IndexOf(nbr);
+        return Claimed(j);
+      },
+      [&](const EdgeEntry& edge, VertexId /*nbr*/, bool closing,
+          const double* /*sums*/, double /*cost*/) {
+        Append(u, edge, j, closing, parent_.root());
+      }));
+  ++expand_cursor_;
+  return CheckMemoryCap();
+}
+
+PathData FrontierScanner::Materialize(const Event& ev) const {
   PathData path;
   std::vector<VertexId>& vs = path.vertexes;
   std::vector<EdgeId>& es = path.edges;
   uint32_t root = 0;
   for (uint32_t v = ev.vertex;;) {
-    vs.push_back(csr_->vertex_ids[v]);
+    vs.push_back(IdOf(v));
     const ForestPage& page = PageOf(v);
     const size_t k = v & (kPageSize - 1);
     root = page.root[k];
@@ -438,7 +272,7 @@ PathData FrontierScanner::FastMaterialize(const FastEvent& ev) const {
   std::reverse(es.begin(), es.end());
   if (ev.closing) {
     es.push_back(ev.closing_edge);
-    vs.push_back(csr_->vertex_ids[root]);
+    vs.push_back(IdOf(root));
   }
   return path;
 }

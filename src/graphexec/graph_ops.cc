@@ -612,6 +612,14 @@ std::string PathProbeJoinOp::AnalyzeExtra() const {
     out += StrFormat(" attr_tuple_reads=%llu",
                      static_cast<unsigned long long>(attr_tuple_reads_));
   }
+  if (spec_->physical == TraversalSpec::Physical::kBfs &&
+      !spec_->global_visited && scanner_ != nullptr) {
+    // An iterative-deepening BFScan (MakePathScanner): its passes, summed
+    // over the probes.
+    const auto& dfs = static_cast<const DfsScanner&>(*scanner_);
+    out += StrFormat(" passes=%llu",
+                     static_cast<unsigned long long>(dfs.passes()));
+  }
   if (!morsel_mode_) return out;
   out += StrFormat(" morsels=%zu", morsel_count_);
   // One worker runs its morsels inline; nothing fanned out.

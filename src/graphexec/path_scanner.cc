@@ -33,7 +33,6 @@ std::string TraversalSpec::DebugString() const {
   }
   if (!push_filters) out += ", NO-PUSHDOWN";
   if (global_visited) out += ", visited-once";
-  if (frontier) out += ", frontier";
   return out + ")";
 }
 
@@ -52,13 +51,11 @@ std::unique_ptr<PathScanner> MakePathScanner(
   if (spec->physical == TraversalSpec::Physical::kShortestPath) {
     return std::make_unique<ShortestPathScanner>(std::move(spec), ctx);
   }
-  if (spec->physical == TraversalSpec::Physical::kDfs) {
-    return std::make_unique<DfsScanner>(std::move(spec), ctx);
-  }
-  if (spec->frontier) {
+  if (spec->physical == TraversalSpec::Physical::kBfs &&
+      spec->global_visited) {
     return std::make_unique<FrontierScanner>(std::move(spec), ctx);
   }
-  return std::make_unique<PathScanner>(std::move(spec), ctx);
+  return std::make_unique<DfsScanner>(std::move(spec), ctx);
 }
 
 StatusOr<std::vector<VertexId>> PathScanner::ArmProbe(
@@ -129,37 +126,6 @@ StatusOr<std::vector<VertexId>> PathScanner::ArmProbe(
   return seeds;
 }
 
-Status PathScanner::Reset(std::vector<VertexId> starts,
-                          std::optional<VertexId> target,
-                          const ExecRow* outer_row) {
-  frontier_.clear();
-  visited_.clear();
-  GRF_ASSIGN_OR_RETURN(std::vector<VertexId> seeds,
-                       ArmProbe(std::move(starts), target, outer_row));
-  for (VertexId start : seeds) {
-    Candidate candidate;
-    candidate.path.vertexes.push_back(start);
-    candidate.sums.assign(spec_->sum_bounds.size(), 0.0);
-    if (spec_->global_visited) visited_.insert(start);
-    PushCandidate(std::move(candidate));
-  }
-  return Status::OK();
-}
-
-bool PathScanner::PopCandidate(Candidate* out) {
-  if (frontier_.empty()) return false;
-  *out = std::move(frontier_.front());
-  frontier_.pop_front();
-  Uncharge(CandidateBytes(out->path));
-  return true;
-}
-
-void PathScanner::PushCandidate(Candidate candidate) {
-  Charge(CandidateBytes(candidate.path));
-  frontier_.push_back(std::move(candidate));
-  ctx_->stats().NoteFrontier(frontier_.size());
-}
-
 StatusOr<bool> PathScanner::EdgeAdmissible(const EdgeEntry& edge,
                                            size_t slot, size_t edge_index,
                                            bool columns, QueryContext* ctx) {
@@ -201,36 +167,81 @@ StatusOr<bool> PathScanner::VertexAdmissible(const VertexEntry& vertex,
   return true;
 }
 
-Status PathScanner::Expand(const Candidate& candidate) {
-  // Serial engine: consult and mark the shared visited set inline, extensions
-  // go straight onto the frontier (the admission pipeline itself lives in
-  // ExpandCore, shared with the other engines).
-  return ExpandCore(
-      CandidatePrefix(candidate), ctx_,
-      [this](VertexId nbr) { return visited_.count(nbr) > 0; },
-      [&](const EdgeEntry& edge, VertexId nbr, bool closing,
-          const double* sums, double cost) {
-        if (spec_->global_visited && !closing) visited_.insert(nbr);
-        PushCandidate(Extend(candidate, edge, nbr, closing, sums, cost));
-      });
-}
+PathScanner::Admit PathScanner::AdmitAttrs(const Expansion& x,
+                                           const EdgeEntry& edge, size_t slot,
+                                           QueryContext* ctx,
+                                           const VertexEntry* nv,
+                                           const double* prefix_sums,
+                                           double* sums, double* cost,
+                                           Status* status) {
+  std::copy_n(prefix_sums, x.bounds, sums);
+  if (spec_->push_filters) {
+    if (has_edge_preds_) {
+      auto edge_ok = EdgeAdmissible(edge, slot, x.edge_index, x.columns, ctx);
+      if (!edge_ok.ok()) {
+        *status = edge_ok.status();
+        return Admit::kFail;
+      }
+      if (!*edge_ok) {
+        ++ctx->stats().paths_pruned;
+        return Admit::kSkip;
+      }
+    }
+    if (nv != nullptr) {
+      auto vertex_ok = VertexAdmissible(*nv, x.edge_index + 1);
+      if (!vertex_ok.ok()) {
+        *status = vertex_ok.status();
+        return Admit::kFail;
+      }
+      if (!*vertex_ok) {
+        ++ctx->stats().paths_pruned;
+        return Admit::kSkip;
+      }
+    }
+    // Accumulate sum bounds and prune monotone upper bounds early.
+    for (size_t i = 0; i < x.bounds; ++i) {
+      if (!AddEdgeNumber(edge, slot, SumColumn(i, x.columns),
+                         spec_->sum_bounds[i].attr, ctx, &sums[i], status)) {
+        return Admit::kFail;
+      }
+      CompareOp op = spec_->sum_bounds[i].op;
+      double bound = sum_bound_values_[i];
+      bool prune = (op == CompareOp::kLt && sums[i] >= bound) ||
+                   (op == CompareOp::kLe && sums[i] > bound);
+      if (prune) {
+        ++ctx->stats().paths_pruned;
+        return Admit::kSkip;
+      }
+    }
+  } else {
+    // Pushdown disabled (ablation / paper §7.1 control): still accumulate
+    // sums so emission checks stay exact.
+    for (size_t i = 0; i < x.bounds; ++i) {
+      if (!AddEdgeNumber(edge, slot, SumColumn(i, x.columns),
+                         spec_->sum_bounds[i].attr, ctx, &sums[i], status)) {
+        return Admit::kFail;
+      }
+    }
+  }
 
-PathScanner::Candidate PathScanner::Extend(const Candidate& prefix,
-                                           const EdgeEntry& edge,
-                                           VertexId nbr, bool closing,
-                                           const double* sums,
-                                           double cost) const {
-  Candidate next;
-  next.path.edges.reserve(prefix.path.edges.size() + 1);
-  next.path.edges = prefix.path.edges;
-  next.path.edges.push_back(edge.id);
-  next.path.vertexes.reserve(prefix.path.vertexes.size() + 1);
-  next.path.vertexes = prefix.path.vertexes;
-  next.path.vertexes.push_back(nbr);
-  next.path.accumulated_cost = cost;
-  next.sums.assign(sums, sums + spec_->sum_bounds.size());
-  next.closing = closing;
-  return next;
+  if (spec_->physical == TraversalSpec::Physical::kShortestPath) {
+    double w = 0.0;
+    bool is_null = false;
+    Status read =
+        ReadEdgeNumber(edge, slot, x.columns ? weight_column_ : nullptr,
+                       spec_->sp_attr, ctx, &w, &is_null);
+    if (!read.ok()) {
+      *status = std::move(read);
+      return Admit::kFail;
+    }
+    if (is_null || w < 0) {
+      *status = Status::InvalidArgument(
+          "SHORTESTPATH requires a non-null, non-negative edge attribute");
+      return Admit::kFail;
+    }
+    *cost += w;
+  }
+  return Admit::kAdmit;
 }
 
 StatusOr<bool> PathScanner::Qualifies(const PathData& path,
@@ -277,32 +288,6 @@ StatusOr<bool> PathScanner::Qualifies(const PathData& path,
     }
   }
   return true;
-}
-
-StatusOr<bool> PathScanner::Next(PathPtr* out) {
-  Candidate candidate;
-  while (PopCandidate(&candidate)) {
-    // Path enumeration can be combinatorially unbounded, so a runaway
-    // traversal must notice cancellation/deadline per expansion, not only at
-    // the operator boundary (which it may never reach before emitting).
-    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-    ++ctx_->stats().vertexes_expanded;
-    const bool can_extend =
-        !candidate.closing && candidate.path.Length() < spec_->max_length;
-    if (can_extend) {
-      GRF_RETURN_IF_ERROR(Expand(candidate));
-      // Frontier growth may have tripped the memory cap.
-      GRF_RETURN_IF_ERROR(CheckMemoryCap());
-    }
-    GRF_ASSIGN_OR_RETURN(bool qualifies,
-                         Qualifies(candidate.path, candidate.sums.data()));
-    if (qualifies) {
-      ++ctx_->stats().paths_emitted;
-      *out = std::make_shared<const PathData>(std::move(candidate.path));
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace grfusion

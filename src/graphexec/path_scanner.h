@@ -2,10 +2,8 @@
 #define GRFUSION_GRAPHEXEC_PATH_SCANNER_H_
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,14 +19,14 @@ namespace grfusion {
 ///
 /// The scanner is re-armed per probe row via Reset() — this is how an outer
 /// relational join tuple "probes" the traversal (paper Fig. 6). Between
-/// Reset() calls it holds the traversal frontier and yields one qualifying
-/// path per Next(). This class itself is the per-path BFS engine: a FIFO
-/// queue of Candidates, each a copied prefix.
+/// Reset() calls it holds the traversal state and yields one qualifying
+/// path per Next().
 ///
-/// Three engines derive from this one and share its per-edge admission
-/// pipeline (ExpandCore): DfsScanner runs DFScan over a one-hop stack and a
-/// single path buffer, FrontierScanner runs BFS level-synchronously over
-/// whole frontiers, and ShortestPathScanner runs SPScan over a
+/// Three engines derive from this base and share its per-edge admission
+/// rules (AdmitEdge, which ExpandCore runs over a vertex's neighbors):
+/// DfsScanner runs DFScan, and BFScan as iterative deepening, over a
+/// one-hop stack and a single path buffer; FrontierScanner runs the
+/// visited-once BFS forest; ShortestPathScanner runs SPScan over a
 /// prefix-sharing path arena. The virtual surface is exactly the
 /// operator-facing triple Reset/Next/Release; MakePathScanner picks the
 /// engine for a spec.
@@ -43,30 +41,21 @@ class PathScanner {
   /// that reference outer columns; it must outlive the pulls.
   virtual Status Reset(std::vector<VertexId> starts,
                        std::optional<VertexId> target,
-                       const ExecRow* outer_row);
+                       const ExecRow* outer_row) = 0;
 
   /// Produces the next qualifying path, or false when the traversal space is
   /// exhausted.
-  virtual StatusOr<bool> Next(PathPtr* out);
+  virtual StatusOr<bool> Next(PathPtr* out) = 0;
 
-  /// Drops frontier state and releases its memory charge (operator Close).
+  /// Drops traversal state and releases its memory charge (operator Close).
   virtual void Release() {
-    frontier_.clear();
-    visited_.clear();
     has_columns_ = false;
     ReleaseCharge();
   }
 
  protected:
-  /// A partial (or complete) candidate path on the frontier.
-  struct Candidate {
-    PathData path;
-    std::vector<double> sums;  ///< Running totals, one per spec sum-bound.
-    bool closing = false;      ///< Cycle back to start: emit but never extend.
-  };
-
   /// What a prefix accessor's Screen(v, slot) knows about extending the
-  /// prefix to neighbor `v` over the edge at CSR `slot` (see ExpandCore).
+  /// prefix to neighbor `v` over the edge at CSR `slot` (see AdmitEdge).
   enum class Touch : uint8_t {
     kOff,   ///< v, and so every edge into v, is certainly off the prefix.
     kMay,   ///< v or the edge may be on the prefix: walk it.
@@ -74,34 +63,39 @@ class PathScanner {
             ///< could fail or count: skip the edge now.
   };
 
-  /// ExpandCore's view of a Candidate prefix (see ExpandCore for the
-  /// accessor contract).
-  class CandidatePrefix {
-   public:
-    explicit CandidatePrefix(const Candidate& c) : c_(c) {}
-    VertexId start() const { return c_.path.StartVertex(); }
-    VertexId end() const { return c_.path.EndVertex(); }
-    size_t len() const { return c_.path.Length(); }
-    Touch Screen(VertexId, size_t) const { return Touch::kMay; }
-    bool HasEdge(EdgeId e) const {
-      return std::find(c_.path.edges.begin(), c_.path.edges.end(), e) !=
-             c_.path.edges.end();
-    }
-    bool HasVertex(VertexId v) const {
-      return std::find(c_.path.vertexes.begin(), c_.path.vertexes.end(), v) !=
-             c_.path.vertexes.end();
-    }
-    const double* sums() const { return c_.sums.data(); }
-    double cost() const { return c_.path.accumulated_cost; }
-
-   private:
-    const Candidate& c_;
+  /// AdmitEdge's verdict on one edge.
+  enum class Admit : uint8_t {
+    kSkip,   ///< No extension: a path rule or a pushed filter rejects it.
+    kAdmit,  ///< An admissible extension.
+    kFail,   ///< A read or a predicate failed the statement.
   };
 
-  /// Frontier-entry footprint for the query-memory accountant.
-  static size_t CandidateBytes(const PathData& path) {
-    return 64 + path.vertexes.size() * sizeof(VertexId) +
-           path.edges.size() * sizeof(EdgeId);
+  /// The constants of one expansion that AdmitEdge reads for every edge,
+  /// copied out of the spec so a per-edge counter store cannot force their
+  /// reload.
+  struct Expansion {
+    VertexId start = 0;         ///< The prefix's first vertex.
+    size_t edge_index = 0;      ///< The prefix's length: the new edge's index.
+    size_t bounds = 0;          ///< spec_->sum_bounds.size().
+    bool columns = false;       ///< ColumnsUsable() for this expansion.
+    bool visited_once = false;  ///< spec_->global_visited.
+    /// Pushed element filters, sum bounds or an SPScan weight: an admitted
+    /// edge's attributes must be read (AdmitAttrs).
+    bool attrs = false;
+  };
+
+  /// The Expansion of a prefix from `start`, `len` edges long.
+  Expansion ExpansionOf(VertexId start, size_t len) const {
+    Expansion x;
+    x.start = start;
+    x.edge_index = len;
+    x.bounds = spec_->sum_bounds.size();
+    x.columns = ColumnsUsable();
+    x.visited_once = spec_->global_visited;
+    x.attrs = x.bounds > 0 ||
+              spec_->physical == TraversalSpec::Physical::kShortestPath ||
+              (spec_->push_filters && (has_edge_preds_ || has_vertex_preds_));
+    return x;
   }
 
   /// Per-probe setup shared by every engine: drops the previous probe's
@@ -112,9 +106,9 @@ class PathScanner {
                                            std::optional<VertexId> target,
                                            const ExecRow* outer_row);
 
-  /// Adds `bytes` to the frontier charge. A failed charge is recorded by the
-  /// context (peak accounting); engines check current_bytes() against the
-  /// cap after each expansion and abort there.
+  /// Adds `bytes` to the traversal's charge. A failed charge is recorded by
+  /// the context (peak accounting); engines check current_bytes() against
+  /// the cap after each expansion and abort there.
   void Charge(size_t bytes) {
     charged_ += bytes;
     (void)ctx_->ChargeBytes(bytes);
@@ -137,163 +131,113 @@ class PathScanner {
     return Status::OK();
   }
 
-  /// Pops the next candidate in BFS queue order.
-  bool PopCandidate(Candidate* out);
-  void PushCandidate(Candidate candidate);
-
   /// True when the path may be emitted (length window, target, pushed
   /// filters when running un-pushed, residual predicates, exact sum bounds).
   /// `sums` holds one running total per spec sum-bound.
   StatusOr<bool> Qualifies(const PathData& path, const double* sums);
 
-  /// Expands `candidate` by every admissible incident edge, pushing the
-  /// extensions onto the frontier.
-  Status Expand(const Candidate& candidate);
-
-  /// The Candidate for one admitted extension of `prefix` (the arguments
-  /// ExpandCore hands its sink).
-  Candidate Extend(const Candidate& prefix, const EdgeEntry& edge,
-                   VertexId nbr, bool closing, const double* sums,
-                   double cost) const;
-
-  /// The per-edge admission pipeline shared by every engine: edge-simple /
-  /// vertex-simple / closing-cycle rules, pushed element filters, sum-bound
-  /// accumulation and monotone pruning, SPScan weight validation.
+  /// The per-edge admission rules shared by every engine: edge-simple /
+  /// vertex-simple / closing-cycle rules, the global_visited claim test,
+  /// then (AdmitAttrs) pushed element filters, sum-bound accumulation and
+  /// monotone pruning, SPScan weight validation. Counts the edge in
+  /// edges_examined and each pushed-filter cut in paths_pruned.
   ///
   /// `prefix` is an accessor over the path being extended:
-  ///   start() / end() / len()       endpoints and length in edges;
   ///   HasEdge(e) / HasVertex(v)     membership (may walk the prefix);
   ///   Screen(v, slot)               the Touch of the extension to v over
   ///                                 the edge at `slot`: kOff skips both
   ///                                 walks, kDrop the whole edge;
   ///   sums() / cost()               running sum-bound totals and SPScan
-  ///                                 cost. sums() is re-read per edge, so an
-  ///                                 engine whose sink grows the storage
-  ///                                 behind it stays valid.
-  /// `already_visited(nbr)` implements the global_visited claim check
-  /// (consulted only in that mode, and only for non-closing extensions).
-  /// `sink(edge, nbr, closing, sums, cost)` receives each admissible
-  /// extension in neighbor-enumeration order, after every check that can
-  /// fail the statement, and owns visited marking.
+  ///                                 cost.
+  /// The caller resolves the neighbor: `visited()` is the global_visited
+  /// claim test (asked only in that mode, and only for a non-closing
+  /// extension) and `entry()` its VertexEntry, or nullptr, for pushed vertex
+  /// predicates. Each is called at most once, so a caller that resolves the
+  /// neighbor once looks it up once.
   ///
-  /// Edge attributes are read from the probe's flat columns (ArmProbe)
-  /// when the edge sits in the CSR slice and no attribute write has landed
-  /// since the columns' boundary, else through the tuple pointer.
+  /// On kAdmit, `*closing`, `sums` (one total per sum bound) and `*cost`
+  /// describe the extension; on kFail, `*status` holds the error.
+  ///
+  /// The path rules are always inlined: they run once per edge examined,
+  /// and a call per edge cost the DFS path pipeline about 10% of its
+  /// throughput. The attribute checks stay out of line, so the traversal
+  /// loops that inline this keep their registers.
+  template <typename Prefix, typename Visited, typename Entry>
+  [[gnu::always_inline]] Admit AdmitEdge(
+      const Prefix& prefix, const Expansion& x, const EdgeEntry& edge,
+      VertexId nbr, size_t slot, QueryContext* ctx, Visited&& visited,
+      Entry&& entry, bool* closing, double* sums, double* cost,
+      Status* status) {
+    ++ctx->stats().edges_examined;
+
+    const Touch touch = prefix.Screen(nbr, slot);
+    if (touch == Touch::kDrop) return Admit::kSkip;
+    // Edge-simple: never reuse an edge within one path.
+    const bool touches = touch == Touch::kMay;
+    if (touches && prefix.HasEdge(edge.id)) return Admit::kSkip;
+    // Vertex-simple, with one exception: an edge closing a cycle back to
+    // the start vertex is emitted (that is how sub-graph patterns like
+    // triangles are matched, paper Listing 4) but never extended.
+    const bool closes = nbr == x.start && x.edge_index >= 1;
+    if (!closes) {
+      if (touches && prefix.HasVertex(nbr)) return Admit::kSkip;
+      if (x.visited_once && visited()) return Admit::kSkip;
+    }
+    *closing = closes;
+    *cost = prefix.cost();
+    if (!x.attrs) return Admit::kAdmit;
+    return AdmitAttrs(x, edge, slot, ctx,
+                      spec_->push_filters && has_vertex_preds_ ? entry()
+                                                               : nullptr,
+                      prefix.sums(), sums, cost, status);
+  }
+
+  /// AdmitEdge's attribute checks for an edge that passed the path rules:
+  /// pushed edge and vertex filters (`nv` is the neighbor's entry, or
+  /// nullptr), sum-bound accumulation from `prefix_sums` into `sums` with
+  /// monotone pruning, and the SPScan weight added to `*cost`. Edge
+  /// attributes are read from the probe's flat columns (ArmProbe) when
+  /// `x.columns` holds and the edge sits in the CSR slice, else through
+  /// the tuple pointer.
+  Admit AdmitAttrs(const Expansion& x, const EdgeEntry& edge, size_t slot,
+                   QueryContext* ctx, const VertexEntry* nv,
+                   const double* prefix_sums, double* sums, double* cost,
+                   Status* status);
+
+  /// Runs AdmitEdge over every neighbor of the prefix's end vertex, in
+  /// ForEachNeighborSlot order, calling `sink(edge, nbr, closing, sums,
+  /// cost)` for each admissible extension, after every check that can fail
+  /// the statement. The sink owns visited marking. Beyond AdmitEdge's
+  /// accessors, `prefix` provides start() / end() / len() (endpoints and
+  /// length in edges); its sums() are re-read per edge, so an engine whose
+  /// sink grows the storage behind them stays valid. `already_visited(nbr)`
+  /// is the global_visited claim test.
   ///
   /// Thread-safety: reads only const state (spec_, outer_row_,
   /// sum_bound_values_, the probe's columns) plus whatever `prefix` reads,
   /// so concurrent workers may invoke this on a shared scanner as long as
-  /// each passes its own `ctx` (stats, cancellation) and the visited set is
-  /// frozen for the duration.
+  /// each passes its own `ctx` (stats, cancellation).
   template <typename Prefix, typename Visited, typename Sink>
   Status ExpandCore(const Prefix& prefix, QueryContext* ctx,
                     Visited&& already_visited, Sink&& sink) {
-    const VertexEntry* end = spec_->gv->FindVertex(prefix.end());
+    const GraphView& gv = *spec_->gv;
+    const VertexEntry* end = gv.FindVertex(prefix.end());
     if (end == nullptr) return Status::OK();  // Vertex deleted mid-query.
 
-    const VertexId start = prefix.start();
-    const size_t edge_index = prefix.len();
-    const size_t bounds = spec_->sum_bounds.size();
-    const bool shortest =
-        spec_->physical == TraversalSpec::Physical::kShortestPath;
-    const bool columns = ColumnsUsable();
-    std::vector<double> sums(bounds);
+    const Expansion x = ExpansionOf(prefix.start(), prefix.len());
+    std::vector<double> sums(x.bounds);
     Status status = Status::OK();
-
-    spec_->gv->ForEachNeighborSlot(*end, [&](const EdgeEntry& edge,
-                                             VertexId nbr, size_t slot) {
-      ++ctx->stats().edges_examined;
-
-      const Touch touch = prefix.Screen(nbr, slot);
-      if (touch == Touch::kDrop) return true;
-      // Edge-simple: never reuse an edge within one path.
-      const bool touches = touch == Touch::kMay;
-      if (touches && prefix.HasEdge(edge.id)) return true;
-      // Vertex-simple, with one exception: an edge closing a cycle back to
-      // the start vertex is emitted (that is how sub-graph patterns like
-      // triangles are matched, paper Listing 4) but never extended.
-      const bool closing = nbr == start && edge_index >= 1;
-      if (!closing) {
-        if (touches && prefix.HasVertex(nbr)) return true;
-        if (spec_->global_visited && already_visited(nbr)) return true;
-      }
-
-      std::copy_n(prefix.sums(), bounds, sums.begin());
-      if (spec_->push_filters) {
-        if (has_edge_preds_) {
-          auto edge_ok = EdgeAdmissible(edge, slot, edge_index, columns, ctx);
-          if (!edge_ok.ok()) {
-            status = edge_ok.status();
-            return false;
-          }
-          if (!*edge_ok) {
-            ++ctx->stats().paths_pruned;
-            return true;
-          }
-        }
-        if (has_vertex_preds_) {
-          const VertexEntry* nv = spec_->gv->FindVertex(nbr);
-          if (nv != nullptr) {
-            auto vertex_ok = VertexAdmissible(*nv, edge_index + 1);
-            if (!vertex_ok.ok()) {
-              status = vertex_ok.status();
-              return false;
-            }
-            if (!*vertex_ok) {
-              ++ctx->stats().paths_pruned;
-              return true;
-            }
-          }
-        }
-        // Accumulate sum bounds and prune monotone upper bounds early.
-        for (size_t i = 0; i < bounds; ++i) {
-          if (!AddEdgeNumber(edge, slot, SumColumn(i, columns),
-                             spec_->sum_bounds[i].attr, ctx, &sums[i],
-                             &status)) {
-            return false;
-          }
-          CompareOp op = spec_->sum_bounds[i].op;
-          double bound = sum_bound_values_[i];
-          bool prune = (op == CompareOp::kLt && sums[i] >= bound) ||
-                       (op == CompareOp::kLe && sums[i] > bound);
-          if (prune) {
-            ++ctx->stats().paths_pruned;
-            return true;
-          }
-        }
-      } else {
-        // Pushdown disabled (ablation / paper §7.1 control): still
-        // accumulate sums so emission checks stay exact.
-        for (size_t i = 0; i < bounds; ++i) {
-          if (!AddEdgeNumber(edge, slot, SumColumn(i, columns),
-                             spec_->sum_bounds[i].attr, ctx, &sums[i],
-                             &status)) {
-            return false;
-          }
-        }
-      }
-
-      double cost = prefix.cost();
-      if (shortest) {
-        double w = 0.0;
-        bool is_null = false;
-        Status read =
-            ReadEdgeNumber(edge, slot, columns ? weight_column_ : nullptr,
-                           spec_->sp_attr, ctx, &w, &is_null);
-        if (!read.ok()) {
-          status = std::move(read);
-          return false;
-        }
-        if (is_null || w < 0) {
-          status = Status::InvalidArgument(
-              "SHORTESTPATH requires a non-null, non-negative edge attribute");
-          return false;
-        }
-        cost += w;
-      }
-
-      sink(edge, nbr, closing, sums.data(), cost);
-      return true;
+    gv.ForEachNeighborSlot(*end, [&](const EdgeEntry& edge, VertexId nbr,
+                                     size_t slot) {
+      bool closing = false;
+      double cost = 0.0;
+      const Admit admit = AdmitEdge(
+          prefix, x, edge, nbr, slot, ctx,
+          [&] { return already_visited(nbr); },
+          [&] { return gv.FindVertex(nbr); }, &closing, sums.data(), &cost,
+          &status);
+      if (admit == Admit::kAdmit) sink(edge, nbr, closing, sums.data(), cost);
+      return admit != Admit::kFail;
     });
     return status;
   }
@@ -388,14 +332,11 @@ class PathScanner {
   const EdgeAttrColumn* weight_column_ = nullptr;
   bool has_columns_ = false;  ///< Any of the above is non-null.
 
-  std::deque<Candidate> frontier_;  ///< BFS queue.
-  std::unordered_set<VertexId> visited_;      ///< global_visited mode.
-  size_t charged_ = 0;  ///< Bytes currently charged for the frontier.
+  size_t charged_ = 0;  ///< Bytes currently charged for traversal state.
 };
 
-/// The engine for `spec`: ShortestPathScanner for SPScan, DfsScanner for
-/// DFScan, FrontierScanner for the level-synchronous BFS kernel, PathScanner
-/// for per-path BFS.
+/// The engine for `spec`: ShortestPathScanner for SPScan, FrontierScanner
+/// for visited-once BFS, DfsScanner for DFScan and every other BFScan.
 std::unique_ptr<PathScanner> MakePathScanner(
     std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx);
 

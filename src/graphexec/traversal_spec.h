@@ -76,15 +76,6 @@ struct TraversalSpec {
   /// exponential all-simple-paths enumeration into O(V+E) search.
   bool global_visited = false;
 
-  /// Level-synchronous frontier kernel (BFS only): the scanner processes one
-  /// whole depth level at a time — qualify/emit the level in order first
-  /// (LIMIT-k early exit before any deeper expansion), then batch-expand it,
-  /// morsel-parallel over the frontier when large enough. The merge applies
-  /// visited claims in (candidate, neighbor) order, so results are identical
-  /// to the serial BFS engine at any worker count, global_visited
-  /// reachability and bare LIMIT included.
-  bool frontier = false;
-
   std::string DebugString() const;
 };
 

@@ -22,13 +22,11 @@ size_t PlannerOptions::effective_parallelism() const {
 
 std::string PlannerOptions::PlanShapeKey() const {
   return StrFormat(
-      "fp=%d,li=%d,fml=%zu,ix=%d,rf=%d,tv=%d,mp=%zu,pmr=%zu,pms=%zu,fb=%d,"
-      "fmb=%zu",
+      "fp=%d,li=%d,fml=%zu,ix=%d,rf=%d,tv=%d,mp=%zu,pmr=%zu",
       enable_filter_pushdown ? 1 : 0, enable_length_inference ? 1 : 0,
       fallback_max_length, enable_index_scan ? 1 : 0,
       enable_reachability_fastpath ? 1 : 0, static_cast<int>(default_traversal),
-      max_parallelism, parallel_min_rows, parallel_min_starts,
-      enable_frontier_bfs ? 1 : 0, frontier_min_batch);
+      max_parallelism, parallel_min_rows);
 }
 
 namespace {
@@ -732,8 +730,10 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
     } else if (options_.default_traversal == PlannerOptions::Traversal::kBfs) {
       spec.physical = TraversalSpec::Physical::kBfs;
     } else {
-      // kAuto: DFS frontier ~ F*L entries vs BFS frontier ~ F^L; pick BFS
-      // only when F^(L-1) < L (tiny fan-out), per §6.3.
+      // kAuto: §6.3 weighs a DFS frontier of ~F*L entries against a BFS
+      // one of ~F^L and picks BFS only when F^(L-1) < L (tiny fan-out).
+      // Both run on the hop stack here (BFS as iterative deepening), so
+      // the rule picks the row order, not the memory shape.
       spec.physical = TraversalSpec::Physical::kDfs;
       if (spec.max_length != kNoMaxLength && spec.max_length >= 1) {
         double fan_out = binding.gv->AverageFanOut();
@@ -774,28 +774,6 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
           // BFS finds a minimum-hop path first, so a depth cap stays sound.
           spec.global_visited = true;
         }
-      }
-    }
-
-    // Frontier kernel (§6.3 extension): BFS with a frontier expected to
-    // reach frontier_min_batch runs level-synchronously — whole levels are
-    // qualified before expansion (LIMIT-k early exit) and expanded in
-    // batches, morsel-parallel when large. Estimate: a visited-once or
-    // unbounded traversal eventually touches O(V); otherwise the deepest
-    // level holds ~F^L candidates. Result-identical to the per-path BFS
-    // engine at any worker count, so the data-dependent estimate only moves
-    // a physical knob (same contract as the kAuto fan-out rule above).
-    if (options_.enable_frontier_bfs &&
-        spec.physical == TraversalSpec::Physical::kBfs) {
-      const double v = static_cast<double>(binding.gv->NumVertexes());
-      double estimate = v;
-      if (!spec.global_visited && spec.max_length != kNoMaxLength) {
-        const double fan_out = std::max(binding.gv->AverageFanOut(), 1.0);
-        estimate = std::min(
-            v, std::pow(fan_out, static_cast<double>(spec.max_length)));
-      }
-      if (estimate >= static_cast<double>(options_.frontier_min_batch)) {
-        spec.frontier = true;
       }
     }
 

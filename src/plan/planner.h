@@ -36,16 +36,6 @@ struct PlannerOptions {
   /// Allow the visited-once reachability fast path (LIMIT 1 + bound target).
   bool enable_reachability_fastpath = true;
 
-  /// Allow the level-synchronous frontier kernel for BFS path scans whose
-  /// estimated frontier reaches frontier_min_batch. The kernel's batched
-  /// level expansion (morsel-parallel when large) yields results identical
-  /// to the serial BFS engine, so this is purely a physical choice.
-  bool enable_frontier_bfs = true;
-
-  /// Estimated frontier size (vertexes per level) below which BFS stays on
-  /// the per-path engine: batching tiny frontiers only adds overhead.
-  size_t frontier_min_batch = 32;
-
   /// Physical traversal when no hint is given and the §6.3 rule does not
   /// apply: kAuto applies the F-vs-L rule when a length is inferred and
   /// falls back to DFS; kDfs / kBfs force one operator.
@@ -64,11 +54,11 @@ struct PlannerOptions {
   /// Destination for slow-query trace lines; empty means stderr.
   std::string slow_query_log_path;
 
-  /// Worker fan-out ceiling for morsel-driven parallel execution (frontier
-  /// BFS level expansion, parallel Vertex/EdgeScan qualifier evaluation,
-  /// parallel graph-view construction). Path probes themselves run on one
-  /// thread, so results are identical at any setting; 1 reproduces the
-  /// single-threaded engine exactly; 0 means "use hardware_concurrency".
+  /// Worker fan-out ceiling for morsel-driven parallel execution (DFS path
+  /// aggregation morsels, parallel Vertex/EdgeScan qualifier evaluation,
+  /// parallel graph-view construction). Results are identical at any
+  /// setting; 1 reproduces the single-threaded engine exactly; 0 means "use
+  /// hardware_concurrency".
   size_t max_parallelism = 0;
 
   /// Inputs below this row count stay on the serial path even when
@@ -76,13 +66,6 @@ struct PlannerOptions {
   /// Tests lower it to exercise parallel execution on small graphs.
   /// Governs per-row work: parallel scans and graph-view builds.
   size_t parallel_min_rows = 2048;
-
-  /// The frontier BFS kernel expands a level morsel-parallel only when it
-  /// holds at least this many candidates (never fewer than 2). A separate,
-  /// much lower threshold than parallel_min_rows because each candidate
-  /// expands a whole adjacency list; raising it arbitrarily high keeps level
-  /// expansion serial, like max_parallelism = 1 does globally.
-  size_t parallel_min_starts = 8;
 
   /// Statement timeout in microseconds. Every statement gets a monotonic
   /// deadline this far in the future and returns DeadlineExceeded once the

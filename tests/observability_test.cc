@@ -79,7 +79,6 @@ void BuildRingWithChords(Database& db, int64_t n) {
 void ArmParallel(Session& s) {
   s.options().max_parallelism = 4;
   s.options().parallel_min_rows = 1;
-  s.options().parallel_min_starts = 1;
 }
 
 // --- Tracer unit tests -------------------------------------------------------------

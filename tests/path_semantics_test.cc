@@ -24,6 +24,7 @@
 #include "graphexec/path_scanner.h"
 #include "parser/parser.h"
 #include "plan/planner.h"
+#include "bfs_reference.h"
 #include "sql_test_util.h"
 
 namespace grfusion {
@@ -330,8 +331,7 @@ TEST_P(PathSemanticsTest, ReachabilityMatchesBfs) {
 // --- Parallel-executor ordering semantics -------------------------------
 //
 // Enabling parallelism must never change what a query returns, nor in what
-// order: path probes run on the serial scanner at any worker count, and the
-// frontier kernel's level merge reproduces the serial claim order. So DFS,
+// order: path probes run on the serial scanner at any worker count. So DFS,
 // BFS and SPScan probes, with or without LIMIT/TOP, emit the exact serial
 // row sequence at max_parallelism 1 and 4.
 
@@ -343,7 +343,6 @@ TEST_P(PathSemanticsTest, ParallelEnumerationMatchesSerialMultiset) {
   auto run = [&](size_t parallelism) {
     session_.options().max_parallelism = parallelism;
     session_.options().parallel_min_rows = 1;
-    session_.options().parallel_min_starts = 1;
     auto result = session_.Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> out;
@@ -362,7 +361,6 @@ TEST_P(PathSemanticsTest, ParallelEnumerationMatchesSerialMultiset) {
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
   session_.options().max_parallelism = TestOptions().max_parallelism;
   session_.options().parallel_min_rows = 2048;
-  session_.options().parallel_min_starts = 8;
 }
 
 TEST_P(PathSemanticsTest, ParallelTopKShortestPathsKeepSerialOrder) {
@@ -378,7 +376,6 @@ TEST_P(PathSemanticsTest, ParallelTopKShortestPathsKeepSerialOrder) {
   auto run = [&](const std::string& sql, size_t parallelism) {
     session_.options().max_parallelism = parallelism;
     session_.options().parallel_min_rows = 1;
-    session_.options().parallel_min_starts = 1;
     auto result = session_.Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> out;
@@ -401,7 +398,6 @@ TEST_P(PathSemanticsTest, ParallelTopKShortestPathsKeepSerialOrder) {
   }
   session_.options().max_parallelism = TestOptions().max_parallelism;
   session_.options().parallel_min_rows = 2048;
-  session_.options().parallel_min_starts = 8;
 }
 
 TEST_P(PathSemanticsTest, LimitWithoutOrderByIsStableUnderParallelism) {
@@ -412,7 +408,6 @@ TEST_P(PathSemanticsTest, LimitWithoutOrderByIsStableUnderParallelism) {
   auto run = [&](size_t parallelism) {
     session_.options().max_parallelism = parallelism;
     session_.options().parallel_min_rows = 1;
-    session_.options().parallel_min_starts = 1;
     auto result = session_.Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> out;
@@ -425,33 +420,6 @@ TEST_P(PathSemanticsTest, LimitWithoutOrderByIsStableUnderParallelism) {
   }
   session_.options().max_parallelism = TestOptions().max_parallelism;
   session_.options().parallel_min_rows = 2048;
-  session_.options().parallel_min_starts = 8;
-}
-
-TEST_P(PathSemanticsTest, ParallelMinStartsKnobDisablesProbeFanOut) {
-  // parallel_min_starts gates the frontier kernel's morsel-parallel level
-  // expansion directly (no hidden clamp): raising it above every level's
-  // size keeps the probe off the task pool even though parallelism stays
-  // enabled. No other operator of this query can submit pool tasks.
-  session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  session_.options().frontier_min_batch = 1;
-  auto tasks_for = [&](size_t min_starts) {
-    session_.options().max_parallelism = 4;
-    session_.options().parallel_min_rows = 1;
-    session_.options().parallel_min_starts = min_starts;
-    const uint64_t before = TaskPool::Shared().stats().submitted;
-    auto result = session_.Execute(
-        "SELECT P.PathString FROM g.Paths P WHERE P.Length <= 2");
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return TaskPool::Shared().stats().submitted - before;
-  };
-  EXPECT_EQ(tasks_for(1 << 20), 0u) << "seed=" << GetParam().seed;
-  EXPECT_GT(tasks_for(1), 0u) << "seed=" << GetParam().seed;
-  session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().frontier_min_batch = 32;
-  session_.options().max_parallelism = TestOptions().max_parallelism;
-  session_.options().parallel_min_rows = 2048;
-  session_.options().parallel_min_starts = 8;
 }
 
 TEST_P(PathSemanticsTest, TinyMemoryCapFallsBackToSerialUnderParallelism) {
@@ -468,12 +436,10 @@ TEST_P(PathSemanticsTest, TinyMemoryCapFallsBackToSerialUnderParallelism) {
                  size_t cap) -> StatusOr<std::multiset<std::string>> {
     session_.options().max_parallelism = parallelism;
     session_.options().parallel_min_rows = 1;
-    session_.options().parallel_min_starts = 1;
     session_.options().memory_cap = cap;
     auto result = session_.Execute(sql);
     session_.options().max_parallelism = TestOptions().max_parallelism;
     session_.options().parallel_min_rows = 2048;
-    session_.options().parallel_min_starts = 8;
     session_.options().memory_cap = QueryContext::kDefaultMemoryCap;
     if (!result.ok()) return result.status();
     std::multiset<std::string> rows;
@@ -510,59 +476,74 @@ TEST_P(PathSemanticsTest, TinyMemoryCapFallsBackToSerialUnderParallelism) {
 }
 
 TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
-  // The level-synchronous frontier kernel must reproduce the per-path BFS
-  // engine's emission order exactly (not just the multiset): both process
-  // whole depth levels in FIFO order. Compare ordered row sequences with the
-  // kernel forced on (frontier_min_batch = 1) vs forced off.
+  // Every BFScan, iterative deepening and the visited-once forest alike,
+  // must emit exactly the rows of the per-path copy-prefix BFS reference,
+  // in its order (not just the multiset): LIMIT k keeps its prefix.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  auto run = [&](bool frontier, const std::string& sql) {
-    session_.options().enable_frontier_bfs = frontier;
-    session_.options().frontier_min_batch = 1;
+  std::vector<int64_t> all;
+  for (int64_t v = 0; v < graph_.n; ++v) all.push_back(v);
+  const RefAdjacency adj =
+      ViewAdjacencyOf(*db_.catalog().FindGraphView("g"), all);
+  std::map<int64_t, const RefGraph::Edge*> by_id;
+  for (const RefGraph::Edge& e : graph_.edges) by_id[e.id] = &e;
+
+  struct Case {
+    std::string where;
+    BfsRefQuery ref;
+  };
+  std::vector<Case> cases(6);
+  cases[0].where = "P.Length <= 3";
+  cases[0].ref.starts = all;
+  cases[0].ref.max_len = 3;
+  cases[1].where = "P.StartVertex.Id = 0 AND P.Length = 3";
+  cases[1].ref.starts = {0};
+  cases[1].ref.min_len = cases[1].ref.max_len = 3;
+  cases[2].where = "P.Length <= 2 AND P.Edges[0..*].rank < 60";
+  cases[2].ref.starts = all;
+  cases[2].ref.max_len = 2;
+  cases[2].ref.edge_ok = [&](int64_t e) { return by_id.at(e)->rank < 60; };
+  cases[3].where = "P.Length <= 3 LIMIT 4";
+  cases[3].ref.starts = all;
+  cases[3].ref.max_len = 3;
+  cases[3].ref.limit = 4;
+  cases[4].where = "P.StartVertex.Id = 0 AND P.EndVertex.Id = 4 LIMIT 1";
+  cases[4].ref.starts = {0};
+  cases[4].ref.target = 4;
+  cases[4].ref.visited_once = true;
+  cases[4].ref.limit = 1;
+  cases[5].where = "P.Length <= 3 AND SUM(P.Edges.w) < 5";
+  cases[5].ref.starts = all;
+  cases[5].ref.max_len = 3;
+  cases[5].ref.w_op = CompareOp::kLt;
+  cases[5].ref.w_bound = 5;
+  cases[5].ref.weight = [&](int64_t e) { return by_id.at(e)->w; };
+  for (const Case& c : cases) {
+    const std::string sql =
+        "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P WHERE " +
+        c.where;
     auto result = session_.Execute(sql);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::vector<std::string> out;
-    if (result.ok()) {
-      for (const auto& row : result->rows) {
-        std::string key;
-        for (const Value& v : row) key += v.ToString() + "|";
-        out.push_back(std::move(key));
-      }
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::string> rows;
+    for (const auto& row : result->rows) {
+      rows.push_back(row[0].ToString() + "|" + row[1].ToString() + "|");
     }
-    return out;
-  };
-  const std::vector<std::string> queries = {
-      "SELECT P.PathString FROM g.Paths P WHERE P.Length <= 3",
-      "SELECT P.PathString FROM g.Paths P "
-      "WHERE P.StartVertex.Id = 0 AND P.Length = 3",
-      "SELECT P.PathString FROM g.Paths P "
-      "WHERE P.Length <= 2 AND P.Edges[0..*].rank < 60",
-      "SELECT P.PathString FROM g.Paths P WHERE P.Length <= 3 LIMIT 4",
-      "SELECT P.PathString FROM g.Paths P "
-      "WHERE P.StartVertex.Id = 0 AND P.EndVertex.Id = 4 LIMIT 1",
-  };
-  for (const std::string& sql : queries) {
-    EXPECT_EQ(run(true, sql), run(false, sql))
+    EXPECT_EQ(rows, BfsReference(adj, c.ref))
         << sql << " seed=" << GetParam().seed;
   }
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().enable_frontier_bfs = true;
-  session_.options().frontier_min_batch = 32;
 }
 
 TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {
-  // The frontier kernel's deterministic level merge makes results
-  // byte-identical at any worker count — including the reachability fast
-  // path and bare-LIMIT queries.
+  // BFS probes run on one thread, so results are byte-identical at any
+  // worker count, including the reachability fast path and bare-LIMIT
+  // queries.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  session_.options().frontier_min_batch = 1;
   auto run = [&](size_t parallelism, const std::string& sql) {
     session_.options().max_parallelism = parallelism;
     session_.options().parallel_min_rows = 1;
-    session_.options().parallel_min_starts = 1;
     auto result = session_.Execute(sql);
     session_.options().max_parallelism = TestOptions().max_parallelism;
     session_.options().parallel_min_rows = 2048;
-    session_.options().parallel_min_starts = 8;
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> out;
     if (result.ok()) {
@@ -587,29 +568,6 @@ TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {
     }
   }
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().frontier_min_batch = 32;
-}
-
-TEST_P(PathSemanticsTest, FrontierKernelShowsInPlanAndKnobDisablesIt) {
-  session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  auto plan_for = [&](bool enabled, size_t min_batch) {
-    session_.options().enable_frontier_bfs = enabled;
-    session_.options().frontier_min_batch = min_batch;
-    auto result = session_.Execute(
-        "EXPLAIN SELECT P.PathString FROM g.Paths P WHERE P.Length <= 2");
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::string plan;
-    if (result.ok()) {
-      for (const auto& row : result->rows) plan += row[0].AsVarchar() + "\n";
-    }
-    return plan;
-  };
-  EXPECT_NE(plan_for(true, 1).find(", frontier"), std::string::npos);
-  EXPECT_EQ(plan_for(false, 1).find(", frontier"), std::string::npos);
-  EXPECT_EQ(plan_for(true, 1 << 20).find(", frontier"), std::string::npos);
-  session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().enable_frontier_bfs = true;
-  session_.options().frontier_min_batch = 32;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -985,7 +943,6 @@ TEST(FrontierEarlyEmitTest, LimitOneStopsAtTheClaim) {
   for (int64_t i = 1; i <= 10; ++i) edges.emplace_back(i, 10 + i);
   MakeForestView(&db, &session, 21, edges);
   session.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  session.options().frontier_min_batch = 1;
 
   struct Case {
     int64_t target;
@@ -1007,7 +964,6 @@ TEST(FrontierEarlyEmitTest, LimitOneStopsAtTheClaim) {
     SCOPED_TRACE(sql);
     const std::string plan = ExplainText(&session, sql);
     ASSERT_NE(plan.find("visited-once"), std::string::npos) << plan;
-    ASSERT_NE(plan.find(", frontier"), std::string::npos) << plan;
     auto result = session.Execute(sql);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->NumRows(), 1u);
@@ -1032,7 +988,6 @@ TEST(FrontierMemoryTest, ChargeFollowsExploredRegionNotViewSize) {
   const std::string plan = ExplainText(&session, sql);
   ASSERT_NE(plan.find("BFScan"), std::string::npos) << plan;
   ASSERT_NE(plan.find("visited-once"), std::string::npos) << plan;
-  ASSERT_NE(plan.find(", frontier"), std::string::npos) << plan;
   session.options().memory_cap = 16 << 10;
   auto result = session.Execute(sql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -1051,7 +1006,6 @@ TEST(FrontierMemoryTest, ForestPagesChargeOnFirstClaimAndRelease) {
   spec->gv = db.catalog().FindGraphView("g");
   spec->physical = TraversalSpec::Physical::kBfs;
   spec->global_visited = true;
-  spec->frontier = true;
   QueryContext ctx;
   std::unique_ptr<PathScanner> scanner = MakePathScanner(spec, &ctx);
 
@@ -1074,6 +1028,155 @@ TEST(FrontierMemoryTest, ForestPagesChargeOnFirstClaimAndRelease) {
   EXPECT_EQ(ctx.current_bytes(), near);
   scanner->Release();
   EXPECT_EQ(ctx.current_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// BFScan as iterative deepening, and the forest on overlay views
+//
+// A BFScan without visited-once search re-runs the DFS hop stack once per
+// length (DfsScanner). It must end on unbounded lengths, stop at the first
+// pass that holds a LIMIT's rows, and keep the stack's memory. The
+// visited-once forest must answer on views with a delta overlay, including
+// vertexes outside the CSR snapshot.
+// ---------------------------------------------------------------------------
+
+/// Pulls `sql` as "<start>|<PathString>|" rows (the reference's format).
+std::vector<std::string> StartAndPathRows(Session* session,
+                                          const std::string& sql) {
+  auto result = session->Execute(sql);
+  EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+  std::vector<std::string> rows;
+  if (result.ok()) {
+    for (const auto& row : result->rows) {
+      rows.push_back(row[0].ToString() + "|" + row[1].ToString() + "|");
+    }
+  }
+  return rows;
+}
+
+std::vector<int64_t> Iota(int64_t n) {
+  std::vector<int64_t> out;
+  for (int64_t i = 0; i < n; ++i) out.push_back(i);
+  return out;
+}
+
+TEST(BfsDeepeningTest, UnboundedChainEndsAndLimitStopsAtItsPass) {
+  // A 200-vertex directed ring: the chain 0 -> 1 -> ... -> 199 (edge i is
+  // i -> i+1) and the back edge 199 -> 0 (edge 199).
+  Database db(TestOptions());
+  Session session(db);
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 0; i < 200; ++i) edges.emplace_back(i, (i + 1) % 200);
+  MakeForestView(&db, &session, 200, edges);
+  const RefAdjacency adj =
+      ViewAdjacencyOf(*db.catalog().FindGraphView("g"), Iota(200));
+
+  // No length bound: pass d emits the one path of length d, and pass 200
+  // its closing cycle, which has nothing to deepen, so the probe ends.
+  const std::string unbounded =
+      "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P HINT(BFS) "
+      "WHERE P.StartVertex.Id = 0";
+  BfsRefQuery ref;
+  ref.starts = {0};
+  const std::vector<std::string> expected = BfsReference(adj, ref);
+  ASSERT_EQ(expected.size(), 200u);
+  EXPECT_EQ(StartAndPathRows(&session, unbounded), expected);
+  const std::string analyzed = ExplainText(&session, "ANALYZE " + unbounded);
+  EXPECT_NE(analyzed.find("BFScan"), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find(" passes=200"), std::string::npos) << analyzed;
+
+  // LIMIT 250 from every start: pass 1 emits the 200 one-edge paths, each
+  // after one edge (its root's); pass 2 emits 50 more, each after two.
+  // Nothing is examined past the 250th row: 200 + 2 x 50 edges, and 400 +
+  // 3 x 50 records popped.
+  const std::string limited =
+      "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P HINT(BFS) "
+      "LIMIT 250";
+  ref.starts = Iota(200);
+  ref.limit = 250;
+  EXPECT_EQ(StartAndPathRows(&session, limited), BfsReference(adj, ref));
+  EXPECT_EQ(session.last_stats().edges_examined, 300u);
+  EXPECT_EQ(session.last_stats().vertexes_expanded, 550u);
+  EXPECT_NE(ExplainText(&session, "ANALYZE " + limited).find(" passes=2"),
+            std::string::npos);
+}
+
+TEST(BfsDeepeningTest, HubProbeRunsInTheStacksMemory) {
+  // Hub 0 with 200 spokes, each linked both ways to the hub and to the next
+  // spoke. A per-path BFS queue held the 200 one-edge paths at once (17.6
+  // KB) and failed this cap; iterative deepening keeps the DFS stack.
+  Database db(TestOptions());
+  Session session(db);
+  constexpr int64_t kSpokes = 200;
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 1; i <= kSpokes; ++i) {
+    edges.emplace_back(0, i);
+    edges.emplace_back(i, 0);
+    edges.emplace_back(i, i % kSpokes + 1);
+  }
+  MakeForestView(&db, &session, kSpokes + 1, edges);
+  session.options().memory_cap = 16 << 10;
+  const std::string from =
+      " WHERE P.StartVertex.Id = 0 AND P.Length <= 3";
+  const std::string bfs =
+      "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P HINT(BFS)" + from;
+  BfsRefQuery ref;
+  ref.starts = {0};
+  ref.max_len = 3;
+  const std::vector<std::string> expected = BfsReference(
+      ViewAdjacencyOf(*db.catalog().FindGraphView("g"), Iota(kSpokes + 1)),
+      ref);
+  ASSERT_EQ(expected.size(), 1000u);
+  EXPECT_EQ(StartAndPathRows(&session, bfs), expected);
+  const size_t bfs_peak = session.last_peak_bytes();
+  auto dfs = session.Execute(
+      "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P HINT(DFS)" + from);
+  ASSERT_TRUE(dfs.ok()) << dfs.status().ToString();
+  EXPECT_GT(bfs_peak, 0u);
+  EXPECT_LE(bfs_peak, session.last_peak_bytes());
+}
+
+TEST(FrontierOverlayTest, ReachAfterEdgeAndVertexInsert) {
+  // 0 -> 1 -> 2 -> 3. Inserts land in the view's delta overlay: the edge
+  // 0 -> 3 shortens the reach, and the vertex 500 sits outside the CSR
+  // snapshot (an overflow index), as a target and as a start.
+  Database db(TestOptions());
+  Session session(db);
+  MakeForestView(&db, &session, 4, {{0, 1}, {1, 2}, {2, 3}});
+  GraphView* gv = db.catalog().FindGraphView("g");
+  auto probe = [&](int64_t from, int64_t to) {
+    const std::string sql = StrFormat(
+        "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P HINT(BFS) "
+        "WHERE P.StartVertex.Id = %lld AND P.EndVertex.Id = %lld LIMIT 1",
+        static_cast<long long>(from), static_cast<long long>(to));
+    SCOPED_TRACE(sql);
+    ASSERT_FALSE(gv->PureCsr());
+    ASSERT_NE(ExplainText(&session, sql).find("visited-once"),
+              std::string::npos);
+    BfsRefQuery ref;
+    ref.starts = {from};
+    ref.target = to;
+    ref.visited_once = true;
+    ref.limit = 1;
+    const std::vector<std::string> expected =
+        BfsReference(ViewAdjacencyOf(*gv, {0, 1, 2, 3, 500}), ref);
+    ASSERT_EQ(expected.size(), 1u);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      session.options().max_parallelism = workers;
+      EXPECT_EQ(StartAndPathRows(&session, sql), expected)
+          << "workers=" << workers;
+    }
+  };
+  ASSERT_TRUE(session.Execute("INSERT INTO e VALUES (10, 0, 3)").ok());
+  probe(0, 3);  // 0 -[10]-> 3
+  ASSERT_TRUE(session.Execute("INSERT INTO v VALUES (500)").ok());
+  ASSERT_TRUE(
+      session.ExecuteScript("INSERT INTO e VALUES (11, 3, 500);"
+                            "INSERT INTO e VALUES (12, 500, 1);")
+          .ok());
+  probe(0, 500);  // 0 -[10]-> 3 -[11]-> 500
+  probe(500, 2);  // 500 -[12]-> 1 -[1]-> 2
+  probe(500, 500);  // The cycle 500 -> 1 -> 2 -> 3 -> 500.
 }
 
 // ---------------------------------------------------------------------------
@@ -1169,7 +1272,7 @@ TEST_F(DfsScanTest, SmallCapIsResourceExhaustedAndReleaseSettles) {
   EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
 
   {
-    // Reset pushes one root record per start; each is charged.
+    // Reset keeps one seed per start; each is charged.
     QueryContext ctx;
     std::unique_ptr<PathScanner> scanner = MakePathScanner(DfsSpec(3), &ctx);
     ASSERT_TRUE(scanner->Reset({0}, std::nullopt, nullptr).ok());

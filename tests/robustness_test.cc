@@ -213,7 +213,9 @@ TEST(CancellationTokenTest, FarDeadlineDoesNotTrip) {
 /// so any query that finishes did so because cancellation stopped it.
 class CancellationEngineTest : public ::testing::Test {
  protected:
-  static constexpr int64_t kVertexes = 11;
+  /// 17 vertexes: an unbound DFS probe over them is two 16-start morsels,
+  /// so a path aggregate fans out to the task pool.
+  static constexpr int64_t kVertexes = 17;
 
   void SetUp() override {
     FailpointRegistry::Global().DisarmAll();
@@ -247,12 +249,12 @@ class CancellationEngineTest : public ::testing::Test {
   /// Plans a combinatorial enumeration and drives the Volcano loop with an
   /// explicit QueryContext, so the test can assert the byte ledger is empty
   /// after Close() unwinds a deadline mid-traversal. The parallel variant
-  /// runs the frontier BFS kernel, whose level expansion is the
-  /// morsel-parallel part of path enumeration; its length bound keeps the
-  /// materialized levels far below the memory cap.
+  /// counts the paths of a DFS probe, which the aggregate drains as morsels
+  /// on the task pool (DESIGN.md §20); its length bound keeps the traversal
+  /// finite but far longer than the deadline.
   void RunEnumerationWithDeadline(bool parallel) {
     auto stmt = Parser::ParseSingle(
-        parallel ? "SELECT P.PathString FROM g.Paths P HINT(BFS) "
+        parallel ? "SELECT COUNT(*) FROM g.Paths P HINT(DFS) "
                    "WHERE P.Length <= 5"
                  : "SELECT P.PathString FROM g.Paths P");
     ASSERT_TRUE(stmt.ok());
@@ -261,8 +263,6 @@ class CancellationEngineTest : public ::testing::Test {
     if (parallel) {
       options.max_parallelism = 4;
       options.parallel_min_rows = 1;
-      options.parallel_min_starts = 2;
-      options.frontier_min_batch = 1;
     }
     Planner planner(&db_.catalog(), options);
     auto planned = planner.PlanSelect(select);
@@ -273,7 +273,6 @@ class CancellationEngineTest : public ::testing::Test {
       ctx.set_task_pool(&TaskPool::Shared());
       ctx.set_max_parallelism(4);
       ctx.set_parallel_min_rows(1);
-      ctx.set_parallel_min_starts(2);
     }
     CancellationToken token;
     token.SetTimeoutUs(20'000);  // 20ms against a combinatorial traversal.
@@ -305,7 +304,7 @@ class CancellationEngineTest : public ::testing::Test {
     EXPECT_GT(ctx.peak_bytes(), 0u);
     if (parallel) {
       EXPECT_GT(TaskPool::Shared().stats().submitted, tasks_before)
-          << "level expansion never reached the task pool";
+          << "the morsel drain never reached the task pool";
     }
   }
 

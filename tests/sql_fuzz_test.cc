@@ -25,6 +25,7 @@
 #include "engine/database.h"
 #include "graph/graph_view.h"
 #include "graphexec/traversal_spec.h"
+#include "bfs_reference.h"
 #include "sql_test_util.h"
 
 namespace grfusion {
@@ -382,16 +383,6 @@ struct DiffQuery {
   std::optional<int64_t> end_vertex;    // P.EndVertex.Id = d
 };
 
-std::string DiffPathString(const std::vector<int64_t>& vs,
-                           const std::vector<int64_t>& es) {
-  std::string out = std::to_string(vs[0]);
-  for (size_t i = 0; i < es.size(); ++i) {
-    out += StrFormat(" -[%lld]-> %lld", static_cast<long long>(es[i]),
-                     static_cast<long long>(vs[i + 1]));
-  }
-  return out;
-}
-
 /// Brute-force enumeration of the engine's path language: edge-simple,
 /// vertex-simple except that a final edge may close a cycle back to the
 /// start, emitting every path whose length falls inside [min_len, max_len].
@@ -414,7 +405,7 @@ void DiffEnumerate(const DiffGraph& g, const DiffQuery& q, int64_t src,
     size_t len = estack->size();
     if (len >= q.min_len && len <= q.max_len &&
         (!q.end_vertex.has_value() || nbr == *q.end_vertex)) {
-      out->insert(std::to_string(src) + "|" + DiffPathString(*vstack, *estack) +
+      out->insert(std::to_string(src) + "|" + RefPathString(*vstack, *estack) +
                   "|");
     }
     if (!closing && len < q.max_len) {
@@ -522,7 +513,7 @@ std::vector<std::string> SpDiffReference(const DiffGraph& g,
     }
     if (!p.es.empty() && p.vs.back() == q.dst) {
       out.push_back(Value::Double(p.cost).ToString() + "|" +
-                    Value::Varchar(DiffPathString(p.vs, p.es)).ToString() +
+                    Value::Varchar(RefPathString(p.vs, p.es)).ToString() +
                     "|");
     }
   }
@@ -542,16 +533,13 @@ struct DfsDiffQuery {
   bool global_visited = false;        // TOP 1 reachability: visited-once.
 };
 
-/// Adjacency in the view's own neighbor order: (edge id, neighbor) lists.
-using DiffAdjacency = std::map<int64_t, std::vector<std::pair<int64_t, int64_t>>>;
-
 /// Reference DFScan with the engine's semantics, over whole copied prefixes
 /// (the engine's layout before its one-hop stack): a stack of candidate
 /// paths, each popped one expanded (extensions pushed in neighbor order)
 /// and then emitted if it qualifies, so rows come out in pre-order with the
 /// last neighbor first.
 std::vector<std::string> DfsDiffReference(const DiffGraph& g,
-                                          const DiffAdjacency& adj,
+                                          const RefAdjacency& adj,
                                           const DfsDiffQuery& q) {
   struct RefPath {
     std::vector<int64_t> vs, es;
@@ -620,7 +608,7 @@ std::vector<std::string> DfsDiffReference(const DiffGraph& g,
       continue;
     }
     out.push_back(std::to_string(p.vs.front()) + "|" +
-                  DiffPathString(p.vs, p.es) + "|");
+                  RefPathString(p.vs, p.es) + "|");
   }
   return out;
 }
@@ -641,63 +629,28 @@ struct ReachDiffQuery {
   std::optional<int64_t> rank_below;  // P.Edges[0..*].rank < R
 };
 
-/// Reference per-path BFS with the engine's semantics over one probe's
-/// starts: a FIFO of copied candidate paths, each popped one expanded (in
-/// neighbor order) and then emitted if it qualifies. With `visited_once`
-/// (the planner's LIMIT 1 reachability rule) every vertex is claimed by the
-/// first extension reaching it. Stops after `limit` rows.
-void BfsReachReference(const DiffGraph& g, const DiffAdjacency& adj,
-                       const ReachDiffQuery& q,
-                       const std::set<int64_t>& starts, bool visited_once,
-                       std::vector<std::string>* out) {
-  struct RefPath {
-    std::vector<int64_t> vs, es;
-    bool closing = false;
+/// The uniform edge predicate P.Edges[0..*].rank < `below` over `g`'s
+/// edges, for BfsReference.
+std::function<bool(int64_t)> RankBelow(const DiffGraph& g, int64_t below) {
+  std::map<int64_t, int64_t> rank;
+  for (const DiffEdge& e : g.edges) rank[e.id] = e.rank;
+  return [rank = std::move(rank), below](int64_t eid) {
+    return rank.at(eid) < below;
   };
-  std::map<int64_t, const DiffEdge*> by_id;
-  for (const DiffEdge& e : g.edges) by_id[e.id] = &e;
-  std::set<int64_t> visited;
-  std::deque<RefPath> queue;
-  for (int64_t s : starts) {
-    if (visited_once) visited.insert(s);
-    queue.push_back(RefPath{{s}, {}, false});
-  }
-  while (!queue.empty() && out->size() < q.limit) {
-    const RefPath p = std::move(queue.front());
-    queue.pop_front();
-    if (!p.closing && p.es.size() < q.max_len) {
-      for (auto [eid, nbr] : adj.at(p.vs.back())) {
-        if (std::find(p.es.begin(), p.es.end(), eid) != p.es.end()) continue;
-        const bool closing = nbr == p.vs.front() && !p.es.empty();
-        if (!closing) {
-          if (std::find(p.vs.begin(), p.vs.end(), nbr) != p.vs.end()) {
-            continue;
-          }
-          if (visited_once && visited.count(nbr) > 0) continue;
-        }
-        if (q.rank_below.has_value() && by_id.at(eid)->rank >= *q.rank_below) {
-          continue;
-        }
-        if (visited_once && !closing) visited.insert(nbr);
-        RefPath next = p;
-        next.vs.push_back(nbr);
-        next.es.push_back(eid);
-        next.closing = closing;
-        queue.push_back(std::move(next));
-      }
-    }
-    if (p.es.empty() || p.es.size() > q.max_len) continue;
-    if (p.vs.back() != q.target) continue;
-    out->push_back(std::to_string(p.vs.front()) + "|" +
-                   DiffPathString(p.vs, p.es) + "|");
-  }
+}
+
+/// The edge attribute `w` of `g`'s edges, for BfsReference's sum bound.
+std::function<double(int64_t)> WeightOf(const DiffGraph& g) {
+  std::map<int64_t, double> w;
+  for (const DiffEdge& e : g.edges) w[e.id] = e.w;
+  return [w = std::move(w)](int64_t eid) { return w.at(eid); };
 }
 
 /// A random BFS reach probe over `g` (vertexes 0..n-1) and its expected rows
 /// in emission order. Unbounded probes use LIMIT 1, whose visited-once
 /// search is linear; LIMIT 2..3 probes enumerate every simple path, so they
 /// carry a length bound.
-ReachDiffQuery MakeReachProbe(const DiffGraph& g, const DiffAdjacency& adj,
+ReachDiffQuery MakeReachProbe(const DiffGraph& g, const RefAdjacency& adj,
                               Random& rng, std::vector<std::string>* expected) {
   ReachDiffQuery q;
   const double shape = rng.NextDouble();
@@ -749,43 +702,46 @@ ReachDiffQuery MakeReachProbe(const DiffGraph& g, const DiffAdjacency& adj,
   }
   if (!top) q.sql += StrFormat(" LIMIT %zu", q.limit);
 
-  const bool visited_once = q.limit == 1;
+  // LIMIT 1 runs the planner's visited-once search.
+  BfsRefQuery ref;
+  ref.max_len = q.max_len;
+  ref.target = q.target;
+  if (q.rank_below.has_value()) ref.edge_ok = RankBelow(g, *q.rank_below);
+  ref.visited_once = q.limit == 1;
   expected->clear();
+  auto probe = [&](std::vector<int64_t> starts) {
+    ref.starts = std::move(starts);
+    ref.limit = q.limit - expected->size();
+    for (std::string& row : BfsReference(adj, ref)) {
+      expected->push_back(std::move(row));
+    }
+  };
   switch (q.shape) {
     case ReachDiffQuery::Shape::kSingle:
-      BfsReachReference(g, adj, q, {q.start}, visited_once, expected);
+      probe({q.start});
       break;
     case ReachDiffQuery::Shape::kAllStarts: {
-      std::set<int64_t> all;
-      for (int64_t v = 0; v < g.n; ++v) all.insert(v);
-      BfsReachReference(g, adj, q, all, visited_once, expected);
+      std::vector<int64_t> all;
+      for (int64_t v = 0; v < g.n; ++v) all.push_back(v);
+      probe(std::move(all));
       break;
     }
     case ReachDiffQuery::Shape::kJoin:
+      // One probe per outer row, in row order, until the limit.
       for (int64_t v = q.min_start; v < g.n && expected->size() < q.limit;
            ++v) {
-        BfsReachReference(g, adj, q, {v}, visited_once, expected);
+        probe({v});
       }
       break;
   }
   return q;
 }
 
-/// The view's adjacency in its own neighbor order (a quiesced, scope-less
-/// read sees the newest state).
-DiffAdjacency ViewAdjacency(const Database& db, const DiffGraph& g) {
-  DiffAdjacency adj;
-  const GraphView* gv = db.catalog().FindGraphView("g");
-  for (int64_t v = 0; v < g.n; ++v) {
-    auto& list = adj[v];
-    const VertexEntry* entry = gv->FindVertex(v);
-    if (entry == nullptr) continue;
-    gv->ForEachNeighbor(*entry, [&](const EdgeEntry& e, VertexId nbr) {
-      list.emplace_back(e.id, nbr);
-      return true;
-    });
-  }
-  return adj;
+/// The view g's adjacency of `g`'s vertexes (see ViewAdjacencyOf).
+RefAdjacency ViewAdjacency(const Database& db, const DiffGraph& g) {
+  std::vector<int64_t> vertexes;
+  for (int64_t v = 0; v < g.n; ++v) vertexes.push_back(v);
+  return ViewAdjacencyOf(*db.catalog().FindGraphView("g"), vertexes);
 }
 
 /// Builds one random graph (tables v/e + graph view g), then runs
@@ -858,7 +814,6 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
                   .ok());
   session.options().max_parallelism = 4;
   session.options().parallel_min_rows = 1;
-  session.options().parallel_min_starts = 1;
   ASSERT_TRUE(session.ExecuteScript(
                     StrFormat("CREATE %s GRAPH VIEW gp %s", kind,
                               view_body.c_str()))
@@ -867,7 +822,6 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
   auto run_in = [&](Session& s, const std::string& sql, size_t parallelism) {
     s.options().max_parallelism = parallelism;
     s.options().parallel_min_rows = 1;
-    s.options().parallel_min_starts = 1;
     auto result = s.Execute(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     return result;
@@ -878,6 +832,16 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
 
   std::vector<int64_t> all_vertexes;
   for (int64_t i = 0; i < graph.n; ++i) all_vertexes.push_back(i);
+  const RefAdjacency adj = ViewAdjacency(db, graph);
+  auto plan_of = [&](const std::string& sql) {
+    auto plan = session.Execute("EXPLAIN " + sql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    std::string text;
+    if (plan.ok()) {
+      for (const auto& row : plan->rows) text += row[0].ToString() + "\n";
+    }
+    return text;
+  };
 
   for (int trial = 0; trial < enum_trials; ++trial) {
     DiffQuery q;
@@ -927,6 +891,19 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     EXPECT_EQ(DiffCanon(*serial), expected) << "serial diverges from reference";
     EXPECT_EQ(DiffOrdered(*par), DiffOrdered(*serial))
         << "4 workers reorder or change the serial rows";
+    if (plan_of(q.sql).find("BFScan") != std::string::npos) {
+      // The §6.3 rule picked BFS: its row order is the reference's.
+      BfsRefQuery ref;
+      ref.starts = q.starts;
+      ref.min_len = q.min_len;
+      ref.max_len = q.max_len;
+      ref.target = q.end_vertex;
+      if (q.rank_below.has_value()) {
+        ref.edge_ok = RankBelow(graph, *q.rank_below);
+      }
+      EXPECT_EQ(DiffOrdered(*serial), BfsReference(adj, ref))
+          << "BFS row order diverges from the reference";
+    }
 
     // Same query against the parallel-built view: the morsel-built adjacency
     // representation must be observationally identical.
@@ -997,20 +974,6 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     EXPECT_GT(sp_answered, 0) << "no shortest-path trial had an answer";
   }
 
-  DiffAdjacency adj;
-  {
-    const GraphView* gv = db.catalog().FindGraphView("g");
-    ASSERT_NE(gv, nullptr);
-    for (int64_t v = 0; v < graph.n; ++v) {
-      const VertexEntry* entry = gv->FindVertex(v);
-      ASSERT_NE(entry, nullptr);
-      auto& list = adj[v];
-      gv->ForEachNeighbor(*entry, [&](const EdgeEntry& e, VertexId nbr) {
-        list.emplace_back(e.id, nbr);
-        return true;
-      });
-    }
-  }
   int dfs_answered = 0;
   int dfs_visited_once = 0;
   for (int trial = 0; trial < dfs_trials; ++trial) {
@@ -1094,20 +1057,52 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       EXPECT_EQ(DiffOrdered(*result), expected)
           << "workers=" << workers << " diverges from the reference";
     }
+
+    // The same statement under HINT(BFS): iterative deepening, or the
+    // visited-once forest for the TOP 1 reach, in the reference's order.
+    std::string bfs_sql = sql;
+    bfs_sql.replace(bfs_sql.find("HINT(DFS)"), 9, "HINT(BFS)");
+    SCOPED_TRACE(bfs_sql);
+    const std::string bfs_plan = plan_of(bfs_sql);
+    ASSERT_NE(bfs_plan.find("BFScan"), std::string::npos) << bfs_plan;
+    ASSERT_EQ(bfs_plan.find("visited-once") != std::string::npos,
+              q.global_visited)
+        << bfs_plan;
+    BfsRefQuery ref;
+    ref.starts = q.starts;
+    ref.min_len = q.min_len;
+    ref.max_len = q.max_len;
+    ref.target = q.end_vertex;
+    if (q.rank_below.has_value()) {
+      ref.edge_ok = RankBelow(graph, *q.rank_below);
+    }
+    ref.w_op = q.w_op;
+    ref.w_bound = q.w_bound;
+    ref.weight = WeightOf(graph);
+    ref.pushdown = q.pushdown;
+    ref.visited_once = q.global_visited;
+    if (q.global_visited) ref.limit = 1;
+    const std::vector<std::string> bfs_expected = BfsReference(adj, ref);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      auto result = run_at(bfs_sql, workers);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(DiffOrdered(*result), bfs_expected)
+          << "workers=" << workers << " BFS diverges from the reference";
+    }
   }
   session.options().enable_filter_pushdown = true;
   if (dfs_trials > 0) {
     EXPECT_GT(dfs_answered, 0) << "no DFS trial had an answer";
   }
 
-  // BFS reach probes through the frontier kernel: LIMIT 1 runs the
-  // visited-once BFS forest, which emits a claim before it examines the
-  // next edge. Rows must equal the reference's sequence at 1 and 4 workers.
-  // Their own random stream leaves the other trials' draws unchanged.
+  // BFS reach probes: LIMIT 1 runs the visited-once BFS forest, which
+  // emits a claim before it examines the next edge; LIMIT 2..3 runs
+  // iterative deepening. Rows must equal the reference's sequence at 1 and
+  // 4 workers. Their own random stream leaves the other trials' draws
+  // unchanged.
   {
     Random reach_rng(seed * 31 + 7);
     session.options().default_traversal = PlannerOptions::Traversal::kBfs;
-    session.options().frontier_min_batch = 1;
     int reach_answered = 0;
     for (int trial = 0; trial < reach_trials; ++trial) {
       std::vector<std::string> expected;
@@ -1117,7 +1112,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
       std::string plan_text;
       for (const auto& row : plan->rows) plan_text += row[0].ToString() + "\n";
-      ASSERT_NE(plan_text.find(", frontier"), std::string::npos) << plan_text;
+      ASSERT_NE(plan_text.find("BFScan"), std::string::npos) << plan_text;
       ASSERT_EQ(plan_text.find("visited-once") != std::string::npos,
                 q.limit == 1)
           << plan_text;
@@ -1130,7 +1125,6 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       }
     }
     session.options().default_traversal = PlannerOptions().default_traversal;
-    session.options().frontier_min_batch = PlannerOptions().frontier_min_batch;
     if (reach_trials > 0) {
       EXPECT_GT(reach_answered, 0) << "no reach trial had an answer";
     }
@@ -1261,7 +1255,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       return out;
     };
     for (const auto& row : aerows) arank.push_back(row[3].AsBigInt());
-    DiffAdjacency aadj;
+    RefAdjacency aadj;
     const GraphView* agv = db.catalog().FindGraphView("ga");
     ASSERT_NE(agv, nullptr);
     for (int64_t v = 0; v < an; ++v) {
@@ -1412,7 +1406,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       for (const AggPath& p : paths) {
         const int64_t start = p.vs.front(), end = p.vs.back();
         if (residual && end <= start) continue;
-        if (like && DiffPathString(p.vs, p.es).find("-> 1") ==
+        if (like && RefPathString(p.vs, p.es).find("-> 1") ==
                         std::string::npos) {
           continue;
         }
@@ -1597,7 +1591,6 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       << "no task-pool work observed: parallel paths never engaged";
   session.options().max_parallelism = TestOptions().max_parallelism;
   session.options().parallel_min_rows = 2048;
-  session.options().parallel_min_starts = 8;
 }
 
 class GraphDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -1630,23 +1623,21 @@ TEST(GraphDiffFuzzEnvTest, EnvironmentSeedSweep) {
 }
 
 // ---------------------------------------------------------------------------
-// Frontier-kernel differential fuzz
+// BFS differential fuzz
 //
-// The level-synchronous frontier BFS operator must be observationally
-// indistinguishable from the per-path BFS engine: identical result multisets
-// always, and identical row order wherever BFS order is guaranteed (which is
-// everywhere — the frontier merge replicates the serial claim order exactly,
-// including under LIMIT and morsel parallelism). Two sweeps:
+// Every BFScan, iterative deepening and the visited-once forest alike, must
+// emit exactly the rows of the copy-prefix BFS reference (bfs_reference.h),
+// in its order, at 1 and 4 workers. Two sweeps:
 //
 //  * RunFrontierDifferentialSweep: random graph, random BFS-shaped queries
-//    run three ways (frontier off / frontier on serial / frontier on
-//    parallel) against each other and the brute-force reference, with random
-//    DML interleaved so queries alternate between the pure-CSR bitmap path
-//    and the delta-overlay hash path.
+//    (length windows, rank filters, SUM bounds, pushdown on and off, LIMIT
+//    k, reach probes), with random DML interleaved so queries alternate
+//    between pure-CSR and delta-overlay views.
 //  * RunFrontierSnapshotSweep: a writer thread churns edges in a component
 //    disjoint from the queried one (and excluded by a rank predicate), so
-//    every snapshot a reader can take must answer the fixed golden rows —
-//    with either kernel — while commits trigger delta folds underneath.
+//    every snapshot a reader can take must answer the fixed golden rows,
+//    which equal the reference's, while commits trigger delta folds
+//    underneath.
 // ---------------------------------------------------------------------------
 
 void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
@@ -1700,27 +1691,23 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
                   .ok());
 
   session.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  session.options().frontier_min_batch = 1;
-  auto run = [&](const std::string& sql, bool frontier, size_t parallelism) {
-    session.options().enable_frontier_bfs = frontier;
+  auto run = [&](const std::string& sql, size_t parallelism) {
     session.options().max_parallelism = parallelism;
     session.options().parallel_min_rows = 1;
-    session.options().parallel_min_starts = 1;
     auto result = session.Execute(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     return result;
   };
 
-  // The sweep must actually exercise the frontier operator, not silently
-  // compare the per-path engine against itself.
+  // The sweep must actually run BFScan.
   {
     auto plan = run("EXPLAIN SELECT P.PathString FROM g.Paths P "
                     "WHERE P.Length <= 2",
-                    /*frontier=*/true, /*parallelism=*/1);
+                    /*parallelism=*/1);
     ASSERT_TRUE(plan.ok());
     std::string text;
     for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
-    ASSERT_NE(text.find(", frontier"), std::string::npos) << text;
+    ASSERT_NE(text.find("BFScan"), std::string::npos) << text;
   }
 
   std::vector<int64_t> all_vertexes;
@@ -1732,8 +1719,8 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
   for (int trial = 0; trial < trials; ++trial) {
     SCOPED_TRACE(StrFormat("trial=%d", trial));
     // Random DML between queries: the view alternates between pure-CSR
-    // (fresh fold or untouched base) and delta-overlay state, so both the
-    // bitmap and the hash-set visited paths of the kernel get coverage.
+    // (fresh fold or untouched base) and delta-overlay state, so the
+    // forest runs both its CSR slice walk and its ExpandCore expansion.
     const int edits = static_cast<int>(rng.Uniform(0, 2));
     for (int i = 0; i < edits; ++i) {
       if (!graph.edges.empty() && rng.Bernoulli(0.4)) {
@@ -1752,7 +1739,8 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
         int64_t s = rng.Uniform(0, graph.n - 1);
         int64_t d = rng.Uniform(0, graph.n - 1);
         if (s == d || !used.insert({s, d}).second) continue;
-        double w = 0.5 + rng.NextDouble() * 4.0;
+        // The value the INSERT's %f stores, for the sum-bound reference.
+        double w = std::stod(StrFormat("%f", 0.5 + rng.NextDouble() * 4.0));
         int64_t rank = rng.Uniform(0, 99);
         int64_t id = 100000 + next_edge_id++;
         ASSERT_TRUE(
@@ -1767,83 +1755,104 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
       }
     }
 
-    DiffQuery q;
-    q.max_len = static_cast<size_t>(rng.Uniform(1, 3));
-    q.min_len = rng.Bernoulli(0.5)
-                    ? q.max_len
-                    : static_cast<size_t>(rng.Uniform(1, q.max_len));
+    // Queries see the view as the DML left it: its own neighbor order.
+    const RefAdjacency adj = ViewAdjacency(db, graph);
+    BfsRefQuery ref;
+    ref.max_len = static_cast<size_t>(rng.Uniform(1, 3));
+    ref.min_len = rng.Bernoulli(0.5)
+                      ? ref.max_len
+                      : static_cast<size_t>(rng.Uniform(1, ref.max_len));
     std::vector<std::string> conjuncts;
-    if (q.min_len == q.max_len) {
-      conjuncts.push_back(StrFormat("P.Length = %zu", q.max_len));
+    if (ref.min_len == ref.max_len) {
+      conjuncts.push_back(StrFormat("P.Length = %zu", ref.max_len));
     } else {
-      if (q.min_len > 1) {
-        conjuncts.push_back(StrFormat("P.Length >= %zu", q.min_len));
+      if (ref.min_len > 1) {
+        conjuncts.push_back(StrFormat("P.Length >= %zu", ref.min_len));
       }
-      conjuncts.push_back(StrFormat("P.Length <= %zu", q.max_len));
+      conjuncts.push_back(StrFormat("P.Length <= %zu", ref.max_len));
     }
     if (rng.Bernoulli(0.6)) {
-      q.starts = all_vertexes;
+      ref.starts = all_vertexes;
     } else {
       int64_t s = rng.Uniform(0, graph.n - 1);
-      q.starts = {s};
+      ref.starts = {s};
       conjuncts.push_back(StrFormat("P.StartVertex.Id = %lld",
                                     static_cast<long long>(s)));
     }
     if (rng.Bernoulli(0.5)) {
-      q.rank_below = rng.Uniform(10, 90);
+      const int64_t below = rng.Uniform(10, 90);
+      ref.edge_ok = RankBelow(graph, below);
       conjuncts.push_back(StrFormat("P.Edges[0..*].rank < %lld",
-                                    static_cast<long long>(*q.rank_below)));
+                                    static_cast<long long>(below)));
     }
     if (rng.Bernoulli(0.3)) {
-      q.end_vertex = rng.Uniform(0, graph.n - 1);
+      ref.target = rng.Uniform(0, graph.n - 1);
       conjuncts.push_back(StrFormat("P.EndVertex.Id = %lld",
-                                    static_cast<long long>(*q.end_vertex)));
+                                    static_cast<long long>(*ref.target)));
     }
-    q.sql = "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P WHERE ";
+    if (rng.Bernoulli(0.3)) {
+      static constexpr CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
+                                           CompareOp::kGe};
+      static constexpr const char* kOpText[] = {"<", "<=", ">="};
+      const int op = static_cast<int>(rng.Uniform(0, 2));
+      ref.w_op = kOps[op];
+      ref.w_bound = static_cast<double>(rng.Uniform(2, 10));
+      ref.weight = WeightOf(graph);
+      conjuncts.push_back(StrFormat("SUM(P.Edges.w) %s %lld", kOpText[op],
+                                    static_cast<long long>(ref.w_bound)));
+    }
+    ref.pushdown = rng.Bernoulli(0.7);
+    std::string sql =
+        "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P WHERE ";
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (i > 0) q.sql += " AND ";
-      q.sql += conjuncts[i];
+      if (i > 0) sql += " AND ";
+      sql += conjuncts[i];
     }
-    // LIMIT exercises the frontier's qualify-before-expand early exit; the
-    // brute-force reference does not model it, so those trials compare the
-    // kernels against each other only.
-    const bool limited = rng.Bernoulli(0.3);
-    if (limited) {
-      q.sql += StrFormat(" LIMIT %lld",
-                         static_cast<long long>(rng.Uniform(1, 5)));
+    // LIMIT k stops the passes at the first one that holds k rows.
+    if (rng.Bernoulli(0.3)) {
+      ref.limit = static_cast<size_t>(rng.Uniform(1, 5));
+      sql += StrFormat(" LIMIT %zu", ref.limit);
     }
-    SCOPED_TRACE(q.sql);
+    // LIMIT 1 with a bound end vertex, no SUM bound, a minimum length of at
+    // most 1 and the rank filter (if any) pushed is the planner's
+    // visited-once reachability search.
+    ref.visited_once = ref.limit == 1 && ref.target.has_value() &&
+                       !ref.w_op.has_value() && ref.min_len <= 1 &&
+                       (ref.edge_ok == nullptr || ref.pushdown);
+    SCOPED_TRACE(StrFormat("%s pushdown=%d", sql.c_str(), ref.pushdown));
 
-    auto off = run(q.sql, /*frontier=*/false, /*parallelism=*/1);
-    auto on1 = run(q.sql, /*frontier=*/true, /*parallelism=*/1);
-    auto on4 = run(q.sql, /*frontier=*/true, /*parallelism=*/4);
-    ASSERT_TRUE(off.ok() && on1.ok() && on4.ok());
-    EXPECT_EQ(DiffOrdered(*on1), DiffOrdered(*off))
-        << "frontier kernel diverges from per-path BFS";
-    EXPECT_EQ(DiffOrdered(*on4), DiffOrdered(*on1))
-        << "parallel frontier diverges from serial frontier";
-    if (!limited) {
-      EXPECT_EQ(DiffCanon(*off), DiffReference(graph, q))
-          << "per-path BFS diverges from reference";
+    session.options().enable_filter_pushdown = ref.pushdown;
+    {
+      auto plan = run("EXPLAIN " + sql, /*parallelism=*/1);
+      ASSERT_TRUE(plan.ok());
+      std::string text;
+      for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
+      ASSERT_EQ(text.find("visited-once") != std::string::npos,
+                ref.visited_once)
+          << text;
     }
+    const std::vector<std::string> expected = BfsReference(adj, ref);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      auto result = run(sql, workers);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(DiffOrdered(*result), expected)
+          << "workers=" << workers << " BFS diverges from the reference";
+    }
+    session.options().enable_filter_pushdown = true;
 
     // A reach probe (LIMIT/TOP 1..3, cycles back to the start, multi-start
-    // and join probes, rank filters), whose answer the frontier kernel may
-    // claim mid-level: every kernel must return the reference's sequence.
-    std::vector<std::string> expected;
-    const ReachDiffQuery reach = MakeReachProbe(
-        graph, ViewAdjacency(db, graph), reach_rng, &expected);
+    // and join probes, rank filters), whose answer the visited-once forest
+    // may claim mid-level: it must return the reference's sequence.
+    std::vector<std::string> reach_expected;
+    const ReachDiffQuery reach =
+        MakeReachProbe(graph, adj, reach_rng, &reach_expected);
     SCOPED_TRACE(reach.sql);
-    auto reach_off = run(reach.sql, /*frontier=*/false, /*parallelism=*/1);
-    auto reach_on1 = run(reach.sql, /*frontier=*/true, /*parallelism=*/1);
-    auto reach_on4 = run(reach.sql, /*frontier=*/true, /*parallelism=*/4);
-    ASSERT_TRUE(reach_off.ok() && reach_on1.ok() && reach_on4.ok());
-    EXPECT_EQ(DiffOrdered(*reach_off), expected)
-        << "per-path BFS diverges from the reference";
-    EXPECT_EQ(DiffOrdered(*reach_on1), expected)
-        << "frontier kernel diverges from the reference";
-    EXPECT_EQ(DiffOrdered(*reach_on4), expected)
-        << "parallel frontier diverges from the reference";
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      auto result = run(reach.sql, workers);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(DiffOrdered(*result), reach_expected)
+          << "workers=" << workers << " reach diverges from the reference";
+    }
   }
 
   session.options() = PlannerOptions();
@@ -1851,12 +1860,12 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
 
 /// Writer churns edges confined to a noise component (vertexes 100+, rank
 /// 100) while readers repeatedly answer queries over the core component
-/// (vertexes 0..9, rank 0) with both kernels. Every query carries a
+/// (vertexes 0..9, rank 0) at 1 and 4 workers. Every query carries a
 /// rank-based predicate and the components share no edges, so the correct
-/// answer is identical at every snapshot: any divergence from the golden
-/// rows means a kernel read torn topology. After the threads quiesce the
-/// test forces a delta fold and re-checks both kernels against the rebuilt
-/// CSR base.
+/// answer is identical at every snapshot: the golden rows, which must equal
+/// the reference's. Any divergence from them means a scan read torn
+/// topology. After the threads quiesce the test forces a delta fold and
+/// re-checks against the rebuilt CSR base.
 void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   SCOPED_TRACE(StrFormat("frontier-snapshot seed=%llu",
                          static_cast<unsigned long long>(seed)));
@@ -1878,13 +1887,16 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   }
   ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
   std::vector<std::vector<Value>> erows;
+  DiffGraph core;  // The queried component, for the reference.
+  core.n = 10;
   for (int64_t i = 0; i < 10; ++i) {  // Ring plus chords: branchy BFS.
-    erows.push_back({Value::BigInt(i), Value::BigInt(i),
-                     Value::BigInt((i + 1) % 10), Value::Double(1.0),
-                     Value::BigInt(0)});
-    erows.push_back({Value::BigInt(10 + i), Value::BigInt(i),
-                     Value::BigInt((i + 3) % 10), Value::Double(1.0),
-                     Value::BigInt(0)});
+    for (const DiffEdge& e : {DiffEdge{i, i, (i + 1) % 10, 1.0, 0, 1},
+                              DiffEdge{10 + i, i, (i + 3) % 10, 1.0, 0, 1}}) {
+      core.edges.push_back(e);
+      erows.push_back({Value::BigInt(e.id), Value::BigInt(e.src),
+                       Value::BigInt(e.dst), Value::Double(e.w),
+                       Value::BigInt(e.rank)});
+    }
   }
   ASSERT_TRUE(db.BulkInsert("e", erows).ok());
   const char* kind = rng.Bernoulli(0.5) ? "DIRECTED" : "UNDIRECTED";
@@ -1908,21 +1920,39 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
       "WHERE P.Length = 2 AND P.Edges[0..*].rank < 50 LIMIT 9",
   };
 
-  auto configure = [](Session* s, bool frontier, size_t parallelism) {
+  // The reference's probe for each query: no noise vertex starts a path.
+  std::vector<int64_t> core_starts;
+  for (int64_t i = 0; i < 10; ++i) core_starts.push_back(i);
+  std::vector<BfsRefQuery> refs(queries.size());
+  for (BfsRefQuery& ref : refs) {
+    ref.starts = core_starts;
+    ref.edge_ok = RankBelow(core, 50);
+  }
+  refs[0].max_len = 3;
+  refs[1].starts = {0};
+  refs[1].max_len = 4;
+  refs[2].starts = {0};
+  refs[2].target = 5;
+  refs[2].max_len = 6;
+  refs[2].visited_once = true;  // LIMIT 1 under BFS.
+  refs[2].limit = 1;
+  refs[3].min_len = refs[3].max_len = 2;
+  refs[3].limit = 9;
+
+  auto configure = [](Session* s, size_t parallelism) {
     s->options().default_traversal = PlannerOptions::Traversal::kBfs;
-    s->options().frontier_min_batch = 1;
-    s->options().enable_frontier_bfs = frontier;
     s->options().max_parallelism = parallelism;
     s->options().parallel_min_rows = 1;
-    s->options().parallel_min_starts = 1;
   };
 
   std::vector<std::vector<std::string>> golden;
-  configure(&session, /*frontier=*/false, /*parallelism=*/1);
-  for (const std::string& sql : queries) {
-    auto res = session.Execute(sql);
-    ASSERT_TRUE(res.ok()) << sql << ": " << res.status().ToString();
+  configure(&session, /*parallelism=*/1);
+  const RefAdjacency adj = ViewAdjacency(db, core);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    auto res = session.Execute(queries[qi]);
+    ASSERT_TRUE(res.ok()) << queries[qi] << ": " << res.status().ToString();
     golden.push_back(DiffOrdered(*res));
+    EXPECT_EQ(golden.back(), BfsReference(adj, refs[qi])) << queries[qi];
   }
   ASSERT_FALSE(golden[0].empty());
 
@@ -1936,13 +1966,8 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
       size_t i = static_cast<size_t>(r);
       while (!done.load(std::memory_order_acquire)) {
         const size_t qi = i++ % queries.size();
-        struct Mode {
-          bool frontier;
-          size_t parallelism;
-        };
-        for (const Mode& mode :
-             {Mode{false, 1}, Mode{true, 1}, Mode{true, 4}}) {
-          configure(&s, mode.frontier, mode.parallelism);
+        for (size_t parallelism : {size_t{1}, size_t{4}}) {
+          configure(&s, parallelism);
           auto res = s.Execute(queries[qi]);
           if (!res.ok()) {
             ++reader_errors;
@@ -1999,11 +2024,11 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_EQ(reader_violations.load(), 0)
-      << "a kernel observed topology the snapshot should not contain";
+      << "a scan observed topology the snapshot should not contain";
 
   // Force at least one fold now that the readers are gone (the fold lock is
-  // best-effort under reader pressure), then verify both kernels against
-  // the re-snapshotted CSR base.
+  // best-effort under reader pressure), then verify against the
+  // re-snapshotted CSR base.
   GraphView* gv = db.catalog().FindGraphView("g");
   ASSERT_NE(gv, nullptr);
   const size_t folds_before = gv->Folds();
@@ -2018,19 +2043,20 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   ASSERT_GT(gv->Folds(), folds_before)
       << "commit pressure never triggered a delta fold";
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    for (bool frontier : {false, true}) {
-      configure(&session, frontier, /*parallelism=*/1);
+    for (size_t parallelism : {size_t{1}, size_t{4}}) {
+      configure(&session, parallelism);
       auto res = session.Execute(queries[qi]);
       ASSERT_TRUE(res.ok()) << res.status().ToString();
       EXPECT_EQ(DiffOrdered(*res), golden[qi])
-          << queries[qi] << " diverges after fold (frontier="
-          << frontier << ")";
+          << queries[qi] << " diverges after fold (workers=" << parallelism
+          << ")";
     }
   }
 }
 
 class FrontierDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The reference is a per-path (copy-prefix) BFS.
 TEST_P(FrontierDiffFuzzTest, FrontierMatchesPerPathAndReference) {
   RunFrontierDifferentialSweep(GetParam(), /*trials=*/18);
 }
@@ -2046,7 +2072,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FrontierDiffFuzzTest,
                            return "seed" + std::to_string(info.param);
                          });
 
-// Environment-seeded frontier sweep: CI rolls a fresh seed per run.
+// Environment-seeded BFS sweep: CI rolls a fresh seed per run.
 TEST(FrontierDiffFuzzEnvTest, EnvironmentSeedSweep) {
   uint64_t seed = 20260808;
   if (const char* env = std::getenv("GRF_FUZZ_SEED")) {
