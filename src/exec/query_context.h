@@ -65,7 +65,12 @@ struct ExecStats {
   /// Traversal records popped (or claims qualified); an iterative-deepening
   /// BFScan counts each pass's re-expansions.
   uint64_t vertexes_expanded = 0;
-  uint64_t edges_examined = 0;      ///< Edges considered by traversals.
+  /// Edges considered by traversals: the kernels' and the point-to-point
+  /// bounds' (bound_edges) together.
+  uint64_t edges_examined = 0;
+  /// Edges a point-to-point bound's bidirectional search examined (a part
+  /// of edges_examined).
+  uint64_t bound_edges = 0;
   uint64_t paths_emitted = 0;       ///< Paths produced by PathScan.
   uint64_t paths_pruned = 0;        ///< Branches cut by pushed-down filters.
   uint64_t max_frontier = 0;        ///< Peak traversal stack/level size.
@@ -84,6 +89,7 @@ struct ExecStats {
     rows_joined += other.rows_joined;
     vertexes_expanded += other.vertexes_expanded;
     edges_examined += other.edges_examined;
+    bound_edges += other.bound_edges;
     paths_emitted += other.paths_emitted;
     paths_pruned += other.paths_pruned;
     attr_tuple_reads += other.attr_tuple_reads;

@@ -44,6 +44,7 @@ size_t CsrTopology::Bytes() const {
   bytes += (out_edge_ids.capacity() + in_edge_ids.capacity()) * sizeof(EdgeId);
   bytes += (out_edge_pos.capacity() + in_edge_pos.capacity()) * sizeof(size_t);
   bytes += (out_nbr.capacity() + in_nbr.capacity()) * sizeof(VertexId);
+  bytes += in_out_slot.capacity() * sizeof(size_t);
   bytes += dense_.capacity() * sizeof(size_t);
   bytes += sparse_.size() * (sizeof(VertexId) + sizeof(size_t) + 16);
   return bytes;

@@ -44,6 +44,10 @@ struct CsrTopology {
   std::vector<EdgeId> in_edge_ids;
   std::vector<size_t> in_edge_pos;
   std::vector<VertexId> in_nbr;
+  /// Directed views only: the out-side slot of in_edge_ids[i]'s edge, so a
+  /// backward search reads the edge's EdgeAttrColumn cell (which covers
+  /// out-side slots only on a directed view). Empty on undirected views.
+  std::vector<size_t> in_out_slot;
 
   size_t NumVertexes() const { return vertex_ids.size(); }
   size_t NumEdges() const { return out_edge_ids.size(); }

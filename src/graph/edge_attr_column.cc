@@ -1,5 +1,7 @@
 #include "graph/edge_attr_column.h"
 
+#include <cmath>
+
 namespace grfusion {
 
 EdgeAttrColumn::EdgeAttrColumn(ValueType type, size_t slots)
@@ -20,14 +22,20 @@ void EdgeAttrColumn::Mark(std::vector<uint64_t>* bits, size_t slots,
 void EdgeAttrColumn::Set(size_t slot, const Value* value) {
   if (value == nullptr) {
     Mark(&undescribed_, slots_, slot);
+    all_non_negative_ = false;
   } else if (value->is_null()) {
     Mark(&nulls_, slots_, slot);
+    all_non_negative_ = false;
   } else if (value->type() != type_) {
     Mark(&undescribed_, slots_, slot);
+    all_non_negative_ = false;
   } else if (type_ == ValueType::kBigInt) {
     i64_[slot] = value->AsBigInt();
+    all_non_negative_ = all_non_negative_ && i64_[slot] >= 0;
   } else {
     f64_[slot] = value->AsDouble();
+    all_non_negative_ = all_non_negative_ && f64_[slot] >= 0 &&
+                        std::isfinite(f64_[slot]);
   }
 }
 

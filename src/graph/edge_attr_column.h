@@ -67,6 +67,11 @@ class EdgeAttrColumn {
     return cell;
   }
 
+  /// True when every slot holds a finite, non-negative number: no NULL, no
+  /// undescribed slot, no negative, infinite or NaN value. Set as the
+  /// column is built, so a reader can trust any cell as a valid weight.
+  bool AllNonNegative() const { return all_non_negative_; }
+
   /// Heap bytes held by the arrays.
   size_t Bytes() const;
 
@@ -89,6 +94,7 @@ class EdgeAttrColumn {
   std::vector<double> f64_;            ///< DOUBLE values.
   std::vector<uint64_t> nulls_;        ///< Only when a slot holds NULL.
   std::vector<uint64_t> undescribed_;  ///< Only when a slot reads its tuple.
+  bool all_non_negative_ = true;       ///< See AllNonNegative.
 };
 
 }  // namespace grfusion

@@ -406,6 +406,16 @@ void GraphView::RebuildCsr() {
   };
   resolve_edges(c.out_edge_ids, true, &c.out_edge_pos, &c.out_nbr);
   resolve_edges(c.in_edge_ids, false, &c.in_edge_pos, &c.in_nbr);
+  if (directed()) {
+    // Each edge sits once in each side: map its deque position to its
+    // out-side slot, then read that map through in_edge_pos.
+    std::vector<size_t> out_slot_of(edges_.size(), 0);
+    for (size_t k = 0; k < c.out_edge_pos.size(); ++k) {
+      out_slot_of[c.out_edge_pos[k]] = k;
+    }
+    c.in_out_slot.reserve(c.in_edge_pos.size());
+    for (size_t pos : c.in_edge_pos) c.in_out_slot.push_back(out_slot_of[pos]);
+  }
   c.BuildIndex();
 
   csr_ = std::move(fresh);

@@ -34,6 +34,10 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
   csr_size_ = csr_ != nullptr ? csr_->NumVertexes() : 0;
   pure_csr_ = gv.PureCsr();
   ResetForest();
+  if (spec_->point_to_point) {
+    GRF_ASSIGN_OR_RETURN(bool reachable, ArmBound(seeds));
+    if (!reachable) seeds.clear();
+  }
   // The seeds are level 0's claim events, qualified before any expansion.
   for (VertexId start : seeds) {
     const size_t i = IndexOf(start);
@@ -42,8 +46,41 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
     ev.vertex = static_cast<uint32_t>(i);
     next_.push_back(ev);
   }
-  Charge(pages_.size() * sizeof(ForestPage*) + next_.size() * sizeof(Event));
+  Charge(pages_.directory_bytes() + next_.size() * sizeof(Event));
   return Status::OK();
+}
+
+StatusOr<bool> FrontierScanner::ArmBound(const std::vector<VertexId>& seeds) {
+  size_t s = 0, t = 0;
+  if (!PointProbe(seeds, &s, &t) || has_vertex_preds_) return true;
+  // The planner admits only uniform edge predicates; each must be answered
+  // by a flat column.
+  const bool preds = !spec_->element_preds.empty();
+  if (preds && !ColumnsUsable()) return true;
+  for (const EdgeAttrColumn* column : pred_columns_) {
+    if (column == nullptr) return true;
+  }
+  if (t == CsrTopology::kAbsent) return false;
+  static const ExecRow kEmptyRow;
+  const ExecRow& row = outer_row_ == nullptr ? kEmptyRow : *outer_row_;
+  const PointBound::EdgeTest test = [&](size_t slot) {
+    for (size_t p = 0; p < spec_->element_preds.size(); ++p) {
+      Value v;
+      if (pred_columns_[p]->Read(slot, &v) == EdgeAttrColumn::Cell::kTuple) {
+        return -1;
+      }
+      StatusOr<bool> pass = spec_->element_preds[p]->TestElement(v, row);
+      if (!pass.ok()) return -1;
+      if (!*pass) return 0;
+    }
+    return 1;
+  };
+  GRF_ASSIGN_OR_RETURN(
+      PointBound::Outcome outcome,
+      bound_.RunHops(*csr_, spec_->gv->directed(), s, t,
+                     preds ? &test : nullptr, ctx_));
+  bounded_ = outcome == PointBound::Outcome::kBound;
+  return outcome != PointBound::Outcome::kUnreachable;
 }
 
 void FrontierScanner::Release() {
@@ -52,24 +89,19 @@ void FrontierScanner::Release() {
   level_ = 0;
   current_.clear();
   next_.clear();
-  pages_.clear();
-  page_store_.clear();
-  mapped_slots_.clear();
+  pages_.Clear();
   overflow_.clear();
   overflow_ids_.clear();
   PathScanner::Release();
 }
 
 void FrontierScanner::ResetForest() {
-  for (size_t slot : mapped_slots_) pages_[slot] = nullptr;
-  mapped_slots_.clear();
   // Each overflow index names a distinct live vertex, so the overflow range
   // stays below the view's vertex count.
   const size_t indexes =
       csr_size_ + (pure_csr_ ? 0 : spec_->gv->NumVertexes());
   GRF_DCHECK(indexes < static_cast<size_t>(kRoot));
-  const size_t slots = (indexes + kPageSize - 1) >> kPageShift;
-  if (pages_.size() != slots) pages_.assign(slots, nullptr);
+  pages_.Reset(indexes);
 }
 
 size_t FrontierScanner::IndexOf(VertexId id) {
@@ -91,22 +123,17 @@ size_t FrontierScanner::IndexOf(VertexId id) {
 
 void FrontierScanner::Claim(size_t i, uint32_t parent, uint32_t root,
                             EdgeId edge) {
-  ForestPage*& page = pages_[i >> kPageShift];
-  if (page == nullptr) {
-    // First claim in this page this probe: map a page (reusing one an
-    // earlier probe allocated) with every vertex unclaimed.
-    if (mapped_slots_.size() == page_store_.size()) {
-      page_store_.push_back(std::make_unique<ForestPage>());
-    }
-    page = page_store_[mapped_slots_.size()].get();
-    mapped_slots_.push_back(i >> kPageShift);
-    std::fill(std::begin(page->parent), std::end(page->parent), kUnclaimed);
+  bool fresh = false;
+  ForestPage& page = pages_.Map(i, &fresh);
+  if (fresh) {
+    // First claim in this page this probe: every vertex starts unclaimed.
+    std::fill(std::begin(page.parent), std::end(page.parent), kUnclaimed);
     Charge(sizeof(ForestPage));
   }
   const size_t k = i & (kPageSize - 1);
-  page->parent[k] = parent;
-  page->root[k] = root;
-  page->edge[k] = edge;
+  page.parent[k] = parent;
+  page.root[k] = root;
+  page.edge[k] = edge;
 }
 
 StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
@@ -185,7 +212,14 @@ Status FrontierScanner::ExpandStep() {
     if (!pure_csr_) return ExpandWhole(u);
     expansion_ = ExpansionOf(parent_.start(), edge_index);
   }
+  if (expansion_.attrs) {
+    return bounded_ ? WalkSlices<true, true>(u) : WalkSlices<true, false>(u);
+  }
+  return bounded_ ? WalkSlices<false, true>(u) : WalkSlices<false, false>(u);
+}
 
+template <bool kAttrs, bool kBound>
+Status FrontierScanner::WalkSlices(uint32_t u) {
   // A pure-CSR vertex's neighbors are exactly its slices: enumerate them in
   // ForEachNeighborSlot's order (out, then in for an undirected view) by a
   // position that survives a return to the caller.
@@ -202,6 +236,9 @@ Status FrontierScanner::ExpandStep() {
   // Locals, so the per-edge counter stores cannot force reloads.
   const TreePrefix prefix = parent_;
   const Expansion x = expansion_;
+  // The bound's claim test: a claim at level_ survives while h <= slack.
+  const double slack = kBound ? bound_.Hops() - static_cast<double>(level_)
+                              : 0.0;
   bool closing = false;
   double sums = 0.0;  // No sum bounds: never written.
   double cost = 0.0;
@@ -223,8 +260,9 @@ Status FrontierScanner::ExpandStep() {
     const EdgeEntry& edge = gv.CsrEdge(pos);
     const size_t j = c.IndexOf(nbr);
     GRF_DCHECK(j != CsrTopology::kAbsent);
-    const Admit admit = AdmitEdge(
-        prefix, x, edge, nbr, slot, ctx_, [&] { return Claimed(j); },
+    const Admit admit = AdmitEdge<kAttrs>(
+        prefix, x, edge, nbr, slot, ctx_,
+        [&] { return Claimed(j) || (kBound && bound_.ToGo(j) > slack); },
         [&] { return &gv.CsrVertex(j); }, &closing, &sums, &cost, &status);
     if (admit == Admit::kSkip) continue;
     edge_cursor_ = k + 1;

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "graphexec/first_touch_pages.h"
 #include "graphexec/path_scanner.h"
 
 namespace grfusion {
@@ -36,6 +37,12 @@ namespace grfusion {
 /// fixed-size pages of indexes, allocated and charged when a probe first
 /// claims a vertex in them, so a probe's memory follows the region it
 /// explores, not the view's size.
+///
+/// A point-to-point probe (TraversalSpec::point_to_point, PointProbe)
+/// first runs a bidirectional BFS bound, then skips claiming any vertex
+/// whose claim level plus its bound on the hops left exceeds the answer's
+/// hop count: only vertexes on no shortest path go, so the claim order of
+/// the rest, and the emitted path, are unchanged (DESIGN.md §14).
 ///
 /// The planner never combines global_visited with sum bounds, so events
 /// carry no sums.
@@ -69,6 +76,7 @@ class FrontierScanner : public PathScanner {
     uint32_t root[kPageSize];    ///< Index of the tree root.
     EdgeId edge[kPageSize];      ///< Tree edge that claimed it.
   };
+  using ForestPages = FirstTouchPages<ForestPage, kPageShift>;
 
   /// AdmitEdge's view of a tree path: the forest path from its root to a
   /// parent. Every vertex on it is claimed, so for any neighbor but the root
@@ -104,12 +112,12 @@ class FrontierScanner : public PathScanner {
   };
 
   bool Claimed(size_t i) const {
-    const ForestPage* page = pages_[i >> kPageShift];
+    const ForestPage* page = pages_.Find(i);
     return page != nullptr &&
            page->parent[i & (kPageSize - 1)] != kUnclaimed;
   }
   /// The page holding index `i` (claimed, so mapped).
-  const ForestPage& PageOf(size_t i) const { return *pages_[i >> kPageShift]; }
+  const ForestPage& PageOf(size_t i) const { return *pages_.Find(i); }
   /// Claims index `i`, mapping (and charging) its page on first touch.
   void Claim(size_t i, uint32_t parent, uint32_t root, EdgeId edge);
   /// Unmaps the previous probe's pages and sizes the page directory to the
@@ -129,10 +137,18 @@ class FrontierScanner : public PathScanner {
   /// examines another edge.
   void Append(uint32_t u, const EdgeEntry& edge, size_t j, bool closing,
               uint32_t root);
+  /// Runs the point-to-point bound when the probe meets its rules; false
+  /// when it proves the target unreachable.
+  StatusOr<bool> ArmBound(const std::vector<VertexId>& seeds);
   /// Expands the current parent: on a pure-CSR view from the edge cursor
   /// until one claim event is appended (then returns) or the parent is
   /// done; otherwise whole, through ExpandCore.
   Status ExpandStep();
+  /// ExpandStep's pure-CSR slice walk of parent `u`. kAttrs instantiates
+  /// AdmitEdge's attribute checks (expansion_.attrs); kBound the bound's
+  /// claim test.
+  template <bool kAttrs, bool kBound>
+  Status WalkSlices(uint32_t u);
   /// Expands parent `u` whole through ExpandCore (non-pure-CSR views).
   Status ExpandWhole(uint32_t u);
   /// The event's path (parent-chain walk).
@@ -150,11 +166,7 @@ class FrontierScanner : public PathScanner {
   TreePrefix parent_;          ///< That parent's path,
   Expansion expansion_;        ///< and its AdmitEdge constants.
 
-  std::vector<ForestPage*> pages_;  ///< Directory: index >> kPageShift.
-  /// Every page this scanner allocated. This probe mapped page_store_[k]
-  /// at directory slot mapped_slots_[k], for each k < mapped_slots_.size().
-  std::vector<std::unique_ptr<ForestPage>> page_store_;
-  std::vector<size_t> mapped_slots_;
+  ForestPages pages_;
 
   /// Overflow indexes of this probe: vertexes outside the snapshot.
   std::unordered_map<VertexId, uint32_t> overflow_;

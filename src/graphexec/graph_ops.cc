@@ -376,6 +376,7 @@ Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   outer_valid_ = false;
   ctx_ = ctx;
   attr_tuple_reads_ = 0;
+  bound_edges_ = 0;
   outer_copies_ = 0;
   morsel_count_ = 0;
   worker_ns_.clear();
@@ -584,8 +585,10 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
     GRF_ASSIGN_OR_RETURN(bool has_outer, outer_->Next(&outer_row_));
     if (!has_outer) return false;
     GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(outer_row_));
-    GRF_ASSIGN_OR_RETURN(outer_valid_,
-                         Arm(scanner_.get(), outer_row_, std::move(starts)));
+    const uint64_t bound_before = ctx_->stats().bound_edges;
+    StatusOr<bool> armed = Arm(scanner_.get(), outer_row_, std::move(starts));
+    bound_edges_ += ctx_->stats().bound_edges - bound_before;
+    GRF_ASSIGN_OR_RETURN(outer_valid_, std::move(armed));
   }
 }
 
@@ -611,6 +614,10 @@ std::string PathProbeJoinOp::AnalyzeExtra() const {
   if (attr_tuple_reads_ > 0) {
     out += StrFormat(" attr_tuple_reads=%llu",
                      static_cast<unsigned long long>(attr_tuple_reads_));
+  }
+  if (spec_->point_to_point) {
+    out += StrFormat(" bound_edges=%llu",
+                     static_cast<unsigned long long>(bound_edges_));
   }
   if (spec_->physical == TraversalSpec::Physical::kBfs &&
       !spec_->global_visited && scanner_ != nullptr) {

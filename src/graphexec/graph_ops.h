@@ -178,6 +178,9 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   /// Edge-attribute reads this operator's traversals served from tuples
   /// rather than flat columns (EXPLAIN ANALYZE).
   uint64_t attr_tuple_reads_ = 0;
+  /// Edges this operator's point-to-point bounds examined (EXPLAIN
+  /// ANALYZE; a part of edges_examined).
+  uint64_t bound_edges_ = 0;
 
   // Morsel source (set_morsel_mode).
   bool morsel_mode_ = false;

@@ -14,8 +14,12 @@ std::string TraversalSpec::DebugString() const {
   out += gv == nullptr ? "?" : gv->name();
   switch (physical) {
     case Physical::kDfs: out += ", DFScan"; break;
-    case Physical::kBfs: out += ", BFScan"; break;
-    case Physical::kShortestPath: out += ", SPScan"; break;
+    case Physical::kBfs:
+      out += point_to_point ? ", BFScan(visited-once, bidir)" : ", BFScan";
+      break;
+    case Physical::kShortestPath:
+      out += point_to_point ? ", SPScan(bidir)" : ", SPScan";
+      break;
   }
   if (start_vertex_expr != nullptr) {
     out += ", start: " + start_vertex_expr->ToString();
@@ -32,7 +36,7 @@ std::string TraversalSpec::DebugString() const {
     out += StrFormat(", sum-bounds: %zu", sum_bounds.size());
   }
   if (!push_filters) out += ", NO-PUSHDOWN";
-  if (global_visited) out += ", visited-once";
+  if (global_visited && !point_to_point) out += ", visited-once";
   return out + ")";
 }
 
@@ -62,6 +66,8 @@ StatusOr<std::vector<VertexId>> PathScanner::ArmProbe(
     std::vector<VertexId> starts, std::optional<VertexId> target,
     const ExecRow* outer_row) {
   ReleaseCharge();
+  bound_.Uncharge(ctx_);
+  bounded_ = false;
   outer_row_ = outer_row;
   target_ = target;
 
@@ -124,6 +130,18 @@ StatusOr<std::vector<VertexId>> PathScanner::ArmProbe(
     seeds.push_back(start);
   }
   return seeds;
+}
+
+bool PathScanner::PointProbe(const std::vector<VertexId>& seeds, size_t* s,
+                             size_t* t) const {
+  const GraphView& gv = *spec_->gv;
+  if (seeds.size() != 1 || !target_.has_value() || *target_ == seeds[0] ||
+      !gv.PureCsr()) {
+    return false;
+  }
+  *s = gv.csr()->IndexOf(seeds[0]);
+  *t = gv.csr()->IndexOf(*target_);
+  return true;
 }
 
 StatusOr<bool> PathScanner::EdgeAdmissible(const EdgeEntry& edge,

@@ -10,6 +10,7 @@
 #include "exec/query_context.h"
 #include "expr/row.h"
 #include "graph/path.h"
+#include "graphexec/point_bound.h"
 #include "graphexec/traversal_spec.h"
 
 namespace grfusion {
@@ -50,6 +51,8 @@ class PathScanner {
   /// Drops traversal state and releases its memory charge (operator Close).
   virtual void Release() {
     has_columns_ = false;
+    bounded_ = false;
+    bound_.Release(ctx_);
     ReleaseCharge();
   }
 
@@ -99,12 +102,19 @@ class PathScanner {
   }
 
   /// Per-probe setup shared by every engine: drops the previous probe's
-  /// charge, evaluates the sum bounds, and returns the sorted, deduplicated
-  /// starts that exist and pass the pushed position-0 vertex filters (the
-  /// seeds of the traversal).
+  /// charge and bound, evaluates the sum bounds, and returns the sorted,
+  /// deduplicated starts that exist and pass the pushed position-0 vertex
+  /// filters (the seeds of the traversal).
   StatusOr<std::vector<VertexId>> ArmProbe(std::vector<VertexId> starts,
                                            std::optional<VertexId> target,
                                            const ExecRow* outer_row);
+
+  /// The run-time rules of a point-to-point bound, past the planner's
+  /// (TraversalSpec::point_to_point): one seed, a target other than it,
+  /// and a pure-CSR view. On true, `*s` and `*t` are their CSR indexes;
+  /// `*t` is CsrTopology::kAbsent when the target is not a vertex.
+  bool PointProbe(const std::vector<VertexId>& seeds, size_t* s,
+                  size_t* t) const;
 
   /// Adds `bytes` to the traversal's charge. A failed charge is recorded by
   /// the context (peak accounting); engines check current_bytes() against
@@ -161,8 +171,11 @@ class PathScanner {
   /// The path rules are always inlined: they run once per edge examined,
   /// and a call per edge cost the DFS path pipeline about 10% of its
   /// throughput. The attribute checks stay out of line, so the traversal
-  /// loops that inline this keep their registers.
-  template <typename Prefix, typename Visited, typename Entry>
+  /// loops that inline this keep their registers. A loop whose expansion
+  /// reads no attributes (!x.attrs) may instantiate kAttrs = false, which
+  /// compiles the AdmitAttrs branch out.
+  template <bool kAttrs = true, typename Prefix, typename Visited,
+            typename Entry>
   [[gnu::always_inline]] Admit AdmitEdge(
       const Prefix& prefix, const Expansion& x, const EdgeEntry& edge,
       VertexId nbr, size_t slot, QueryContext* ctx, Visited&& visited,
@@ -185,7 +198,7 @@ class PathScanner {
     }
     *closing = closes;
     *cost = prefix.cost();
-    if (!x.attrs) return Admit::kAdmit;
+    if (!kAttrs || !x.attrs) return Admit::kAdmit;
     return AdmitAttrs(x, edge, slot, ctx,
                       spec_->push_filters && has_vertex_preds_ ? entry()
                                                                : nullptr,
@@ -333,6 +346,11 @@ class PathScanner {
   bool has_columns_ = false;  ///< Any of the above is non-null.
 
   size_t charged_ = 0;  ///< Bytes currently charged for traversal state.
+
+  /// The point-to-point bound (PointProbe), and whether it describes the
+  /// current probe.
+  PointBound bound_;
+  bool bounded_ = false;
 };
 
 /// The engine for `spec`: ShortestPathScanner for SPScan, FrontierScanner

@@ -12,7 +12,8 @@ class ShortestPathScanner::RecordPrefix {
         r_(r),
         rec_(scanner.records_[r]),
         drop_(scanner.early_drop_spec_ && scanner.target_.has_value() &&
-              scanner.weight_column_ != nullptr && scanner.ColumnsUsable()) {}
+              scanner.weight_column_ != nullptr && scanner.ColumnsUsable()),
+        bounded_(drop_ && scanner.bounded_) {}
 
   VertexId start() const { return rec_.start; }
   VertexId end() const { return rec_.vertex; }
@@ -24,7 +25,17 @@ class ShortestPathScanner::RecordPrefix {
   /// with no pushed filter or sum bound the only check before the sink that
   /// can fail is the weight's, so a column cell holding a valid weight lets
   /// the edge go before the prefix walks and the rest of the pipeline.
+  /// Under the point-to-point bound, the same holds for an extension the
+  /// bound rules off every optimal path; every cell is then a valid weight.
   Touch Screen(VertexId v, size_t slot) const {
+    if (bounded_) {
+      double w = 0.0;
+      s_.weight_column_->Numeric(slot, &w);
+      const size_t j = s_.spec_->gv->csr()->IndexOf(v);
+      if ((rec_.cost + w) + s_.bound_.ToGo(j) > s_.bound_.CostLimit()) {
+        return Touch::kDrop;
+      }
+    }
     found_ = s_.FindSlot(rec_.start, v);
     const ExpansionSlot& entry = s_.slots_[found_];
     if (!entry.used || entry.count == 0) return Touch::kOff;
@@ -60,8 +71,9 @@ class ShortestPathScanner::RecordPrefix {
  private:
   const ShortestPathScanner& s_;
   uint32_t r_;
-  Record rec_;  ///< A copy: the sink appends to records_.
-  bool drop_;   ///< Early drops allowed for this expansion.
+  Record rec_;    ///< A copy: the sink appends to records_.
+  bool drop_;     ///< Early drops allowed for this expansion.
+  bool bounded_;  ///< The bound's drops too.
   mutable size_t found_ = 0;
 };
 
@@ -71,6 +83,10 @@ Status ShortestPathScanner::Reset(std::vector<VertexId> starts,
   ClearArena();
   GRF_ASSIGN_OR_RETURN(std::vector<VertexId> seeds,
                        ArmProbe(std::move(starts), target, outer_row));
+  if (spec_->point_to_point) {
+    GRF_ASSIGN_OR_RETURN(bool reachable, ArmBound(seeds));
+    if (!reachable) return Status::OK();
+  }
 
   const std::vector<double> zeros(spec_->sum_bounds.size(), 0.0);
   for (VertexId start : seeds) {
@@ -80,6 +96,22 @@ Status ShortestPathScanner::Reset(std::vector<VertexId> starts,
     Push(root, zeros.data());
   }
   return Status::OK();
+}
+
+StatusOr<bool> ShortestPathScanner::ArmBound(
+    const std::vector<VertexId>& seeds) {
+  size_t s = 0, t = 0;
+  if (!PointProbe(seeds, &s, &t) || weight_column_ == nullptr ||
+      !ColumnsUsable() || !weight_column_->AllNonNegative()) {
+    return true;
+  }
+  if (t == CsrTopology::kAbsent) return false;
+  const GraphView& gv = *spec_->gv;
+  GRF_ASSIGN_OR_RETURN(PointBound::Outcome outcome,
+                       bound_.RunDijkstra(*gv.csr(), gv.directed(), s, t,
+                                          *weight_column_, ctx_));
+  bounded_ = outcome == PointBound::Outcome::kBound;
+  return outcome != PointBound::Outcome::kUnreachable;
 }
 
 void ShortestPathScanner::Release() {

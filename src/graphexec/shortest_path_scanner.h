@@ -34,6 +34,13 @@ namespace grfusion {
 /// are unchanged too. One of them, an edge into a vertex already at its
 /// cap, is also taken before those checks when none of them can fail or
 /// count anything (RecordPrefix::Screen).
+///
+/// A point-to-point probe (TraversalSpec::point_to_point, PointProbe, a
+/// weight column of valid weights) first runs a bidirectional Dijkstra
+/// bound, and Screen then also drops an extension of cost c to v when
+/// c + h(v) > μ·(1 + δ): only records on no optimal path go, so the first
+/// emitted row is unchanged, cost bits and tie-break included (DESIGN.md
+/// §16).
 class ShortestPathScanner : public PathScanner {
  public:
   ShortestPathScanner(std::shared_ptr<const TraversalSpec> spec,
@@ -91,6 +98,9 @@ class ShortestPathScanner : public PathScanner {
 
   static constexpr size_t kInitialSlots = 16;
 
+  /// Runs the point-to-point bound when the probe meets its rules; false
+  /// when it proves the target unreachable.
+  StatusOr<bool> ArmBound(const std::vector<VertexId>& seeds);
   /// Appends a record and queues it.
   void Push(const Record& record, const double* sums);
   /// Expands record `r` through ExpandCore, applying the push-time drops.

@@ -76,6 +76,17 @@ struct TraversalSpec {
   /// exponential all-simple-paths enumeration into O(V+E) search.
   bool global_visited = false;
 
+  /// Point-to-point probe (DESIGN.md §14, §16): the statement reads only
+  /// the first path of a single probe with a bound start and end (one
+  /// path FROM item, LIMIT/TOP 1 with no ORDER BY, DISTINCT, aggregate,
+  /// residual or outer filter; no sum or length bound), on SPScan with no
+  /// pushed element predicate or on the visited-once forest with only
+  /// uniform pushed edge predicates. The probe then runs a bidirectional
+  /// bound first and re-runs the kernel over the vertexes that can lie on
+  /// the answer, when the probe meets the run-time rules too (one start
+  /// other than the target, a pure-CSR view, flat columns).
+  bool point_to_point = false;
+
   std::string DebugString() const;
 };
 

@@ -777,6 +777,27 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       }
     }
 
+    // Point-to-point bound: the statement's answer is the first path of
+    // its only probe, so the probe may skip vertexes off every optimal
+    // path (DESIGN.md §14, §16).
+    if (n == 1 && limit_one && spec.start_vertex_expr != nullptr &&
+        spec.end_vertex_expr != nullptr && spec.residual == nullptr &&
+        spec.sum_bounds.empty() && spec.min_length <= 1 &&
+        spec.max_length == kNoMaxLength) {
+      if (spec.physical == TraversalSpec::Physical::kShortestPath) {
+        spec.point_to_point =
+            spec.element_preds.empty() && spec.sp_expansion_cap == 1;
+      } else if (spec.physical == TraversalSpec::Physical::kBfs &&
+                 spec.global_visited) {
+        // global_visited already holds the pushed predicates uniform.
+        spec.point_to_point = std::all_of(
+            spec.element_preds.begin(), spec.element_preds.end(),
+            [](const auto& pred) {
+              return pred->attr().kind == PathElementKind::kEdges;
+            });
+      }
+    }
+
     tree = std::make_unique<PathProbeJoinOp>(std::move(tree), plan.spec);
   }
 
@@ -786,6 +807,10 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       GRF_ASSIGN_OR_RETURN(ExprPtr bound_expr, binder.Bind(*c.parsed));
       tree = std::make_unique<FilterOp>(std::move(tree),
                                         std::move(bound_expr));
+      // The probe's first path may not be the statement's answer.
+      for (PathPlan& plan : path_plans) {
+        if (plan.spec != nullptr) plan.spec->point_to_point = false;
+      }
     }
   }
 

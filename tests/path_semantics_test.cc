@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -815,10 +816,13 @@ class SpScanEarlyDropTest : public ::testing::Test {
     }
   }
 
+  /// The length bound keeps the statement off the point-to-point bound
+  /// (PointBoundTest), whose pruning would skip the edge 1 -> 2.
   StatusOr<ResultSet> TopOne() {
     return session_.Execute(
         "SELECT TOP 1 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
-        "WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 3");
+        "WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 3 AND "
+        "PS.Length <= 10");
   }
 
   static void ExpectWeightError(const StatusOr<ResultSet>& result) {
@@ -954,16 +958,19 @@ TEST(FrontierEarlyEmitTest, LimitOneStopsAtTheClaim) {
   // examined all 10 edges and noted 1 + 10). Target 13: level 1's 10 edges,
   // then one edge each from 1, 2 and 3 (13, not 20), 0..13 qualified, and
   // the frontier peaks at level 1 plus level 2's 3 claims (not 10 + 10).
+  // The length bound keeps the probes one-way (PointBoundTest pins the
+  // bounded counts).
   const Case cases[] = {{3, "0 -[2]-> 3", 3, 4, 4},
                         {13, "0 -[2]-> 3 -[12]-> 13", 13, 14, 13}};
   for (const Case& c : cases) {
     const std::string sql = StrFormat(
         "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
-        "P.EndVertex.Id = %lld LIMIT 1",
+        "P.EndVertex.Id = %lld AND P.Length <= 20 LIMIT 1",
         static_cast<long long>(c.target));
     SCOPED_TRACE(sql);
     const std::string plan = ExplainText(&session, sql);
     ASSERT_NE(plan.find("visited-once"), std::string::npos) << plan;
+    ASSERT_EQ(plan.find("bidir"), std::string::npos) << plan;
     auto result = session.Execute(sql);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->NumRows(), 1u);
@@ -1187,6 +1194,305 @@ TEST(FrontierOverlayTest, ReachAfterEdgeAndVertexInsert) {
 // charged to the query budget and released on Close, and a path a consumer
 // still holds must never be overwritten.
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Point-to-point bound
+//
+// A single-probe LIMIT/TOP 1 statement with a bound start and target runs a
+// bidirectional bound, then its kernel over the vertexes that can lie on
+// the answer (DESIGN.md §14, §16). The row must be the one-way kernel's, bit
+// for bit; every statement outside the rules must run the one-way kernel
+// with its statuses unchanged; the bound must stop on a deadline and fail
+// under a tight memory cap.
+// ---------------------------------------------------------------------------
+
+class PointBoundTest : public ::testing::Test {
+ protected:
+  /// Directed view `name` over vertexes 0..5 from edge table `name`_e with
+  /// weight w (edge id = list position):
+  ///   0 -> 1 (0.1), 1 -> 2 (0.2), 0 -> 2 (0.3), 2 -> 3 (1.0),
+  ///   0 -> 4 (0.5), 4 -> 3 (`w43`), 3 -> 5 (0.0), 5 -> 0 (1.0).
+  /// 0 ~> 3 costs 0.3 + 1.0 through 2, and (0.1 + 0.2) + 1.0, one unit in
+  /// the last place more, through 1 and 2: equal in real arithmetic.
+  void MakeView(const std::string& name, const Value& w43) {
+    ASSERT_TRUE(session_
+                    .ExecuteScript(StrFormat(
+                        "CREATE TABLE %s_v (id BIGINT PRIMARY KEY);"
+                        "CREATE TABLE %s_e (id BIGINT PRIMARY KEY, src BIGINT, "
+                        "dst BIGINT, w DOUBLE);",
+                        name.c_str(), name.c_str()))
+                    .ok());
+    std::vector<std::vector<Value>> vrows;
+    for (int64_t i = 0; i < 6; ++i) vrows.push_back({Value::BigInt(i)});
+    ASSERT_TRUE(db_.BulkInsert(name + "_v", vrows).ok());
+    const std::vector<std::tuple<int64_t, int64_t, Value>> edges = {
+        {0, 1, Value::Double(0.1)}, {1, 2, Value::Double(0.2)},
+        {0, 2, Value::Double(0.3)}, {2, 3, Value::Double(1.0)},
+        {0, 4, Value::Double(0.5)}, {4, 3, w43},
+        {3, 5, Value::Double(0.0)}, {5, 0, Value::Double(1.0)}};
+    std::vector<std::vector<Value>> erows;
+    for (const auto& [src, dst, w] : edges) {
+      erows.push_back({Value::BigInt(static_cast<int64_t>(erows.size())),
+                       Value::BigInt(src), Value::BigInt(dst), w});
+    }
+    ASSERT_TRUE(db_.BulkInsert(name + "_e", erows).ok());
+    ASSERT_TRUE(session_
+                    .ExecuteScript(StrFormat(
+                        "CREATE DIRECTED GRAPH VIEW %s VERTEXES (ID = id) "
+                        "FROM %s_v EDGES (ID = id, FROM = src, TO = dst, "
+                        "w = w) FROM %s_e;",
+                        name.c_str(), name.c_str(), name.c_str()))
+                    .ok());
+  }
+
+  void SetUp() override { MakeView("g", Value::Double(0.9)); }
+
+  /// SPScan from `s` to `t` on `view`, with `extra` conjuncts.
+  static std::string Shortest(int64_t s, int64_t t, const char* extra = "",
+                              const char* view = "g") {
+    return StrFormat(
+        "SELECT TOP 1 PS.Cost, PS.PathString FROM %s.Paths PS "
+        "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = %lld AND "
+        "PS.EndVertex.Id = %lld%s",
+        view, static_cast<long long>(s), static_cast<long long>(t), extra);
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+};
+
+TEST_F(PointBoundTest, BoundedRowsEqualOneWayRowsBitForBit) {
+  // Every ordered pair: the bounded statement against the same statement
+  // with a length bound, which keeps it one-way.
+  for (int64_t s = 0; s < 6; ++s) {
+    for (int64_t t = 0; t < 6; ++t) {
+      if (s == t) continue;
+      const std::string sql = Shortest(s, t);
+      const std::string one_way = Shortest(s, t, " AND PS.Length <= 10");
+      SCOPED_TRACE(sql);
+      ASSERT_NE(ExplainText(&session_, sql).find("SPScan(bidir)"),
+                std::string::npos);
+      ASSERT_EQ(ExplainText(&session_, one_way).find("bidir"),
+                std::string::npos);
+      auto expected = session_.Execute(one_way);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      EXPECT_EQ(session_.last_stats().bound_edges, 0u);
+      auto got = session_.Execute(sql);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_GT(session_.last_stats().bound_edges, 0u);
+      ASSERT_EQ(got->NumRows(), expected->NumRows());
+      if (got->NumRows() == 0) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->rows[0][0].AsDouble()),
+                std::bit_cast<uint64_t>(expected->rows[0][0].AsDouble()));
+      EXPECT_EQ(got->rows[0][1].AsVarchar(), expected->rows[0][1].AsVarchar());
+    }
+  }
+  // The tie: 0.3 + 1.0 beats (0.1 + 0.2) + 1.0 in floating point.
+  auto tie = session_.Execute(Shortest(0, 3));
+  ASSERT_TRUE(tie.ok());
+  EXPECT_EQ(tie->rows[0][1].AsVarchar(), "0 -[2]-> 2 -[3]-> 3");
+  EXPECT_EQ(tie->rows[0][0].AsDouble(), 0.3 + 1.0);
+}
+
+TEST_F(PointBoundTest, UnreachableTargetReturnsAfterTheBound) {
+  // 0 <-> 1 and 2 -> 3 are apart: the bound proves 3 unreachable from 0,
+  // and the kernel examines no edge.
+  ASSERT_TRUE(session_.ExecuteScript(R"sql(
+    CREATE TABLE u_v (id BIGINT PRIMARY KEY);
+    CREATE TABLE u_e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      w DOUBLE);
+    INSERT INTO u_v VALUES (0), (1), (2), (3);
+    INSERT INTO u_e VALUES (0, 0, 1, 1.0), (1, 1, 0, 1.0), (2, 2, 3, 1.0);
+    CREATE DIRECTED GRAPH VIEW u VERTEXES (ID = id) FROM u_v
+      EDGES (ID = id, FROM = src, TO = dst, w = w) FROM u_e;
+  )sql")
+                  .ok());
+  session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
+  const std::string statements[] = {
+      Shortest(0, 3, "", "u"),
+      "SELECT P.PathString FROM u.Paths P WHERE P.StartVertex.Id = 0 AND "
+      "P.EndVertex.Id = 3 LIMIT 1"};
+  for (const std::string& sql : statements) {
+    SCOPED_TRACE(sql);
+    ASSERT_NE(ExplainText(&session_, sql).find("bidir"), std::string::npos);
+    auto result = session_.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->NumRows(), 0u);
+    const ExecStats& stats = session_.last_stats();
+    EXPECT_GT(stats.bound_edges, 0u);
+    EXPECT_EQ(stats.edges_examined, stats.bound_edges);
+    EXPECT_EQ(stats.vertexes_expanded, 0u);
+  }
+}
+
+TEST_F(PointBoundTest, ForestSkipsVertexesOffTheShortestPaths) {
+  // The FrontierEarlyEmitTest view: 0 -> 1..10 (edges 0..9), i -> 10 + i
+  // (edges 10..19). To 13 the bound walks 13's one in-edge, then 3's (it
+  // meets 0): 2 edges, 2 hops. The forest then claims only 3 at level 1
+  // (1, 2 and 4..10 are 2 hops from 13 at best) after its 10 edges, and
+  // 13 from 3: 11 edges, and 0, 3 and 13 qualified.
+  Database db(TestOptions());
+  Session session(db);
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 1; i <= 10; ++i) edges.emplace_back(0, i);
+  for (int64_t i = 1; i <= 10; ++i) edges.emplace_back(i, 10 + i);
+  MakeForestView(&db, &session, 21, edges);
+  session.options().default_traversal = PlannerOptions::Traversal::kBfs;
+  const std::string sql =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
+      "P.EndVertex.Id = 13 LIMIT 1";
+  ASSERT_NE(ExplainText(&session, sql).find("BFScan(visited-once, bidir)"),
+            std::string::npos);
+  auto result = session.Execute(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRows(), 1u);
+  EXPECT_EQ(result->rows[0][0].AsVarchar(), "0 -[2]-> 3 -[12]-> 13");
+  const ExecStats& stats = session.last_stats();
+  EXPECT_EQ(stats.bound_edges, 2u);
+  EXPECT_EQ(stats.edges_examined, 2u + 11u);
+  EXPECT_EQ(stats.vertexes_expanded, 3u);
+  const std::string analyzed = ExplainText(&session, "ANALYZE " + sql);
+  EXPECT_NE(analyzed.find("bound_edges=2"), std::string::npos) << analyzed;
+}
+
+TEST_F(PointBoundTest, StatementsOutsideTheRulesRunOneWay) {
+  struct Case {
+    std::string sql;
+    bool planned;  ///< The planner's rules hold (the run-time ones fail).
+    size_t rows;
+  };
+  const Case cases[] = {
+      // The target is the start: a cycle back to 0.
+      {Shortest(0, 0), true, 1},
+      // Every vertex starts.
+      {"SELECT TOP 1 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) WHERE "
+       "PS.EndVertex.Id = 3",
+       false, 1},
+      // A join probes once per outer row.
+      {"SELECT TOP 1 V.id, PS.Cost FROM g_v V, g.Paths PS "
+       "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = V.id AND "
+       "PS.EndVertex.Id = 3",
+       false, 1},
+      // TOP 2 reads a second path.
+      {StrFormat("SELECT TOP 2 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+                 "WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 3"),
+       false, 2},
+      // A length bound, and a residual filter.
+      {Shortest(0, 3, " AND PS.Length <= 3"), false, 1},
+      {Shortest(0, 3, " AND PS.PathString <> 'x'"), false, 1},
+      // The BFS forest's target is its start.
+      {"SELECT P.PathString FROM g.Paths P HINT(BFS) WHERE "
+       "P.StartVertex.Id = 0 AND P.EndVertex.Id = 0 LIMIT 1",
+       true, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    EXPECT_EQ(ExplainText(&session_, c.sql).find("bidir") != std::string::npos,
+              c.planned);
+    auto result = session_.Execute(c.sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->NumRows(), c.rows);
+    EXPECT_EQ(session_.last_stats().bound_edges, 0u);
+  }
+  auto cycle = session_.Execute(Shortest(0, 0));
+  ASSERT_TRUE(cycle.ok());
+  EXPECT_EQ(cycle->rows[0][1].AsVarchar(),
+            "0 -[2]-> 2 -[3]-> 3 -[6]-> 5 -[7]-> 0");
+}
+
+TEST_F(PointBoundTest, NullAndNegativeWeightsFailAsOneWay) {
+  // Vertex 4 is settled before 3, so 4 -> 3 is read either way.
+  MakeView("gn", Value::Double(-1.0));
+  MakeView("gz", Value::Null());
+  for (const char* view : {"gn", "gz"}) {
+    const std::string sql = Shortest(0, 3, "", view);
+    const std::string one_way = Shortest(0, 3, " AND PS.Length <= 10", view);
+    SCOPED_TRACE(sql);
+    ASSERT_NE(ExplainText(&session_, sql).find("SPScan(bidir)"),
+              std::string::npos);
+    auto expected = session_.Execute(one_way);
+    ASSERT_FALSE(expected.ok());
+    auto got = session_.Execute(sql);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().ToString(), expected.status().ToString());
+  }
+}
+
+TEST_F(PointBoundTest, DeltaOverlayAfterInsertRunsOneWay) {
+  // An edge inserted since the snapshot: the view is no longer pure CSR.
+  ASSERT_TRUE(session_.Execute("INSERT INTO g_e VALUES (8, 0, 3, 0.25)").ok());
+  auto result = session_.Execute(Shortest(0, 3));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRows(), 1u);
+  EXPECT_EQ(result->rows[0][1].AsVarchar(), "0 -[8]-> 3");
+  EXPECT_EQ(session_.last_stats().bound_edges, 0u);
+  session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
+  auto reach = session_.Execute(
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
+      "P.EndVertex.Id = 3 LIMIT 1");
+  ASSERT_TRUE(reach.ok()) << reach.status().ToString();
+  ASSERT_EQ(reach->NumRows(), 1u);
+  EXPECT_EQ(reach->rows[0][0].AsVarchar(), "0 -[8]-> 3");
+  EXPECT_EQ(session_.last_stats().bound_edges, 0u);
+}
+
+/// A point-to-point spec on view `gv`: SPScan over `w`, or the forest.
+std::shared_ptr<TraversalSpec> PointSpec(const GraphView* gv,
+                                         bool shortest) {
+  auto spec = std::make_shared<TraversalSpec>();
+  spec->gv = gv;
+  spec->point_to_point = true;
+  if (shortest) {
+    spec->physical = TraversalSpec::Physical::kShortestPath;
+    spec->sp_attr.kind = PathElementKind::kEdges;
+    spec->sp_attr.column = gv->ResolveEdgeAttribute("w");
+    spec->sp_attr.type = ValueType::kDouble;
+    spec->sp_attr.display_name = "w";
+    spec->sp_expansion_cap = 1;
+  } else {
+    spec->physical = TraversalSpec::Physical::kBfs;
+    spec->global_visited = true;
+  }
+  return spec;
+}
+
+TEST_F(PointBoundTest, DeadlineStopsTheBound) {
+  for (bool shortest : {true, false}) {
+    SCOPED_TRACE(shortest ? "SPScan" : "forest");
+    CancellationToken token;
+    token.SetTimeoutUs(0);
+    QueryContext ctx;
+    ctx.set_cancellation(&token);
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(
+        PointSpec(db_.catalog().FindGraphView("g"), shortest), &ctx);
+    const Status status = scanner->Reset({0}, VertexId{3}, nullptr);
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+        << status.ToString();
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+  }
+}
+
+TEST_F(PointBoundTest, TightMemoryCapFailsTheBound) {
+  // A 4,000-vertex chain: the two searches meet in the middle after
+  // touching about 60 pages of 64 vertexes, far past an 8 KB cap.
+  Database db(TestOptions());
+  Session session(db);
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 0; i + 1 < 4000; ++i) edges.emplace_back(i, i + 1);
+  MakeForestView(&db, &session, 4000, edges);
+  QueryContext ctx(size_t{8} << 10);
+  std::unique_ptr<PathScanner> scanner = MakePathScanner(
+      PointSpec(db.catalog().FindGraphView("g"), /*shortest=*/false), &ctx);
+  const Status status = scanner->Reset({0}, VertexId{3999}, nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+      << status.ToString();
+  EXPECT_NE(status.message().find("point-to-point bound"), std::string::npos)
+      << status.ToString();
+  scanner->Release();
+  EXPECT_EQ(ctx.current_bytes(), 0u);
+}
 
 class DfsScanTest : public ::testing::Test {
  protected:

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <atomic>
 #include <cstdlib>
@@ -459,15 +460,19 @@ struct SpDiffQuery {
   size_t k = 1;
   std::optional<int64_t> rank_below;  // PS.Edges[0..*].rank < R
   std::optional<double> w_below;      // SUM(PS.Edges.w) < C
+  bool real_cost = false;             // HINT(SHORTESTPATH(w)), not iw.
 };
 
 /// Reference SPScan with the engine's semantics, over whole copied paths: a
 /// priority queue in the engine's pop order (cost, vertex sequence, edge
 /// sequence), each (start, vertex) expanded at most k times for TOP k. Cost
 /// is the sum of the integer weights `iw`, so ties are common and the
-/// vertex/edge tie-break decides the order; `w` feeds the sum bound.
+/// vertex/edge tie-break decides the order; `w` feeds the sum bound. With
+/// `real_cost` the cost is the forward sum of `w` instead, added in the
+/// engine's order, and `costs` (when set) receives each row's cost.
 std::vector<std::string> SpDiffReference(const DiffGraph& g,
-                                         const SpDiffQuery& q) {
+                                         const SpDiffQuery& q,
+                                         std::vector<double>* costs = nullptr) {
   struct RefPath {
     std::vector<int64_t> vs, es;
     double cost = 0.0;
@@ -505,13 +510,14 @@ std::vector<std::string> SpDiffReference(const DiffGraph& g,
         RefPath next = p;
         next.vs.push_back(nbr);
         next.es.push_back(e->id);
-        next.cost = p.cost + static_cast<double>(e->iw);
+        next.cost = p.cost + (q.real_cost ? e->w : static_cast<double>(e->iw));
         next.wsum = wsum;
         next.closing = closing;
         heap.push(std::move(next));
       }
     }
     if (!p.es.empty() && p.vs.back() == q.dst) {
+      if (costs != nullptr) costs->push_back(p.cost);
       out.push_back(Value::Double(p.cost).ToString() + "|" +
                     Value::Varchar(RefPathString(p.vs, p.es)).ToString() +
                     "|");
@@ -646,12 +652,38 @@ std::function<double(int64_t)> WeightOf(const DiffGraph& g) {
   return [w = std::move(w)](int64_t eid) { return w.at(eid); };
 }
 
+/// The vertexes other than `s` that `adj` reaches from `s` within
+/// `max_len` hops over edges `edge_ok` admits (every edge when null), in
+/// BFS order.
+std::vector<int64_t> ReachableFrom(const RefAdjacency& adj, int64_t s,
+                                   const std::function<bool(int64_t)>& edge_ok,
+                                   size_t max_len) {
+  std::set<int64_t> seen{s};
+  std::vector<int64_t> out, level{s};
+  for (size_t d = 1; d <= max_len && !level.empty(); ++d) {
+    std::vector<int64_t> next;
+    for (int64_t u : level) {
+      auto it = adj.find(u);
+      if (it == adj.end()) continue;
+      for (const auto& [edge, nbr] : it->second) {
+        if (edge_ok != nullptr && !edge_ok(edge)) continue;
+        if (seen.insert(nbr).second) next.push_back(nbr);
+      }
+    }
+    out.insert(out.end(), next.begin(), next.end());
+    level = std::move(next);
+  }
+  return out;
+}
+
 /// A random BFS reach probe over `g` (vertexes 0..n-1) and its expected rows
 /// in emission order. Unbounded probes use LIMIT 1, whose visited-once
 /// search is linear; LIMIT 2..3 probes enumerate every simple path, so they
-/// carry a length bound.
+/// carry a length bound. An `answerable` probe has one start and a target
+/// the reference reaches from it, so it has an answer by construction.
 ReachDiffQuery MakeReachProbe(const DiffGraph& g, const RefAdjacency& adj,
-                              Random& rng, std::vector<std::string>* expected) {
+                              Random& rng, std::vector<std::string>* expected,
+                              bool answerable = false) {
   ReachDiffQuery q;
   const double shape = rng.NextDouble();
   q.shape = shape < 0.6   ? ReachDiffQuery::Shape::kSingle
@@ -666,6 +698,30 @@ ReachDiffQuery MakeReachProbe(const DiffGraph& g, const RefAdjacency& adj,
     q.max_len = static_cast<size_t>(rng.Uniform(1, 4));
   }
   if (rng.Bernoulli(0.4)) q.rank_below = rng.Uniform(20, 90);
+  if (answerable) {
+    // The first start, from the drawn one on, that reaches a vertex under
+    // the drawn filter; without the filter if none does (the graph has
+    // edges, so some start then reaches one).
+    q.shape = ReachDiffQuery::Shape::kSingle;
+    const int64_t first = q.start;
+    bool found = false;
+    while (!found) {
+      const std::function<bool(int64_t)> edge_ok =
+          q.rank_below.has_value() ? RankBelow(g, *q.rank_below) : nullptr;
+      for (int64_t k = 0; k < g.n && !found; ++k) {
+        const int64_t s = (first + k) % g.n;
+        const std::vector<int64_t> reach =
+            ReachableFrom(adj, s, edge_ok, q.max_len);
+        if (reach.empty()) continue;
+        q.start = s;
+        q.target = reach[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(reach.size()) - 1))];
+        found = true;
+      }
+      if (!found && !q.rank_below.has_value()) break;  // No edges at all.
+      q.rank_below.reset();
+    }
+  }
 
   std::vector<std::string> conjuncts;
   switch (q.shape) {
@@ -1106,7 +1162,10 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     int reach_answered = 0;
     for (int trial = 0; trial < reach_trials; ++trial) {
       std::vector<std::string> expected;
-      const ReachDiffQuery q = MakeReachProbe(graph, adj, reach_rng, &expected);
+      // Every fourth trial has an answer by construction, so a sparse graph
+      // still exercises answered probes.
+      const ReachDiffQuery q = MakeReachProbe(graph, adj, reach_rng, &expected,
+                                              /*answerable=*/trial % 4 == 0);
       SCOPED_TRACE(q.sql);
       auto plan = session.Execute("EXPLAIN " + q.sql);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -1330,14 +1389,20 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       std::optional<int64_t> rank_below;
       if (rng.Bernoulli(0.4)) rank_below = rng.Uniform(20, 90);
       // 0: scalar, 1: GROUP BY P.EndVertex.name, 2: GROUP BY V.name.
-      const int key = static_cast<int>(rng.Uniform(0, hybrid ? 2 : 1));
+      // Every third trial groups paths by end vertex with nothing to drop
+      // the groups, so every graph yields a multi-group answer.
+      const bool grouped = trial % 3 == 0;
+      int key = static_cast<int>(rng.Uniform(0, hybrid ? 2 : 1));
+      if (grouped) key = 1;
       const bool residual = hybrid && rng.Bernoulli(0.3);
-      const bool empty = rng.Bernoulli(0.15);
+      const bool empty = rng.Bernoulli(0.15) && !grouped;
       std::optional<int64_t> having;
-      if (key != 0 && rng.Bernoulli(0.3)) having = rng.Uniform(0, 40);
+      if (key != 0 && rng.Bernoulli(0.3) && !grouped) {
+        having = rng.Uniform(0, 40);
+      }
       // A residual filter the traversal cannot take: some hop reaches a
       // vertex whose id starts with 1.
-      const bool like = rng.Bernoulli(0.3);
+      const bool like = rng.Bernoulli(0.3) && !grouped;
       std::vector<Extra> extras;
       for (int k = 0; k < 4; ++k) {
         static constexpr AggFunc kFuncs[] = {AggFunc::kCount, AggFunc::kSum,
@@ -1620,6 +1685,174 @@ TEST(GraphDiffFuzzEnvTest, EnvironmentSeedSweep) {
   RunGraphDifferentialSweep(seed, /*enum_trials=*/10, /*sp_trials=*/16,
                             /*dfs_trials=*/16, /*agg_trials=*/6,
                             /*reach_trials=*/12);
+}
+
+// ---------------------------------------------------------------------------
+// Point-to-point bound differential fuzz
+//
+// A single-probe LIMIT/TOP 1 statement with a bound start and target runs
+// a bidirectional bound and then its kernel over the vertexes that can lie
+// on the answer (DESIGN.md §14, §16). Its row must be the one-way kernel's
+// exactly: SPScan's against SpDiffReference, Cost bit for bit, over
+// real-valued weights with ties and zeros and over integer weights; the
+// forest's against BfsReference, with a rank filter on and off. Directed
+// and undirected views, parallel edges, unreachable targets (no row, and no
+// kernel edge after the bound), at 1 and 4 workers.
+// ---------------------------------------------------------------------------
+
+void RunPointBoundSweep(uint64_t seed, int trials) {
+  SCOPED_TRACE(StrFormat("point-bound seed=%llu",
+                         static_cast<unsigned long long>(seed)));
+  Random rng(seed);
+  DiffGraph graph;
+  graph.n = rng.Uniform(8, 40);
+  graph.directed = rng.Bernoulli(0.5);
+  // Weights whose sums tie in real arithmetic but not always in floating
+  // point (0.1 + 0.2 != 0.3), and zeros.
+  static constexpr double kWeights[] = {0.0, 0.1, 0.2, 0.3, 0.5,
+                                        0.7, 1.0, 1.1, 2.5};
+  Database db(TestOptions());
+  Session session(db);
+  ASSERT_TRUE(session.ExecuteScript(R"sql(
+    CREATE TABLE v (id BIGINT PRIMARY KEY);
+    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                    w DOUBLE, rank BIGINT, iw BIGINT);
+  )sql")
+                  .ok());
+  std::vector<std::vector<Value>> vrows;
+  for (int64_t i = 0; i < graph.n; ++i) vrows.push_back({Value::BigInt(i)});
+  ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
+  std::vector<std::vector<Value>> erows;
+  const int64_t edges = rng.Uniform(graph.n, 3 * graph.n);
+  for (int64_t id = 0; id < edges; ++id) {
+    const int64_t src = rng.Uniform(0, graph.n - 1);
+    int64_t dst = rng.Uniform(0, graph.n - 2);
+    if (dst >= src) ++dst;  // No self loops; parallel edges allowed.
+    const double w = kWeights[rng.Uniform(0, std::size(kWeights) - 1)];
+    const int64_t rank = rng.Uniform(0, 99);
+    const int64_t iw = rng.Uniform(0, 2);
+    graph.edges.push_back(DiffEdge{id, src, dst, w, rank, iw});
+    erows.push_back({Value::BigInt(id), Value::BigInt(src),
+                     Value::BigInt(dst), Value::Double(w), Value::BigInt(rank),
+                     Value::BigInt(iw)});
+  }
+  ASSERT_TRUE(db.BulkInsert("e", erows).ok());
+  ASSERT_TRUE(session
+                  .ExecuteScript(StrFormat(
+                      "CREATE %s GRAPH VIEW g VERTEXES (ID = id) FROM v "
+                      "EDGES (ID = id, FROM = src, TO = dst, w = w, "
+                      "rank = rank, iw = iw) FROM e;",
+                      graph.directed ? "DIRECTED" : "UNDIRECTED"))
+                  .ok());
+  std::vector<int64_t> all_vertexes;
+  for (int64_t i = 0; i < graph.n; ++i) all_vertexes.push_back(i);
+  const RefAdjacency adj =
+      ViewAdjacencyOf(*db.catalog().FindGraphView("g"), all_vertexes);
+  session.options().default_traversal = PlannerOptions::Traversal::kBfs;
+
+  int bounded = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const int64_t src = rng.Uniform(0, graph.n - 1);
+    int64_t dst = rng.Uniform(0, graph.n - 2);
+    if (dst >= src) ++dst;
+    std::optional<int64_t> rank_below;
+    if (rng.Bernoulli(0.4)) rank_below = rng.Uniform(20, 90);
+    // The WHERE clause over path alias `p`.
+    auto where = [&](const char* p) {
+      std::string out = StrFormat(
+          "%s.StartVertex.Id = %lld AND %s.EndVertex.Id = %lld", p,
+          static_cast<long long>(src), p, static_cast<long long>(dst));
+      if (rank_below.has_value()) {
+        out += StrFormat(" AND %s.Edges[0..*].rank < %lld", p,
+                         static_cast<long long>(*rank_below));
+      }
+      return out;
+    };
+    const int kind = static_cast<int>(rng.Uniform(0, 2));
+    std::string sql;
+    std::vector<std::string> expected;
+    std::vector<double> costs;
+    bool eligible = true;
+    if (kind < 2) {
+      // SPScan, over `w` or `iw`: a pushed rank filter keeps it one-way.
+      SpDiffQuery q;
+      q.starts = {src};
+      q.dst = dst;
+      q.k = 1;
+      q.rank_below = rank_below;
+      q.real_cost = kind == 0;
+      eligible = !rank_below.has_value();
+      sql = StrFormat(
+          "SELECT TOP 1 PS.Cost, PS.PathString FROM g.Paths PS "
+          "HINT(SHORTESTPATH(%s)) WHERE %s",
+          q.real_cost ? "w" : "iw", where("PS").c_str());
+      expected = SpDiffReference(graph, q, &costs);
+    } else {
+      BfsRefQuery ref;
+      ref.starts = {src};
+      ref.target = dst;
+      if (rank_below.has_value()) ref.edge_ok = RankBelow(graph, *rank_below);
+      ref.visited_once = true;
+      ref.limit = 1;
+      sql = StrFormat(
+          "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P WHERE %s "
+          "LIMIT 1",
+          where("P").c_str());
+      expected = BfsReference(adj, ref);
+    }
+    SCOPED_TRACE(sql);
+    auto plan = session.Execute("EXPLAIN " + sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    std::string plan_text;
+    for (const auto& row : plan->rows) plan_text += row[0].ToString() + "\n";
+    EXPECT_EQ(plan_text.find("bidir") != std::string::npos, eligible)
+        << plan_text;
+    if (eligible) ++bounded;
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      session.options().max_parallelism = workers;
+      auto result = session.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(DiffOrdered(*result), expected)
+          << "workers=" << workers << " diverges from the reference";
+      if (kind < 2 && !costs.empty() && result->NumRows() == 1) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(result->rows[0][0].AsDouble()),
+                  std::bit_cast<uint64_t>(costs[0]))
+            << "workers=" << workers << " cost " << result->rows[0][0].AsDouble()
+            << " is not the forward sum " << costs[0];
+      }
+      const ExecStats& stats = session.last_stats();
+      if (!eligible) {
+        EXPECT_EQ(stats.bound_edges, 0u);
+      } else if (expected.empty()) {
+        // An unreachable target returns after the bound.
+        EXPECT_EQ(stats.edges_examined, stats.bound_edges);
+      } else {
+        EXPECT_GT(stats.bound_edges, 0u);
+      }
+    }
+  }
+  EXPECT_GT(bounded, 0) << "no trial ran the bound";
+  session.options().max_parallelism = TestOptions().max_parallelism;
+}
+
+class PointBoundDiffTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PointBoundDiffTest, RowsMatchTheOneWayReferences) {
+  RunPointBoundSweep(GetParam(), /*trials=*/60);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PointBoundDiffTest,
+                         ::testing::Values(31, 32, 33, 34, 35, 36, 37, 38),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+TEST(PointBoundDiffEnvTest, EnvironmentSeedSweep) {
+  uint64_t seed = 20261020;
+  if (const char* env = std::getenv("GRF_FUZZ_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  RunPointBoundSweep(seed, /*trials=*/40);
 }
 
 // ---------------------------------------------------------------------------
