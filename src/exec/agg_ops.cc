@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 
+#include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/task_pool.h"
 #include "common/tracer.h"
@@ -62,12 +63,6 @@ namespace {
 /// budget's counter.
 constexpr size_t kWorkerBudgetStep = 8 << 10;
 
-/// A timed morsel drain reads the clock around each morsel and, inside the
-/// sink, only for every kTimingStride-th row delivered: a clock read costs
-/// about as much as delivering a path, so timing every row tripled the
-/// statement. The sampled sink times are scaled up by rows / sampled rows.
-constexpr uint64_t kTimingStride = 64;
-
 /// `interval` less `overhead` (the clock reads it includes), at least 0.
 uint64_t NetOf(uint64_t interval, uint64_t overhead) {
   return interval > overhead ? interval - overhead : 0;
@@ -121,45 +116,74 @@ Status MergeBest(const NumericValue& n, bool min, Value* best) {
 
 }  // namespace
 
+Status AggregateOp::AccumulateArg(const AggregateSpec& spec,
+                                  const ExecRow& row, NumericValue* scratch,
+                                  AggState* state) const {
+  if (spec.func == AggFunc::kCount) {
+    GRF_ASSIGN_OR_RETURN(bool counted, spec.arg->EvalIsNotNull(row));
+    if (counted) ++state->count;
+    return Status::OK();
+  }
+  NumericValue& n = *scratch;
+  GRF_RETURN_IF_ERROR(spec.arg->EvalNumeric(row, &n));
+  // Aggregates skip NULLs.
+  if (n.kind == NumericValue::Kind::kNull) return Status::OK();
+  ++state->count;
+  switch (spec.func) {
+    case AggFunc::kMin:
+    case AggFunc::kMax: {
+      const bool min = spec.func == AggFunc::kMin;
+      return MergeBest(n, min, min ? &state->min : &state->max);
+    }
+    default:  // SUM, AVG.
+      if (n.kind == NumericValue::Kind::kInt) {
+        if (__builtin_add_overflow(state->int_sum, n.i, &state->int_sum)) {
+          return SumOverflow(spec.func);
+        }
+      } else if (n.kind == NumericValue::Kind::kDouble) {
+        state->integral = false;
+        state->double_sum += n.d;
+      } else {
+        return Status::InvalidArgument(
+            "cannot " + std::string(AggFuncToString(spec.func)) +
+            " non-numeric value " + n.other.ToString());
+      }
+      return Status::OK();
+  }
+}
+
 Status AggregateOp::Accumulate(Group* group, const ExecRow& row) const {
   NumericValue n;
   for (size_t a = 0; a < aggs_.size(); ++a) {
-    const AggregateSpec& spec = aggs_[a];
-    AggState& state = group->states[a];
-    if (spec.arg == nullptr) {
-      ++state.count;
-      continue;
+    if (aggs_[a].arg == nullptr) {
+      ++group->states[a].count;
+    } else {
+      GRF_RETURN_IF_ERROR(
+          AccumulateArg(aggs_[a], row, &n, &group->states[a]));
     }
-    if (spec.func == AggFunc::kCount) {
-      GRF_ASSIGN_OR_RETURN(bool counted, spec.arg->EvalIsNotNull(row));
-      if (counted) ++state.count;
-      continue;
+  }
+  return Status::OK();
+}
+
+Status AggregateOp::AccumulateRun(Group* group, const ExecRow& row,
+                                  LeafRun& run) const {
+  NumericValue n;
+  bool args = false;
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    if (aggs_[a].arg == nullptr) {
+      group->states[a].count += static_cast<int64_t>(run.size);
+    } else {
+      args = true;
     }
-    GRF_RETURN_IF_ERROR(spec.arg->EvalNumeric(row, &n));
-    // Aggregates skip NULLs.
-    if (n.kind == NumericValue::Kind::kNull) continue;
-    ++state.count;
-    switch (spec.func) {
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        const bool min = spec.func == AggFunc::kMin;
-        GRF_RETURN_IF_ERROR(MergeBest(n, min, min ? &state.min : &state.max));
-        break;
-      }
-      default:  // SUM, AVG.
-        if (n.kind == NumericValue::Kind::kInt) {
-          if (__builtin_add_overflow(state.int_sum, n.i, &state.int_sum)) {
-            return SumOverflow(spec.func);
-          }
-        } else if (n.kind == NumericValue::Kind::kDouble) {
-          state.integral = false;
-          state.double_sum += n.d;
-        } else {
-          return Status::InvalidArgument(
-              "cannot " + std::string(AggFuncToString(spec.func)) +
-              " non-numeric value " + n.other.ToString());
-        }
-        break;
+  }
+  // The arguments leaf by leaf, in row order: sums add in the same order,
+  // and MIN/MAX keep the same first of equals.
+  for (size_t i = 0; args && i < run.size; ++i) {
+    run.Select(i);
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (aggs_[a].arg == nullptr) continue;
+      GRF_RETURN_IF_ERROR(
+          AccumulateArg(aggs_[a], row, &n, &group->states[a]));
     }
   }
   return Status::OK();
@@ -289,6 +313,11 @@ Status AggregateOp::RunMorsels() {
   ops.push_back(morsel_op_);
   const size_t stages = morsel_stages_.size();
   const bool timed = ctx_->profile_timing();
+  // Leaf runs fold in one call unless a row must be seen alone: by a
+  // filter, a key that reads the path, a sampled clock or a failpoint.
+  const bool fold = stages == 0 && !timed &&
+                    (group_by_.empty() || reuse_group_) &&
+                    !FailpointRegistry::AnyArmed();
 
   struct Worker {
     std::unique_ptr<MorselReader> reader;
@@ -347,14 +376,9 @@ Status AggregateOp::RunMorsels() {
           uint64_t drain_ns = 0;
           uint64_t sink_sampled_ns = 0;
           uint64_t sampled = 0;
-          uint64_t clock_ns = 0;  // The least of a few back-to-back pairs.
-          for (int i = 0; timed && i < 8; ++i) {
-            const uint64_t before = NowNs();
-            const uint64_t pair = NowNs() - before;
-            if (i == 0 || pair < clock_ns) clock_ns = pair;
-          }
-          const MorselSink sink = [&](const ExecRow& row,
-                                      bool new_run) -> Status {
+          const uint64_t clock_ns = timed ? ClockOverheadNs() : 0;
+          MorselSink sink;
+          sink.row = [&](const ExecRow& row, bool new_run) -> Status {
             GRF_FAILPOINT("exec.next");
             const bool sample =
                 timed && probe.rows_emitted % kTimingStride == 0;
@@ -395,6 +419,27 @@ Status AggregateOp::RunMorsels() {
             }
             return Status::OK();
           };
+          if (fold) {
+            // A leaf run is one outer row's: one group, COUNT(*) by the
+            // run's size, the arguments per leaf.
+            sink.leaves = [&](const ExecRow& row, bool new_run,
+                              LeafRun& run) -> Status {
+              if (new_run) grouped = false;
+              Status status = Status::OK();
+              if (!reuse_group_ || !grouped) {
+                StatusOr<size_t> found = GroupFor(row, &wctx, partial);
+                status = found.status();
+                if (found.ok()) group = *found;
+                grouped = found.ok();
+              }
+              if (status.ok()) {
+                status = AccumulateRun(&partial->groups[group], row, run);
+              }
+              // The rows the run delivered: those the fold took.
+              probe.rows_emitted += status.ok() ? run.size : run.taken;
+              return status;
+            };
+          }
           while (!failed.load(std::memory_order_relaxed)) {
             const size_t m = next.fetch_add(1, std::memory_order_relaxed);
             if (m >= n) break;

@@ -41,6 +41,11 @@ struct AggregateSpec {
 /// morsel order. Group order, sums and counters are therefore the same at
 /// any worker count.
 ///
+/// A DFS source hands the sink each final expansion's leaves as one run
+/// when no row needs to be seen alone (no filter stage, no path-keyed
+/// group, no timing, no armed failpoint): the group is resolved once and
+/// COUNT(*) adds the run's size.
+///
 /// Arguments are read through Expression::EvalNumeric, which path lengths
 /// and endpoint columns answer without building a Value.
 class AggregateOp : public PhysicalOperator {
@@ -99,6 +104,13 @@ class AggregateOp : public PhysicalOperator {
   /// Updates each aggregate's state from `row`, touching only the state its
   /// function reads.
   Status Accumulate(Group* group, const ExecRow& row) const;
+  /// Accumulate for one aggregate with an argument; `scratch` holds the
+  /// read value.
+  Status AccumulateArg(const AggregateSpec& spec, const ExecRow& row,
+                       NumericValue* scratch, AggState* state) const;
+  /// Accumulate for every leaf of `run`, whose row is `row`: COUNT(*) adds
+  /// the run's size, the other aggregates read each leaf in order.
+  Status AccumulateRun(Group* group, const ExecRow& row, LeafRun& run) const;
   /// Folds a morsel's partial groups into table_, in their first-seen order.
   Status Merge(const Table& partial);
   StatusOr<Value> Finalize(const AggregateSpec& spec,

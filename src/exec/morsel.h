@@ -18,11 +18,43 @@ class MorselReader {
   virtual ~MorselReader() = default;
 };
 
-/// Receives one row of a morsel. `new_run` is true for the first row of
-/// each outer row, so false promises that `row.columns` equal the previous
-/// row's. The row, and any path it holds, is valid only during the call:
-/// nothing may keep a reference to it or a copy of its path slots.
-using MorselSink = std::function<Status(const ExecRow& row, bool new_run)>;
+/// The leaves of one final DFS expansion (DESIGN.md §17): `size` paths
+/// that share every hop but the last. `path` is the scanner's path buffer,
+/// and Select(i) rewrites only its last hop, making it leaf i's path.
+/// Leaves are numbered in the order the scanner would emit them, which is
+/// the reverse of the admitted arrays' neighbor order. The buffer holds
+/// leaf 0 when the run is handed over.
+struct LeafRun {
+  PathData* path = nullptr;
+  const VertexId* vertexes = nullptr;  ///< Each leaf's last vertex.
+  const EdgeId* edges = nullptr;       ///< Each leaf's last edge.
+  size_t size = 0;
+  /// Leaves taken so far: through the last selected one. A consumer that
+  /// fails has taken exactly these, so the source counts only them.
+  size_t taken = 1;
+
+  void Select(size_t i) {
+    const size_t at = size - 1 - i;
+    path->vertexes.back() = vertexes[at];
+    path->edges.back() = edges[at];
+    taken = i + 1;
+  }
+};
+
+/// Receives a morsel's rows. `new_run` is true for the first row of each
+/// outer row, so false promises that `row.columns` equal the previous row's.
+/// The row, and any path it holds, is valid only during the call: nothing
+/// may keep a reference to it or a copy of its path slots.
+struct MorselSink {
+  /// One row.
+  std::function<Status(const ExecRow& row, bool new_run)> row;
+  /// Optional: `run.size` rows at once, every leaf of `run` (the row's path
+  /// slot aliases `run.path`, which holds leaf 0). A source that has a run
+  /// of leaves which all qualify hands it over here when this is set, and
+  /// through `row`, leaf by leaf, when it is not.
+  std::function<Status(const ExecRow& row, bool new_run, LeafRun& run)>
+      leaves;
+};
 
 /// The source of a morsel drain (DESIGN.md §20): an operator whose input is
 /// cut into fixed morsels that workers drain, in any order, straight into a

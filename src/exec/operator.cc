@@ -19,11 +19,27 @@ inline uint64_t NowNs() {
 
 }  // namespace
 
+uint64_t ClockOverheadNs() {
+  static const uint64_t clock_ns = [] {
+    uint64_t least = 0;
+    for (int i = 0; i < 8; ++i) {
+      const uint64_t before = NowNs();
+      const uint64_t pair = NowNs() - before;
+      if (i == 0 || pair < least) least = pair;
+    }
+    return least;
+  }();
+  return clock_ns;
+}
+
 Status PhysicalOperator::Open(QueryContext* ctx) {
   // A re-open starts a fresh execution; drop the previous run's counters.
   profile_ = OperatorProfile{};
   profile_.open_calls = 1;
   timed_ = ctx->profile_timing();
+  timed_calls_ = 0;
+  sampled_calls_ = 0;
+  sampled_ns_ = 0;
   exec_ctx_ = ctx;
   trace_ = ctx->trace();
   if (trace_ != nullptr) trace_start_us_ = trace_->NowUs();
@@ -45,14 +61,26 @@ StatusOr<bool> PhysicalOperator::Next(ExecRow* out, bool* unchanged) {
     GRF_RETURN_IF_ERROR(exec_ctx_->CheckInterrupt());
   }
   GRF_FAILPOINT("exec.next");
-  if (!timed_) {
+  // Timed: the first kTimingStride calls, then every kTimingStride-th.
+  const bool sample =
+      timed_ && (++timed_calls_ <= kTimingStride ||
+                 timed_calls_ % kTimingStride == 0);
+  if (!sample) {
     StatusOr<bool> has = NextImpl(out);
     if (has.ok() && *has) ++profile_.rows_emitted;
     return has;
   }
   uint64_t t0 = NowNs();
   StatusOr<bool> has = NextImpl(out);
-  profile_.next_ns += NowNs() - t0;
+  const uint64_t ns = NowNs() - t0;
+  const uint64_t clock_ns = ClockOverheadNs();
+  const uint64_t net = ns > clock_ns ? ns - clock_ns : 0;
+  if (timed_calls_ <= kTimingStride) {
+    profile_.next_ns += net;  // The first calls are all timed.
+  } else {
+    sampled_ns_ += net;
+    ++sampled_calls_;
+  }
   if (has.ok() && *has) ++profile_.rows_emitted;
   return has;
 }
@@ -64,6 +92,15 @@ void PhysicalOperator::Close() {
     uint64_t t0 = NowNs();
     CloseImpl();
     profile_.close_ns += NowNs() - t0;
+    if (sampled_calls_ > 0) {
+      // Scale the samples to every call past the exactly timed ones.
+      profile_.next_ns += static_cast<uint64_t>(
+          static_cast<double>(sampled_ns_) *
+          static_cast<double>(timed_calls_ - kTimingStride) /
+          static_cast<double>(sampled_calls_));
+      sampled_calls_ = 0;
+      sampled_ns_ = 0;
+    }
   }
   if (trace_ != nullptr) {
     // One span per operator lifetime (Open..Close), inclusive of children —

@@ -18,6 +18,8 @@ namespace grfusion {
 /// are always on (one increment per call); wall-time is collected only when
 /// the QueryContext asks for profiling (EXPLAIN ANALYZE, or a configured
 /// slow-query threshold), so the normal hot path never touches the clock.
+/// Next() time is sampled past an operator's first 64 calls and scaled at
+/// Close, so it is final only once the operator is closed.
 struct OperatorProfile {
   uint64_t open_calls = 0;
   uint64_t next_calls = 0;
@@ -39,6 +41,16 @@ struct OperatorProfile {
 };
 
 class MorselSource;
+
+/// Timed execution reads the clock for one call (or row) in kTimingStride
+/// only: two clock reads cost about as much as passing a row up, so
+/// reading them every time distorted what was timed. The sampled times are
+/// scaled up by calls over samples.
+inline constexpr uint64_t kTimingStride = 64;
+
+/// What one timed interval adds by its own clock reads: the least of a few
+/// back-to-back steady_clock pairs, measured once per process.
+uint64_t ClockOverheadNs();
 
 /// Volcano-model physical operator (paper §5: "the PathScan operator is a
 /// lazy operator following the iterator model"). Both relational and graph
@@ -118,6 +130,11 @@ class PhysicalOperator {
  private:
   OperatorProfile profile_;
   bool timed_ = false;
+  /// Timed Next() calls since Open, and the clock time of the sampled ones
+  /// past the first kTimingStride (operator.cc), which Close scales up.
+  uint64_t timed_calls_ = 0;
+  uint64_t sampled_calls_ = 0;
+  uint64_t sampled_ns_ = 0;
   bool* run_flag_ = nullptr;
   /// Stashed by Open() so the Next() wrapper can run the cooperative
   /// interrupt check (cancellation/deadline) on every call. Not owned; valid

@@ -77,6 +77,9 @@ struct ExecStats {
   /// Traversal-time edge-attribute reads served by the tuple pointer rather
   /// than a flat column (appended edges, stale or undescribed slots).
   uint64_t attr_tuple_reads = 0;
+  /// DFS leaf runs a morsel aggregate took in one call (DESIGN.md §20);
+  /// runs taken leaf by leaf are not counted.
+  uint64_t runs_folded = 0;
 
   void NoteFrontier(uint64_t size) {
     if (size > max_frontier) max_frontier = size;
@@ -93,6 +96,7 @@ struct ExecStats {
     paths_emitted += other.paths_emitted;
     paths_pruned += other.paths_pruned;
     attr_tuple_reads += other.attr_tuple_reads;
+    runs_folded += other.runs_folded;
     NoteFrontier(other.max_frontier);
   }
 };

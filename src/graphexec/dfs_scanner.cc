@@ -54,6 +54,10 @@ Status DfsScanner::Reset(std::vector<VertexId> starts,
   } else {
     std::reverse(seeds_.begin(), seeds_.end());
     if (spec_->global_visited) visited_.insert(seeds_.begin(), seeds_.end());
+    // Qualifies then reads nothing of a path but its length.
+    whole_runs_ = !target_.has_value() && spec_->sum_bounds.empty() &&
+                  spec_->residual == nullptr &&
+                  (spec_->push_filters || spec_->element_preds.empty());
   }
   Charge(seeds_.size() * sizeof(VertexId));
   return Status::OK();
@@ -69,6 +73,7 @@ void DfsScanner::Release() {
 void DfsScanner::ClearStack() {
   stack_.clear();
   stack_sums_.clear();
+  ClearRun();
   path_.edges.clear();
   path_.vertexes.clear();
   seeds_.clear();
@@ -110,10 +115,55 @@ DfsScanner::Hop DfsScanner::LoadSeed() {
   return hop;
 }
 
+void DfsScanner::PopLeaf() {
+  const size_t at = run_vertexes_.size() - 1 - run_popped_;
+  if (run_popped_++ == 0) {
+    // The buffer holds the run's parent: append the hop slot the leaves
+    // rewrite.
+    path_.vertexes.push_back(run_vertexes_[at]);
+    path_.edges.push_back(run_edges_[at]);
+  } else {
+    path_.vertexes.back() = run_vertexes_[at];
+    path_.edges.back() = run_edges_[at];
+  }
+  const size_t bounds = spec_->sum_bounds.size();
+  std::copy(run_sums_.begin() + static_cast<std::ptrdiff_t>(at * bounds),
+            run_sums_.begin() + static_cast<std::ptrdiff_t>((at + 1) * bounds),
+            sums_.begin());
+  Uncharge(HopBytes());
+}
+
+LeafRun DfsScanner::TakeRun() {
+  LeafRun run;
+  run.path = &path_;
+  run.vertexes = run_vertexes_.data();
+  run.edges = run_edges_.data();
+  run.size = run_vertexes_.size();
+  PopLeaf();
+  return run;
+}
+
+void DfsScanner::EndRun(size_t taken, bool emitted) {
+  ctx_->stats().vertexes_expanded += taken;
+  if (emitted) ctx_->stats().paths_emitted += taken;
+  Uncharge((taken - 1) * HopBytes());
+  run_popped_ = run_vertexes_.size();
+}
+
+void DfsScanner::ClearRun() {
+  run_vertexes_.clear();
+  run_edges_.clear();
+  run_sums_.clear();
+  run_popped_ = 0;
+}
+
 template <bool kDeepen>
 Status DfsScanner::Expand() {
   const uint32_t depth = static_cast<uint32_t>(path_.Length()) + 1;
   const size_t first = stack_.size();
+  // Children at max_length are leaves: they form the run.
+  const bool leaves = !kDeepen && depth == spec_->max_length;
+  if (leaves) ClearRun();
   GRF_RETURN_IF_ERROR(ExpandCore(
       BufferPrefix(*this), ctx_,
       [this](VertexId nbr) { return visited_.count(nbr) > 0; },
@@ -126,6 +176,13 @@ Status DfsScanner::Expand() {
         } else if (spec_->global_visited && !closing) {
           visited_.insert(nbr);
         }
+        if (leaves) {
+          run_vertexes_.push_back(nbr);
+          run_edges_.push_back(edge.id);
+          run_sums_.insert(run_sums_.end(), sums,
+                           sums + spec_->sum_bounds.size());
+          return;
+        }
         Hop hop;
         hop.vertex = nbr;
         hop.edge = edge.id;
@@ -133,6 +190,12 @@ Status DfsScanner::Expand() {
         hop.closing = closing;
         Push(hop, sums);
       }));
+  if (leaves && !run_vertexes_.empty()) {
+    // Charged and noted as the stack records would have been.
+    Charge(run_vertexes_.size() * HopBytes());
+    ctx_->stats().NoteFrontier(stack_.size() + run_vertexes_.size());
+    ++leaf_runs_;
+  }
   if constexpr (kDeepen) {
     // Pop the children in neighbor order (class comment).
     std::reverse(stack_.begin() + static_cast<std::ptrdiff_t>(first),
@@ -168,8 +231,20 @@ PathPtr DfsScanner::Emit() {
 }
 
 template <bool kDeepen>
-StatusOr<bool> DfsScanner::AdvanceImpl() {
+StatusOr<DfsScanner::Step> DfsScanner::AdvanceImpl(bool runs) {
   while (true) {
+    if (!kDeepen && run_popped_ < run_vertexes_.size()) {
+      // The run sits on top of the stack.
+      if (runs) return Step::kRun;
+      PopLeaf();
+      ++ctx_->stats().vertexes_expanded;
+      GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(path_, sums_.data()));
+      if (qualifies) {
+        ++ctx_->stats().paths_emitted;
+        return Step::kPath;
+      }
+      continue;
+    }
     Hop hop;
     if (!stack_.empty()) {
       hop = Pop();
@@ -178,7 +253,7 @@ StatusOr<bool> DfsScanner::AdvanceImpl() {
     } else if (kDeepen && NextPass()) {
       continue;
     } else {
-      return false;
+      return Step::kDone;
     }
     // Path enumeration can be combinatorially unbounded, so a runaway
     // traversal must notice cancellation/deadline per expansion, not only at
@@ -200,19 +275,20 @@ StatusOr<bool> DfsScanner::AdvanceImpl() {
     GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(path_, sums_.data()));
     if (qualifies) {
       ++ctx_->stats().paths_emitted;
-      return true;
+      return Step::kPath;
     }
   }
 }
 
-StatusOr<bool> DfsScanner::Advance() {
-  return deepening_ ? AdvanceImpl<true>() : AdvanceImpl<false>();
+StatusOr<DfsScanner::Step> DfsScanner::Advance(bool runs) {
+  return deepening_ ? AdvanceImpl<true>(false) : AdvanceImpl<false>(runs);
 }
 
 StatusOr<bool> DfsScanner::Next(PathPtr* out) {
-  GRF_ASSIGN_OR_RETURN(bool found, Advance());
-  if (found) *out = Emit();
-  return found;
+  GRF_ASSIGN_OR_RETURN(Step step, Advance(/*runs=*/false));
+  if (step == Step::kDone) return false;
+  *out = Emit();
+  return true;
 }
 
 }  // namespace grfusion

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "exec/morsel.h"
 #include "graphexec/path_scanner.h"
 
 namespace grfusion {
@@ -31,6 +32,16 @@ namespace grfusion {
 /// of a stack the ascending seeds were pushed onto). The list is charged to
 /// the query budget for the probe, and each stack record from its push until
 /// it is popped or Release() runs.
+///
+/// Leaf runs (DFScan): the children of a record at depth max_length - 1
+/// can only be leaves, since nothing at max_length is expanded. Their
+/// admitted extensions go into one run array instead of onto the stack,
+/// charged once, as the stack records would have been, and the frontier is
+/// noted as if they were pushed. A run sits on top of the stack: the leaves
+/// pop before anything below it, last neighbor first, as stack records
+/// would. Next() pops them leaf by leaf; ForEachPath can hand the whole run
+/// to its sink in one call (below). Interrupts are checked once per run,
+/// at its parent's pop.
 ///
 /// Iterative deepening (BFScan): pass d, for d from min_length up, walks the
 /// seeds by ascending id and reverses each expansion's pushed records, so
@@ -64,18 +75,37 @@ class DfsScanner : public PathScanner {
   /// PathData copy and no shared_ptr traffic per path. The reference is
   /// valid only during the call. Stops at the first error of the traversal
   /// or of the sink.
+  ///
+  /// With `runs`, a leaf run whose leaves qualify on their length alone (the
+  /// probe has no target, sum bound, residual or unpushed filter) goes to
+  /// `sink(LeafRun&)` in one call instead, in the same place in the order.
+  /// If the sink fails, the leaves it took (LeafRun::taken) are the ones
+  /// counted.
   template <typename Sink>
-  Status ForEachPath(Sink&& sink) {
+  Status ForEachPath(Sink&& sink, bool runs = false) {
+    runs = runs && whole_runs_;
     while (true) {
-      GRF_ASSIGN_OR_RETURN(bool found, Advance());
-      if (!found) return Status::OK();
-      GRF_RETURN_IF_ERROR(sink(static_cast<const PathData&>(path_)));
+      GRF_ASSIGN_OR_RETURN(Step step, Advance(runs));
+      if (step == Step::kDone) return Status::OK();
+      if (step == Step::kPath) {
+        GRF_RETURN_IF_ERROR(sink(static_cast<const PathData&>(path_)));
+        continue;
+      }
+      LeafRun run = TakeRun();
+      GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(path_, sums_.data()));
+      Status status = qualifies ? sink(run) : Status::OK();
+      EndRun(status.ok() ? run.size : run.taken, qualifies);
+      GRF_RETURN_IF_ERROR(status);
     }
   }
 
   /// Iterative-deepening passes started since construction, over every
   /// probe (EXPLAIN ANALYZE); always 0 for DFScan.
   uint64_t passes() const { return passes_; }
+
+  /// Leaf runs held since construction, over every probe (EXPLAIN
+  /// ANALYZE); always 0 for BFScan.
+  uint64_t leaf_runs() const { return leaf_runs_; }
 
  private:
   /// One stack entry: the hop by `edge` to `vertex` that extends its
@@ -90,6 +120,13 @@ class DfsScanner : public PathScanner {
 
   class BufferPrefix;
 
+  /// What Advance() stopped at.
+  enum class Step : uint8_t {
+    kDone,  ///< The traversal is exhausted.
+    kPath,  ///< The buffer holds a qualifying path.
+    kRun,   ///< A leaf run is due (only when asked for whole runs).
+  };
+
   /// Accounting footprint of one stack record: entry plus its sums.
   size_t HopBytes() const {
     return sizeof(Hop) + spec_->sum_bounds.size() * sizeof(double);
@@ -101,20 +138,30 @@ class DfsScanner : public PathScanner {
   /// Loads the next seed into the path buffer as a depth-0 hop.
   Hop LoadSeed();
   /// Pushes every admissible extension of the buffered path; under
-  /// kDeepen, only those pass_ needs, reversed.
+  /// kDeepen, only those pass_ needs, reversed. DFScan puts the extensions
+  /// of a record at depth max_length - 1 into the leaf run instead.
   template <bool kDeepen>
   Status Expand();
+  /// Pops the run's next leaf into the path buffer and `sums_`.
+  void PopLeaf();
+  /// The pending run, its first leaf popped.
+  LeafRun TakeRun();
+  /// Ends the run TakeRun handed out after `taken` leaves were popped,
+  /// counting them (as emitted when `emitted`) and uncharging the rest.
+  void EndRun(size_t taken, bool emitted);
+  void ClearRun();
   /// Starts the next iterative-deepening pass, or returns false when the
   /// last one found nothing to deepen.
   bool NextPass();
   /// Pops (or loads a seed), checks for interrupts, expands and checks the
-  /// memory cap until the buffer holds a qualifying path (true) or the
-  /// traversal is exhausted (false): the body of Next() and ForEachPath().
-  StatusOr<bool> Advance();
+  /// memory cap until the buffer holds a qualifying path or the traversal
+  /// is exhausted: the body of Next() and ForEachPath(). With `runs`, a
+  /// pending leaf run stops it instead of being popped.
+  StatusOr<Step> Advance(bool runs);
   /// Advance() for one engine, inlined into it so the pass check costs
   /// DFScan no call.
   template <bool kDeepen>
-  [[gnu::always_inline]] inline StatusOr<bool> AdvanceImpl();
+  [[gnu::always_inline]] inline StatusOr<Step> AdvanceImpl(bool runs);
   /// The emission handle for the buffered path (see the class comment).
   PathPtr Emit();
   void ClearStack();
@@ -125,6 +172,17 @@ class DfsScanner : public PathScanner {
   PathData path_;                   ///< The last popped record's path.
   std::vector<double> sums_;        ///< The last popped record's sums.
   std::shared_ptr<PathData> emitted_;  ///< The last emitted path.
+
+  /// The leaf run: the admitted last hops in neighbor order, with their
+  /// sums (sum_bounds.size() per leaf), and how many have popped (it is
+  /// pending until all have).
+  std::vector<VertexId> run_vertexes_;
+  std::vector<EdgeId> run_edges_;
+  std::vector<double> run_sums_;
+  size_t run_popped_ = 0;
+  /// This probe's leaves qualify on their length alone (ForEachPath).
+  bool whole_runs_ = false;
+  uint64_t leaf_runs_ = 0;
 
   /// The probe's seeds in load order, and the next one to load.
   std::vector<VertexId> seeds_;

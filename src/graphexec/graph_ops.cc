@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -378,6 +379,7 @@ Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   attr_tuple_reads_ = 0;
   bound_edges_ = 0;
   outer_copies_ = 0;
+  leaf_runs_ = 0;
   morsel_count_ = 0;
   worker_ns_.clear();
   // In morsel mode only the readers traverse.
@@ -431,6 +433,7 @@ class PathProbeJoinOp::Reader : public MorselReader {
   ExecRow row;
   uint64_t outer_copies = 0;
   uint64_t attr_tuple_reads = 0;
+  uint64_t leaf_runs = 0;
 };
 
 std::unique_ptr<MorselReader> PathProbeJoinOp::NewReader() const {
@@ -463,6 +466,7 @@ Status PathProbeJoinOp::DrainMorsel(MorselReader* base, size_t morsel,
   const size_t slot = spec_->path_slot;
   ExecRow& row = reader->row;
   const uint64_t reads_before = ctx->stats().attr_tuple_reads;
+  const uint64_t runs_before = scanner.leaf_runs();
   Status status = Status::OK();
   for (size_t r = row_begin; r < row_end && status.ok(); ++r) {
     const ExecRow& outer = buffered_rows_[r];
@@ -478,7 +482,8 @@ Status PathProbeJoinOp::DrainMorsel(MorselReader* base, size_t morsel,
       continue;
     }
     bool copied = false;
-    status = scanner.ForEachPath([&](const PathData& path) {
+    // Points the row's path slot at `path`; true at the outer row's first.
+    auto alias = [&](const PathData& path) {
       const bool first = !copied;
       if (first) {
         // Copy-assignment reuses the row's buffers across outer rows.
@@ -489,14 +494,32 @@ Status PathProbeJoinOp::DrainMorsel(MorselReader* base, size_t morsel,
       }
       // Aliasing an empty owner: a non-owning handle, no reference count.
       row.paths[slot] = PathPtr(PathPtr(), &path);
-      ++ctx->stats().rows_joined;
-      return sink(row, first);
-    });
+      return first;
+    };
+    status = scanner.ForEachPath(
+        [&](auto& item) -> Status {
+          if constexpr (std::is_same_v<std::decay_t<decltype(item)>,
+                                       LeafRun>) {
+            // One alias for the run: its leaves rewrite the buffer's last
+            // hop.
+            const bool first = alias(*item.path);
+            ++ctx->stats().runs_folded;
+            Status folded = sink.leaves(row, first, item);
+            ctx->stats().rows_joined += folded.ok() ? item.size : item.taken;
+            return folded;
+          } else {
+            const bool first = alias(item);
+            ++ctx->stats().rows_joined;
+            return sink.row(row, first);
+          }
+        },
+        /*runs=*/sink.leaves != nullptr);
     // The buffer changes once the sink returns: drop the alias.
     if (copied) row.paths[slot].reset();
   }
   scanner.Release();
   reader->attr_tuple_reads += ctx->stats().attr_tuple_reads - reads_before;
+  reader->leaf_runs += scanner.leaf_runs() - runs_before;
   return status;
 }
 
@@ -507,6 +530,7 @@ void PathProbeJoinOp::FinishMorsels(
     const auto* reader = static_cast<const Reader*>(base);
     outer_copies_ += reader->outer_copies;
     attr_tuple_reads_ += reader->attr_tuple_reads;
+    leaf_runs_ += reader->leaf_runs;
   }
   worker_ns_ = std::move(worker_ns);
 }
@@ -618,6 +642,15 @@ std::string PathProbeJoinOp::AnalyzeExtra() const {
   if (spec_->point_to_point) {
     out += StrFormat(" bound_edges=%llu",
                      static_cast<unsigned long long>(bound_edges_));
+  }
+  if (spec_->physical == TraversalSpec::Physical::kDfs) {
+    // Every DFS probe runs on a DfsScanner (MakePathScanner); in morsel mode
+    // the readers' runs were summed in.
+    const uint64_t runs =
+        scanner_ == nullptr
+            ? leaf_runs_
+            : static_cast<const DfsScanner&>(*scanner_).leaf_runs();
+    out += StrFormat(" leaf_runs=%llu", static_cast<unsigned long long>(runs));
   }
   if (spec_->physical == TraversalSpec::Physical::kBfs &&
       !spec_->global_visited && scanner_ != nullptr) {

@@ -136,7 +136,8 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   /// Per outer row of the morsel: re-arms the reader's DFS, copies the outer
   /// row into the reader's row once (at its first path), and hands the sink
   /// that row with the path slot pointing, without ownership, at the
-  /// scanner's path buffer.
+  /// scanner's path buffer: per path, or once per leaf run when the sink
+  /// takes runs.
   Status DrainMorsel(MorselReader* reader, size_t morsel, QueryContext* ctx,
                      const MorselSink& sink) const override;
   void FinishMorsels(const std::vector<const MorselReader*>& readers,
@@ -175,6 +176,9 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   /// Copies of the outer row into a caller row (EXPLAIN ANALYZE), readers'
   /// included (FinishMorsels).
   uint64_t outer_copies_ = 0;
+  /// Leaf runs of a morsel-mode probe's readers (FinishMorsels; EXPLAIN
+  /// ANALYZE); a streaming probe asks its scanner.
+  uint64_t leaf_runs_ = 0;
   /// Edge-attribute reads this operator's traversals served from tuples
   /// rather than flat columns (EXPLAIN ANALYZE).
   uint64_t attr_tuple_reads_ = 0;

@@ -1,6 +1,6 @@
-// The ordered BFS reference of the path tests: a FIFO of copied candidate
-// paths with the engine's path semantics, so a test can compare a BFScan's
-// exact row sequence against it.
+// The ordered BFS and DFS references of the path tests: a FIFO (BFS) or
+// LIFO (DFS) of copied candidate paths with the engine's path semantics, so
+// a test can compare a BFScan's or DFScan's exact row sequence against it.
 #pragma once
 
 #include <algorithm>
@@ -53,7 +53,7 @@ inline std::string RefPathString(const std::vector<int64_t>& vs,
   return out;
 }
 
-/// One BFS probe for BfsReference.
+/// One probe for BfsReference or DfsReference.
 struct BfsRefQuery {
   std::vector<int64_t> starts;  ///< Deduplicated and sorted by the reference.
   size_t min_len = 1;
@@ -74,13 +74,16 @@ struct BfsRefQuery {
   size_t limit = std::numeric_limits<size_t>::max();
 };
 
-/// Per-path BFS with the engine's semantics: edge-simple, vertex-simple
+/// Per-path search with the engine's semantics: edge-simple, vertex-simple
 /// except that an edge closing a cycle back to the start is emitted and
 /// never extended. Each popped candidate is expanded (extensions appended
-/// in neighbor order) and then emitted if it qualifies. Rows are
-/// "<start>|<PathString>|", in emission order, at most `q.limit` of them.
-inline std::vector<std::string> BfsReference(const RefAdjacency& adj,
-                                             const BfsRefQuery& q) {
+/// in neighbor order) and then emitted if it qualifies. BFS pops the oldest
+/// candidate; DFS the newest, so its starts go by descending id and each
+/// expansion's last neighbor first. Rows are "<start>|<PathString>|", in
+/// emission order, at most `q.limit` of them.
+inline std::vector<std::string> CopyPrefixReference(const RefAdjacency& adj,
+                                                    const BfsRefQuery& q,
+                                                    bool dfs) {
   struct RefPath {
     std::vector<int64_t> vs, es;
     double wsum = 0.0;
@@ -108,8 +111,12 @@ inline std::vector<std::string> BfsReference(const RefAdjacency& adj,
   }
   std::vector<std::string> out;
   while (!queue.empty() && out.size() < q.limit) {
-    const RefPath p = std::move(queue.front());
-    queue.pop_front();
+    const RefPath p = std::move(dfs ? queue.back() : queue.front());
+    if (dfs) {
+      queue.pop_back();
+    } else {
+      queue.pop_front();
+    }
     if (!p.closing && p.es.size() < q.max_len) {
       for (auto [eid, nbr] : adj.at(p.vs.back())) {
         if (std::find(p.es.begin(), p.es.end(), eid) != p.es.end()) continue;
@@ -147,6 +154,16 @@ inline std::vector<std::string> BfsReference(const RefAdjacency& adj,
                   RefPathString(p.vs, p.es) + "|");
   }
   return out;
+}
+
+inline std::vector<std::string> BfsReference(const RefAdjacency& adj,
+                                             const BfsRefQuery& q) {
+  return CopyPrefixReference(adj, q, /*dfs=*/false);
+}
+
+inline std::vector<std::string> DfsReference(const RefAdjacency& adj,
+                                             const BfsRefQuery& q) {
+  return CopyPrefixReference(adj, q, /*dfs=*/true);
 }
 
 }  // namespace grfusion

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <optional>
@@ -22,6 +23,10 @@
 #include "common/string_util.h"
 #include "common/task_pool.h"
 #include "engine/database.h"
+#include "exec/agg_ops.h"
+#include "exec/filter_ops.h"
+#include "exec/scan_ops.h"
+#include "graphexec/graph_ops.h"
 #include "graphexec/path_scanner.h"
 #include "parser/parser.h"
 #include "plan/planner.h"
@@ -2352,6 +2357,515 @@ TEST_F(MorselAggTest, WorkersReadTheSnapshotAcrossAConcurrentCommit) {
   auto after = reader.Execute(sql);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(after->rows, before->rows) << "the commit changed nothing";
+}
+
+// --- Leaf runs --------------------------------------------------------------
+//
+// A DFS record one hop short of max_length puts its children in a leaf run
+// instead of on the stack. Pulled through Next(), the rows must be the
+// copy-prefix reference's, and the traversal counters and peak bytes those
+// of the one-record-per-leaf stack. Under an aggregate, a run is folded in
+// one call; the answer must be the per-row body's, bit for bit.
+
+/// 40 vertexes, each with edges to i+1 and 7i+3 (mod 40), plus i+1 -> i
+/// for every i divisible by 4, so 2-cycles close at the last level. Vertex
+/// columns: kind (k0..k2), a DOUBLE score spanning 2^0..2^48, so its sums
+/// round differently in another order, and `zero`, which is 0.0 or -0.0,
+/// so MIN and MAX only ever tie.
+class LeafRunTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kN = 40;
+
+  void SetUp() override {
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+        CREATE TABLE lv (id BIGINT PRIMARY KEY, kind VARCHAR, score DOUBLE,
+                         zero DOUBLE);
+        CREATE TABLE le (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                         w DOUBLE);
+      )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows, erows;
+    for (int64_t i = 0; i < kN; ++i) {
+      score_.push_back(std::ldexp(1.0 + 1e-3 * static_cast<double>(i),
+                                  static_cast<int>(i % 5) * 12));
+      zero_.push_back(i % 3 == 1 ? -0.0 : 0.0);
+      vrows.push_back({Value::BigInt(i),
+                       Value::Varchar("k" + std::to_string(i % 3)),
+                       Value::Double(score_.back()),
+                       Value::Double(zero_.back())});
+    }
+    auto edge = [&](int64_t src, int64_t dst) {
+      const auto id = static_cast<int64_t>(erows.size());
+      weight_[id] = 0.5 + static_cast<double>(id % 5);
+      erows.push_back({Value::BigInt(id), Value::BigInt(src),
+                       Value::BigInt(dst), Value::Double(weight_[id])});
+    };
+    for (int64_t i = 0; i < kN; ++i) {
+      edge(i, (i + 1) % kN);
+      edge(i, (7 * i + 3) % kN);
+      if (i % 4 == 0) edge((i + 1) % kN, i);
+    }
+    ASSERT_TRUE(db_.BulkInsert("lv", vrows).ok());
+    ASSERT_TRUE(db_.BulkInsert("le", erows).ok());
+    ASSERT_TRUE(session_
+                    .ExecuteScript(
+                        "CREATE DIRECTED GRAPH VIEW lg VERTEXES (ID = id, "
+                        "kind = kind, score = score, zero = zero) FROM lv "
+                        "EDGES (ID = id, FROM = src, TO = dst, w = w) FROM le;")
+                    .ok());
+  }
+
+  void TearDown() override { FailpointRegistry::Global().DisarmAll(); }
+
+  const GraphView& View() const { return *db_.catalog().FindGraphView("lg"); }
+
+  RefAdjacency Adjacency() const { return ViewAdjacencyOf(View(), Iota(kN)); }
+
+  /// The last statement's traversal counters and peak bytes.
+  std::string Counters() const {
+    const ExecStats& s = session_.last_stats();
+    return StrFormat("ee=%llu ve=%llu pe=%llu mf=%llu pb=%zu",
+                     static_cast<unsigned long long>(s.edges_examined),
+                     static_cast<unsigned long long>(s.vertexes_expanded),
+                     static_cast<unsigned long long>(s.paths_emitted),
+                     static_cast<unsigned long long>(s.max_frontier),
+                     session_.last_peak_bytes());
+  }
+
+  /// The start and end vertex of a reference row.
+  static std::pair<int64_t, int64_t> Ends(const std::string& row) {
+    const int64_t start = std::stoll(row.substr(0, row.find('|')));
+    const size_t arrow = row.rfind("-> ");
+    const int64_t end = arrow == std::string::npos
+                            ? start
+                            : std::stoll(row.substr(arrow + 3));
+    return {start, end};
+  }
+
+  /// The leaf_runs= count on the PathProbeJoin line of EXPLAIN ANALYZE.
+  uint64_t LeafRuns(const std::string& sql) {
+    const std::string text = ExplainText(&session_, "ANALYZE " + sql);
+    const size_t at = text.find(" leaf_runs=");
+    EXPECT_NE(at, std::string::npos) << text;
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(text.c_str() + at + 11, nullptr, 10);
+  }
+
+  Database db_{TestOptions()};
+  Session session_{db_};
+  std::vector<double> score_, zero_;
+  std::map<int64_t, double> weight_;
+};
+
+TEST_F(LeafRunTest, NextRowsMatchTheCopyPrefixReference) {
+  const RefAdjacency adj = Adjacency();
+  const std::string select =
+      "SELECT P.StartVertex.Id, P.PathString FROM lg.Paths P HINT(DFS) WHERE ";
+  struct Case {
+    std::string where;
+    BfsRefQuery ref;
+    /// Keeps a reference row (the residual predicate), or null.
+    std::function<bool(const std::string&)> keep;
+  };
+  std::vector<Case> cases;
+  auto add = [&](std::string where, std::vector<int64_t> starts,
+                 size_t min_len, size_t max_len) -> Case& {
+    Case& c = cases.emplace_back();
+    c.where = std::move(where);
+    c.ref.starts = std::move(starts);
+    c.ref.min_len = min_len;
+    c.ref.max_len = max_len;
+    return c;
+  };
+  // min_length == max_length: only leaves qualify.
+  add("P.StartVertex.Id = 0 AND P.Length = 2", {0}, 2, 2);
+  add("P.Length >= 3 AND P.Length <= 3", Iota(kN), 3, 3);
+  // Windows [1, k]: runs at depth k, from one start and from all.
+  for (size_t k = 1; k <= 4; ++k) {
+    add(StrFormat("P.Length <= %zu", k), Iota(kN), 1, k);
+    add(StrFormat("P.StartVertex.Id = 8 AND P.Length <= %zu", k), {8}, 1, k);
+  }
+  // A target: leaves qualify one by one.
+  add("P.StartVertex.Id = 4 AND P.EndVertex.Id = 5 AND P.Length <= 3", {4},
+      1, 3)
+      .ref.target = 5;
+  // Sum bounds: pruning (<) and exact-only (>=).
+  for (CompareOp op : {CompareOp::kLt, CompareOp::kGe}) {
+    Case& c = add(StrFormat("SUM(P.Edges.w) %s 4 AND P.Length <= 3",
+                            op == CompareOp::kLt ? "<" : ">="),
+                  Iota(kN), 1, 3);
+    c.ref.w_op = op;
+    c.ref.w_bound = 4.0;
+    c.ref.weight = [&](int64_t e) { return weight_.at(e); };
+  }
+  // A residual predicate, tested per path.
+  add("P.EndVertex.Id > P.StartVertex.Id AND P.Length <= 2", Iota(kN), 1, 2)
+      .keep = [](const std::string& row) {
+    const auto [start, end] = Ends(row);
+    return end > start;
+  };
+
+  // The counters of the one-record-per-leaf stack, per case.
+  const std::vector<std::string> pinned = {
+      "ee=7 ve=8 pe=5 mf=3 pb=80",
+      "ee=662 ve=658 pe=328 mf=6 pb=464",
+      "ee=90 ve=130 pe=90 mf=3 pb=392",
+      "ee=2 ve=3 pe=2 mf=2 pb=56",
+      "ee=290 ve=330 pe=290 mf=4 pb=416",
+      "ee=7 ve=8 pe=7 mf=3 pb=80",
+      "ee=662 ve=658 pe=618 mf=6 pb=464",
+      "ee=15 ve=16 pe=15 mf=4 pb=104",
+      "ee=1388 ve=1304 pe=1264 mf=7 pb=488",
+      "ee=35 ve=33 pe=32 mf=5 pb=128",
+      "ee=15 ve=15 pe=1 mf=4 pb=104",
+      "ee=324 ve=182 pe=142 mf=3 pb=416",
+      "ee=662 ve=658 pe=476 mf=6 pb=512",
+      "ee=290 ve=330 pe=161 mf=4 pb=416",
+  };
+  std::vector<std::string> counters;
+  bool closing_leaf = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.where);
+    std::vector<std::string> expected = DfsReference(adj, c.ref);
+    if (c.keep != nullptr) {
+      std::erase_if(expected,
+                    [&](const std::string& row) { return !c.keep(row); });
+    }
+    for (const std::string& row : expected) {
+      const auto [start, end] = Ends(row);
+      if (start == end) closing_leaf = true;
+    }
+    EXPECT_EQ(StartAndPathRows(&session_, select + c.where), expected);
+    counters.push_back(Counters());
+  }
+  EXPECT_TRUE(closing_leaf) << "no closing hop at the last level";
+  ASSERT_EQ(counters.size(), pinned.size());
+  for (size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_EQ(counters[i], pinned[i]) << cases[i].where;
+  }
+  EXPECT_GT(LeafRuns(select + "P.Length <= 2"), 0u);
+}
+
+TEST_F(LeafRunTest, VisitedOnceDfsMatchesTheReference) {
+  // The planner runs visited-once DFS without a length bound only; a scanner
+  // with a bound has leaf runs whose claims must land as the stack's did.
+  auto spec = std::make_shared<TraversalSpec>();
+  spec->gv = &View();
+  spec->physical = TraversalSpec::Physical::kDfs;
+  spec->global_visited = true;
+  const RefAdjacency adj = Adjacency();
+  std::vector<std::string> counters;
+  for (size_t max_len : {size_t{1}, size_t{2}, size_t{3}}) {
+    SCOPED_TRACE(max_len);
+    spec->max_length = max_len;
+    QueryContext ctx;
+    std::unique_ptr<PathScanner> scanner = MakePathScanner(spec, &ctx);
+    ASSERT_TRUE(scanner->Reset({0, 13}, std::nullopt, nullptr).ok());
+    std::vector<std::string> rows;
+    PathPtr path;
+    while (true) {
+      auto has = scanner->Next(&path);
+      ASSERT_TRUE(has.ok()) << has.status().ToString();
+      if (!*has) break;
+      rows.push_back(std::to_string(path->StartVertex()) + "|" +
+                     PathToString(*path) + "|");
+    }
+    scanner->Release();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+    BfsRefQuery ref;
+    ref.starts = {0, 13};
+    ref.max_len = max_len;
+    ref.visited_once = true;
+    EXPECT_EQ(rows, DfsReference(adj, ref));
+    const ExecStats& s = ctx.stats();
+    counters.push_back(StrFormat(
+        "ee=%llu ve=%llu pe=%llu mf=%llu pb=%zu",
+        static_cast<unsigned long long>(s.edges_examined),
+        static_cast<unsigned long long>(s.vertexes_expanded),
+        static_cast<unsigned long long>(s.paths_emitted),
+        static_cast<unsigned long long>(s.max_frontier), ctx.peak_bytes()));
+  }
+  const std::vector<std::string> pinned = {
+      "ee=5 ve=6 pe=4 mf=2 pb=64",
+      "ee=14 ve=15 pe=13 mf=3 pb=88",
+      "ee=29 ve=27 pe=25 mf=5 pb=136",
+  };
+  EXPECT_EQ(counters, pinned);
+}
+
+TEST_F(LeafRunTest, DeltaOverlayAppendsAndRemovesLastHops) {
+  // Edges appended after the view's CSR snapshot, and one removed, land in
+  // its delta overlay: last hops there must join and leave the runs.
+  ASSERT_TRUE(session_
+                  .Execute("INSERT INTO le VALUES (1000, 1, 39, 1.0), "
+                           "(1001, 8, 2, 2.0), (1002, 2, 17, 1.0)")
+                  .ok());
+  ASSERT_TRUE(session_.Execute("DELETE FROM le WHERE id = 4 OR id = 9").ok());
+  const RefAdjacency adj = Adjacency();
+  const std::string select =
+      "SELECT P.StartVertex.Id, P.PathString FROM lg.Paths P HINT(DFS) WHERE ";
+  std::vector<std::string> counters;
+  for (size_t k = 1; k <= 3; ++k) {
+    SCOPED_TRACE(k);
+    BfsRefQuery ref;
+    ref.starts = Iota(kN);
+    ref.max_len = k;
+    EXPECT_EQ(StartAndPathRows(&session_,
+                               select + StrFormat("P.Length <= %zu", k)),
+              DfsReference(adj, ref));
+    counters.push_back(Counters());
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      session_.options().max_parallelism = workers;
+      auto count = session_.Execute(StrFormat(
+          "SELECT COUNT(*) FROM lg.Paths P HINT(DFS) WHERE P.Length <= %zu",
+          k));
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(count->rows[0][0].AsBigInt(),
+                static_cast<int64_t>(DfsReference(adj, ref).size()));
+    }
+    session_.options().max_parallelism = TestOptions().max_parallelism;
+  }
+  const std::vector<std::string> pinned = {
+      "ee=91 ve=131 pe=91 mf=3 pb=392",
+      "ee=296 ve=336 pe=296 mf=5 pb=440",
+      "ee=684 ve=679 pe=639 mf=6 pb=464",
+  };
+  EXPECT_EQ(counters, pinned);
+}
+
+TEST_F(LeafRunTest, FoldedRunsKeepThePerRowAnswer) {
+  const RefAdjacency adj = Adjacency();
+  // [1, 3] and [3, 3]: in the second, every morsel's first row is a leaf,
+  // so MIN and MAX keep a value the fold saw first.
+  for (size_t min_len : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(min_len);
+    BfsRefQuery ref;
+    ref.starts = Iota(kN);
+    ref.min_len = min_len;
+    ref.max_len = 3;
+    const std::vector<std::string> paths = DfsReference(adj, ref);
+    // The morsel drain's sums: per morsel of 16 starts (by descending id,
+    // the DFS order) sequentially, then the morsels in order.
+    std::vector<double> partial((kN + 15) / 16, 0.0);
+    for (const std::string& row : paths) {
+      const auto [start, end] = Ends(row);
+      partial[static_cast<size_t>(kN - 1 - start) / 16] +=
+          score_[static_cast<size_t>(end)];
+    }
+    double sum = 0.0;
+    for (double p : partial) sum += p;
+    // MIN and MAX of +-0.0 keep the first value seen.
+    const double first_zero =
+        zero_[static_cast<size_t>(Ends(paths.front()).second)];
+    const std::string where =
+        StrFormat(" FROM lg.Paths P HINT(DFS) WHERE P.Length >= %zu AND "
+                  "P.Length <= 3",
+                  min_len);
+    const std::string scalar =
+        "SELECT COUNT(*), SUM(P.EndVertex.score), MIN(P.EndVertex.zero), "
+        "MAX(P.EndVertex.zero), COUNT(P.EndVertex.score)" +
+        where;
+    // Path-keyed groups are resolved per leaf.
+    const std::string by_end_kind =
+        "SELECT P.EndVertex.kind, COUNT(*)" + where +
+        " GROUP BY P.EndVertex.kind";
+    std::vector<std::string> kinds;
+    std::map<std::string, int64_t> kind_counts;
+    for (const std::string& row : paths) {
+      const std::string kind = "k" + std::to_string(Ends(row).second % 3);
+      if (kind_counts[kind]++ == 0) kinds.push_back(kind);
+    }
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(workers);
+      session_.options().max_parallelism = workers;
+      // Timing (a 0 us slow-query threshold) runs the per-row body.
+      for (bool timed : {false, true}) {
+        SCOPED_TRACE(timed);
+        session_.options().slow_query_threshold_us = timed ? 0 : -1;
+        auto result = session_.Execute(scalar);
+        session_.options().slow_query_threshold_us = -1;
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        // Untimed, the aggregate takes runs in one call; timed, none.
+        if (timed) {
+          EXPECT_EQ(session_.last_stats().runs_folded, 0u);
+        } else {
+          EXPECT_GT(session_.last_stats().runs_folded, 0u);
+        }
+        const std::vector<Value>& row = result->rows[0];
+        EXPECT_EQ(row[0].AsBigInt(), static_cast<int64_t>(paths.size()));
+        EXPECT_EQ(std::bit_cast<uint64_t>(row[1].AsDouble()),
+                  std::bit_cast<uint64_t>(sum))
+            << row[1].AsDouble() << " vs " << sum;
+        EXPECT_EQ(std::signbit(row[2].AsDouble()), std::signbit(first_zero));
+        EXPECT_EQ(std::signbit(row[3].AsDouble()), std::signbit(first_zero));
+        EXPECT_EQ(row[4].AsBigInt(), static_cast<int64_t>(paths.size()));
+      }
+      auto grouped = session_.Execute(by_end_kind);
+      ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+      EXPECT_EQ(session_.last_stats().runs_folded, 0u);
+      ASSERT_EQ(grouped->rows.size(), kinds.size());
+      for (size_t g = 0; g < kinds.size(); ++g) {
+        EXPECT_EQ(grouped->rows[g][0].AsVarchar(), kinds[g]);
+        EXPECT_EQ(grouped->rows[g][1].AsBigInt(), kind_counts[kinds[g]]);
+      }
+    }
+  }
+  session_.options().max_parallelism = TestOptions().max_parallelism;
+}
+
+TEST_F(LeafRunTest, FoldKeepsCountersAtOneAndFourWorkers) {
+  // COUNT(*) and the hybrid shape, folded: the traversal counters, peak
+  // bytes and EXPLAIN ANALYZE's leaf_runs are the per-leaf stack's, and
+  // leaf_runs reads the same at any worker count.
+  const std::vector<std::string> sqls = {
+      "SELECT COUNT(*) FROM lg.Paths P HINT(DFS) WHERE P.Length <= 2",
+      "SELECT V.kind, COUNT(*), SUM(P.Length), MAX(P.EndVertex.score) FROM "
+      "lv V, lg.Paths P HINT(DFS) WHERE P.StartVertex.Id = V.id AND "
+      "P.Length <= 3 GROUP BY V.kind",
+      "SELECT COUNT(*), SUM(P.EndVertex.score) FROM lg.Paths P HINT(DFS) "
+      "WHERE P.Length = 3"};
+  std::vector<std::string> counters;
+  for (const std::string& sql : sqls) {
+    SCOPED_TRACE(sql);
+    std::vector<std::vector<Value>> serial;
+    uint64_t runs = 0;
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      session_.options().max_parallelism = workers;
+      auto result = session_.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      // peak_bytes folds the workers' peaks, so only one worker's is pinned.
+      std::string c = Counters();
+      if (workers == 4) c = c.substr(0, c.find(" pb="));
+      counters.push_back(c);
+      const uint64_t folded = session_.last_stats().runs_folded;
+      const uint64_t analyzed = LeafRuns(sql);
+      // Untimed, the aggregate took every run the scanner held in one call.
+      EXPECT_EQ(folded, analyzed);
+      if (workers == 1) {
+        serial = result->rows;
+        runs = analyzed;
+        EXPECT_GT(runs, 0u);
+      } else {
+        EXPECT_EQ(result->rows, serial);
+        EXPECT_EQ(analyzed, runs);
+      }
+    }
+  }
+  session_.options().max_parallelism = TestOptions().max_parallelism;
+  const std::vector<std::string> pinned = {
+      "ee=290 ve=330 pe=290 mf=4 pb=1312",
+      "ee=290 ve=330 pe=290 mf=4",
+      "ee=662 ve=658 pe=618 mf=6 pb=16920",
+      "ee=662 ve=658 pe=618 mf=6",
+      "ee=662 ve=658 pe=328 mf=6 pb=1872",
+      "ee=662 ve=658 pe=328 mf=6",
+  };
+  EXPECT_EQ(counters, pinned);
+}
+
+TEST_F(LeafRunTest, FilterStageTakesLeavesOneByOne) {
+  // A filter between the aggregate and the probe (a plan the planner does
+  // not build) sees each leaf alone; its answer is the folded statement's.
+  auto folded = session_.Execute(
+      "SELECT COUNT(*), SUM(P.Length), MAX(P.EndVertex.Id) FROM lg.Paths P "
+      "HINT(DFS) WHERE P.Length = 2");
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  auto spec = std::make_shared<TraversalSpec>();
+  spec->gv = &View();
+  spec->physical = TraversalSpec::Physical::kDfs;
+  spec->max_length = 2;
+  RowLayout layout;
+  layout.schema = std::make_shared<Schema>();
+  layout.path_slots = 1;
+  auto length = std::make_shared<PathPropertyExpr>(0, PathProperty::kLength,
+                                                   "P.Length");
+  auto filter = std::make_unique<FilterOp>(
+      std::make_unique<PathProbeJoinOp>(std::make_unique<SingleRowOp>(layout),
+                                        spec),
+      std::make_shared<CompareExpr>(
+          CompareOp::kEq, length,
+          std::make_shared<ConstantExpr>(Value::BigInt(2))));
+  std::vector<AggregateSpec> aggs(3);
+  aggs[0].func = AggFunc::kCount;
+  aggs[0].output_name = "n";
+  aggs[1].func = AggFunc::kSum;
+  aggs[1].arg = length;
+  aggs[1].output_name = "len";
+  aggs[2].func = AggFunc::kMax;
+  aggs[2].arg = std::make_shared<PathPropertyExpr>(
+      0, PathProperty::kEndVertexId, "P.EndVertex.Id");
+  aggs[2].output_name = "end";
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    AggregateOp agg(std::move(filter), {}, {}, aggs);
+    QueryContext ctx;
+    if (workers > 1) {
+      ctx.set_task_pool(&TaskPool::Shared());
+      ctx.set_max_parallelism(workers);
+    }
+    ASSERT_TRUE(agg.Open(&ctx).ok());
+    ExecRow row;
+    auto has = agg.Next(&row);
+    ASSERT_TRUE(has.ok() && *has);
+    EXPECT_EQ(row.columns, folded->rows[0]);
+    EXPECT_EQ(ctx.stats().runs_folded, 0u);
+    agg.Close();
+    EXPECT_EQ(ctx.current_bytes(), 0u);
+    // Re-plan for the next worker count.
+    filter = std::make_unique<FilterOp>(
+        std::make_unique<PathProbeJoinOp>(
+            std::make_unique<SingleRowOp>(layout), spec),
+        std::make_shared<CompareExpr>(
+            CompareOp::kEq, length,
+            std::make_shared<ConstantExpr>(Value::BigInt(2))));
+  }
+}
+
+TEST_F(LeafRunTest, ExecNextFailpointFiresOnTheSameHit) {
+  // An armed failpoint turns the fold off, so exec.next is evaluated once
+  // per leaf as before: a run counts the same hits, and a firing hit lands
+  // where it did.
+  FailpointRegistry& failpoints = FailpointRegistry::Global();
+  const std::string sql =
+      "SELECT COUNT(*), SUM(P.EndVertex.score) FROM lg.Paths P HINT(DFS) "
+      "WHERE P.Length <= 3";
+  session_.options().max_parallelism = 1;
+  FailpointRegistry::Spec never;
+  never.mode = FailpointRegistry::Spec::Mode::kProbability;
+  never.probability = 0.0;
+  failpoints.Arm("exec.next", never);
+  ASSERT_TRUE(session_.Execute(sql).ok());
+  EXPECT_EQ(session_.last_stats().runs_folded, 0u);
+  const uint64_t hits = failpoints.Hits("exec.next");
+  failpoints.DisarmAll();
+  EXPECT_EQ(hits, 624u);
+
+  // every=N fires on hits 1, N+1, ...: hit 1 is a first statement's outer
+  // row; the second statement fails on its n-th hit, after the same paths
+  // as before.
+  std::vector<std::string> counters;
+  for (uint64_t n : {uint64_t{57}, hits / 2}) {
+    SCOPED_TRACE(n);
+    FailpointRegistry::Spec every;
+    every.mode = FailpointRegistry::Spec::Mode::kEveryNth;
+    every.nth = n;
+    failpoints.Arm("exec.next", every);
+    EXPECT_FALSE(session_.Execute(sql).ok());
+    ASSERT_EQ(failpoints.Hits("exec.next"), 1u);
+    auto fired = session_.Execute(sql);
+    ASSERT_FALSE(fired.ok());
+    EXPECT_TRUE(FailpointRegistry::IsInjected(fired.status()));
+    EXPECT_EQ(failpoints.Hits("exec.next"), n + 1);
+    failpoints.DisarmAll();
+    counters.push_back(Counters());
+  }
+  const std::vector<std::string> pinned = {
+      "ee=59 ve=59 pe=55 mf=5 pb=952",
+      "ee=335 ve=331 pe=310 mf=6 pb=1296",
+  };
+  EXPECT_EQ(counters, pinned);
+  session_.options().max_parallelism = TestOptions().max_parallelism;
 }
 
 }  // namespace

@@ -1383,38 +1383,47 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
 
     int agg_answered = 0;
     int agg_fanned = 0;
-    for (int trial = 0; trial < agg_trials; ++trial) {
-      const bool hybrid = rng.Bernoulli(0.5);
-      const size_t max_len = static_cast<size_t>(rng.Uniform(1, 3));
+    // After the drawn trials come fold trials, drawn from their own stream
+    // so the others keep their draws: a path-free key and nothing that takes
+    // paths one by one, so the aggregate folds every leaf run in one call.
+    const int fold_trials = (agg_trials + 2) / 3;
+    Random fold_rng(seed ^ 0x9e3779b97f4a7c15ull);
+    uint64_t folded_runs = 0;
+    for (int trial = 0; trial < agg_trials + fold_trials; ++trial) {
+      const bool folds = trial >= agg_trials;
+      Random& trial_rng = folds ? fold_rng : rng;
+      const bool hybrid = trial_rng.Bernoulli(0.5);
+      const size_t max_len = static_cast<size_t>(trial_rng.Uniform(1, 3));
       std::optional<int64_t> rank_below;
-      if (rng.Bernoulli(0.4)) rank_below = rng.Uniform(20, 90);
+      if (trial_rng.Bernoulli(0.4)) rank_below = trial_rng.Uniform(20, 90);
       // 0: scalar, 1: GROUP BY P.EndVertex.name, 2: GROUP BY V.name.
       // Every third trial groups paths by end vertex with nothing to drop
       // the groups, so every graph yields a multi-group answer.
-      const bool grouped = trial % 3 == 0;
-      int key = static_cast<int>(rng.Uniform(0, hybrid ? 2 : 1));
+      const bool grouped = !folds && trial % 3 == 0;
+      int key = static_cast<int>(trial_rng.Uniform(0, hybrid ? 2 : 1));
       if (grouped) key = 1;
-      const bool residual = hybrid && rng.Bernoulli(0.3);
-      const bool empty = rng.Bernoulli(0.15) && !grouped;
+      if (folds && key == 1) key = 0;
+      const bool residual = hybrid && trial_rng.Bernoulli(0.3) && !folds;
+      const bool empty = trial_rng.Bernoulli(0.15) && !grouped && !folds;
       std::optional<int64_t> having;
-      if (key != 0 && rng.Bernoulli(0.3) && !grouped) {
-        having = rng.Uniform(0, 40);
+      if (key != 0 && trial_rng.Bernoulli(0.3) && !grouped) {
+        having = trial_rng.Uniform(0, 40);
       }
       // A residual filter the traversal cannot take: some hop reaches a
       // vertex whose id starts with 1.
-      const bool like = rng.Bernoulli(0.3) && !grouped;
+      const bool like = trial_rng.Bernoulli(0.3) && !grouped && !folds;
       std::vector<Extra> extras;
       for (int k = 0; k < 4; ++k) {
         static constexpr AggFunc kFuncs[] = {AggFunc::kCount, AggFunc::kSum,
                                              AggFunc::kAvg, AggFunc::kMin,
                                              AggFunc::kMax};
         const ExtraInput* input =
-            &extra_inputs[static_cast<size_t>(rng.Uniform(0, 5))];
+            &extra_inputs[static_cast<size_t>(trial_rng.Uniform(0, 5))];
         // VARCHAR inputs take COUNT, MIN and MAX only.
         const AggFunc func =
             input->varchar
-                ? kFuncs[rng.Bernoulli(0.2) ? 0 : rng.Uniform(3, 4)]
-                : kFuncs[rng.Uniform(0, 4)];
+                ? kFuncs[trial_rng.Bernoulli(0.2) ? 0 : trial_rng.Uniform(3, 4)]
+                : kFuncs[trial_rng.Uniform(0, 4)];
         extras.push_back(Extra{func, input});
       }
 
@@ -1569,6 +1578,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       EXPECT_EQ(par_stats.edges_examined, serial_stats.edges_examined);
       EXPECT_EQ(par_stats.rows_joined, serial_stats.rows_joined);
       EXPECT_EQ(par_stats.paths_pruned, serial_stats.paths_pruned);
+      EXPECT_EQ(par_stats.runs_folded, serial_stats.runs_folded);
 
       session.options().max_parallelism = 1;
       auto explained_serial = session.Execute("EXPLAIN ANALYZE " + sql);
@@ -1581,6 +1591,16 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       for (const auto& row : explained->rows) text += row[0].ToString() + "\n";
       EXPECT_NE(text.find(" morsels="), std::string::npos) << text;
       if (text.find(" workers=[") != std::string::npos) ++agg_fanned;
+      const size_t runs_at = text.find(" leaf_runs=");
+      EXPECT_NE(runs_at, std::string::npos) << text;
+      if (runs_at != std::string::npos && folds) {
+        // Untimed, a fold trial takes every run the scanner held in one
+        // call (EXPLAIN ANALYZE is timed, so it only counts them).
+        EXPECT_EQ(serial_stats.runs_folded,
+                  std::strtoull(text.c_str() + runs_at + 11, nullptr, 10))
+            << text;
+        folded_runs += serial_stats.runs_folded;
+      }
       EXPECT_EQ(analyzed_counters(*explained),
                 analyzed_counters(*explained_serial))
           << "EXPLAIN ANALYZE counters differ at 1 and 4 workers";
@@ -1588,6 +1608,7 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     if (agg_trials > 0) {
       EXPECT_GT(agg_answered, 0) << "no aggregate trial had two groups";
       EXPECT_GT(agg_fanned, 0) << "no aggregate trial ran on several workers";
+      EXPECT_GT(folded_runs, 0u) << "no aggregate trial folded a leaf run";
     }
   }
 
