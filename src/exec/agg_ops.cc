@@ -75,6 +75,12 @@ uint64_t NowNs() {
           .count());
 }
 
+/// Whether rows [first, first + n) hold a multiple of kTimingStride.
+bool CrossesStride(uint64_t first, uint64_t n) {
+  return (first + kTimingStride - 1) / kTimingStride * kTimingStride <
+         first + n;
+}
+
 Status SumOverflow(AggFunc func) {
   return Status::OutOfRange(std::string(AggFuncToString(func)) +
                             " overflows BIGINT");
@@ -246,21 +252,13 @@ StatusOr<size_t> AggregateOp::GroupFor(const ExecRow& row, QueryContext* ctx,
   return table->groups.size() - 1;
 }
 
-Status AggregateOp::Drain(PhysicalOperator* input, QueryContext* ctx,
-                          Table* table) const {
-  // `row` goes back to the input untouched: the run protocol's promise.
+Status AggregateOp::Drain() {
   ExecRow row;
-  bool unchanged = false;
-  size_t group = 0;
   while (true) {
-    GRF_ASSIGN_OR_RETURN(bool has, input->Next(&row, &unchanged));
+    GRF_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
     if (!has) return Status::OK();
-    // Unchanged columns mean unchanged path-free keys: the same group.
-    if (!reuse_group_ || !unchanged) {
-      // An index: the groups may reallocate.
-      GRF_ASSIGN_OR_RETURN(group, GroupFor(row, ctx, table));
-    }
-    GRF_RETURN_IF_ERROR(Accumulate(&table->groups[group], row));
+    GRF_ASSIGN_OR_RETURN(size_t group, GroupFor(row, ctx_, &table_));
+    GRF_RETURN_IF_ERROR(Accumulate(&table_.groups[group], row));
   }
 }
 
@@ -314,9 +312,8 @@ Status AggregateOp::RunMorsels() {
   const size_t stages = morsel_stages_.size();
   const bool timed = ctx_->profile_timing();
   // Leaf runs fold in one call unless a row must be seen alone: by a
-  // filter, a key that reads the path, a sampled clock or a failpoint.
-  const bool fold = stages == 0 && !timed &&
-                    (group_by_.empty() || reuse_group_) &&
+  // filter, a key that reads the path or a failpoint.
+  const bool fold = stages == 0 && (group_by_.empty() || reuse_group_) &&
                     !FailpointRegistry::AnyArmed();
 
   struct Worker {
@@ -424,6 +421,11 @@ Status AggregateOp::RunMorsels() {
             // run's size, the arguments per leaf.
             sink.leaves = [&](const ExecRow& row, bool new_run,
                               LeafRun& run) -> Status {
+              // Timed, a run is sampled whole when its rows cross a
+              // multiple of kTimingStride, and counts as run.size rows.
+              const bool sample =
+                  timed && CrossesStride(probe.rows_emitted, run.size);
+              const uint64_t entered = sample ? NowNs() : 0;
               if (new_run) grouped = false;
               Status status = Status::OK();
               if (!reuse_group_ || !grouped) {
@@ -436,7 +438,12 @@ Status AggregateOp::RunMorsels() {
                 status = AccumulateRun(&partial->groups[group], row, run);
               }
               // The rows the run delivered: those the fold took.
-              probe.rows_emitted += status.ok() ? run.size : run.taken;
+              const size_t rows = status.ok() ? run.size : run.taken;
+              probe.rows_emitted += rows;
+              if (sample) {
+                sink_sampled_ns += NetOf(NowNs() - entered, clock_ns);
+                sampled += rows;
+              }
               return status;
             };
           }
@@ -520,8 +527,7 @@ Status AggregateOp::OpenImpl(QueryContext* ctx) {
   if (morsel_source_ != nullptr) morsel_source_->set_morsel_mode(true);
   Status result = child_->Open(ctx);
   if (result.ok()) {
-    result = morsel_source_ != nullptr ? RunMorsels()
-                                       : Drain(child_.get(), ctx, &table_);
+    result = morsel_source_ != nullptr ? RunMorsels() : Drain();
   }
   child_->Close();
   group_lookups_ = table_.lookups;

@@ -28,23 +28,21 @@ struct AggregateSpec {
 /// AVG add BIGINT inputs exactly in 64 bits and fail with OutOfRange when
 /// the sum overflows.
 ///
-/// The child is drained in the run protocol (PhysicalOperator::Next). When
-/// every group-by key is path-free (`path_free_keys`, one flag per key), a
-/// row whose columns the child reports unchanged joins the previous row's
-/// group without evaluating or hashing the key.
-///
-/// When the child is a morsel source (a DFS path probe), reached through
+/// When the child is a morsel source (a path probe), reached through
 /// filters only, the input runs as fixed morsels (DESIGN.md §20): the source
 /// pushes each morsel's rows into a sink that applies the filters'
 /// predicates and accumulates into the morsel's own partial groups, on up to
 /// max_parallelism pool workers (inline at one), and the partials merge in
 /// morsel order. Group order, sums and counters are therefore the same at
-/// any worker count.
+/// any worker count. When every group-by key is path-free
+/// (`path_free_keys`, one flag per key), the rows of one outer row share
+/// the group of its first row without evaluating or hashing the key. Any
+/// other child is pulled row by row.
 ///
-/// A DFS source hands the sink each final expansion's leaves as one run
+/// A DFScan source hands the sink each final expansion's leaves as one run
 /// when no row needs to be seen alone (no filter stage, no path-keyed
-/// group, no timing, no armed failpoint): the group is resolved once and
-/// COUNT(*) adds the run's size.
+/// group, no armed failpoint): the group is resolved once and COUNT(*) adds
+/// the run's size. A timed statement times such a run as one unit.
 ///
 /// Arguments are read through Expression::EvalNumeric, which path lengths
 /// and endpoint columns answer without building a Value.
@@ -91,10 +89,8 @@ class AggregateOp : public PhysicalOperator {
     uint64_t lookups = 0;  ///< GroupFor calls of a grouped aggregate.
   };
 
-  /// Drains `input` into `table`, charging `ctx`. Touches no member state,
-  /// so morsel workers run it concurrently on private tables.
-  Status Drain(PhysicalOperator* input, QueryContext* ctx,
-               Table* table) const;
+  /// Pulls child_ row by row into table_, charging ctx_.
+  Status Drain();
   /// The index in `table` of `row`'s group, created on first use.
   StatusOr<size_t> GroupFor(const ExecRow& row, QueryContext* ctx,
                             Table* table) const;
@@ -122,8 +118,8 @@ class AggregateOp : public PhysicalOperator {
   std::vector<ExprPtr> group_by_;
   std::vector<AggregateSpec> aggs_;
   Schema schema_;
-  /// Grouped, and no key reads a path: rows with unchanged columns share
-  /// their predecessor's group.
+  /// Grouped, and no key reads a path: in a morsel drain, the rows of one
+  /// outer row share its first row's group.
   bool reuse_group_ = false;
   /// The morsel source under the child (`morsel_op_` as an operator) and
   /// the filters between, top-down, whose predicates the morsel sink applies;

@@ -5,23 +5,11 @@ namespace grfusion {
 // --- FilterOp ------------------------------------------------------------------
 
 StatusOr<bool> FilterOp::NextImpl(ExecRow* out) {
-  bool* run = run_flag();
-  // The caller last saw the columns of the last row this filter passed, so
-  // they are unchanged only if the child kept them across every rejected
-  // row as well.
-  bool kept = true;
-  bool child_kept = false;
   while (true) {
-    GRF_ASSIGN_OR_RETURN(bool has,
-                         child_->Next(out, run != nullptr ? &child_kept
-                                                          : nullptr));
+    GRF_ASSIGN_OR_RETURN(bool has, child_->Next(out));
     if (!has) return false;
-    kept = kept && child_kept;
     GRF_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out));
-    if (pass) {
-      if (run != nullptr) *run = kept;
-      return true;
-    }
+    if (pass) return true;
   }
 }
 
@@ -31,10 +19,7 @@ StatusOr<bool> ProjectOp::NextImpl(ExecRow* out) {
   // Drop the hold on the previous row's paths so a path scanner below may
   // refill them in place.
   out->paths.clear();
-  // Pulling into a member row that nothing writes keeps the run protocol's
-  // promise. The answer is not needed: every output column is recomputed.
-  bool unchanged = false;
-  GRF_ASSIGN_OR_RETURN(bool has, child_->Next(&input_, &unchanged));
+  GRF_ASSIGN_OR_RETURN(bool has, child_->Next(&input_));
   if (!has) return false;
   out->columns.resize(exprs_.size());
   for (size_t i = 0; i < exprs_.size(); ++i) {

@@ -11,9 +11,7 @@
 
 namespace grfusion {
 
-/// Relational selection: passes rows whose predicate evaluates to true. It
-/// never writes columns, so it forwards its caller's run protocol
-/// (PhysicalOperator::Next) to the child.
+/// Relational selection: passes rows whose predicate evaluates to true.
 class FilterOp : public PhysicalOperator {
  public:
   FilterOp(OperatorPtr child, ExprPtr predicate)
@@ -40,9 +38,7 @@ class FilterOp : public PhysicalOperator {
 };
 
 /// Relational projection: evaluates one expression per output column. The
-/// child writes into a member row that goes back untouched (the run
-/// protocol of PhysicalOperator::Next), so a path probe below copies its
-/// outer row once per run rather than once per path.
+/// child writes into a member row, whose buffers are reused across rows.
 class ProjectOp : public PhysicalOperator {
  public:
   ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs, Schema schema)

@@ -58,10 +58,11 @@ struct MorselSink {
 
 /// The source of a morsel drain (DESIGN.md §20): an operator whose input is
 /// cut into fixed morsels that workers drain, in any order, straight into a
-/// consumer's sink. A morsel holds kMorselSize input rows, or kMorselSize
-/// starts of an unbound path probe. The boundaries depend only on the input,
-/// never on the worker count, so a consumer that merges per-morsel results
-/// in morsel order gets the same answer at any worker count.
+/// consumer's sink. A morsel holds kMorselSize input rows, kMorselSize
+/// starts of an unbound DFScan probe, or one input row of another unbound
+/// path probe. The boundaries depend only on the input, never on the worker
+/// count, so a consumer that merges per-morsel results in morsel order gets
+/// the same answer at any worker count.
 ///
 /// The interface lets AggregateOp (exec) drive PathProbeJoinOp (graphexec),
 /// which sits a layer above it. The consumer drives it:

@@ -50,10 +50,8 @@ Status PhysicalOperator::Open(QueryContext* ctx) {
   return status;
 }
 
-StatusOr<bool> PhysicalOperator::Next(ExecRow* out, bool* unchanged) {
+StatusOr<bool> PhysicalOperator::Next(ExecRow* out) {
   ++profile_.next_calls;
-  run_flag_ = unchanged;
-  if (unchanged != nullptr) *unchanged = false;
   // Every operator in the tree passes through this wrapper, which makes it
   // the one choke point for cooperative cancellation: a pipelined plan of
   // any shape observes an interrupt or deadline within a handful of rows.

@@ -81,14 +81,7 @@ class PhysicalOperator {
   Status Open(QueryContext* ctx);
 
   /// Produces the next row into `*out`. Returns false at end of stream.
-  ///
-  /// Run protocol (opt-in): a caller that passes `unchanged` promises to
-  /// hand back the same `*out` on its next call with the row untouched. In
-  /// exchange the producer sets `*unchanged` to true when it left
-  /// `out->columns` as they were after the previous row, i.e. the new row
-  /// differs from the last one only in path slots. Producers that cannot
-  /// tell always answer false; a null `unchanged` is a plain Next().
-  StatusOr<bool> Next(ExecRow* out, bool* unchanged = nullptr);
+  StatusOr<bool> Next(ExecRow* out);
 
   void Close();
 
@@ -122,11 +115,6 @@ class PhysicalOperator {
   virtual StatusOr<bool> NextImpl(ExecRow* out) = 0;
   virtual void CloseImpl() = 0;
 
-  /// The run-protocol answer of the Next() call in progress: non-null only
-  /// when the caller opted in, already set to false. NextImpl of an operator
-  /// that can tell sets it to true when `out->columns` stayed as they were.
-  bool* run_flag() const { return run_flag_; }
-
  private:
   OperatorProfile profile_;
   bool timed_ = false;
@@ -135,7 +123,6 @@ class PhysicalOperator {
   uint64_t timed_calls_ = 0;
   uint64_t sampled_calls_ = 0;
   uint64_t sampled_ns_ = 0;
-  bool* run_flag_ = nullptr;
   /// Stashed by Open() so the Next() wrapper can run the cooperative
   /// interrupt check (cancellation/deadline) on every call. Not owned; valid
   /// between Open() and Close() only.

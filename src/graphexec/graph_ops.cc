@@ -380,6 +380,7 @@ Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   bound_edges_ = 0;
   outer_copies_ = 0;
   leaf_runs_ = 0;
+  passes_ = 0;
   morsel_count_ = 0;
   worker_ns_.clear();
   // In morsel mode only the readers traverse.
@@ -404,6 +405,11 @@ Status PathProbeJoinOp::BufferMorsels() {
     morsel_count_ = (buffered_rows_.size() + kSize - 1) / kSize;
     return Status::OK();
   }
+  if (!SlicesStarts()) {
+    // One outer row per morsel: the scanner takes all starts in one probe.
+    morsel_count_ = buffered_rows_.size();
+    return Status::OK();
+  }
   spec_->gv->ForEachVertex([&](const VertexEntry& v) {
     morsel_starts_.push_back(v.id);
     return true;
@@ -418,22 +424,22 @@ Status PathProbeJoinOp::BufferMorsels() {
   return Status::OK();
 }
 
-MorselSource* PathProbeJoinOp::morsel_source() {
-  const bool eligible = spec_->physical == TraversalSpec::Physical::kDfs &&
-                        !spec_->global_visited;
-  return eligible ? this : nullptr;
+bool PathProbeJoinOp::SlicesStarts() const {
+  return spec_->physical == TraversalSpec::Physical::kDfs &&
+         !spec_->global_visited;
 }
 
-/// A worker's DFS engine, the row it hands the sink, and its counters
+/// A worker's traversal engine, the row it hands the sink, and its counters
 /// across its morsels.
 class PathProbeJoinOp::Reader : public MorselReader {
  public:
-  std::unique_ptr<DfsScanner> scanner;
+  std::unique_ptr<PathScanner> scanner;
   QueryContext* ctx = nullptr;  ///< The context `scanner` charges.
   ExecRow row;
   uint64_t outer_copies = 0;
   uint64_t attr_tuple_reads = 0;
   uint64_t leaf_runs = 0;
+  uint64_t passes = 0;
 };
 
 std::unique_ptr<MorselReader> PathProbeJoinOp::NewReader() const {
@@ -445,35 +451,41 @@ Status PathProbeJoinOp::DrainMorsel(MorselReader* base, size_t morsel,
                                     const MorselSink& sink) const {
   auto* reader = static_cast<Reader*>(base);
   if (reader->scanner == nullptr || reader->ctx != ctx) {
-    // morsel_source() admits DFS specs only.
-    reader->scanner = std::make_unique<DfsScanner>(spec_, ctx);
+    reader->scanner = MakePathScanner(spec_, ctx);
     reader->ctx = ctx;
   }
-  DfsScanner& scanner = *reader->scanner;
+  PathScanner& scanner = *reader->scanner;
+  // DFScan, or BFScan by iterative deepening, drains through ForEachPath.
+  auto* dfs = dynamic_cast<DfsScanner*>(&scanner);
   constexpr size_t kSize = kMorselSize;
-  const bool bound = spec_->start_vertex_expr != nullptr;
+  const bool sliced = spec_->start_vertex_expr == nullptr && SlicesStarts();
   size_t row_begin = morsel * kSize;
   size_t row_end = std::min(buffered_rows_.size(), row_begin + kSize);
   size_t start_begin = 0, start_end = 0;
-  if (!bound) {
-    // An unbound start: one outer row, one slice of its starts.
+  if (sliced) {
+    // One outer row, one slice of its starts.
     const size_t per_row = (morsel_starts_.size() + kSize - 1) / kSize;
     row_begin = morsel / per_row;
     row_end = row_begin + 1;
     start_begin = (morsel % per_row) * kSize;
     start_end = std::min(morsel_starts_.size(), start_begin + kSize);
+  } else if (spec_->start_vertex_expr == nullptr) {
+    // One outer row, every start.
+    row_begin = morsel;
+    row_end = row_begin + 1;
   }
   const size_t slot = spec_->path_slot;
   ExecRow& row = reader->row;
   const uint64_t reads_before = ctx->stats().attr_tuple_reads;
-  const uint64_t runs_before = scanner.leaf_runs();
+  const uint64_t runs_before = dfs != nullptr ? dfs->leaf_runs() : 0;
+  const uint64_t passes_before = dfs != nullptr ? dfs->passes() : 0;
   Status status = Status::OK();
   for (size_t r = row_begin; r < row_end && status.ok(); ++r) {
     const ExecRow& outer = buffered_rows_[r];
     StatusOr<std::vector<VertexId>> starts =
-        bound ? StartsFor(outer)
-              : std::vector<VertexId>(morsel_starts_.begin() + start_begin,
-                                      morsel_starts_.begin() + start_end);
+        sliced ? std::vector<VertexId>(morsel_starts_.begin() + start_begin,
+                                       morsel_starts_.begin() + start_end)
+               : StartsFor(outer);
     StatusOr<bool> armed = starts.ok()
                                ? Arm(&scanner, outer, std::move(*starts))
                                : StatusOr<bool>(starts.status());
@@ -496,30 +508,49 @@ Status PathProbeJoinOp::DrainMorsel(MorselReader* base, size_t morsel,
       row.paths[slot] = PathPtr(PathPtr(), &path);
       return first;
     };
-    status = scanner.ForEachPath(
-        [&](auto& item) -> Status {
-          if constexpr (std::is_same_v<std::decay_t<decltype(item)>,
-                                       LeafRun>) {
-            // One alias for the run: its leaves rewrite the buffer's last
-            // hop.
-            const bool first = alias(*item.path);
-            ++ctx->stats().runs_folded;
-            Status folded = sink.leaves(row, first, item);
-            ctx->stats().rows_joined += folded.ok() ? item.size : item.taken;
-            return folded;
-          } else {
-            const bool first = alias(item);
-            ++ctx->stats().rows_joined;
-            return sink.row(row, first);
-          }
-        },
-        /*runs=*/sink.leaves != nullptr);
-    // The buffer changes once the sink returns: drop the alias.
+    auto one = [&](const PathData& path) -> Status {
+      const bool first = alias(path);
+      ++ctx->stats().rows_joined;
+      return sink.row(row, first);
+    };
+    if (dfs != nullptr) {
+      status = dfs->ForEachPath(
+          [&](auto& item) -> Status {
+            if constexpr (std::is_same_v<std::decay_t<decltype(item)>,
+                                         LeafRun>) {
+              // One alias for the run: its leaves rewrite the buffer's last
+              // hop.
+              const bool first = alias(*item.path);
+              ++ctx->stats().runs_folded;
+              Status folded = sink.leaves(row, first, item);
+              ctx->stats().rows_joined += folded.ok() ? item.size : item.taken;
+              return folded;
+            } else {
+              return one(item);
+            }
+          },
+          /*runs=*/sink.leaves != nullptr);
+    } else {
+      // SPScan (or the visited-once forest) emits each path; `path` keeps
+      // it alive while the row aliases it.
+      PathPtr path;
+      while (status.ok()) {
+        path.reset();
+        StatusOr<bool> has = scanner.Next(&path);
+        status = has.status();
+        if (!status.ok() || !*has) break;
+        status = one(*path);
+      }
+    }
+    // The path changes once the sink returns: drop the alias.
     if (copied) row.paths[slot].reset();
   }
   scanner.Release();
   reader->attr_tuple_reads += ctx->stats().attr_tuple_reads - reads_before;
-  reader->leaf_runs += scanner.leaf_runs() - runs_before;
+  if (dfs != nullptr) {
+    reader->leaf_runs += dfs->leaf_runs() - runs_before;
+    reader->passes += dfs->passes() - passes_before;
+  }
   return status;
 }
 
@@ -531,6 +562,7 @@ void PathProbeJoinOp::FinishMorsels(
     outer_copies_ += reader->outer_copies;
     attr_tuple_reads_ += reader->attr_tuple_reads;
     leaf_runs_ += reader->leaf_runs;
+    passes_ += reader->passes;
   }
   worker_ns_ = std::move(worker_ns);
 }
@@ -572,9 +604,6 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
   if (morsel_mode_) {
     return Status::Internal("a morsel-mode probe is drained through readers");
   }
-  bool* run = run_flag();
-  // A caller outside the run protocol may have changed its row.
-  if (run == nullptr) run_row_ = nullptr;
   while (true) {
     if (outer_valid_) {
       // Drop the caller's hold on the previous path first, so a scanner that
@@ -588,14 +617,9 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
       attr_tuple_reads_ += ctx_->stats().attr_tuple_reads - reads_before;
       GRF_ASSIGN_OR_RETURN(bool has, std::move(next));
       if (has) {
-        if (run_row_ == out) {
-          *run = true;  // Same run: the outer columns are already in place.
-        } else {
-          // Copy-assignment reuses the caller's row buffers.
-          *out = outer_row_;
-          ++outer_copies_;
-          run_row_ = run != nullptr ? out : nullptr;
-        }
+        // Copy-assignment reuses the caller's row buffers.
+        *out = outer_row_;
+        ++outer_copies_;
         if (out->paths.size() <= spec_->path_slot) {
           out->paths.resize(spec_->path_slot + 1);
         }
@@ -605,7 +629,6 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
       }
       outer_valid_ = false;
     }
-    run_row_ = nullptr;  // A new outer row (the first after Open too).
     GRF_ASSIGN_OR_RETURN(bool has_outer, outer_->Next(&outer_row_));
     if (!has_outer) return false;
     GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(outer_row_));
@@ -643,22 +666,18 @@ std::string PathProbeJoinOp::AnalyzeExtra() const {
     out += StrFormat(" bound_edges=%llu",
                      static_cast<unsigned long long>(bound_edges_));
   }
+  // DFScan and iterative-deepening BFScan run on a DfsScanner
+  // (MakePathScanner); in morsel mode the readers' counts were summed in.
+  const auto* dfs = dynamic_cast<const DfsScanner*>(scanner_.get());
   if (spec_->physical == TraversalSpec::Physical::kDfs) {
-    // Every DFS probe runs on a DfsScanner (MakePathScanner); in morsel mode
-    // the readers' runs were summed in.
-    const uint64_t runs =
-        scanner_ == nullptr
-            ? leaf_runs_
-            : static_cast<const DfsScanner&>(*scanner_).leaf_runs();
+    const uint64_t runs = dfs != nullptr ? dfs->leaf_runs() : leaf_runs_;
     out += StrFormat(" leaf_runs=%llu", static_cast<unsigned long long>(runs));
   }
   if (spec_->physical == TraversalSpec::Physical::kBfs &&
-      !spec_->global_visited && scanner_ != nullptr) {
-    // An iterative-deepening BFScan (MakePathScanner): its passes, summed
-    // over the probes.
-    const auto& dfs = static_cast<const DfsScanner&>(*scanner_);
-    out += StrFormat(" passes=%llu",
-                     static_cast<unsigned long long>(dfs.passes()));
+      !spec_->global_visited) {
+    // Summed over the probes.
+    const uint64_t passes = dfs != nullptr ? dfs->passes() : passes_;
+    out += StrFormat(" passes=%llu", static_cast<unsigned long long>(passes));
   }
   if (!morsel_mode_) return out;
   out += StrFormat(" morsels=%zu", morsel_count_);

@@ -106,16 +106,13 @@ class EdgeScanOp : public PhysicalOperator {
 /// assigned into the caller's row, whose path slot is released before each
 /// pull, so a pipeline that reuses its row allocates no row per path.
 ///
-/// The paths of one outer row form a run. A caller in the run protocol
-/// (PhysicalOperator::Next) gets the outer row copied once per run; every
-/// later path of the run only swaps the path slot and reports the columns
-/// unchanged. A new outer row, a re-Open, or a call outside the protocol
-/// ends the run.
-///
-/// A DFS probe without visited-once search is a morsel source: under an
-/// AggregateOp, Open buffers the outer rows (and, for an unbound start, the
-/// view's vertexes in the order DFS visits them), and workers drain one
-/// morsel at a time straight into the aggregate's sink (DESIGN.md §20).
+/// Every probe is a morsel source: under an AggregateOp, Open buffers the
+/// outer rows (and, for an unbound DFScan start, the view's vertexes in the
+/// order DFS visits them), and workers drain one morsel at a time straight
+/// into the aggregate's sink, which sees one copy of each outer row
+/// (DESIGN.md §20). The planner never puts a visited-once probe under an
+/// aggregate (visited-once search needs a LIMIT 1 statement), so morsels
+/// never split a visited set.
 ///
 /// With no relational FROM items the planner supplies a SingleRowOp outer,
 /// making this the plain PathScan of a pure graph query.
@@ -129,15 +126,15 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
     return {outer_.get()};
   }
 
-  MorselSource* morsel_source() override;
+  MorselSource* morsel_source() override { return this; }
   void set_morsel_mode(bool on) override { morsel_mode_ = on; }
   size_t morsel_count() const override { return morsel_count_; }
   std::unique_ptr<MorselReader> NewReader() const override;
-  /// Per outer row of the morsel: re-arms the reader's DFS, copies the outer
-  /// row into the reader's row once (at its first path), and hands the sink
-  /// that row with the path slot pointing, without ownership, at the
-  /// scanner's path buffer: per path, or once per leaf run when the sink
-  /// takes runs.
+  /// Per outer row of the morsel: re-arms the reader's scanner, copies the
+  /// outer row into the reader's row once (at its first path), and hands the
+  /// sink that row with the path slot pointing, without ownership, at each
+  /// path: per path, or, from DFScan, once per leaf run when the sink takes
+  /// runs.
   Status DrainMorsel(MorselReader* reader, size_t morsel, QueryContext* ctx,
                      const MorselSink& sink) const override;
   void FinishMorsels(const std::vector<const MorselReader*>& readers,
@@ -161,6 +158,10 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   /// Morsel-mode Open: drains the outer child into the buffer, charged to
   /// the statement, and cuts the morsels.
   Status BufferMorsels();
+  /// Whether an unbound start's starts are cut into slices of kMorselSize:
+  /// only DFScan without visited-once search runs start by start, so only
+  /// its slices, taken in order, keep the serial row order.
+  bool SlicesStarts() const;
 
   OperatorPtr outer_;
   std::shared_ptr<const TraversalSpec> spec_;
@@ -168,17 +169,14 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   std::unique_ptr<PathScanner> scanner_;
   ExecRow outer_row_;  ///< The outer row being probed.
   bool outer_valid_ = false;
-  /// The caller row that holds the current outer row's columns under the
-  /// run protocol's promise; null when no run is open. Cleared whenever a
-  /// new outer row is pulled (so a re-Open starts a fresh run) and on every
-  /// call outside the protocol.
-  const ExecRow* run_row_ = nullptr;
   /// Copies of the outer row into a caller row (EXPLAIN ANALYZE), readers'
   /// included (FinishMorsels).
   uint64_t outer_copies_ = 0;
-  /// Leaf runs of a morsel-mode probe's readers (FinishMorsels; EXPLAIN
-  /// ANALYZE); a streaming probe asks its scanner.
+  /// Leaf runs and iterative-deepening passes of a morsel-mode probe's
+  /// readers (FinishMorsels; EXPLAIN ANALYZE); a streaming probe asks its
+  /// scanner.
   uint64_t leaf_runs_ = 0;
+  uint64_t passes_ = 0;
   /// Edge-attribute reads this operator's traversals served from tuples
   /// rather than flat columns (EXPLAIN ANALYZE).
   uint64_t attr_tuple_reads_ = 0;
@@ -189,8 +187,9 @@ class PathProbeJoinOp : public PhysicalOperator, public MorselSource {
   // Morsel source (set_morsel_mode).
   bool morsel_mode_ = false;
   std::vector<ExecRow> buffered_rows_;
-  /// Unbound start: the view's vertexes by descending id, the order a
-  /// multi-source DFS pops its roots in, so morsel order is serial order.
+  /// Unbound start sliced (SlicesStarts): the view's vertexes by descending
+  /// id, the order a multi-source DFS pops its roots in, so morsel order is
+  /// serial order.
   std::vector<VertexId> morsel_starts_;
   size_t buffered_bytes_ = 0;
   size_t morsel_count_ = 0;

@@ -880,7 +880,7 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
     std::vector<ExprPtr> group_exprs;
     std::vector<std::string> group_names;
     std::vector<std::string> group_texts;
-    std::vector<bool> path_free_keys;  // Lets AggregateOp reuse a run's group.
+    std::vector<bool> path_free_keys;  // Lets AggregateOp reuse an outer row's group.
     for (const ParsedExprPtr& g : stmt.group_by) {
       GRF_ASSIGN_OR_RETURN(ExprPtr bound, binder.Bind(*g));
       GRF_ASSIGN_OR_RETURN(Binder::RefInfo refs, binder.Analyze(*g));

@@ -454,12 +454,12 @@ TEST_F(ExecutorTest, TopAndLimitCompose) {
   EXPECT_EQ(r.NumRows(), 2u);
 }
 
-// --- Consumers above a run-aware path probe ------------------------------------
+// --- Consumers above a pulled path probe -----------------------------------------
 //
-// A path probe copies its outer row once per run only into the row of a
-// consumer that promises to hand it back untouched. Consumers that keep or
-// move rows (Sort, DISTINCT above the projection, INSERT ... SELECT) must
-// still see the right outer columns on every path row.
+// A pulled path probe copies its outer row into the caller's row for every
+// path. Consumers that keep or move rows (Sort, DISTINCT above the
+// projection, INSERT ... SELECT) must see the right outer columns on every
+// path row.
 
 class PathRunConsumerTest : public ::testing::Test {
  protected:

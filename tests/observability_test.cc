@@ -253,7 +253,7 @@ TEST(ExplainPathPropertyTest, RendersPropertiesByName) {
   }
 }
 
-TEST(RunProtocolObservabilityTest, CopiesAndLookupsFollowRuns) {
+TEST(OuterCopyObservabilityTest, CopiesAndLookupsFollowOuterRows) {
   Database db(TestOptions());
   ASSERT_TRUE(ExecScript(db, kPathRunGraphSql).ok());
   Session s(db);
@@ -266,8 +266,9 @@ TEST(RunProtocolObservabilityTest, CopiesAndLookupsFollowRuns) {
   const std::string path_rows =
       StrFormat("(actual_rows=%lld next_calls=%lld ", paths, paths + 1);
 
-  // Outer-only key: one copy and one group lookup per outer row with paths
-  // (6 of 8). Row and call counts are the Volcano protocol's, as before.
+  // Outer-only key: the morsel drain makes one copy and one group lookup per
+  // outer row with paths (6 of 8). Row and call counts are the Volcano
+  // protocol's.
   std::string plan = PlanText(
       s, "EXPLAIN ANALYZE SELECT V.kind, COUNT(*), SUM(P.Length)" + from +
              " GROUP BY V.kind");
@@ -295,15 +296,14 @@ TEST(RunProtocolObservabilityTest, CopiesAndLookupsFollowRuns) {
             std::string::npos)
       << plan;
 
-  // ORDER BY sorts the projection's rows; the projection below it keeps
-  // the promise, so the probe still copies once per run. (A Sort straight
-  // over a probe, which the planner never builds, gets a copy per row:
-  // PathRunOperatorTest.SortOverProbeCopiesEveryRow.)
+  // ORDER BY sorts the projection's rows. The projection pulls the probe
+  // row by row, so the probe copies its outer row for every path.
   plan = PlanText(s, "EXPLAIN ANALYZE SELECT V.kind, P.PathString" + from +
                          " ORDER BY P.PathString");
   EXPECT_NE(AnalyzedLine(plan, "Sort(").find(path_rows), std::string::npos)
       << plan;
-  EXPECT_NE(AnalyzedLine(plan, "PathProbeJoin[").find(" outer_copies=6"),
+  EXPECT_NE(AnalyzedLine(plan, "PathProbeJoin[")
+                .find(StrFormat(" outer_copies=%lld", paths)),
             std::string::npos)
       << plan;
 }

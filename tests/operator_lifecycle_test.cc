@@ -299,13 +299,13 @@ TEST_F(OperatorLifecycleTest, NestedLoopJoinReleasesOnInnerError) {
   EXPECT_EQ(ctx.current_bytes(), 0u);
 }
 
-// --- Run protocol ---------------------------------------------------------------
+// --- Outer-row copies ------------------------------------------------------------
 //
-// A path probe copies its outer row into a run-protocol caller's row once
-// per outer row and reports the columns unchanged for the rest of that run.
-// Callers outside the protocol get a copy per path. Plans the SQL planner
-// never builds (Sort or a HashJoin build side straight over a probe, a
-// Filter between an aggregate and a probe) are assembled by hand here.
+// A pulled path probe copies its outer row into the caller's row for every
+// path; under an aggregate the morsel drain copies it once per outer row.
+// Plans the SQL planner never builds (Sort or a HashJoin build side straight
+// over a probe, a Filter between an aggregate and a probe) are assembled by
+// hand here.
 
 class PathRunOperatorTest : public ::testing::Test {
  protected:
@@ -389,64 +389,16 @@ class PathRunOperatorTest : public ::testing::Test {
   Database db_{TestOptions()};
 };
 
-TEST_F(PathRunOperatorTest, ProbeReportsUnchangedOnlyWithinOneRun) {
-  int64_t expected_rows = 0;
-  for (const auto& [key, n] : ReferencePaths()) expected_rows += n;
-  OperatorPtr probe = Probe();
-  QueryContext ctx;
-  // One caller row across both executions: a re-Open must start a fresh run
-  // even though the row already holds vertex 0's columns.
-  ExecRow row;
-  for (int pass = 0; pass < 2; ++pass) {
-    SCOPED_TRACE(pass);
-    ASSERT_TRUE(probe->Open(&ctx).ok());
-    int64_t last_start = -1;
-    int64_t rows = 0;
-    size_t runs = 0;
-    while (true) {
-      bool unchanged = true;
-      auto has = probe->Next(&row, &unchanged);
-      ASSERT_TRUE(has.ok());
-      if (!*has) break;
-      ++rows;
-      const int64_t start = row.paths[0]->StartVertex();
-      EXPECT_EQ(row.columns[0].AsBigInt(), start) << "row " << rows;
-      EXPECT_EQ(unchanged, start == last_start) << "row " << rows;
-      if (start != last_start) ++runs;
-      last_start = start;
-      if (pass == 0 && rows == 3) break;  // Close mid-run.
-    }
-    probe->Close();
-    if (pass == 1) {
-      EXPECT_EQ(rows, expected_rows);
-      EXPECT_EQ(runs, 6u);  // Vertexes 2 and 5 start no path.
-      EXPECT_EQ(Copies(probe.get()), 6u);
-    }
-  }
-
-  // A call outside the protocol ends the run: the next opted-in call gets a
-  // fresh copy.
-  ASSERT_TRUE(probe->Open(&ctx).ok());
-  bool unchanged = true;
-  ASSERT_TRUE(*probe->Next(&row, &unchanged));
-  EXPECT_FALSE(unchanged);
-  ASSERT_TRUE(*probe->Next(&row, &unchanged));
-  EXPECT_TRUE(unchanged);
-  ASSERT_TRUE(*probe->Next(&row));
-  ASSERT_TRUE(*probe->Next(&row, &unchanged));
-  EXPECT_FALSE(unchanged);
-  EXPECT_EQ(row.columns[0].AsBigInt(), row.paths[0]->StartVertex());
-  probe->Close();
-  EXPECT_EQ(ctx.current_bytes(), 0u);
-}
-
 TEST_F(PathRunOperatorTest, SortOverProbeCopiesEveryRow) {
-  // Sort moves each row into its buffer, so it cannot keep the promise.
+  // Sort moves each row into its buffer.
   OperatorPtr probe = Probe();
   const PhysicalOperator* probe_op = probe.get();
   SortOp sort(std::move(probe), {SortOp::SortKey{2, true}});
   QueryContext ctx;
   const size_t rows = DrainChecked(&sort, &ctx);
+  int64_t expected_rows = 0;
+  for (const auto& [key, n] : ReferencePaths()) expected_rows += n;
+  EXPECT_EQ(static_cast<int64_t>(rows), expected_rows);
   EXPECT_EQ(rows, ctx.stats().rows_joined);
   EXPECT_EQ(Copies(probe_op), rows);
   EXPECT_EQ(ctx.current_bytes(), 0u);
@@ -472,6 +424,8 @@ TEST_F(PathRunOperatorTest, HashJoinBuildSideKeepsEveryOuterRow) {
 }
 
 TEST_F(PathRunOperatorTest, ProjectCopiesOncePerRun) {
+  // A projection pulls into a row it reuses; with no run protocol the probe
+  // still copies the outer row once per path.
   OperatorPtr probe = Probe();
   const PhysicalOperator* probe_op = probe.get();
   Schema schema({Column("id", ValueType::kBigInt),
@@ -492,14 +446,18 @@ TEST_F(PathRunOperatorTest, ProjectCopiesOncePerRun) {
     EXPECT_EQ(row.columns[0].AsBigInt(), row.columns[1].AsBigInt());
   }
   project.Close();
+  int64_t expected_rows = 0;
+  for (const auto& [key, n] : ReferencePaths()) expected_rows += n;
+  EXPECT_EQ(static_cast<int64_t>(rows), expected_rows);
   EXPECT_EQ(rows, ctx.stats().rows_joined);
-  EXPECT_EQ(Copies(probe_op), 6u);
+  EXPECT_EQ(Copies(probe_op), ctx.stats().rows_joined);
+  EXPECT_EQ(ctx.current_bytes(), 0u);
 }
 
 TEST_F(PathRunOperatorTest, FilterBetweenAggregateAndProbeKeepsGroupsRight) {
   // GROUP BY V.kind over the length-2 paths. Each outer row's first path has
-  // length 1 and is rejected, so the filter must not report the next passing
-  // row unchanged: the aggregate last saw the previous outer row.
+  // length 1 and is rejected, so the first passing row of an outer row must
+  // still resolve its group: the aggregate last saw the previous outer row.
   std::map<std::string, int64_t> expected;
   const char* kinds = "abacbacb";
   for (const auto& [key, n] : ReferencePaths()) {

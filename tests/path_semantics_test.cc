@@ -1864,13 +1864,13 @@ TEST_F(EdgeColumnTest, EdgeInsertedAfterSnapshotReadsItsTuple) {
 }
 
 // ---------------------------------------------------------------------------
-// Run-aware path probe
+// Hybrid GROUP BYs
 //
-// The probe copies an outer row into an aggregate's row once per run of
-// paths, and an aggregate whose keys read no path resolves its group once
-// per run. GROUP BYs over the hybrid must still equal a reference built from
-// the adjacency, at 1 and 4 workers, whatever the keys read, and the
-// per-row interrupt check must still stop the statement.
+// The morsel drain copies an outer row into an aggregate's row once per
+// outer row, and an aggregate whose keys read no path resolves its group
+// once per outer row. GROUP BYs over the hybrid must still equal a reference
+// built from the adjacency, under DFS and BFS, at 1 and 4 workers, whatever
+// the keys read, and the interrupt check must still stop the statement.
 // ---------------------------------------------------------------------------
 
 class PathRunTest : public ::testing::Test {
@@ -1919,10 +1919,11 @@ class PathRunTest : public ::testing::Test {
   using KeyFn = std::function<std::vector<Value>(const RefPath&)>;
 
   /// Runs `sql`, which selects (keys..., COUNT(*), SUM(P.Length),
-  /// MAX(P.EndVertex.score)), at 1 and 4 workers. Both must equal the
-  /// reference: the paths `keep` admits, grouped by `key`, groups of at most
-  /// `min_count` paths dropped. With `outer_order`, groups must also come
-  /// in the order their first outer row was scanned.
+  /// MAX(P.EndVertex.score)) from `g.Paths P`, and its HINT(BFS) form, at 1
+  /// and 4 workers. Each must equal the reference: the paths `keep` admits,
+  /// grouped by `key`, groups of at most `min_count` paths dropped. With
+  /// `outer_order`, groups must also come in the order their first outer
+  /// row was scanned.
   void ExpectGroups(const std::string& sql, const KeyFn& key,
                     const std::function<bool(const RefPath&)>& keep,
                     int64_t min_count, bool outer_order) {
@@ -1951,23 +1952,29 @@ class PathRunTest : public ::testing::Test {
       expected.push_back(Render(k));
     }
     ASSERT_FALSE(expected.empty());
-    std::vector<std::string> serial;
-    for (size_t workers : {size_t{1}, size_t{4}}) {
-      session_.options().max_parallelism = workers;
-      auto result = session_.Execute(sql);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      std::vector<std::string> got;
-      for (const auto& row : result->rows) got.push_back(Render(row));
-      if (workers == 1) {
-        serial = got;
-      } else {
-        EXPECT_EQ(got, serial) << "4 workers differ from 1";
+    if (!outer_order) std::sort(expected.begin(), expected.end());
+    const std::string paths = "g.Paths P ";
+    std::string bfs = sql;
+    const size_t at = bfs.find(paths);
+    ASSERT_NE(at, std::string::npos);
+    bfs.insert(at + paths.size(), "HINT(BFS) ");
+    for (const std::string& form : {sql, bfs}) {
+      SCOPED_TRACE(form);
+      std::vector<std::string> serial;
+      for (size_t workers : {size_t{1}, size_t{4}}) {
+        session_.options().max_parallelism = workers;
+        auto result = session_.Execute(form);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        std::vector<std::string> got;
+        for (const auto& row : result->rows) got.push_back(Render(row));
+        if (workers == 1) {
+          serial = got;
+        } else {
+          EXPECT_EQ(got, serial) << "4 workers differ from 1";
+        }
+        if (!outer_order) std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected) << "workers=" << workers;
       }
-      if (!outer_order) {
-        std::sort(got.begin(), got.end());
-        std::sort(expected.begin(), expected.end());
-      }
-      EXPECT_EQ(got, expected) << "workers=" << workers;
     }
     session_.options().max_parallelism = TestOptions().max_parallelism;
   }
@@ -1984,7 +1991,7 @@ TEST_F(PathRunTest, HybridGroupByMatchesAdjacencyReference) {
   auto start_kind = [](const RefPath& p) {
     return std::vector<Value>{Value::Varchar(kKinds[p.start])};
   };
-  // Outer-only keys: one group lookup per run.
+  // Outer-only keys: one group lookup per outer row.
   ExpectGroups("SELECT V.kind, " + aggs + from + " GROUP BY V.kind",
                start_kind, all, 0, /*outer_order=*/true);
   ExpectGroups("SELECT V.id, " + aggs + from + " GROUP BY V.id",
@@ -2010,8 +2017,8 @@ TEST_F(PathRunTest, HybridGroupByMatchesAdjacencyReference) {
   ExpectGroups("SELECT V.kind, " + aggs + from +
                    " GROUP BY V.kind HAVING COUNT(*) > 8",
                start_kind, all, 8, true);
-  // A residual path predicate that cannot be pushed rejects paths inside
-  // runs, including a run's first path.
+  // A residual path predicate that cannot be pushed rejects some of an
+  // outer row's paths, including its first.
   ExpectGroups("SELECT V.kind, " + aggs + from +
                    " AND P.EndVertex.score > V.score GROUP BY V.kind",
                start_kind,
@@ -2679,19 +2686,17 @@ TEST_F(LeafRunTest, FoldedRunsKeepThePerRowAnswer) {
     for (size_t workers : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE(workers);
       session_.options().max_parallelism = workers;
-      // Timing (a 0 us slow-query threshold) runs the per-row body.
+      // Timing (a 0 us slow-query threshold) folds the same runs.
       for (bool timed : {false, true}) {
         SCOPED_TRACE(timed);
         session_.options().slow_query_threshold_us = timed ? 0 : -1;
         auto result = session_.Execute(scalar);
         session_.options().slow_query_threshold_us = -1;
         ASSERT_TRUE(result.ok()) << result.status().ToString();
-        // Untimed, the aggregate takes runs in one call; timed, none.
-        if (timed) {
-          EXPECT_EQ(session_.last_stats().runs_folded, 0u);
-        } else {
-          EXPECT_GT(session_.last_stats().runs_folded, 0u);
-        }
+        // Timed or not, the aggregate takes every run in one call.
+        const uint64_t folded = session_.last_stats().runs_folded;
+        EXPECT_GT(folded, 0u);
+        EXPECT_EQ(folded, LeafRuns(scalar));
         const std::vector<Value>& row = result->rows[0];
         EXPECT_EQ(row[0].AsBigInt(), static_cast<int64_t>(paths.size()));
         EXPECT_EQ(std::bit_cast<uint64_t>(row[1].AsDouble()),
@@ -2740,8 +2745,10 @@ TEST_F(LeafRunTest, FoldKeepsCountersAtOneAndFourWorkers) {
       counters.push_back(c);
       const uint64_t folded = session_.last_stats().runs_folded;
       const uint64_t analyzed = LeafRuns(sql);
-      // Untimed, the aggregate took every run the scanner held in one call.
+      // The aggregate took every run the scanner held in one call, untimed
+      // and under EXPLAIN ANALYZE alike.
       EXPECT_EQ(folded, analyzed);
+      EXPECT_EQ(session_.last_stats().runs_folded, analyzed);
       if (workers == 1) {
         serial = result->rows;
         runs = analyzed;
@@ -2865,6 +2872,98 @@ TEST_F(LeafRunTest, ExecNextFailpointFiresOnTheSameHit) {
       "ee=335 ve=331 pe=310 mf=6 pb=1296",
   };
   EXPECT_EQ(counters, pinned);
+  session_.options().max_parallelism = TestOptions().max_parallelism;
+}
+
+// --- Every kernel as a morsel source --------------------------------------------
+//
+// BFScan and SPScan probes under an aggregate drain as morsels too: 16 outer
+// rows a morsel for a bound start, one outer row for an unbound one. The
+// 40 outer rows of lv are three morsels.
+
+class MorselAggKernelTest : public LeafRunTest {
+ protected:
+  /// The passes= count on the PathProbeJoin line of EXPLAIN ANALYZE `sql`.
+  uint64_t Passes(const std::string& sql) {
+    const std::string text = ExplainText(&session_, "ANALYZE " + sql);
+    const size_t at = text.find(" passes=");
+    EXPECT_NE(at, std::string::npos) << text;
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(text.c_str() + at + 8, nullptr, 10);
+  }
+};
+
+TEST_F(MorselAggKernelTest, SpScanGroupByMatchesPerOuterRowProbes) {
+  // The reference probes each outer row alone through the pulled SPScan.
+  // The weights are halves, so every DOUBLE sum is exact in any order.
+  struct Agg {
+    int64_t count = 0, length_sum = 0;
+    double cost_sum = 0, cost_max = 0;
+  };
+  std::vector<std::string> order;
+  std::map<std::string, Agg> groups;
+  session_.options().max_parallelism = 1;
+  for (int64_t v = 0; v < kN; ++v) {
+    auto probe = session_.Execute(StrFormat(
+        "SELECT PS.Length, PS.Cost FROM lg.Paths PS HINT(SHORTESTPATH(w)) "
+        "WHERE PS.StartVertex.Id = %lld AND PS.Length <= 2",
+        static_cast<long long>(v)));
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    ASSERT_FALSE(probe->rows.empty());
+    const std::string kind = "k" + std::to_string(v % 3);
+    auto [it, fresh] = groups.try_emplace(kind);
+    if (fresh) order.push_back(kind);
+    for (const auto& row : probe->rows) {
+      Agg& g = it->second;
+      const double cost = row[1].AsDouble();
+      g.cost_max = g.count == 0 ? cost : std::max(g.cost_max, cost);
+      ++g.count;
+      g.length_sum += row[0].AsBigInt();
+      g.cost_sum += cost;
+    }
+  }
+  std::vector<std::vector<Value>> expected;
+  for (const std::string& kind : order) {
+    const Agg& g = groups.at(kind);
+    expected.push_back({Value::Varchar(kind), Value::BigInt(g.count),
+                        Value::BigInt(g.length_sum), Value::Double(g.cost_sum),
+                        Value::Double(g.cost_max)});
+  }
+  const std::string sql =
+      "SELECT V.kind, COUNT(*), SUM(PS.Length), SUM(PS.Cost), MAX(PS.Cost) "
+      "FROM lv V, lg.Paths PS HINT(SHORTESTPATH(w)) WHERE "
+      "PS.StartVertex.Id = V.id AND PS.Length <= 2 GROUP BY V.kind";
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    session_.options().max_parallelism = workers;
+    auto result = session_.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows, expected);
+    EXPECT_NE(ExplainText(&session_, "ANALYZE " + sql).find(" morsels=3"),
+              std::string::npos);
+  }
+  session_.options().max_parallelism = TestOptions().max_parallelism;
+}
+
+TEST_F(MorselAggKernelTest, BfsPassesUnderAnAggregateMatchTheStreamingProbe) {
+  // The readers' iterative-deepening passes, summed, are the ones the
+  // pulled probe runs: bound (one probe per outer row) and unbound (one
+  // probe over every start).
+  const std::string bound =
+      " FROM lv V, lg.Paths P HINT(BFS) WHERE P.StartVertex.Id = V.id AND "
+      "P.Length <= 3";
+  const std::string unbound = " FROM lg.Paths P HINT(BFS) WHERE P.Length <= 3";
+  for (const std::string& from : {bound, unbound}) {
+    SCOPED_TRACE(from);
+    const uint64_t streamed = Passes("SELECT P.PathString" + from);
+    EXPECT_GT(streamed, 0u);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(workers);
+      session_.options().max_parallelism = workers;
+      EXPECT_EQ(Passes("SELECT COUNT(*), SUM(P.Length)" + from), streamed);
+    }
+  }
   session_.options().max_parallelism = TestOptions().max_parallelism;
 }
 

@@ -1189,12 +1189,13 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
     }
   }
 
-  // Aggregate trials. The planner runs a DFS probe under an aggregate as
-  // fixed 16-row (or 16-start) morsels with partial aggregates merged in
-  // morsel order, so these trials use a larger graph `ga` whose outer rows
-  // and starts span several morsels. Shapes: the hybrid (each vertex's
-  // relational row probes its paths) and the unbound multi-source scan;
-  // scalar, outer-keyed and path-keyed groups; DOUBLE SUM/AVG and MIN over
+  // Aggregate trials. The planner runs a path probe under an aggregate as
+  // fixed 16-row (or, for DFScan, 16-start) morsels with partial aggregates
+  // merged in morsel order, so these trials use a larger graph `ga` whose
+  // outer rows and starts span several morsels. Shapes: the hybrid (each
+  // vertex's relational row probes its paths; rerun under HINT(BFS)) and
+  // the unbound multi-source scan; scalar, outer-keyed and path-keyed
+  // groups; DOUBLE SUM/AVG and MIN over
   // a vertex attribute; random extra COUNT/SUM/AVG/MIN/MAX over the typed
   // inputs (P.Length, P.StartVertex.Id, a BIGINT and a DOUBLE endpoint
   // column with NULLs) and over a VARCHAR endpoint column (read through
@@ -1604,6 +1605,42 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials,
       EXPECT_EQ(analyzed_counters(*explained),
                 analyzed_counters(*explained_serial))
           << "EXPLAIN ANALYZE counters differ at 1 and 4 workers";
+
+      if (hybrid) {
+        // The hybrid again under iterative deepening (BFScan), which drains
+        // as morsels too: the same paths in another order, so the same
+        // reference. Groups keyed by the path's end come in another
+        // first-seen order and are compared as a set.
+        std::string bfs = sql;
+        bfs.replace(bfs.find("HINT(DFS)"), 9, "HINT(BFS)");
+        SCOPED_TRACE(bfs);
+        auto bfs_serial = run_at(bfs, 1);
+        ASSERT_TRUE(bfs_serial.ok());
+        auto bfs_par = run_at(bfs, 4);
+        ASSERT_TRUE(bfs_par.ok());
+        expect_rows(*bfs_par, bfs_serial->rows, /*exact=*/true,
+                    "BFS: 4 workers vs 1");
+        ResultSet got = *bfs_serial;
+        std::vector<std::vector<Value>> want = expected;
+        if (key == 1) {
+          auto by_key = [](const std::vector<Value>& a,
+                           const std::vector<Value>& b) {
+            return a[0].ToString() < b[0].ToString();
+          };
+          std::sort(got.rows.begin(), got.rows.end(), by_key);
+          std::sort(want.begin(), want.end(), by_key);
+        }
+        expect_rows(got, want, /*exact=*/false, "BFS: 1 worker vs reference");
+        session.options().max_parallelism = 4;
+        auto bfs_explained = session.Execute("EXPLAIN ANALYZE " + bfs);
+        ASSERT_TRUE(bfs_explained.ok()) << bfs_explained.status().ToString();
+        std::string bfs_text;
+        for (const auto& row : bfs_explained->rows) {
+          bfs_text += row[0].ToString() + "\n";
+        }
+        EXPECT_NE(bfs_text.find(" morsels="), std::string::npos) << bfs_text;
+        EXPECT_NE(bfs_text.find(" passes="), std::string::npos) << bfs_text;
+      }
     }
     if (agg_trials > 0) {
       EXPECT_GT(agg_answered, 0) << "no aggregate trial had two groups";

@@ -34,7 +34,7 @@ run_config() {
 run_graph_diff() {
   local dir="$1"
   ctest --test-dir "$dir" --output-on-failure \
-    -R 'GraphDiff|Frontier|TaskPool|FaultInjection|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch|ActiveQueries|StatementStats|ExplainTrace|EngineMetrics|PathSemantics|SpScan|DfsScan|BfsDeepening|EdgeColumn|PathRun|RunProtocol|ExplainPathProperty|MorselAgg|CsrVertexLookup|FrontierEarlyEmit|FrontierMemory|FrontierOverlay|SpScanEarlyDrop|PointBound|LeafRun'
+    -R 'GraphDiff|Frontier|TaskPool|FaultInjection|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch|ActiveQueries|StatementStats|ExplainTrace|EngineMetrics|PathSemantics|SpScan|DfsScan|BfsDeepening|EdgeColumn|PathRun|OuterCopy|ExplainPathProperty|MorselAgg|CsrVertexLookup|FrontierEarlyEmit|FrontierMemory|FrontierOverlay|SpScanEarlyDrop|PointBound|LeafRun'
   local seed="${GRF_FUZZ_SEED:-$RANDOM$RANDOM}"
   echo "== graph differential + fault-injection suites, random seed ${seed} =="
   GRF_FUZZ_SEED="$seed" ctest --test-dir "$dir" --output-on-failure \
@@ -52,7 +52,7 @@ echo "== graph + differential suites at 1 and 4 workers =="
 for workers in 1 4; do
   GRF_TEST_MAX_PARALLELISM="$workers" ctest --test-dir build \
     --output-on-failure -j "$JOBS" \
-    -R 'GraphSql|PathSemantics|SpScan|DfsScan|BfsDeepening|GraphDiff|FrontierDiff|SqlFuzz|CrossValidation|GraphAlg|Executor|Optimizer|EdgeColumn|PathRun|RunProtocol|ExplainPathProperty|MorselAgg|CsrVertexLookup|FrontierEarlyEmit|FrontierMemory|FrontierOverlay|SpScanEarlyDrop|PointBound|LeafRun'
+    -R 'GraphSql|PathSemantics|SpScan|DfsScan|BfsDeepening|GraphDiff|FrontierDiff|SqlFuzz|CrossValidation|GraphAlg|Executor|Optimizer|EdgeColumn|PathRun|OuterCopy|ExplainPathProperty|MorselAgg|CsrVertexLookup|FrontierEarlyEmit|FrontierMemory|FrontierOverlay|SpScanEarlyDrop|PointBound|LeafRun'
 done
 
 # Session-layer throughput smoke: exercises the plan cache, prepared
